@@ -8,7 +8,7 @@ instead."""
 import argparse
 from dataclasses import dataclass
 
-from opres.chain_core import complex_from_json, complex_to_json, homology
+from opres.chain_core import change_ring, homology, ring_from_name
 from opres.chain_operads import builtin_chain_operad, w_reduced
 
 
@@ -20,18 +20,11 @@ class Config:
     edge_cap: int | None = None
 
 
-def reringed(C, ring):
-    if ring == "Z":
-        return C
-    data = complex_to_json(C)
-    data["ring"] = ring
-    return complex_from_json(data)
-
-
 def run(cfg: Config) -> None:
     P = builtin_chain_operad(cfg.operad)
+    ring = ring_from_name(cfg.ring)
     for n in range(2, cfg.max_arity + 1):
-        C = reringed(w_reduced(P, n, cfg.edge_cap), cfg.ring)
+        C = change_ring(w_reduced(P, n, cfg.edge_cap), ring)
         rep = homology(C)
         print(f"\n{cfg.operad} arity {n} over {cfg.ring}"
               + (f" (edge cap {cfg.edge_cap})" if cfg.edge_cap is not None else ""))

@@ -5,12 +5,21 @@ matrices with exact entries (python int, Fraction, or int mod p).  The
 differential d[k] maps degree k to degree k - 1 and is stored as a matrix
 whose columns are images of the degree-k basis vectors.
 
-Integer homology goes through a Smith normal form that re-multiplies
-U*A*V and compares with its own diagonal on every call, so a wrong
-factorization can never be silently consumed downstream.
+Homology and field ranks go through one sparse eliminator (``eliminate``)
+for Z, Q and Fp.  It pivots only on units (+-1 over Z, any nonzero over a
+field), in Markowitz order, and eliminates each differential once.  Over
+Z, unit pivots leave the invariant factors unchanged; the columns left
+without a unit form a residual block, and only that block goes to the
+dense Smith normal form, which re-multiplies U*A*V and compares with its
+own diagonal on every call.  Every elimination is certified the same way:
+its recorded column operations V must give A*V = M exactly, V unit
+triangular and M triangular with units on the pivots.  A failed check
+raises SelfCheckError, so a wrong result can never be silently consumed
+downstream.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -120,14 +129,18 @@ class SparseMat:
         by_k: dict[int, list] = {}
         for (k, j), w in other.data.items():
             by_k.setdefault(k, []).append((j, w))
+        zero = ring.zero()
+        # integer products need no normalizing; Q and Fp entries do
+        norm = None if ring.tag == "Z" else ring.normalize
         for i, row in by_row.items():
             acc: dict[int, object] = {}
             for k, v in row:
                 for j, w in by_k.get(k, ()):
-                    acc[j] = acc.get(j, ring.zero()) + v * w
+                    acc[j] = acc.get(j, zero) + v * w
             for j, val in acc.items():
-                val = ring.normalize(val)
-                if not ring.is_zero(val):
+                if norm is not None:
+                    val = norm(val)
+                if val != zero:
                     out.data[(i, j)] = val
         return out
 
@@ -399,6 +412,10 @@ def koszul_sign_block_move(deg_moved: int, degs_jumped: int) -> int:
     return -1 if (deg_moved % 2) and (degs_jumped % 2) else 1
 
 
+class SelfCheckError(ArithmeticError):
+    """A factorization or elimination failed its own exact re-check."""
+
+
 # -- smith normal form ---------------------------------------------------------
 
 
@@ -498,11 +515,11 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[in
     UA = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
     UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
     if UAV != D:
-        raise ArithmeticError("smith normal form self-check failed")
+        raise SelfCheckError("smith normal form self-check failed")
     for i in range(min(m, n) - 1):
         a, b = D[i][i], D[i + 1][i + 1]
         if b and (a == 0 or b % a):
-            raise ArithmeticError("invariant factors not in a divisibility chain")
+            raise SelfCheckError("invariant factors not in a divisibility chain")
     return U, D, V
 
 
@@ -516,38 +533,187 @@ def invariant_factors(A: list[list[int]]) -> list[int]:
 
 
 def rank_over_field(A: list[list], ring: Ring) -> int:
-    """Gaussian elimination rank; exact over Q and Fp (Z ranks via Q)."""
-    if not A or not A[0]:
-        return 0
-    m, n = len(A), len(A[0])
-    if ring.tag == "Fp":
-        M = [[v % ring.p for v in row] for row in A]
-    else:
-        M = [[Fraction(v) for v in row] for row in A]
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if M[i][col]:
-                piv = i
-                break
-        if piv is None:
+    """Rank over Q or Fp by certified sparse elimination (Z ranks via Q)."""
+    field = QQ if ring.tag == "Z" else ring
+    mat = SparseMat(len(A), len(A[0]) if A else 0, {
+        (i, j): v for i, row in enumerate(A) for j, v in enumerate(row) if v
+    })
+    return certified_elimination(mat, field).rank()
+
+
+# -- sparse elimination ------------------------------------------------------------
+
+
+@dataclass
+class Elimination:
+    """Record of one sparse elimination of A: A*V = M.
+
+    V is the product of the column operations, unit upper triangular once
+    the pivot columns are put first in pivot order; M holds the pivot
+    columns as they stood when chosen, and the residual columns.  Pivot t
+    sits at (pivots[t]) with a unit entry; pivot row r_s is zero in pivot
+    columns chosen after s and in every residual column, so M is block
+    triangular with unit diagonal and the invariant factors of A are
+    those of the residual block plus one 1 per pivot.  ``check`` verifies
+    all of this exactly and raises SelfCheckError otherwise.
+    """
+
+    ring: Ring
+    source: SparseMat  # A
+    ops: SparseMat  # V
+    reduced: SparseMat  # M
+    pivots: list  # (row, col) in pivot order
+
+    def check(self) -> None:
+        def fail(what):
+            raise SelfCheckError(f"elimination certificate failed: {what}")
+
+        ring, n = self.ring, self.ops.cols
+        if not self.source.mul(self.ops, ring).equals(self.reduced, ring):
+            fail("A*V != M")
+        order = {j: t for t, (_, j) in enumerate(self.pivots)}
+        prow = {r: t for t, (r, _) in enumerate(self.pivots)}
+        if len(order) != len(self.pivots) or len(prow) != len(self.pivots):
+            fail("a row or column pivoted twice")
+        # V: unit upper triangular, pivot columns first in pivot order
+        diag = 0
+        for (i, j), v in self.ops.data.items():
+            if order.get(i, n + i) > order.get(j, n + j) or (i == j and v != 1):
+                fail(f"V[{i},{j}] = {v}")
+            diag += i == j
+        if diag != n:
+            fail("V has a zero on its diagonal")
+        # M: units on the pivots; a pivot row is clear of later pivot
+        # columns and of the residual, which is empty over a field
+        for r, j in self.pivots:
+            if not _is_unit(ring, self.reduced.data.get((r, j), 0)):
+                fail(f"pivot M[{r},{j}] is no unit")
+        for (i, j), v in self.reduced.data.items():
+            t, s = order.get(j), prow.get(i)
+            if t is None and ring.tag != "Z":
+                fail(f"M[{i},{j}] = {v} left over a field")
+            if s is not None and (t is None or s < t):
+                fail(f"M[{i},{j}] = {v} above a pivot")
+
+    def residual(self) -> list[list[int]]:
+        """The dense block of M outside the pivot rows and columns, with its
+        zero rows and columns dropped."""
+        pcols = {j for _, j in self.pivots}
+        prows = {r for r, _ in self.pivots}
+        entries = [
+            (i, j, v) for (i, j), v in self.reduced.data.items()
+            if j not in pcols and i not in prows
+        ]
+        rows = {i: a for a, i in enumerate(sorted({i for i, _, _ in entries}))}
+        cols = {j: b for b, j in enumerate(sorted({j for _, j, _ in entries}))}
+        out = [[0] * len(cols) for _ in rows]
+        for i, j, v in entries:
+            out[rows[i]][cols[j]] = v
+        return out
+
+    def invariant_factors(self) -> list[int]:
+        """Nonzero invariant factors of A in a divisibility chain; over a
+        field the residual is empty and every factor is 1."""
+        block = self.residual()
+        return [1] * len(self.pivots) + (invariant_factors(block) if block else [])
+
+    def rank(self) -> int:
+        return len(self.invariant_factors())
+
+
+def _is_unit(ring: Ring, v) -> bool:
+    return v in (1, -1) if ring.tag == "Z" else v != 0
+
+
+def eliminate(A: SparseMat, ring: Ring) -> Elimination:
+    """Sparse elimination of A by unit pivots and column operations.
+
+    Columns are taken in Markowitz order (fewest nonzeros first, through a
+    lazy heap); within a column the pivot is the unit entry whose row has
+    fewest nonzeros.  Over a field every nonzero is a unit; over Z only
+    +-1 is, and a column with none waits until an update changes it, so
+    what is never pivoted is the residual block.  The record is returned
+    unchecked; see Elimination.check.
+    """
+    p = ring.p if ring.tag == "Fp" else 0
+    cols: list[dict] = [{} for _ in range(A.cols)]
+    on_row: list[set] = [set() for _ in range(A.rows)]
+    for (i, j), v in A.data.items():
+        v = ring.normalize(v)
+        if v:
+            cols[j][i] = v
+            on_row[i].add(j)
+    ops: list[dict | None] = [None] * A.cols  # None stands for the unit vector
+    done = [False] * A.cols
+    pivots = []
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    while heap:
+        nnz, j = heapq.heappop(heap)
+        col = cols[j]
+        if done[j] or nnz != len(col) or not nnz:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = pow(int(M[row][col]), -1, ring.p) if ring.tag == "Fp" else 1 / M[row][col]
-        for i in range(row + 1, m):
-            if M[i][col]:
-                factor = (M[i][col] * inv) % ring.p if ring.tag == "Fp" else M[i][col] * inv
-                if ring.tag == "Fp":
-                    M[i] = [(a - factor * b) % ring.p for a, b in zip(M[i], M[row])]
+        r, best = -1, None
+        for i, v in col.items():
+            if _is_unit(ring, v):
+                count = len(on_row[i])
+                if best is None or count < best or (count == best and i < r):
+                    r, best = i, count
+        if best is None:
+            continue  # no unit yet; requeued if an update changes the column
+        done[j] = True
+        pivots.append((r, j))
+        for i in col:
+            on_row[i].discard(j)
+        if p:
+            inv = pow(col[r], -1, p)
+        elif ring.tag == "Z":
+            inv = col[r]  # a unit is its own inverse
+        else:
+            inv = 1 / Fraction(col[r])
+        vj = ops[j] or {j: 1}
+        for c in list(on_row[r]):
+            target = cols[c]
+            f = target[r] * inv
+            if p:
+                f %= p
+            for i, v in col.items():
+                w = target.get(i, 0) - f * v
+                if p:
+                    w %= p
+                if w:
+                    if i not in target:
+                        on_row[i].add(c)
+                    target[i] = w
+                elif i in target:
+                    del target[i]
+                    on_row[i].discard(c)
+            vc = ops[c]
+            if vc is None:
+                vc = ops[c] = {c: 1}
+            for i, v in vj.items():
+                w = vc.get(i, 0) - f * v
+                if p:
+                    w %= p
+                if w:
+                    vc[i] = w
                 else:
-                    M[i] = [a - factor * b for a, b in zip(M[i], M[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+                    vc.pop(i, None)
+            heapq.heappush(heap, (len(target), c))
+    reduced = SparseMat(A.rows, A.cols, {
+        (i, j): v for j, col in enumerate(cols) for i, v in col.items()
+    })
+    V = SparseMat(A.cols, A.cols, {
+        (i, j): v for j, vc in enumerate(ops) for i, v in (vc or {j: 1}).items()
+    })
+    return Elimination(ring, A, V, reduced, pivots)
+
+
+def certified_elimination(A: SparseMat, ring: Ring) -> Elimination:
+    """eliminate(A, ring), after its record passed Elimination.check."""
+    E = eliminate(A, ring)
+    E.check()
+    return E
 
 
 # -- homology -------------------------------------------------------------------
@@ -578,26 +744,40 @@ def homology(C: ChainComplex) -> HomologyReport:
     degs = C.degrees()
     if not degs:
         return HomologyReport(ring.name(), {})
-    lo, hi = min(degs), max(degs)
+    # each differential is eliminated once; over Z its invariant factors
+    # give both its rank (outgoing) and the torsion it leaves (incoming)
+    factors = {}
+    for k, mat in C.d.items():
+        factors[k] = certified_elimination(mat, ring).invariant_factors()
     out = {}
-    for k in range(lo, hi + 1):
+    for k in range(min(degs), max(degs) + 1):
         dim = C.dim(k)
         if dim == 0:
             continue
-        dk = C.diff(k).to_dense()
-        dk1 = C.diff(k + 1).to_dense()
-        if ring.tag == "Z":
-            rk = rank_over_field(dk, QQ) if dk and dk[0] else 0
-            facs = invariant_factors(dk1) if dk1 and dk1[0] else []
-            rk1 = len(facs)
-            torsion = tuple(f for f in facs if f not in (0, 1))
-            free = dim - rk - rk1
-            out[k] = (free, torsion)
-        else:
-            rk = rank_over_field(dk, ring) if dk and dk[0] else 0
-            rk1 = rank_over_field(dk1, ring) if dk1 and dk1[0] else 0
-            out[k] = (dim - rk - rk1, ())
+        rk = len(factors.get(k, ()))
+        incoming = factors.get(k + 1, ())
+        torsion = tuple(f for f in incoming if f != 1)
+        out[k] = (dim - rk - len(incoming), torsion)
     return HomologyReport(ring.name(), out)
+
+
+def change_ring(C: ChainComplex, ring: Ring) -> ChainComplex:
+    """C with its integer entries mapped into ``ring``; entries that vanish
+    there (mod p) are dropped.  A non-integral entry raises ValueError
+    unless ``ring`` is Q."""
+    if ring == C.ring:
+        return C
+    d = {}
+    for k, mat in C.d.items():
+        out = SparseMat(mat.rows, mat.cols)
+        for key, v in mat.data.items():
+            if ring.tag != "Q" and v.denominator != 1:
+                raise ValueError(f"entry {v} of d[{k}] is not an integer")
+            v = ring.normalize(v)
+            if v:
+                out.data[key] = v
+        d[k] = out
+    return ChainComplex(ring, C.module.basis, d, check=False)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -3,7 +3,8 @@
 Loads operads and segments (builtin names or JSON files), runs the
 constructions and verifications, prints small human tables, and writes a
 machine report via --json.  Exit codes: 0 success or verified, 1 a
-verification failed (the report carries the witness), 2 usage or input
+verification failed (the report carries the witness) or an exact
+self-check failed (the witness goes to stderr), 2 usage or input
 errors.  Reports are byte-stable for a fixed invocation and version.
 """
 
@@ -22,7 +23,14 @@ from .bar_cobar import (
     cobar,
     compare_w_barcobar,
 )
-from .chain_core import complex_from_json, complex_to_json, homology
+from .chain_core import (
+    SelfCheckError,
+    change_ring,
+    complex_from_json,
+    complex_to_json,
+    homology,
+    ring_from_name,
+)
 from .chain_operads import (
     basis_to_json,
     builtin_chain_operad,
@@ -276,10 +284,8 @@ def _chain_label(x) -> str:
 
 def _h_chainw_build(a):
     P = _load_chain_operad(a.operad)
-    C = w_reduced(P, a.arity, a.cap)
+    C = change_ring(w_reduced(P, a.arity, a.cap), ring_from_name(a.ring))
     data = complex_to_json(C, label_str=_chain_label)
-    if a.ring != "Z":
-        data = _reringed(data, a.ring)
     dims = {str(k): C.dim(k) for k in sorted(C.degrees())}
     print("dims " + " ".join(f"{k}:{v}" for k, v in dims.items()))
     return "verified", {"arity": a.arity, "dims": dims, "complex": data}
@@ -307,9 +313,7 @@ def _h_chainw_verify(a):
 
 def _h_chainw_homology(a):
     P = _load_chain_operad(a.operad)
-    C = w_reduced(P, a.arity, a.cap)
-    if a.ring != "Z":
-        C = complex_from_json(_reringed(complex_to_json(C, label_str=_chain_label), a.ring))
+    C = change_ring(w_reduced(P, a.arity, a.cap), ring_from_name(a.ring))
     payload = _homology_payload(C)
     _print_homology(payload)
     return "verified", payload
@@ -369,8 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opres",
         description="Operadic resolutions on labeled trees.",
-        epilog="OPRES_THREADS is reserved for thread control; all current "
-               "computations are single-threaded.",
     )
     parser.add_argument("--version", action="version", version=f"opres {__version__}")
     groups = parser.add_subparsers(dest="group", required=True, metavar="COMMAND")
@@ -502,9 +504,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _enforce_limits(parser, args)
-    threads = os.environ.get("OPRES_THREADS")
-    if threads is not None and not threads.isdigit():
-        parser.error("OPRES_THREADS must be a non-negative integer")
     if args.group == "segment" and args.action == "check":
         if not (args.name or args.file):
             parser.error("segment check needs --name or --file")
@@ -513,6 +512,9 @@ def main(argv=None) -> int:
     except InfiniteEnumerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SelfCheckError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,10 +10,14 @@ from opres.chain_core import (
     QQ,
     Ring,
     SparseMat,
+    SelfCheckError,
     ZZ,
+    certified_elimination,
+    change_ring,
     complex_from_json,
     complex_to_json,
     compose_chain_maps,
+    eliminate,
     homology,
     identity_chain_map,
     invariant_factors,
@@ -385,6 +389,81 @@ def test_homology_z_vs_q_rank_agreement():
         hq = homology(ChainComplex(QQ, basis, {1: mq}))
         for k in (0, 1):
             assert hz.free_rank(k) == hq.free_rank(k)
+
+
+# -- sparse elimination ----------------------------------------------------------------
+
+
+def sparse(A):
+    return SparseMat(len(A), len(A[0]), {
+        (i, j): v for i, row in enumerate(A) for j, v in enumerate(row) if v
+    })
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_elimination_against_dense_snf(m, n, data):
+    A = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
+    dense = invariant_factors(A)
+    assert certified_elimination(sparse(A), ZZ).invariant_factors() == dense
+    for p in (2, 3):
+        rank_p = certified_elimination(sparse(A), Ring("Fp", p)).rank()
+        assert rank_p == sum(1 for f in dense if f % p)
+    assert certified_elimination(sparse(A), QQ).rank() == len(dense)
+
+
+def test_elimination_unit_pivots_and_torsion_residual():
+    # diag(1, 2, 6) under unimodular row and column operations with
+    # off-diagonal units, rows then permuted
+    A = [[0, 2, 8], [1, 3, 2], [1, 1, 0]]
+    E = certified_elimination(sparse(A), ZZ)
+    assert 0 < len(E.pivots) < 3  # unit pivots, and a residual is left
+    assert E.residual()
+    assert E.invariant_factors() == invariant_factors(A) == [1, 2, 6]
+    assert E.rank() == rank_over_field(A, QQ) == 3
+    assert certified_elimination(sparse(A), Ring("Fp", 2)).rank() == 1
+    assert certified_elimination(sparse(A), Ring("Fp", 3)).rank() == 2
+
+
+def test_elimination_certificate_catches_corruption():
+    A = sparse([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    for ring in (ZZ, QQ, Ring("Fp", 5)):
+        E = eliminate(A, ring)
+        E.check()
+        (key, v), *_ = E.ops.data.items()
+        E.ops.data[key] = ring.normalize(v + 1)
+        with pytest.raises(ArithmeticError):
+            E.check()
+    E = eliminate(A, ZZ)
+    E.pivots.reverse()  # a pivot order in which M is not triangular
+    with pytest.raises(SelfCheckError):
+        E.check()
+
+
+def test_elimination_zero_and_empty():
+    assert certified_elimination(SparseMat(3, 2), ZZ).invariant_factors() == []
+    assert certified_elimination(SparseMat(0, 0), QQ).rank() == 0
+    assert rank_over_field([], QQ) == 0
+
+
+def test_change_ring_maps_integer_entries():
+    mat = SparseMat(2, 2, {(0, 0): 2, (1, 0): 3, (1, 1): -1})
+    C = ChainComplex(ZZ, {0: ("a", "b"), 1: ("x", "y")}, {1: mat})
+    assert change_ring(C, ZZ) is C
+    C2 = change_ring(C, Ring("Fp", 2))
+    assert C2.ring == Ring("Fp", 2)
+    assert C2.diff(1).data == {(1, 0): 1, (1, 1): 1}
+    assert C2.basis_of(0) == ("a", "b")
+    assert change_ring(C, QQ).diff(1).get(0, 0) == Fraction(2)
+    # an entry that vanishes mod p takes its differential with it
+    C3 = change_ring(two_term(ZZ, 3), Ring("Fp", 3))
+    assert C3.d == {}
+    assert homology(C3).free_rank(0) == 1
+    half = two_term(QQ, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        change_ring(half, ZZ)
+    with pytest.raises(ValueError):
+        change_ring(half, Ring("Fp", 2))
 
 
 # -- serialization ----------------------------------------------------------------

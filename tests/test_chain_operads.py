@@ -203,6 +203,16 @@ def test_cylinder_homology_ass_sym():
         assert rep.nonzero_degrees() == [0]
 
 
+@pytest.mark.parametrize("name, n, rank0", [("ass_sym", 5, 120), ("com", 6, 1)])
+def test_cylinder_homology_reach(name, n, rank0):
+    # one arity past what dense Smith normal form could take; every
+    # differential is certified by its elimination record
+    rep = homology(w_reduced(builtin_chain_operad(name), n))
+    assert rep.nonzero_degrees() == [0]
+    assert rep.free_rank(0) == rank0
+    assert rep.torsion(0) == ()
+
+
 def test_meta_records_construction():
     C = w_pseudo(AS_NS, 3)
     assert C.meta["arity"] == 3

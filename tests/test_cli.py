@@ -359,16 +359,22 @@ def test_missing_file():
 # -- environment and entry point ---------------------------------------------
 
 
-def test_threads_env_accepted(monkeypatch):
-    monkeypatch.setenv("OPRES_THREADS", "4")
-    rc, out, err = run(["segment", "check", "--name", "interval"])
-    assert rc == 0
+def test_failed_certificate_exits_1(monkeypatch):
+    from opres import chain_core
 
+    honest = chain_core.eliminate
 
-def test_threads_env_invalid(monkeypatch):
-    monkeypatch.setenv("OPRES_THREADS", "lots")
-    rc, out, err = run(["segment", "check", "--name", "interval"])
-    assert rc == 2
+    def corrupted(A, ring):
+        E = honest(A, ring)
+        (key, v), *_ = E.reduced.data.items()
+        E.reduced.data[key] = v + 1
+        return E
+
+    monkeypatch.setattr(chain_core, "eliminate", corrupted)
+    rc, out, err = run(["chainw", "homology", "--operad", "as_ns", "--arity", "3"])
+    assert rc == 1
+    assert "A*V != M" in err
+    assert "Traceback" not in err
 
 
 def test_unbounded_tree_enum_rejected():
