@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .chain_core import ZZ, ChainComplex, ChainMap, mat_from_columns
-from .chain_operads import _min_leaf_tuples, _pseudo_of, _tree_auts, w_augmentation, w_pseudo
+from .chain_operads import _pseudo_of, w_augmentation, w_pseudo
 from .set_operads import (
     InfiniteEnumerationError,
     build_node,
@@ -24,47 +24,36 @@ from .set_operads import (
     node_lengths,
     node_tree,
 )
+from .tagged import (
+    canon,
+    fresh_uid,
+    graft_replace,
+    koszul,
+    leaves,
+    least_routings,
+    map_leaves,
+    tag,
+    untag,
+    vertices,
+)
 from .trees import PlanarTree, enumerate_planar, iso_classes
-
-_UIDS = itertools.count()
 
 
 # -- tagged trees ------------------------------------------------------------
 #
-# Both levels share one tagged shape: (uid, label, parity, items) with
-# items ("leaf", g) or ("edge", child).  At the inner level labels are
-# operad element names with parity shifted up one; at the outer level
-# labels are whole bar elements with parity shifted down one.  Words are
-# the vertices in depth-first preorder, and every sign is a Koszul count
-# over those words.
+# Both levels use the tagged shape of the tagged module with every edge
+# flag 0.  At the inner level labels are operad element names with parity
+# shifted up one; at the outer level labels are whole bar elements with
+# parity shifted down one.  Words are the vertices in depth-first
+# preorder, and every sign is a Koszul count over those words.
 
 
 def _t_word(nd):
     out = [(nd[0], nd[2])]
     for it in nd[3]:
         if it[0] == "edge":
-            out.extend(_t_word(it[1]))
+            out.extend(_t_word(it[3]))
     return out
-
-
-def _t_leaves(nd):
-    out = []
-    for it in nd[3]:
-        if it[0] == "leaf":
-            out.append(it[1])
-        else:
-            out.extend(_t_leaves(it[1]))
-    return out
-
-
-def _t_tree(nd) -> PlanarTree:
-    kids = []
-    for it in nd[3]:
-        if it[0] == "leaf":
-            kids.append(PlanarTree(None))
-        else:
-            kids.append(_t_tree(it[1]))
-    return PlanarTree(tuple(kids))
 
 
 def _t_edge_list(nd):
@@ -73,30 +62,11 @@ def _t_edge_list(nd):
     def rec(t):
         for slot, it in enumerate(t[3]):
             if it[0] == "edge":
-                out.append((t, slot, it[1]))
-                rec(it[1])
+                out.append((t, slot, it[3]))
+                rec(it[3])
 
     rec(nd)
     return out
-
-
-def _t_vertices(nd):
-    yield nd
-    for it in nd[3]:
-        if it[0] == "edge":
-            yield from _t_vertices(it[1])
-
-
-def _t_graft_replace(nd, uid, new):
-    if nd[0] == uid:
-        return new
-    out = []
-    for it in nd[3]:
-        if it[0] == "edge":
-            out.append(("edge", _t_graft_replace(it[1], uid, new)))
-        else:
-            out.append(it)
-    return (nd[0], nd[1], nd[2], tuple(out))
 
 
 def _t_replace_edge(nd, puid, slot, newitem):
@@ -106,84 +76,10 @@ def _t_replace_edge(nd, puid, slot, newitem):
     out = []
     for it in items:
         if it[0] == "edge":
-            out.append(("edge", _t_replace_edge(it[1], puid, slot, newitem)))
+            out.append(("edge", it[1], it[2], _t_replace_edge(it[3], puid, slot, newitem)))
         else:
             out.append(it)
     return (uid, label, par, tuple(out))
-
-
-def _koszul(old, new):
-    """Sign of reordering the odd letters of one word into another."""
-    order = {u: i for i, (u, p) in enumerate(old) if p}
-    seq = [order[u] for u, p in new if p]
-    inv = sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-    return -1 if inv & 1 else 1
-
-
-def _bare_titem(it):
-    if it[0] == "leaf":
-        return (0,)
-    return _bare_tnode(it[1])
-
-
-def _bare_tnode(nd):
-    return (1,) + tuple(_bare_titem(it) for it in nd[3])
-
-
-def _t_sort(act, nd):
-    uid, label, par, items = nd
-    coeff = 1
-    done = []
-    for it in items:
-        if it[0] == "edge":
-            c, sub = _t_sort(act, it[1])
-            coeff *= c
-            done.append(("edge", sub))
-        else:
-            done.append(it)
-    sigma = tuple(sorted(range(len(done)), key=lambda j: _bare_titem(done[j])))
-    if sigma != perms.identity(len(done)):
-        c, label = act(len(done), label, perms.invert(sigma))
-        coeff *= c
-        done = [done[j] for j in sigma]
-    return coeff, (uid, label, par, tuple(done))
-
-
-def _t_apply_aut(act, nd, aut):
-    uid, label, par, items = nd
-    sigma, kids = aut
-    coeff = 1
-    out = []
-    for j in range(len(items)):
-        it = items[sigma[j]]
-        if it[0] == "edge":
-            c, sub = _t_apply_aut(act, it[1], kids[j])
-            coeff *= c
-            out.append(("edge", sub))
-        else:
-            out.append(it)
-    if sigma != perms.identity(len(items)):
-        c, label = act(len(items), label, perms.invert(sigma))
-        coeff *= c
-    return coeff, (uid, label, par, tuple(out))
-
-
-def _canon_engine(act, tagged):
-    """Sort the shape, then pick the automorphism image with the least
-    leaf routing; the total sign collects label twists and word Koszuls."""
-    c1, t1 = _t_sort(act, tagged)
-    sign = c1 * _koszul(_t_word(tagged), _t_word(t1))
-    w1 = _t_word(t1)
-    best = None
-    for aut in _tree_auts(_t_tree(t1)):
-        c2, t2 = _t_apply_aut(act, t1, aut)
-        lam = tuple(_t_leaves(t2))
-        if best is None or lam < best[0]:
-            best = (lam, c2, t2)
-    _, c2, t2 = best
-    return sign * c2 * _koszul(w1, _t_word(t2)), t2
 
 
 # -- the inner level ---------------------------------------------------------
@@ -221,52 +117,17 @@ def _mk_bar(P, node) -> BarElement:
     return BarElement(len(node_leaves(node)), node, _bar_degree(P, node))
 
 
-def _btag(P, node):
-    label, items = node
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(it)
-        else:
-            out.append(("edge", _btag(P, it[2])))
-    par = (P.degree_of(len(items), label) + 1) & 1
-    return (next(_UIDS), label, par, tuple(out))
-
-
-def _buntag(nd):
-    out = []
-    for it in nd[3]:
-        if it[0] == "leaf":
-            out.append(it)
-        else:
-            out.append(("edge", 0, _buntag(it[1])))
-    return (nd[1], tuple(out))
-
-
-def _bar_act_adapter(P):
-    def act(k, name, sigma):
-        name2, c = P.signed_act(k, name, sigma)
-        return c, name2
-
-    return act
+def _shifted_up(P):
+    """Parity of an inner vertex: its label one degree up."""
+    return lambda k, name: P.degree_of(k, name) + 1
 
 
 def _bar_canon(P, node):
     if not P.symmetric:
         return 1, node
-    sign, t = _canon_engine(_bar_act_adapter(P), _btag(P, node))
-    return sign, _buntag(t)
-
-
-def _map_leaves(node, table):
-    label, items = node
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(("leaf", table[it[1]]))
-        else:
-            out.append(("edge", 0, _map_leaves(it[2], table)))
-    return (label, tuple(out))
+    t0 = tag(node, _shifted_up(P))
+    sign, t1 = canon(P.signed_act, t0)
+    return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
 
 
 def _bar_d(P, x: BarElement) -> dict:
@@ -274,7 +135,7 @@ def _bar_d(P, x: BarElement) -> dict:
 
     The label part carries the usual shift sign; a contraction consumes
     the child letter next to its parent, prefix counted inclusively."""
-    nd = _btag(P, x.node)
+    nd = tag(x.node, _shifted_up(P))
     w0 = _t_word(nd)
     pos = {u: i for i, (u, _) in enumerate(w0)}
     acc: dict[BarElement, int] = {}
@@ -282,28 +143,16 @@ def _bar_d(P, x: BarElement) -> dict:
     def add(node, c):
         if not c:
             return
-        sign, canon = _bar_canon(P, node)
-        key = BarElement(x.arity, canon, x.degree - 1)
+        sign, rep = _bar_canon(P, node)
+        key = BarElement(x.arity, rep, x.degree - 1)
         acc[key] = acc.get(key, 0) + c * sign
 
-    def replace_label(t, uid, name, par):
-        if t[0] == uid:
-            return (uid, name, par, t[3])
-        out = []
-        for it in t[3]:
-            if it[0] == "edge":
-                out.append(("edge", replace_label(it[1], uid, name, par)))
-            else:
-                out.append(it)
-        return (t[0], t[1], t[2], tuple(out))
-
-    for v in list(_t_vertices(nd)):
-        uid, name, par, items = v
+    for uid, name, par, items in vertices(nd):
         pre = sum(p for _, p in w0[: pos[uid]]) & 1
         s = -1 if pre else 1
         for zname, c in P.d(len(items), name).items():
-            nd2 = replace_label(nd, uid, zname, (par + 1) & 1)
-            add(_buntag(nd2), -s * c)
+            nd2 = graft_replace(nd, uid, (uid, zname, (par + 1) & 1, items))
+            add(untag(nd2), -s * c)
 
     for parent, slot, child in _t_edge_list(nd):
         puid, pname, ppar, pitems = parent
@@ -316,8 +165,8 @@ def _bar_d(P, x: BarElement) -> dict:
         mid = [(u, mpar if u == puid else p) for u, p in w0 if u != cuid]
         for zname, c in P.compose(len(pitems), slot, pname, len(citems), cname).items():
             merged = (puid, zname, mpar, pitems[:slot] + citems + pitems[slot + 1 :])
-            nd2 = _t_graft_replace(nd, puid, merged)
-            add(_buntag(nd2), s * c * _koszul(mid, _t_word(nd2)))
+            nd2 = graft_replace(nd, puid, merged)
+            add(untag(nd2), s * c * koszul(mid, _t_word(nd2)))
     return {k: v for k, v in acc.items() if v}
 
 
@@ -373,7 +222,7 @@ class CooperadComplex:
         min_val = 1 if P.basis(1) else 2
         if P.symmetric:
             shapes = [
-                (cls.tree, _min_leaf_tuples(cls.tree))
+                (cls.tree, least_routings(cls.tree))
                 for cls in iso_classes(k, cap, min_val)
             ]
         else:
@@ -415,18 +264,7 @@ class CooperadComplex:
             return 1, x
         if not self.operad.symmetric:
             raise ValueError("non-symmetric bar element acted on by a permutation")
-
-        def relabel(node):
-            label, items = node
-            out = []
-            for it in items:
-                if it[0] == "leaf":
-                    out.append(("leaf", sigma[it[1]]))
-                else:
-                    out.append(("edge", 0, relabel(it[2])))
-            return (label, tuple(out))
-
-        s, node = _bar_canon(self.operad, relabel(x.node))
+        s, node = _bar_canon(self.operad, map_leaves(x.node, sigma))
         return s, BarElement(x.arity, node, x.degree)
 
     def splits(self, x: BarElement) -> list:
@@ -436,7 +274,7 @@ class CooperadComplex:
         routing is the leaf tuple of the standard two-vertex composite
         rebuilding the original element."""
         P = self.operad
-        nd = _btag(P, x.node)
+        nd = tag(x.node, _shifted_up(P))
         w0 = _t_word(nd)
         out = []
         for parent, slot, child in _t_edge_list(nd):
@@ -445,14 +283,14 @@ class CooperadComplex:
             block_par = sum(p for u, p in w0 if u in block) & 1
             tail_par = sum(p for _, p in w0[last + 1 :]) & 1
             ksign = -1 if (block_par and tail_par) else 1
-            S = sorted(_t_leaves(child))
-            lower_raw = _map_leaves(_buntag(child), {v: j for j, v in enumerate(S)})
+            S = sorted(leaves(child))
+            lower_raw = map_leaves(untag(child), {v: j for j, v in enumerate(S)})
             sl, lower_node = _bar_canon(P, lower_raw)
             low = _mk_bar(P, lower_node)
             upper_t = _t_replace_edge(nd, parent[0], slot, ("leaf", S[0]))
-            U = sorted(_t_leaves(upper_t))
+            U = sorted(leaves(upper_t))
             su, upper_node = _bar_canon(
-                P, _map_leaves(_buntag(upper_t), {v: j for j, v in enumerate(U)})
+                P, map_leaves(untag(upper_t), {v: j for j, v in enumerate(U)})
             )
             up = _mk_bar(P, upper_node)
             i = U.index(S[0])
@@ -542,39 +380,17 @@ class CobarElement:
     degree: int
 
 
-def _otag(nd):
-    label, items = nd
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(it)
-        else:
-            out.append(("edge", _otag(it[1])))
-    return (next(_UIDS), label, (label.degree + 1) & 1, tuple(out))
-
-
-def _ountag(nd):
-    out = []
-    for it in nd[3]:
-        if it[0] == "leaf":
-            out.append(it)
-        else:
-            out.append(("edge", _ountag(it[1])))
-    return (nd[1], tuple(out))
-
-
-def _cobar_act_adapter(C):
-    def act(k, label, sigma):
-        return C.act(label, sigma)
-
-    return act
+def _shifted_down(k, label):
+    """Parity of an outer vertex: its bar label one degree down."""
+    return label.degree + 1
 
 
 def _cobar_canon(C, node):
     if not C.operad.symmetric:
         return 1, node
-    sign, t = _canon_engine(_cobar_act_adapter(C), _otag(node))
-    return sign, _ountag(t)
+    t0 = tag(node, _shifted_down)
+    sign, t1 = canon(lambda k, label, sigma: C.act(label, sigma)[::-1], t0)
+    return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
 
 
 def _build_outer(tree: PlanarTree, labels, lam):
@@ -588,7 +404,7 @@ def _build_outer(tree: PlanarTree, labels, lam):
             if c.children is None:
                 items.append(("leaf", lam.pop(0)))
             else:
-                items.append(("edge", rec(c)))
+                items.append(("edge", 0, rec(c)))
         return (label, tuple(items))
 
     return rec(tree)
@@ -607,7 +423,7 @@ def _cobar_elements(C: CooperadComplex, arity: int, cap: int | None) -> tuple:
     P = C.operad
     if P.symmetric:
         shapes = [
-            (cls.tree, _min_leaf_tuples(cls.tree))
+            (cls.tree, least_routings(cls.tree))
             for cls in iso_classes(arity, max_edges, min_val)
         ]
     else:
@@ -649,7 +465,7 @@ def _cobar_elements(C: CooperadComplex, arity: int, cap: int | None) -> tuple:
 def _cobar_d(C: CooperadComplex, X: CobarElement) -> dict:
     """Shifted bar differential on each label plus one splitting per
     label edge, prefix counted exclusively."""
-    nd = _otag(X.node)
+    nd = tag(X.node, _shifted_down)
     w0 = _t_word(nd)
     pos = {u: i for i, (u, _) in enumerate(w0)}
     acc: dict[CobarElement, int] = {}
@@ -657,33 +473,32 @@ def _cobar_d(C: CooperadComplex, X: CobarElement) -> dict:
     def add(node, c):
         if not c:
             return
-        s, canon = _cobar_canon(C, node)
-        key = CobarElement(X.arity, canon, X.degree - 1)
+        s, rep = _cobar_canon(C, node)
+        key = CobarElement(X.arity, rep, X.degree - 1)
         acc[key] = acc.get(key, 0) + c * s
 
-    for v in list(_t_vertices(nd)):
-        uid, label, par, items = v
+    for uid, label, par, items in vertices(nd):
         pre = sum(p for _, p in w0[: pos[uid]]) & 1
         s = -1 if pre else 1
         for y, c in C.d(label).items():
-            nd2 = _t_graft_replace(nd, uid, (uid, y, (y.degree + 1) & 1, items))
-            add(_ountag(nd2), -s * c)
+            nd2 = graft_replace(nd, uid, (uid, y, (y.degree + 1) & 1, items))
+            add(untag(nd2), -s * c)
         for sgn, up, slot, low, lam2 in C.splits(label):
             tk = -1 if up.degree & 1 else 1
             m = low.arity
-            low_uid = next(_UIDS)
+            low_uid = fresh_uid()
             low_par = (low.degree + 1) & 1
             up_par = (up.degree + 1) & 1
             upper_items = []
             for j in range(up.arity):
                 if j == slot:
                     lower_items = tuple(items[lam2[slot + u]] for u in range(m))
-                    upper_items.append(("edge", (low_uid, low, low_par, lower_items)))
+                    upper_items.append(("edge", fresh_uid(), 0, (low_uid, low, low_par, lower_items)))
                 elif j < slot:
                     upper_items.append(items[lam2[j]])
                 else:
                     upper_items.append(items[lam2[j + m - 1]])
-            nd2 = _t_graft_replace(nd, uid, (uid, up, up_par, tuple(upper_items)))
+            nd2 = graft_replace(nd, uid, (uid, up, up_par, tuple(upper_items)))
             natural = []
             for u, p in w0:
                 if u == uid:
@@ -691,7 +506,7 @@ def _cobar_d(C: CooperadComplex, X: CobarElement) -> dict:
                     natural.append((low_uid, low_par))
                 else:
                     natural.append((u, p))
-            add(_ountag(nd2), s * sgn * tk * _koszul(natural, _t_word(nd2)))
+            add(untag(nd2), s * sgn * tk * koszul(natural, _t_word(nd2)))
     return {k: v for k, v in acc.items() if v}
 
 
@@ -721,21 +536,13 @@ def cobar(C: CooperadComplex, arity: int, cap: int | None = None) -> ChainComple
 
 def _flat_eval(P, flat, n: int) -> dict:
     """Operadic value of a tree of operad labels with a leaf routing."""
-
-    def tag(ndd):
-        label, items = ndd
-        out = []
-        for it in items:
-            out.append(it if it[0] == "leaf" else ("edge", tag(it[1])))
-        return (next(_UIDS), label, P.degree_of(len(items), label) & 1, tuple(out))
-
-    work = [(1, tag(flat))]
+    work = [(1, tag(flat, P.degree_of))]
     done: dict[str, int] = {}
     while work:
         c, nd = work.pop()
         edges = _t_edge_list(nd)
         if not edges:
-            lam = tuple(_t_leaves(nd))
+            lam = tuple(leaves(nd))
             for w, c2 in P.act(n, nd[1], lam).items():
                 done[w] = done.get(w, 0) + c * c2
             continue
@@ -750,8 +557,8 @@ def _flat_eval(P, flat, n: int) -> dict:
         mid = [(u, mpar if u == puid else p) for u, p in w0 if u != cuid]
         for zname, c2 in P.compose(len(pitems), slot, pname, len(citems), cname).items():
             merged = (puid, zname, mpar, pitems[:slot] + citems + pitems[slot + 1 :])
-            nd2 = _t_graft_replace(nd, puid, merged)
-            work.append((c * move * c2 * _koszul(mid, _t_word(nd2)), nd2))
+            nd2 = graft_replace(nd, puid, merged)
+            work.append((c * move * c2 * koszul(mid, _t_word(nd2)), nd2))
     return {k: v for k, v in done.items() if v}
 
 
@@ -768,10 +575,10 @@ def _counit_value(C: CooperadComplex, X: CobarElement) -> dict:
             if it[0] == "leaf":
                 out.append(it)
             else:
-                sub = to_flat(it[1])
+                sub = to_flat(it[2])
                 if sub is None:
                     return None
-                out.append(("edge", sub))
+                out.append(("edge", 0, sub))
         return (label.labels()[0], tuple(out))
 
     flat = to_flat(X.node)
@@ -820,7 +627,7 @@ def _cobar_key(X: CobarElement) -> str:
         label, items = nd
         parts = []
         for it in items:
-            parts.append(str(it[1]) if it[0] == "leaf" else rec(it[1]))
+            parts.append(str(it[1]) if it[0] == "leaf" else rec(it[2]))
         return "<" + _bar_key(label) + " : " + " ".join(parts) + ">"
 
     return rec(X.node)
@@ -846,12 +653,12 @@ def _w_to_cobar(P, C: CooperadComplex, x) -> CobarElement:
                     out.append(("edge", 0, walk(it[2])))
                 else:
                     out.append(("leaf", next(ctr)))
-                    outer_items.append(("edge", comp(it[2])))
+                    outer_items.append(("edge", 0, comp(it[2])))
             return (label, tuple(out))
 
         inner = walk(flat)
-        _, canon = _bar_canon(P, inner)
-        return (_mk_bar(P, canon), tuple(outer_items))
+        _, rep = _bar_canon(P, inner)
+        return (_mk_bar(P, rep), tuple(outer_items))
 
     _, onode = _cobar_canon(C, comp(x.node))
     return CobarElement(x.arity, onode, x.degree)

@@ -44,6 +44,20 @@ from .set_operads import (
     node_lengths,
     node_tree,
 )
+from .tagged import (
+    PAIR_CACHE,
+    ROUTING_CACHE,
+    canon,
+    fresh_uid,
+    graft_replace,
+    koszul,
+    leaves,
+    least_routings,
+    map_leaves,
+    tag,
+    untag,
+    vertices,
+)
 from .trees import PlanarTree, enumerate_planar, iso_classes
 
 
@@ -599,10 +613,8 @@ def chain_interval() -> ChainInterval:
 
 # -- cylinder basis elements -------------------------------------------------
 #
-# Plain nodes reuse the set-level shape (label, items) with items either
-# ("leaf", input) or ("edge", flag, child); flag 1 marks the edge.  For
-# sign tracking nodes are tagged: (uid, label, parity, items) with edge
-# items ("edge", euid, flag, child).
+# Nodes come in the plain and the tagged shape of the tagged module; an
+# edge flag of 1 marks the edge.
 
 
 @dataclass(frozen=True)
@@ -640,33 +652,6 @@ def basis_to_json(x: WChainBasis) -> dict:
     }
 
 
-_UIDS = itertools.count()
-
-
-def _tag(P, node):
-    """Annotate a node with fresh letter identities for sign tracking."""
-    label, items = node
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(it)
-        else:
-            out.append(("edge", ("e", next(_UIDS)), it[1], _tag(P, it[2])))
-    parity = P.degree_of(len(items), label) & 1
-    return (("v", next(_UIDS)), label, parity, tuple(out))
-
-
-def _untag(nd):
-    uid, label, parity, items = nd
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(it)
-        else:
-            out.append(("edge", it[2], _untag(it[3])))
-    return (label, tuple(out))
-
-
 def _word(nd) -> list:
     """The sign word: per marked-edge component in discovery order, the
     marked-edge letters in global edge order, then the vertex letters."""
@@ -694,19 +679,6 @@ def _word(nd) -> list:
     return out
 
 
-def _koszul(old: list, new: list) -> int:
-    """Sign of the permutation of odd letters taking old to new."""
-    odd_old = [u for u, p in old if p & 1]
-    pos = {u: k for k, u in enumerate(odd_old)}
-    seq = [pos[u] for u, p in new if p & 1]
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
-
-
 def _prefix_sign(word: list, uid) -> int:
     total = 0
     for u, p in word:
@@ -714,23 +686,6 @@ def _prefix_sign(word: list, uid) -> int:
             return -1 if total & 1 else 1
         total += p
     raise KeyError(uid)
-
-
-def _tagged_leaves(nd) -> list:
-    out = []
-    for it in nd[3]:
-        if it[0] == "leaf":
-            out.append(it[1])
-        else:
-            out.extend(_tagged_leaves(it[3]))
-    return out
-
-
-def _vertices(nd):
-    yield (nd[0], nd[1], nd[2], len(nd[3]))
-    for it in nd[3]:
-        if it[0] == "edge":
-            yield from _vertices(it[3])
 
 
 def _marked_edges(nd):
@@ -748,19 +703,6 @@ def _all_edges(nd):
             yield from _all_edges(it[3])
 
 
-def _replace_label(nd, vuid, name, parity):
-    uid, label, par, items = nd
-    if uid == vuid:
-        return (uid, name, parity, items)
-    out = []
-    for it in items:
-        if it[0] == "edge":
-            out.append(("edge", it[1], it[2], _replace_label(it[3], vuid, name, parity)))
-        else:
-            out.append(it)
-    return (uid, label, par, tuple(out))
-
-
 def _set_flag(nd, euid, flag):
     uid, label, par, items = nd
     out = []
@@ -770,19 +712,6 @@ def _set_flag(nd, euid, flag):
                 out.append(("edge", euid, flag, it[3]))
             else:
                 out.append(("edge", it[1], it[2], _set_flag(it[3], euid, flag)))
-        else:
-            out.append(it)
-    return (uid, label, par, tuple(out))
-
-
-def _graft_replace(nd, vuid, new):
-    if nd[0] == vuid:
-        return new
-    uid, label, par, items = nd
-    out = []
-    for it in items:
-        if it[0] == "edge":
-            out.append(("edge", it[1], it[2], _graft_replace(it[3], vuid, new)))
         else:
             out.append(it)
     return (uid, label, par, tuple(out))
@@ -829,157 +758,34 @@ def _contract_step(P, nd, euid) -> list:
     out = []
     for zname, c in terms.items():
         merged = (puid, zname, merged_par, pitems[:slot] + citems + pitems[slot + 1 :])
-        t2 = _graft_replace(nd, puid, merged)
-        out.append((move * _koszul(mid, _word(t2)) * c, t2))
+        t2 = graft_replace(nd, puid, merged)
+        out.append((move * koszul(mid, _word(t2)) * c, t2))
     return out
 
 
 # -- canonical presentations -------------------------------------------------
 
-
-_AUT_CACHE: dict[tuple, list] = {}
-_MIN_LEAVES_CACHE: dict[tuple, list] = {}
-
-
-def _bare_item(it):
-    if it[0] == "leaf":
-        return (0,)
-    return _bare_tagged(it[3])
-
-
-def _bare_tagged(nd):
-    return (1,) + tuple(_bare_item(it) for it in nd[3])
-
-
-def _sort_tagged(P, nd):
-    """Stable sort of the children of every vertex by bare tree shape,
-    twisting labels along the way; lands on the minimal-encoding tree."""
-    uid, name, par, items = nd
-    coeff = 1
-    done = []
-    for it in items:
-        if it[0] == "edge":
-            c, sub = _sort_tagged(P, it[3])
-            coeff *= c
-            done.append(("edge", it[1], it[2], sub))
-        else:
-            done.append(it)
-    sigma = tuple(sorted(range(len(done)), key=lambda j: _bare_item(done[j])))
-    if sigma != perms.identity(len(done)):
-        name, c = P.signed_act(len(done), name, perms.invert(sigma))
-        coeff *= c
-        done = [done[j] for j in sigma]
-    return coeff, (uid, name, par, tuple(done))
-
-
-def _tree_auts(t: PlanarTree) -> list:
-    """Automorphisms of a planar-canonical tree: per vertex a permutation
-    of the equal-shape child blocks, nested as (sigma, child choices)."""
-    got = _AUT_CACHE.get(t.encoding)
-    if got is not None:
-        return got
-    if t.children is None:
-        out: list = [None]
-    else:
-        kid_auts = [_tree_auts(c) for c in t.children]
-        blocks: dict[tuple, list[int]] = {}
-        for j, c in enumerate(t.children):
-            blocks.setdefault(c.encoding, []).append(j)
-        sigmas = []
-        for choice in itertools.product(
-            *(itertools.permutations(ix) for ix in blocks.values())
-        ):
-            sigma = [0] * len(t.children)
-            for ix, permuted in zip(blocks.values(), choice):
-                for j, old in zip(ix, permuted):
-                    sigma[j] = old
-            sigmas.append(tuple(sigma))
-        out = []
-        for sigma in sigmas:
-            for kids in itertools.product(*(kid_auts[sigma[j]] for j in range(len(sigma)))):
-                out.append((sigma, kids))
-    _AUT_CACHE[t.encoding] = out
-    return out
-
-
-def _apply_aut(P, nd, aut):
-    """Rearrange a tagged node along a tree automorphism, slot j taking
-    the old child sigma(j); labels twist by the inverse permutation."""
-    uid, name, par, items = nd
-    sigma, kids = aut
-    coeff = 1
-    out = []
-    for j in range(len(items)):
-        it = items[sigma[j]]
-        if it[0] == "edge":
-            c, sub = _apply_aut(P, it[3], kids[j])
-            coeff *= c
-            out.append(("edge", it[1], it[2], sub))
-        else:
-            out.append(it)
-    if sigma != perms.identity(len(items)):
-        name, c = P.signed_act(len(items), name, perms.invert(sigma))
-        coeff *= c
-    return coeff, (uid, name, par, tuple(out))
+# live views of the shape caches of the tagged module: generator pairs and
+# least routings per shape, counted by the per-layer statistics
+_AUT_CACHE = PAIR_CACHE
+_MIN_LEAVES_CACHE = ROUTING_CACHE
 
 
 def signed_canon(P, node) -> tuple[int, tuple]:
     """Canonical presentation of a labeled marked tree, with its sign.
 
-    First a stable shape sort lands on the minimal-encoding planar tree,
-    then the automorphism giving the least leaf routing is applied; the
-    group acts freely on routings because no vertex has valence zero, so
-    the representative is unique."""
+    Every vertex's children are sorted by bare shape, then by leaf tuple,
+    with the labels twisted along.  The shape sort lands on the
+    minimal-encoding planar tree; its automorphism group acts freely on
+    leaf routings because no vertex has valence zero, so the tie-break by
+    leaf tuples reaches the one representative with the least routing.
+    The sign is the label twists times the Koszul sign of the marked-edge
+    word."""
     if not P.symmetric:
         return 1, node
-    t0 = _tag(P, node)
-    c1, t1 = _sort_tagged(P, t0)
-    sign = c1 * _koszul(_word(t0), _word(t1))
-    w1 = _word(t1)
-    best = None
-    for aut in _tree_auts(node_tree(_untag(t1))):
-        c2, t2 = _apply_aut(P, t1, aut)
-        lam = tuple(_tagged_leaves(t2))
-        if best is None or lam < best[0]:
-            best = (lam, c2, t2)
-    _, c2, t2 = best
-    sign *= c2 * _koszul(w1, _word(t2))
-    return sign, _untag(t2)
-
-
-def _aut_leaf_maps(tree: PlanarTree) -> list:
-    """For each automorphism, the old leaf position read at each new
-    position after rearranging."""
-
-    def rec(t, aut, base):
-        if t.children is None:
-            return [base]
-        sigma, kids = aut
-        starts = []
-        s = base
-        for c in t.children:
-            starts.append(s)
-            s += c.arity
-        out = []
-        for j in range(len(t.children)):
-            out.extend(rec(t.children[sigma[j]], kids[j], starts[sigma[j]]))
-        return out
-
-    return [tuple(rec(tree, aut, 0)) for aut in _tree_auts(tree)]
-
-
-def _min_leaf_tuples(tree: PlanarTree) -> list:
-    """Leaf routings lexicographically least in their automorphism orbit."""
-    got = _MIN_LEAVES_CACHE.get(tree.encoding)
-    if got is not None:
-        return got
-    maps = _aut_leaf_maps(tree)
-    out = []
-    for lam in itertools.permutations(range(tree.arity)):
-        if all(lam <= tuple(lam[r] for r in rho) for rho in maps):
-            out.append(lam)
-    _MIN_LEAVES_CACHE[tree.encoding] = out
-    return out
+    t0 = tag(node, P.degree_of)
+    sign, t1 = canon(P.signed_act, t0)
+    return sign * koszul(_word(t0), _word(t1)), untag(t1)
 
 
 # -- basis enumeration and the complex ---------------------------------------
@@ -1008,7 +814,7 @@ def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
         for cls in iso_classes(arity, cap, min_val):
             if cls.tree.children is None:
                 continue
-            out.extend(_tree_basis(pseudo, cls.tree, _min_leaf_tuples(cls.tree)))
+            out.extend(_tree_basis(pseudo, cls.tree, least_routings(cls.tree)))
     else:
         for tree in enumerate_planar(arity, cap, min_val):
             if tree.children is None:
@@ -1040,7 +846,7 @@ def w_boundary(P, x: WChainBasis) -> dict:
     pseudo = _pseudo_of(P)
     if x.node is None:
         return {}
-    nd = _tag(pseudo, x.node)
+    nd = tag(x.node, pseudo.degree_of)
     w0 = _word(nd)
     acc: dict[WChainBasis, int] = {}
 
@@ -1049,19 +855,19 @@ def w_boundary(P, x: WChainBasis) -> dict:
             key = WChainBasis(x.arity, node, x.degree - 1)
             acc[key] = acc.get(key, 0) + c
 
-    for vuid, vname, vpar, valence in list(_vertices(nd)):
+    for vuid, vname, vpar, vitems in vertices(nd):
         s = _prefix_sign(w0, vuid)
-        for zname, c in pseudo.d(valence, vname).items():
-            nd2 = _replace_label(nd, vuid, zname, (vpar + 1) & 1)
-            add(_untag(nd2), s * c)
+        for zname, c in pseudo.d(len(vitems), vname).items():
+            nd2 = graft_replace(nd, vuid, (vuid, zname, (vpar + 1) & 1, vitems))
+            add(untag(nd2), s * c)
     for euid in list(_marked_edges(nd)):
         s = _prefix_sign(w0, euid)
         w_minus = [tok for tok in w0 if tok[0] != euid]
         unmarked = _set_flag(nd, euid, 0)
-        k1 = _koszul(w_minus, _word(unmarked))
-        add(_untag(unmarked), s * k1)
+        k1 = koszul(w_minus, _word(unmarked))
+        add(untag(unmarked), s * k1)
         for c2, t2 in _contract_step(pseudo, unmarked, euid):
-            c3, node3 = signed_canon(pseudo, _untag(t2))
+            c3, node3 = signed_canon(pseudo, untag(t2))
             add(node3, -s * k1 * c2 * c3)
     return _clean(acc)
 
@@ -1129,13 +935,13 @@ def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComp
 
 def _evaluate_free(P, x: WChainBasis) -> dict:
     """Operadic composite of the labels of an unmarked element."""
-    work = [(1, _tag(P, x.node))]
+    work = [(1, tag(x.node, P.degree_of))]
     done: dict[str, int] = {}
     while work:
         c, nd = work.pop()
         euid = next(_all_edges(nd), None)
         if euid is None:
-            lam = tuple(_tagged_leaves(nd))
+            lam = tuple(leaves(nd))
             _add_into(done, P.act(x.arity, nd[1], lam), c)
             continue
         for c2, nd2 in _contract_step(P, nd, euid):
@@ -1223,10 +1029,10 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | N
         total = len(node_lengths(x.node)) + len(node_lengths(y.node)) + 1
         if total > edge_cap:
             raise ValueError("edge cap exceeded by composition")
-    tx = _tag(pseudo, x.node)
-    ty = _shift_leaves(_tag(pseudo, y.node), i)
+    tx = tag(x.node, pseudo.degree_of)
+    ty = _shift_leaves(tag(y.node, pseudo.degree_of), i)
     w_xy = _word(tx) + _word(ty)
-    euid = ("e", next(_UIDS))
+    euid = fresh_uid()
 
     def plug(nd):
         uid, name, par, items = nd
@@ -1243,8 +1049,8 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | N
         return (uid, name, par, tuple(out))
 
     nd = plug(tx)
-    k = _koszul(w_xy, _word(nd))
-    c, node = signed_canon(pseudo, _untag(nd))
+    k = koszul(w_xy, _word(nd))
+    c, node = signed_canon(pseudo, untag(nd))
     return k * c, WChainBasis(n + m - 1, node, x.degree + y.degree)
 
 
@@ -1256,18 +1062,7 @@ def w_act_basis(P, x: WChainBasis, sigma):
         return 1, x
     if not pseudo.symmetric:
         raise ValueError("non-symmetric cylinder acted on by a permutation")
-
-    def relabel(node):
-        label, items = node
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(("leaf", sigma[it[1]]))
-            else:
-                out.append(("edge", it[1], relabel(it[2])))
-        return (label, tuple(out))
-
-    c, node = signed_canon(pseudo, relabel(x.node))
+    c, node = signed_canon(pseudo, map_leaves(x.node, sigma))
     return c, WChainBasis(x.arity, node, x.degree)
 
 

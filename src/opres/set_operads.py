@@ -703,21 +703,15 @@ class InfiniteEnumerationError(ValueError):
     pass
 
 
-def _base_point(K):
-    return K.unit if hasattr(K, "unit") else K.base
-
-
 def _collection_profile(K) -> tuple[bool, bool]:
-    base = _base_point(K)
     nullary = bool(K.elements(0))
-    extra_unary = any(x != base for x in K.elements(1))
+    extra_unary = any(x != K.unit for x in K.elements(1))
     return nullary, extra_unary
 
 
 def _eligible_labels(K, valence: int):
-    base = _base_point(K)
     if valence == 1:
-        return tuple(x for x in K.elements(1) if x != base)
+        return tuple(x for x in K.elements(1) if x != K.unit)
     return K.elements(valence)
 
 
@@ -800,33 +794,16 @@ class WSetOperad:
         return json.dumps(element_to_json(self.P, x), sort_keys=True, separators=(",", ":"))
 
 
-class _CollectionOfOperad:
-    """Forgetful view of an operad: elements, base point, action."""
-
-    def __init__(self, P):
-        self.P = P
-        self.base = P.unit
-
-    def elements(self, n: int):
-        return self.P.elements(n)
-
-    def act(self, n, x, sigma):
-        return self.P.act(n, x, sigma)
-
-    def name_of(self, n, x):
-        return self.P.name_of(n, x) if hasattr(self.P, "name_of") else str(x)
-
-
 class _NoComposeWrapper:
-    """Collection dressed as an operad for the shared tree machinery;
-    label composition must never actually be needed, since lengths in a
-    free construction stay absorbing."""
+    """Forgetful view of an operad (elements, unit, action) for the shared
+    tree machinery; label composition must never actually be needed, since
+    lengths in a free construction stay absorbing."""
 
     symmetric = True
 
     def __init__(self, K):
         self.K = K
-        self.unit = _base_point(K)
+        self.unit = K.unit
 
     def elements(self, n: int):
         return self.K.elements(n)
@@ -842,8 +819,9 @@ class _NoComposeWrapper:
 
 
 class FreePointedOperad:
-    """Free pointed operad on a collection: weighted trees over the
-    two-element chain with every length absorbing."""
+    """Free pointed operad on the collection underlying K (anything with
+    elements, unit and action): weighted trees over the two-element chain
+    with every length absorbing."""
 
     symmetric = True
 
@@ -886,7 +864,7 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
     compositions agree, and folding the chain onto the point realizes the
     counit (evaluation in P)."""
     W = WSetOperad(chain_segment(1), P, vertex_cap)
-    F = FreePointedOperad(_CollectionOfOperad(P), vertex_cap)
+    F = FreePointedOperad(P, vertex_cap)
     fold = codiagonal()
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
     for n in range(1, arity + 1):
@@ -917,29 +895,8 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
     return report
 
 
-class _CollectionOfOperadLike:
-    """Forgetful view of anything with elements/act/unit."""
-
-    def __init__(self, Q):
-        self.Q = Q
-        self.base = Q.unit
-
-    def elements(self, n: int):
-        return self.Q.elements(n)
-
-    def act(self, n, x, sigma):
-        return self.Q.act(n, x, sigma)
-
-    def name_of(self, n, x):
-        return self.Q.name_of(n, x) if hasattr(self.Q, "name_of") else str(x)
-
-
-def _outer_wrapper(level_operad) -> _NoComposeWrapper:
-    return _NoComposeWrapper(_CollectionOfOperadLike(level_operad))
-
-
 def _outer_compose(level_operad, x: WSetElement, i: int, y: WSetElement) -> WSetElement:
-    return w_compose(_outer_wrapper(level_operad), chain_segment(1), x, i, y)
+    return w_compose(_NoComposeWrapper(level_operad), chain_segment(1), x, i, y)
 
 
 def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe=None) -> WSetElement:
@@ -975,7 +932,7 @@ def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe=Non
 
     root_piece, root_outer = walk(elem.node)
     outer_node = (_finish_piece(P, root_piece), tuple(root_outer))
-    wrapper = _outer_wrapper(label_universe)
+    wrapper = _NoComposeWrapper(label_universe)
     return WSetElement(elem.arity, canon_node(wrapper, outer_node))
 
 
@@ -1041,23 +998,6 @@ def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:
     return WSetElement(elem.arity, canon_node(P, state[1]))
 
 
-class _CollectionOfWeighted:
-    """The H-construction as a label collection for outer trees."""
-
-    def __init__(self, WH: WSetOperad):
-        self.WH = WH
-        self.base = W_UNIT
-
-    def elements(self, n: int):
-        return self.WH.elements(n)
-
-    def act(self, n, x, sigma):
-        return self.WH.act(n, x, sigma)
-
-    def name_of(self, n, x):
-        return self.WH.name_of(n, x)
-
-
 def _total_label_vertices(e: WSetElement) -> int:
     if e.node is None:
         return 0
@@ -1072,7 +1012,7 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
     D = diamond(H)
     WD = WSetOperad(D, P, vertex_cap)
     WH = WSetOperad(H, P, vertex_cap)
-    outer = FreePointedOperad(_CollectionOfWeighted(WH), vertex_cap)
+    outer = FreePointedOperad(WH, vertex_cap)
     collapse = diamond_collapse(H)
 
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
@@ -1141,10 +1081,7 @@ class GodementTower:
         if k < 0:
             raise ValueError("levels start at 0")
         if k not in self._levels:
-            if k == 0:
-                below = _CollectionOfOperad(self.P)
-            else:
-                below = _CollectionOfOperadLike(self.level(k - 1))
+            below = self.P if k == 0 else self.level(k - 1)
             self._levels[k] = FreePointedOperad(below)
         return self._levels[k]
 

@@ -388,7 +388,7 @@ def test_w_operad_axioms_diamond():
 
 
 def test_free_pointed_operad_axioms():
-    assert validate_operad(FreePointedOperad(so._CollectionOfOperad(ASS)), 3) == []
+    assert validate_operad(FreePointedOperad(ASS), 3) == []
 
 
 def test_compose_unit_shortcuts():
@@ -452,7 +452,7 @@ def test_element_json_shape():
 
 
 def test_free_on_com_collection():
-    assert len(free_pointed(so._CollectionOfOperad(COM), 3)) == 4
+    assert len(free_pointed(COM, 3)) == 4
 
 
 def test_compare_free_ass():

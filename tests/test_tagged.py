@@ -1,0 +1,122 @@
+import ast
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from opres import perms
+from opres.bar_cobar import CooperadComplex
+from opres.chain_operads import WChainBasis, builtin_chain_operad, signed_canon, w_act_basis
+from opres.set_operads import build_node, node_leaves, node_lengths, node_tree
+from opres.tagged import koszul, least_routings
+from opres.trees import aut_leaf_perms, enumerate_planar, iso_classes
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "opres"
+OPERADS = {name: builtin_chain_operad(name, 5) for name in ("ass_sym", "com")}
+BARS = {name: CooperadComplex(P, 5) for name, P in OPERADS.items()}
+
+
+def orbit_least(tree, lam) -> bool:
+    """Brute force: lam is no larger than any automorphism image."""
+    return all(lam <= tuple(lam[g[p]] for p in range(len(lam))) for g in aut_leaf_perms(tree))
+
+
+# -- least routings ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("min_valence,cap", [(1, 3), (2, None)])
+def test_least_routings_one_per_orbit(min_valence, cap):
+    for n in range(1, 7):
+        for cls in iso_classes(n, cap, min_valence):
+            lams = least_routings(cls.tree)
+            assert len(lams) * cls.aut_order == math.factorial(n), cls.tree.notation()
+            assert lams == sorted(set(lams))
+            for lam in lams:
+                assert orbit_least(cls.tree, lam), (cls.tree.notation(), lam)
+
+
+# -- canonical presentations -------------------------------------------------
+
+
+@st.composite
+def marked_trees(draw):
+    """A labeled, marked tree in an arbitrary planar presentation."""
+    name = draw(st.sampled_from(sorted(OPERADS)))
+    P = OPERADS[name]
+    n = draw(st.integers(2, 5))
+    tree = draw(st.sampled_from(enumerate_planar(n, None, 2)))
+    labels = [draw(st.sampled_from(P.names(v))) for v in tree.valences()]
+    mask = [draw(st.integers(0, 1)) for _ in range(tree.edge_count)]
+    lam = draw(st.permutations(range(n)))
+    sigma = tuple(draw(st.permutations(range(n))))
+    return name, build_node(tree, labels, mask, lam), sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(marked_trees())
+def test_signed_canon_least_routing_and_round_trip(case):
+    name, node, sigma = case
+    P = OPERADS[name]
+    n = len(sigma)
+    sign, canon = signed_canon(P, node)
+    assert sign in (1, -1)
+    tree = node_tree(canon)
+    assert tree == node_tree(node).canonical()
+    assert orbit_least(tree, node_leaves(canon))
+    assert signed_canon(P, canon) == (1, canon)
+    x = WChainBasis(n, canon, sum(node_lengths(canon)))
+    c1, y = w_act_basis(P, x, sigma)
+    c2, z = w_act_basis(P, y, perms.invert(sigma))
+    assert orbit_least(node_tree(y.node), node_leaves(y.node))
+    assert (z, c1 * c2) == (x, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BARS)), st.integers(2, 5), st.data())
+def test_bar_act_least_routing_and_round_trip(name, n, data):
+    C = BARS[name]
+    b = data.draw(st.sampled_from(C.basis(n)))
+    sigma = tuple(data.draw(st.permutations(range(n))))
+    c1, y = C.act(b, sigma)
+    c2, z = C.act(y, perms.invert(sigma))
+    assert orbit_least(y.tree(), y.leaves())
+    assert (z, c1 * c2) == (b, 1)
+
+
+def test_koszul_counts_odd_letters_only():
+    old = [("a", 1), ("b", 0), ("c", 1), ("d", 1)]
+    assert koszul(old, old) == 1
+    assert koszul(old, [("c", 1), ("a", 1), ("b", 0), ("d", 1)]) == -1
+    assert koszul(old, [("b", 0), ("d", 1), ("a", 1), ("c", 1)]) == 1
+
+
+# -- independence of the two sign disciplines --------------------------------
+
+
+def _imports(module: str) -> tuple[set, set]:
+    """Modules imported from, and every name a module refers to."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    sources, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sources.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sources, names
+
+
+def test_tagged_module_owns_no_sign_word():
+    sources, _ = _imports("tagged")
+    for other in ("chain_operads", "bar_cobar"):
+        assert not any(s.split(".")[-1] == other for s in sources), other
+
+
+def test_bar_cobar_keeps_its_own_sign_word():
+    _, names = _imports("bar_cobar")
+    assert not names & {"_word", "_contract_step"}
