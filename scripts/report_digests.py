@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Digests of the --json reports of a fixed list of opres commands.
+
+Usage: python3 scripts/report_digests.py [CHECKOUT]
+
+Each command runs in process through ``opres.cli.main(argv + ["--json",
+path])`` with opres imported from CHECKOUT/src (default: the checkout
+holding this script), and one line "sha256  command" is printed per
+report.  The exit code is 1 if any command exits nonzero, raises, or
+writes no report.  Running the script once on each of two checkouts and
+diffing the output shows whether a change kept every report
+byte-identical.  Standard library only.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+COMMANDS = (
+    "chainw build --operad ass_sym --arity 5",
+    "chainw build --operad com --arity 6",
+    "chainw build --operad as_ns --arity 7",
+    "chainw build --operad ass_sym --arity 4 --ring F2",
+    "chainw homology --operad ass_sym --arity 5",
+    "chainw homology --operad as_ns --arity 6 --ring Q",
+    "chainw homology --operad com --arity 5 --ring F3",
+    "chainw verify --check all --operad com --arity 5",
+    "chainw verify --check d2 --operad ass_sym --arity 4",
+    "barcobar build --operad ass_sym --arity 4 --which both",
+    "barcobar compare-w --operad ass_sym --arity 4",
+    "barcobar compare-w --operad com --arity 4",
+    "barcobar verify-twisting --operad ass_sym --arity 4",
+)
+
+
+def run(main, command: str, path: str) -> str | None:
+    """The sha256 of the report of one command, or None if it failed."""
+    if os.path.exists(path):
+        os.remove(path)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(command.split() + ["--json", path])
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a crash is a failed command, reported below
+        print(f"{command}: raised {exc!r}", file=sys.stderr)
+        return None
+    if code != 0:
+        print(f"{command}: exit code {code}", file=sys.stderr)
+        return None
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        print(f"{command}: no report ({exc})", file=sys.stderr)
+        return None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    from opres.cli import main as cli_main
+
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        for command in COMMANDS:
+            digest = run(cli_main, command, path)
+            if digest is None:
+                failed += 1
+                digest = "FAILED"
+            print(f"{digest}  {command}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms
-from .chain_core import ZZ, ChainComplex, ChainMap, mat_from_columns
+from .chain_core import ZZ, ChainComplex, ChainMap, assemble_complex, mat_from_columns
 from .chain_operads import _pseudo_of, w_augmentation, w_pseudo
 from .set_operads import (
     InfiniteEnumerationError,
@@ -170,27 +170,6 @@ def _bar_d(P, x: BarElement) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def _assemble(elems, dfun, describe) -> ChainComplex:
-    by_deg: dict[int, list] = {}
-    for x in elems:
-        by_deg.setdefault(x.degree, []).append(x)
-    basis = {k: tuple(v) for k, v in sorted(by_deg.items())}
-    index = {k: {x: i for i, x in enumerate(v)} for k, v in basis.items()}
-    mats = {}
-    for k, xs in basis.items():
-        below = index.get(k - 1, {})
-        cols = []
-        for x in xs:
-            col = {}
-            for y, c in dfun(x).items():
-                if y not in below:
-                    raise RuntimeError(f"boundary left the basis in {describe}")
-                col[below[y]] = c
-            cols.append(col)
-        mats[k] = mat_from_columns(len(basis.get(k - 1, ())), cols, ZZ)
-    return ChainComplex(ZZ, basis, mats, check=True)
-
-
 class CooperadComplex:
     """Tree expansion of the bar transform: per arity a chain complex,
     plus the cocomposition structure the cobar side consumes."""
@@ -244,7 +223,11 @@ class CooperadComplex:
 
     def piece(self, k: int) -> ChainComplex:
         if k not in self._pieces:
-            C = _assemble(self.basis(k), lambda x: self.d(x), "the bar expansion")
+            C = assemble_complex(
+                self.basis(k),
+                lambda xs: [self.d(x) for x in xs],
+                lambda x, y: "boundary left the basis in the bar expansion",
+            )
             C.meta = {
                 "arity": k,
                 "vertex_cap": self.vertex_cap,
@@ -521,7 +504,11 @@ def cobar(C: CooperadComplex, arity: int, cap: int | None = None) -> ChainComple
         raise ValueError("capped cooperad cannot support an uncapped expansion")
     if cap is not None and C.vertex_cap is not None and C.vertex_cap < cap:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
-    X = _assemble(_cobar_elements(C, arity, cap), lambda x: _cobar_d(C, x), "the cobar expansion")
+    X = assemble_complex(
+        _cobar_elements(C, arity, cap),
+        lambda xs: [_cobar_d(C, x) for x in xs],
+        lambda x, y: "boundary left the basis in the cobar expansion",
+    )
     X.meta = {
         "arity": arity,
         "cap": cap,

@@ -18,6 +18,13 @@ structural move is a permutation of that word, possibly dropping or
 merging letters, and its sign is the Koszul sign of the odd letters.
 d^2 = 0 is then a property of the bookkeeping, checked eagerly whenever
 a complex is assembled.
+
+Assembly computes the boundary once per skeleton, the node with every
+label replaced by a variable that keeps its depth-first index and parity,
+and instantiates it for each labeling.  This is exact: the canonical sort
+orders children by bare shape and leaf tuple and never looks at a label,
+so every twist permutation and Koszul sign is fixed by the skeleton, and
+labels enter the boundary only through P's compose, d and act.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .chain_core import (
     ZZ,
     ChainComplex,
     ChainMap,
+    assemble_complex,
     compose_chain_maps,
     mat_from_columns,
     tensor_complexes,
@@ -728,11 +736,11 @@ def _shift_leaves(nd, off):
     return (uid, label, par, tuple(out))
 
 
-def _contract_step(P, nd, euid) -> list:
-    """Contract one unmarked edge, merging the child vertex into its
-    parent by operad composition.  Returns (coefficient, tagged) terms;
-    the merged vertex keeps the parent letter."""
-    w0 = _word(nd)
+def _contract_step(P, nd, euid, w0) -> list:
+    """Contract one unmarked edge of nd, whose sign word is w0, merging the
+    child vertex into its parent by operad composition.  Returns
+    (coefficient, tagged, word) terms; the merged vertex keeps the parent
+    letter."""
 
     def find(node):
         for s, it in enumerate(node[3]):
@@ -759,7 +767,8 @@ def _contract_step(P, nd, euid) -> list:
     for zname, c in terms.items():
         merged = (puid, zname, merged_par, pitems[:slot] + citems + pitems[slot + 1 :])
         t2 = graft_replace(nd, puid, merged)
-        out.append((move * koszul(mid, _word(t2)) * c, t2))
+        w2 = _word(t2)
+        out.append((move * koszul(mid, w2) * c, t2, w2))
     return out
 
 
@@ -771,7 +780,7 @@ _AUT_CACHE = PAIR_CACHE
 _MIN_LEAVES_CACHE = ROUTING_CACHE
 
 
-def signed_canon(P, node) -> tuple[int, tuple]:
+def signed_canon(P, node, word=None) -> tuple[int, tuple]:
     """Canonical presentation of a labeled marked tree, with its sign.
 
     Every vertex's children are sorted by bare shape, then by leaf tuple,
@@ -780,12 +789,16 @@ def signed_canon(P, node) -> tuple[int, tuple]:
     leaf routings because no vertex has valence zero, so the tie-break by
     leaf tuples reaches the one representative with the least routing.
     The sign is the label twists times the Koszul sign of the marked-edge
-    word."""
-    if not P.symmetric:
-        return 1, node
-    t0 = tag(node, P.degree_of)
-    sign, t1 = canon(P.signed_act, t0)
-    return sign * koszul(_word(t0), _word(t1)), untag(t1)
+    word.  With a word, node is a tagged tree and word its sign word."""
+    if word is None:
+        if not P.symmetric:
+            return 1, node
+        node = tag(node, P.degree_of)
+        word = _word(node)
+    elif not P.symmetric:
+        return 1, untag(node)
+    sign, t1 = canon(P.signed_act, node)
+    return sign * koszul(word, _word(t1)), untag(t1)
 
 
 # -- basis enumeration and the complex ---------------------------------------
@@ -864,35 +877,193 @@ def w_boundary(P, x: WChainBasis) -> dict:
         s = _prefix_sign(w0, euid)
         w_minus = [tok for tok in w0 if tok[0] != euid]
         unmarked = _set_flag(nd, euid, 0)
-        k1 = koszul(w_minus, _word(unmarked))
+        w1 = _word(unmarked)
+        k1 = koszul(w_minus, w1)
         add(untag(unmarked), s * k1)
-        for c2, t2 in _contract_step(pseudo, unmarked, euid):
-            c3, node3 = signed_canon(pseudo, untag(t2))
+        for c2, t2, w2 in _contract_step(pseudo, unmarked, euid, w1):
+            c3, node3 = signed_canon(pseudo, t2, w2)
             add(node3, -s * k1 * c2 * c3)
     return _clean(acc)
 
 
-def _assemble_w(P, elems, arity, edge_cap, construction) -> ChainComplex:
-    by_deg: dict[int, list[WChainBasis]] = {}
-    for x in elems:
-        by_deg.setdefault(x.degree, []).append(x)
-    basis = {k: tuple(v) for k, v in sorted(by_deg.items())}
-    index = {k: {x: i for i, x in enumerate(v)} for k, v in basis.items()}
-    mats = {}
-    for k, xs in basis.items():
-        below = index.get(k - 1, {})
-        cols = []
+# -- skeleton templates ------------------------------------------------------
+#
+# The skeleton of a basis element is its plain node with each label
+# replaced by the variable ("x", parity, depth-first index).  Its boundary
+# is a template for every labeling: w_boundary run over _SymbolicOperad
+# records each composition, label boundary and action as a formal label,
+# and a labeling instantiates the formal labels through P.
+
+
+class _SymbolicOperad:
+    """Formal labels over P, each carrying its parity second:
+    ("x", par, i) the i-th variable, ("d", par, n, e) a boundary,
+    ("o", par, n, i, e, m, f) a composition, ("s", par, n, e, sigma) an
+    action.  A boundary appears only in valences where P has one.
+    w_boundary reads only the variables' parities; a contraction carries
+    the merged parity on its tagged tree."""
+
+    def __init__(self, P):
+        self.operad = P
+        self.symmetric = P.symmetric
+        self._has_d: dict[int, bool] = {}
+
+    def degree_of(self, n, x):
+        return x[1]
+
+    def d(self, n, x):
+        has = self._has_d.get(n)
+        if has is None:
+            has = any(self.operad.d(n, nm) for nm in self.operad.names(n))
+            self._has_d[n] = has
+        return {("d", x[1] ^ 1, n, x): 1} if has else {}
+
+    def compose(self, n, i, x, m, y):
+        return {("o", x[1] ^ y[1], n, i, x, m, y): 1}
+
+    def signed_act(self, n, x, sigma):
+        return ("s", x[1], n, x, sigma), 1
+
+
+def _skeleton(P, node, ids):
+    """The skeleton of a plain node; ids numbers the vertices."""
+    label, items = node
+    var = ("x", P.degree_of(len(items), label) & 1, next(ids))
+    return (
+        var,
+        tuple([it if it[0] == "leaf" else ("edge", it[1], _skeleton(P, it[2], ids)) for it in items]),
+    )
+
+
+def _flatten(P, node, key: list, shape: list) -> None:
+    """Append prefix codes of the skeleton and the bare shape of a plain
+    node to key and shape, depth first.  Per vertex both codes hold the
+    valence, key also the parity; a leaf item is -1 - input in key and -1
+    in shape, an edge item is its flag in key and 0 in shape, followed by
+    the child's code."""
+    label, items = node
+    n = len(items)
+    key.append(n)
+    key.append(P.degree_of(n, label) & 1)
+    shape.append(n)
+    for it in items:
+        if it[0] == "leaf":
+            key.append(-1 - it[1])
+            shape.append(-1)
+        else:
+            key.append(it[1])
+            shape.append(0)
+            _flatten(P, it[2], key, shape)
+
+
+def _evaluate(P, e, labels, memo) -> dict:
+    """A formal label as a combination of P's basis names."""
+    got = memo.get(e)
+    if got is None:
+        op = e[0]
+        if op == "x":
+            got = {labels[e[2]]: 1}
+        elif op == "d":
+            got = _lin_d(P, e[2], _evaluate(P, e[3], labels, memo))
+        elif op == "o":
+            xs = _evaluate(P, e[4], labels, memo)
+            ys = _evaluate(P, e[6], labels, memo)
+            got = _lin_compose(P, e[2], e[3], xs, e[5], ys)
+        else:
+            got = {}
+            for y, c in _evaluate(P, e[3], labels, memo).items():
+                z, s = P.signed_act(e[2], y, e[4])
+                got[z] = got.get(z, 0) + s * c
+            got = _clean(got)
+        memo[e] = got
+    return got
+
+
+def _fill(node, take):
+    """The node with its labels replaced, in depth-first order, by take()."""
+    label = take()
+    return (
+        label,
+        tuple([it if it[0] == "leaf" else ("edge", it[1], _fill(it[2], take)) for it in node[1]]),
+    )
+
+
+def _instantiate(P, template, labels, arity, degree) -> dict:
+    """A template's boundary for one labeling, in P."""
+    memo: dict = {}
+    acc: dict[WChainBasis, int] = {}
+    for c, node, exprs in template:
+        values = [
+            ((labels[e[2]], 1),) if e[0] == "x" else _evaluate(P, e, labels, memo).items()
+            for e in exprs
+        ]
+        for combo in itertools.product(*values):
+            coeff = c
+            for _, k in combo:
+                coeff *= k
+            key = WChainBasis(arity, _fill(node, iter([nm for nm, _ in combo]).__next__), degree)
+            acc[key] = acc.get(key, 0) + coeff
+    return _clean(acc)
+
+
+def _w_boundaries(P, xs):
+    """w_boundary of each element of xs, all of one degree, in order.
+
+    Elements are grouped by skeleton within each run of one tree shape,
+    and the groups are dropped when the run ends.  A skeleton with one
+    labeling goes to w_boundary; one with several is differentiated once
+    over _SymbolicOperad and instantiated per labeling.  When no valence
+    has two labels, every skeleton has one labeling."""
+    if all(len(P.basis(v)) <= 1 for v in range(1, xs[0].arity + 1)):
         for x in xs:
-            col = {}
-            for y, c in w_boundary(P, x).items():
-                if y not in below:
-                    raise RuntimeError(
-                        f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}"
-                    )
-                col[below[y]] = c
-            cols.append(col)
-        mats[k] = mat_from_columns(len(basis.get(k - 1, ())), cols, ZZ)
-    C = ChainComplex(ZZ, basis, mats, check=True)
+            yield w_boundary(P, x)
+        return
+    sym = _SymbolicOperad(P)
+    run: list = []
+    block = None
+    for x in xs:
+        if x.node is None:
+            yield from _run_boundaries(P, sym, run)
+            run = []
+            yield w_boundary(P, x)
+            continue
+        key: list = []
+        shape: list = []
+        _flatten(P, x.node, key, shape)
+        shape = tuple(shape)
+        if shape != block:
+            yield from _run_boundaries(P, sym, run)
+            run = []
+            block = shape
+        run.append((x, tuple(key)))
+    yield from _run_boundaries(P, sym, run)
+
+
+def _run_boundaries(P, sym, run):
+    """The boundaries of one run of (element, skeleton code) pairs, in order."""
+    count: dict = {}
+    for _, key in run:
+        count[key] = count.get(key, 0) + 1
+    templates: dict = {}
+    for x, key in run:
+        if count[key] == 1:
+            yield w_boundary(P, x)
+            continue
+        template = templates.get(key)
+        if template is None:
+            sk = _skeleton(P, x.node, itertools.count())
+            bd = w_boundary(sym, WChainBasis(x.arity, sk, x.degree))
+            template = [(c, y.node, node_labels(y.node)) for y, c in bd.items()]
+            templates[key] = template
+        yield _instantiate(P, template, node_labels(x.node), x.arity, x.degree - 1)
+
+
+def _assemble_w(P, elems, arity, edge_cap, construction) -> ChainComplex:
+    C = assemble_complex(
+        elems,
+        lambda xs: _w_boundaries(P, xs),
+        lambda x, y: f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}",
+    )
     C.meta = {
         "arity": arity,
         "edge_cap": edge_cap,
@@ -935,17 +1106,18 @@ def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComp
 
 def _evaluate_free(P, x: WChainBasis) -> dict:
     """Operadic composite of the labels of an unmarked element."""
-    work = [(1, tag(x.node, P.degree_of))]
+    nd = tag(x.node, P.degree_of)
+    work = [(1, nd, _word(nd))]
     done: dict[str, int] = {}
     while work:
-        c, nd = work.pop()
+        c, nd, w = work.pop()
         euid = next(_all_edges(nd), None)
         if euid is None:
             lam = tuple(leaves(nd))
             _add_into(done, P.act(x.arity, nd[1], lam), c)
             continue
-        for c2, nd2 in _contract_step(P, nd, euid):
-            work.append((c * c2, nd2))
+        for c2, nd2, w2 in _contract_step(P, nd, euid, w):
+            work.append((c * c2, nd2, w2))
     return _clean(done)
 
 

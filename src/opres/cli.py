@@ -538,6 +538,8 @@ def main(argv=None) -> int:
     }
     if args.json_path:
         with open(args.json_path, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+            # two writes: appending the newline would copy a multi-MB report
+            fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
     print(f"status: {status}")
     return EXIT_OK if status == "verified" else EXIT_FAILED

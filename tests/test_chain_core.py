@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opres import chain_core
 from opres.chain_core import (
     ChainComplex,
     ChainMap,
@@ -167,6 +168,33 @@ def test_homology_rejects_bad_complex():
     C = ChainComplex(ZZ, {0: ("a",), 1: ("b",), 2: ("c",)}, {1: d1, 2: d2}, check=False)
     with pytest.raises(ValueError):
         homology(C)
+    # a ring map keeps the record that d^2 was never verified
+    with pytest.raises(ValueError):
+        homology(change_ring(C, QQ))
+
+
+def test_homology_checks_d_squared_once(monkeypatch):
+    calls = []
+    real = chain_core.verify_d_squared
+
+    def counted(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(chain_core, "verify_d_squared", counted)
+    C = interval_complex()
+    assert C.d_squared_verified and len(calls) == 1
+    homology(C)
+    homology(change_ring(C, Ring("Fp", 2)))
+    assert len(calls) == 1
+    # never verified: homology runs the check itself, also on the image
+    U = ChainComplex(ZZ, C.module.basis, C.d, check=False)
+    assert not U.d_squared_verified
+    assert homology(U).free_rank(0) == 1
+    assert calls[-1] is U
+    V = change_ring(U, QQ)
+    assert homology(V).free_rank(0) == 1
+    assert calls[-1] is V and len(calls) == 3
 
 
 # -- chain maps ----------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opres import perms
+from opres import chain_operads, perms
 from opres.chain_core import ZZ, homology, verify_chain_map
 from opres.chain_operads import (
     ChainInterval,
@@ -424,6 +424,47 @@ def test_boundary_lands_in_basis_span():
         for y, c in w_boundary(ASS, x).items():
             assert y in W3
             assert c != 0
+
+
+@pytest.mark.parametrize(
+    "which, n, cap, templated",
+    [
+        ("ass_sym", 4, None, True),
+        ("com", 5, None, False),
+        ("as_ns", 6, None, False),
+        ("endv_sym", 2, 1, True),
+        ("endv_ns", 2, 1, True),
+        ("endv_sym", 2, 2, True),
+        ("endv_ns", 2, 2, True),
+    ],
+)
+def test_templated_boundaries_match_w_boundary(monkeypatch, which, n, cap, templated):
+    # the assembly differentiates each skeleton once and instantiates it per
+    # labeling; every column must equal the per-element reference
+    P = {
+        "ass_sym": ASS,
+        "com": COM,
+        "as_ns": AS_NS,
+        "endv_sym": endv(3, True),
+        "endv_ns": endv(3, False),
+    }[which]
+    by_deg = {}
+    for x in enumerate_w_basis(P, n, cap):
+        by_deg.setdefault(x.degree, []).append(x)
+    calls = []
+
+    def counted(Q, x):
+        calls.append(x)
+        return w_boundary(Q, x)
+
+    monkeypatch.setattr(chain_operads, "w_boundary", counted)
+    total = 0
+    for xs in by_deg.values():
+        got = list(chain_operads._w_boundaries(P, xs))
+        assert got == [w_boundary(P, x) for x in xs]
+        total += len(xs)
+    # with one label per valence every skeleton has one labeling
+    assert (len(calls) < total) == templated
 
 
 # ---------------------------------------------------------- serialization
