@@ -33,6 +33,13 @@ COMMANDS = (
     "barcobar compare-w --operad ass_sym --arity 4",
     "barcobar compare-w --operad com --arity 4",
     "barcobar verify-twisting --operad ass_sym --arity 4",
+    "barcobar build --operad com --arity 4 --which cobar",
+    "setw build --operad ass --arity 4 --segment chain:2",
+    "setw build --operad com --arity 4 --segment delta1:1",
+    "setw compare-free --operad ass --arity 4",
+    "setw diamond-compare --operad ass --arity 3 --cap 3",
+    "godement build --operad ass --level 2 --arity 3",
+    "godement compare-w --operad ass --level 1 --arity 3",
 )
 
 

@@ -16,27 +16,25 @@ from dataclasses import dataclass
 from . import perms
 from .chain_core import ZZ, ChainComplex, ChainMap, assemble_complex, mat_from_columns
 from .chain_operads import _pseudo_of, w_augmentation, w_pseudo
-from .set_operads import (
-    InfiniteEnumerationError,
-    build_node,
-    node_labels,
-    node_leaves,
-    node_lengths,
-    node_tree,
-)
+from .set_operads import InfiniteEnumerationError
 from .tagged import (
+    build_node,
     canon,
     fresh_uid,
     graft_replace,
     koszul,
     leaves,
-    least_routings,
     map_leaves,
+    node_labels,
+    node_leaves,
+    node_lengths,
+    node_tree,
+    shapes,
     tag,
     untag,
     vertices,
 )
-from .trees import PlanarTree, enumerate_planar, iso_classes
+from .trees import PlanarTree
 
 
 # -- tagged trees ------------------------------------------------------------
@@ -199,17 +197,8 @@ class CooperadComplex:
             return ()
         cap = self.vertex_cap - 1 if self.vertex_cap is not None else max(k - 2, 0)
         min_val = 1 if P.basis(1) else 2
-        if P.symmetric:
-            shapes = [
-                (cls.tree, least_routings(cls.tree))
-                for cls in iso_classes(k, cap, min_val)
-            ]
-        else:
-            shapes = [(t, [tuple(range(k))]) for t in enumerate_planar(k, cap, min_val)]
         out = []
-        for tree, lams in shapes:
-            if tree.children is None:
-                continue
+        for tree, lams in shapes(k, cap, min_val, P.symmetric):
             pools = [P.basis(v) for v in tree.valences()]
             if not all(pools):
                 continue
@@ -376,23 +365,6 @@ def _cobar_canon(C, node):
     return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
 
 
-def _build_outer(tree: PlanarTree, labels, lam):
-    labels = list(labels)
-    lam = list(lam)
-
-    def rec(t):
-        label = labels.pop(0)
-        items = []
-        for c in t.children:
-            if c.children is None:
-                items.append(("leaf", lam.pop(0)))
-            else:
-                items.append(("edge", 0, rec(c)))
-        return (label, tuple(items))
-
-    return rec(tree)
-
-
 def _cobar_elements(C: CooperadComplex, arity: int, cap: int | None) -> tuple:
     unary = bool(C.basis(1))
     if unary and cap is None:
@@ -403,18 +375,9 @@ def _cobar_elements(C: CooperadComplex, arity: int, cap: int | None) -> tuple:
         return ()
     max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
     min_val = 1 if unary else 2
-    P = C.operad
-    if P.symmetric:
-        shapes = [
-            (cls.tree, least_routings(cls.tree))
-            for cls in iso_classes(arity, max_edges, min_val)
-        ]
-    else:
-        shapes = [(t, [tuple(range(arity))]) for t in enumerate_planar(arity, max_edges, min_val)]
     out = []
-    for tree, lams in shapes:
-        if tree.children is None:
-            continue
+    for tree, lams in shapes(arity, max_edges, min_val, C.operad.symmetric):
+        flags = (0,) * tree.edge_count
         pools = [
             tuple((lb, lb.tree().vertex_count) for lb in C.basis(v))
             for v in tree.valences()
@@ -431,7 +394,7 @@ def _cobar_elements(C: CooperadComplex, arity: int, cap: int | None) -> tuple:
                 labels = tuple(chosen)
                 deg = sum(lb.degree - 1 for lb in labels)
                 for lam in lams:
-                    out.append(CobarElement(arity, _build_outer(tree, labels, lam), deg))
+                    out.append(CobarElement(arity, build_node(tree, labels, flags, lam), deg))
                 return
             rem = r - j - 1
             for lb, vc in pools[j]:

@@ -43,25 +43,22 @@ from .chain_core import (
     tensor_complexes,
     verify_chain_map,
 )
-from .set_operads import (
-    AssOperad,
-    InfiniteEnumerationError,
-    build_node,
-    node_labels,
-    node_leaves,
-    node_lengths,
-    node_tree,
-)
+from .set_operads import AssOperad, InfiniteEnumerationError
 from .tagged import (
     PAIR_CACHE,
     ROUTING_CACHE,
+    build_node,
     canon,
     fresh_uid,
     graft_replace,
     koszul,
     leaves,
-    least_routings,
     map_leaves,
+    node_labels,
+    node_leaves,
+    node_lengths,
+    node_tree,
+    shapes,
     tag,
     untag,
     vertices,
@@ -823,16 +820,8 @@ def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
     cap = edge_cap if edge_cap is not None else max(arity - 2, 0)
     min_val = 1 if unary else 2
     out: list[WChainBasis] = []
-    if pseudo.symmetric:
-        for cls in iso_classes(arity, cap, min_val):
-            if cls.tree.children is None:
-                continue
-            out.extend(_tree_basis(pseudo, cls.tree, least_routings(cls.tree)))
-    else:
-        for tree in enumerate_planar(arity, cap, min_val):
-            if tree.children is None:
-                continue
-            out.extend(_tree_basis(pseudo, tree, [tuple(range(arity))]))
+    for tree, lams in shapes(arity, cap, min_val, pseudo.symmetric):
+        out.extend(_tree_basis(pseudo, tree, lams))
     return tuple(out)
 
 

@@ -135,15 +135,6 @@ def _nonneg(text: str) -> int:
     return v
 
 
-def _reringed(data: dict, ring: str) -> dict:
-    """Reparse a complex serialization over another coefficient ring."""
-    if data.get("ring") == ring:
-        return data
-    data = dict(data)
-    data["ring"] = ring
-    return complex_to_json(complex_from_json(data))
-
-
 def _homology_payload(C) -> dict:
     rep = homology(C)
     rows = {
@@ -354,7 +345,7 @@ def _h_homology_file(a):
     with open(a.file) as fh:
         data = json.load(fh)
     if a.ring is not None:
-        data = _reringed(data, a.ring)
+        data["ring"] = a.ring
     payload = _homology_payload(complex_from_json(data))
     _print_homology(payload)
     return "verified", payload

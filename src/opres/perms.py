@@ -27,10 +27,6 @@ def invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_perm(p: tuple[int, ...]) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 def all_perms(n: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(n)))
 

@@ -18,6 +18,10 @@ The same machinery specializes to the free pointed operad on a collection
 iterates to the cotriple tower of the free/forgetful adjunction, whose
 level k is compared here against the construction weighted by the segment
 of monotone maps [k] -> [1].
+
+Trees are the plain nodes of opres.tagged, which builds, reads and walks
+them; this module owns the rewrite system and the set-level canonical
+form canon_node, whose representatives the reports print.
 """
 from __future__ import annotations
 
@@ -37,6 +41,15 @@ from .segments import (
     delta1_level,
     diamond,
     diamond_collapse,
+)
+from .tagged import (
+    build_node,
+    map_labels,
+    map_leaves,
+    node_labels,
+    node_leaves,
+    node_lengths,
+    node_tree,
 )
 from .trees import PlanarTree, corolla, iso_classes
 
@@ -297,7 +310,8 @@ def validate_operad(P, arity_bound: int) -> list[str]:
 
 # -- decorated tree elements --------------------------------------------------
 #
-# node = (label, items); item = ("leaf", g) or ("edge", length_index, node)
+# nodes are the plain nodes of the tagged module, each edge flag a length
+# index into the segment
 
 
 @dataclass(frozen=True)
@@ -324,79 +338,6 @@ def _node_vertices(node) -> int:
         if it[0] == "edge":
             total += _node_vertices(it[2])
     return total
-
-
-def node_tree(node) -> PlanarTree:
-    kids = []
-    for it in node[1]:
-        if it[0] == "leaf":
-            kids.append(PlanarTree(None))
-        else:
-            kids.append(node_tree(it[2]))
-    return PlanarTree(tuple(kids))
-
-
-def node_labels(node) -> tuple:
-    out = [node[0]]
-    for it in node[1]:
-        if it[0] == "edge":
-            out.extend(node_labels(it[2]))
-    return tuple(out)
-
-
-def node_lengths(node) -> tuple:
-    out = []
-    for it in node[1]:
-        if it[0] == "edge":
-            out.append(it[1])
-            out.extend(node_lengths(it[2]))
-    return tuple(out)
-
-
-def node_leaves(node) -> tuple:
-    out = []
-    for it in node[1]:
-        if it[0] == "leaf":
-            out.append(it[1])
-        else:
-            out.extend(node_leaves(it[2]))
-    return tuple(out)
-
-
-def build_node(tree: PlanarTree, labels, lengths, leaves) -> tuple | None:
-    """Assemble a node from flat data: labels per DFS vertex, lengths per
-    edge index (edge i sits above DFS vertex i + 1), leaves per planar
-    leaf position."""
-    if tree.children is None:
-        if tuple(leaves) != (0,):
-            raise ValueError("bare leaf tree must route its leaf to input 0")
-        return None
-    labels = list(labels)
-    lengths = list(lengths)
-    leaves = list(leaves)
-    if len(labels) != tree.vertex_count:
-        raise ValueError("label count mismatch")
-    if len(lengths) != tree.edge_count:
-        raise ValueError("length count mismatch")
-    if sorted(leaves) != list(range(tree.arity)):
-        raise ValueError("leaves must be a bijection onto the inputs")
-    state = {"v": 0, "leaf": 0}
-
-    def walk(t: PlanarTree):
-        my = state["v"]
-        state["v"] += 1
-        items = []
-        for c in t.children:
-            if c.children is None:
-                items.append(("leaf", leaves[state["leaf"]]))
-                state["leaf"] += 1
-            else:
-                child_idx = state["v"]
-                sub = walk(c)
-                items.append(("edge", lengths[child_idx - 1], sub))
-        return (labels[my], tuple(items))
-
-    return walk(tree)
 
 
 # canonical forms ----------------------------------------------------------
@@ -550,6 +491,14 @@ def normalize_state(P, H: FiniteSegment, state) -> tuple:
         state = steps[0][1]
 
 
+def _normal_element(P, H: FiniteSegment, arity: int, node) -> WSetElement:
+    """Rewrite a raw node to normal form and canonicalize it."""
+    state = normalize_state(P, H, ("node", node))
+    if state[0] == "unit":
+        return W_UNIT
+    return WSetElement(arity, canon_node(P, state[1]))
+
+
 def normalize(P, H: FiniteSegment, tree: PlanarTree, labels, lengths, leaves=None) -> WSetElement:
     """Normal form of a raw decorated tree, as a canonical element."""
     if leaves is None:
@@ -557,10 +506,7 @@ def normalize(P, H: FiniteSegment, tree: PlanarTree, labels, lengths, leaves=Non
     node = build_node(tree, labels, lengths, leaves)
     if node is None:
         return W_UNIT
-    state = normalize_state(P, H, ("node", node))
-    if state[0] == "unit":
-        return W_UNIT
-    return WSetElement(tree.arity, canon_node(P, state[1]))
+    return _normal_element(P, H, tree.arity, node)
 
 
 def is_normal_form(P, H: FiniteSegment, elem: WSetElement) -> bool:
@@ -575,18 +521,7 @@ def is_normal_form(P, H: FiniteSegment, elem: WSetElement) -> bool:
 def w_act(P, elem: WSetElement, sigma) -> WSetElement:
     if elem.node is None:
         return elem
-
-    def relabel(node):
-        label, items = node
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(("leaf", sigma[it[1]]))
-            else:
-                out.append(("edge", it[1], relabel(it[2])))
-        return (label, tuple(out))
-
-    return WSetElement(elem.arity, canon_node(P, relabel(elem.node)))
+    return WSetElement(elem.arity, canon_node(P, map_leaves(elem.node, sigma)))
 
 
 def w_compose(P, H: FiniteSegment, x: WSetElement, i: int, y: WSetElement) -> WSetElement:
@@ -598,18 +533,7 @@ def w_compose(P, H: FiniteSegment, x: WSetElement, i: int, y: WSetElement) -> WS
         return y
     if y.node is None:
         return x
-
-    def shift_y(node):
-        label, items = node
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(("leaf", i + it[1]))
-            else:
-                out.append(("edge", it[1], shift_y(it[2])))
-        return (label, tuple(out))
-
-    y_node = shift_y(y.node)
+    y_node = map_leaves(y.node, range(i, i + m))
 
     def plug(node):
         label, items = node
@@ -625,10 +549,7 @@ def w_compose(P, H: FiniteSegment, x: WSetElement, i: int, y: WSetElement) -> WS
                 out.append(("edge", it[1], plug(it[2])))
         return (label, tuple(out))
 
-    state = normalize_state(P, H, ("node", plug(x.node)))
-    if state[0] == "unit":
-        return W_UNIT
-    return WSetElement(n + m - 1, canon_node(P, state[1]))
+    return _normal_element(P, H, n + m - 1, plug(x.node))
 
 
 def _eval_raw(Q, node):
@@ -673,10 +594,7 @@ def w_segment_apply(P, f: SegmentMap, elem: WSetElement) -> WSetElement:
                 out.append(("edge", f.table[it[1]], relen(it[2])))
         return (label, tuple(out))
 
-    state = normalize_state(P, f.target, ("node", relen(elem.node)))
-    if state[0] == "unit":
-        return W_UNIT
-    return WSetElement(elem.arity, canon_node(P, state[1]))
+    return _normal_element(P, f.target, elem.arity, relen(elem.node))
 
 
 def element_to_json(P, elem: WSetElement) -> dict:
@@ -818,37 +736,13 @@ class _NoComposeWrapper:
         return self.K.name_of(n, x) if hasattr(self.K, "name_of") else str(x)
 
 
-class FreePointedOperad:
+class FreePointedOperad(WSetOperad):
     """Free pointed operad on the collection underlying K (anything with
     elements, unit and action): weighted trees over the two-element chain
     with every length absorbing."""
 
-    symmetric = True
-
     def __init__(self, K, vertex_cap: int | None = None):
-        self.K = K
-        self.H = chain_segment(1)
-        self.wrapper = _NoComposeWrapper(K)
-        self.vertex_cap = vertex_cap
-        self._cache: dict[int, tuple] = {}
-
-    def elements(self, n: int):
-        if n not in self._cache:
-            self._cache[n] = tuple(enumerate_w_elements(self.wrapper, self.H, n, self.vertex_cap))
-        return self._cache[n]
-
-    @property
-    def unit(self):
-        return W_UNIT
-
-    def compose(self, n, i, x, m, y):
-        return w_compose(self.wrapper, self.H, x, i, y)
-
-    def act(self, n, x, sigma):
-        return w_act(self.wrapper, x, sigma)
-
-    def name_of(self, n, x) -> str:
-        return json.dumps(element_to_json(self.wrapper, x), sort_keys=True, separators=(",", ":"))
+        super().__init__(chain_segment(1), _NoComposeWrapper(K), vertex_cap)
 
 
 def free_pointed(K, arity: int, vertex_cap: int | None = None) -> list[WSetElement]:
@@ -893,10 +787,6 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
                             report["witness"] = f"composition mismatch at arities ({n1},{n2}) slot {i}"
                             return report
     return report
-
-
-def _outer_compose(level_operad, x: WSetElement, i: int, y: WSetElement) -> WSetElement:
-    return w_compose(_NoComposeWrapper(level_operad), chain_segment(1), x, i, y)
 
 
 def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe=None) -> WSetElement:
@@ -992,10 +882,7 @@ def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:
 
         return fix(label.node)
 
-    state = normalize_state(P, D, ("node", splice(elem.node)))
-    if state[0] == "unit":
-        return W_UNIT
-    return WSetElement(elem.arity, canon_node(P, state[1]))
+    return _normal_element(P, D, elem.arity, splice(elem.node))
 
 
 def _total_label_vertices(e: WSetElement) -> int:
@@ -1058,7 +945,8 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
                         continue
                     for i in range(n1):
                         lhs_c = unflatten_diamond(P, H, w_compose(P, D, x, i, y), WH)
-                        rhs_c = _outer_compose(WH, unflatten_diamond(P, H, x, WH), i, unflatten_diamond(P, H, y, WH))
+                        rhs_c = outer.compose(n1, i, unflatten_diamond(P, H, x, WH), n2,
+                                              unflatten_diamond(P, H, y, WH))
                         if lhs_c != rhs_c:
                             report["status"] = "fail"
                             report["witness"] = f"grafting mismatch at arities ({n1},{n2}) slot {i}"
@@ -1121,7 +1009,7 @@ class GodementTower:
         """One-vertex level-k tree labeled by a level-(k-1) element (a
         base element when k = 0)."""
         node = (lab, tuple(("leaf", g) for g in range(valence)))
-        return WSetElement(valence, canon_node(self.level(k).wrapper, node))
+        return WSetElement(valence, canon_node(self.level(k).P, node))
 
     def _relabel(self, x: WSetElement, target_level: FreePointedOperad, fn) -> WSetElement:
         """Apply fn(label, valence) to every outer-tree label, then
@@ -1129,21 +1017,7 @@ class GodementTower:
         label into the unit below, which must then be deleted)."""
         if x.node is None:
             return W_UNIT
-
-        def go(node):
-            label, items = node
-            out = []
-            for it in items:
-                if it[0] == "leaf":
-                    out.append(it)
-                else:
-                    out.append(("edge", it[1], go(it[2])))
-            return (fn(label, len(items)), tuple(out))
-
-        state = normalize_state(target_level.wrapper, chain_segment(1), ("node", go(x.node)))
-        if state[0] == "unit":
-            return W_UNIT
-        return WSetElement(x.arity, canon_node(target_level.wrapper, state[1]))
+        return _normal_element(target_level.P, target_level.H, x.arity, map_labels(x.node, fn))
 
     def augment(self, k: int, x: WSetElement):
         """The composite of zeroth faces all the way into the base."""
@@ -1202,21 +1076,10 @@ def flatten_godement(tower: GodementTower, k: int, x: WSetElement, W_by_level: d
         return x
     if k not in W_by_level:
         W_by_level[k] = WSetOperad(delta1_level(k), tower.P)
-    Wk = W_by_level[k]
-
-    def go(node):
-        label, items = node
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(it)
-            else:
-                out.append(("edge", it[1], go(it[2])))
-        # flattened level-(k-1) elements read unchanged over the larger
-        # segment: length indices 0..k are shared
-        return (flatten_godement(tower, k - 1, label, W_by_level), tuple(out))
-
-    return _eval_raw(Wk, go(x.node))
+    # flattened level-(k-1) elements read unchanged over the larger
+    # segment: length indices 0..k are shared
+    flat = map_labels(x.node, lambda lab, val: flatten_godement(tower, k - 1, lab, W_by_level))
+    return _eval_raw(W_by_level[k], flat)
 
 
 def compare_godement_w(P, k: int, max_arity: int) -> dict:
@@ -1253,7 +1116,7 @@ def compare_godement_w(P, k: int, max_arity: int) -> dict:
                 for y in tower.elements(k, n2):
                     for i in range(n1):
                         lhs = flat(k, tower.compose(k, x, i, y))
-                        rhs = w_compose(P, delta1_level(k), flat(k, x), i, flat(k, y))
+                        rhs = w_compose(P, W_by_level[k].H, flat(k, x), i, flat(k, y))
                         if lhs != rhs:
                             report["status"] = "fail"
                             report["witness"] = f"composition mismatch at arities ({n1},{n2}) slot {i}"

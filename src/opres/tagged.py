@@ -1,12 +1,19 @@
-"""Tagged labeled trees: the one tree engine behind the chain-level
-cylinder and the bar/cobar expansions.
+"""Labeled trees: the one node format and tree engine behind all four
+constructions (the set-level cylinder, the free pointed operad and its
+cotriple tower, the chain-level cylinder, and bar/cobar).
 
 A plain node is (label, items) with items ("leaf", input) or
-("edge", flag, child); in the cylinder flag 1 marks an edge, the bar and
-cobar trees leave every flag at 0.  For sign tracking a node is tagged:
-(uid, label, parity, items) with edge items ("edge", euid, flag, child),
-where every vertex and every edge draws a fresh letter identity from one
-counter.
+("edge", flag, child).  The set-level constructions put a segment length
+in the flag; the chain-level cylinder puts 1 on a marked edge; the bar
+and cobar trees leave every flag at 0.  This module builds plain nodes
+from flat data (build_node), reads them back (node_tree, node_labels,
+node_lengths, node_leaves), walks them (map_leaves, map_labels), and
+chooses the tree shapes and leaf routings each construction enumerates
+(shapes).
+
+For sign tracking a node is tagged: (uid, label, parity, items) with edge
+items ("edge", euid, flag, child), where every vertex and every edge
+draws a fresh letter identity from one counter.
 
 This module walks and canonicalizes tagged trees but owns no sign word.
 Each construction linearizes a tagged tree into its own word of
@@ -19,7 +26,129 @@ from __future__ import annotations
 import itertools
 
 from . import perms
-from .trees import PlanarTree, aut_generators
+from .trees import PlanarTree, aut_generators, enumerate_planar, iso_classes
+
+
+# -- plain nodes -------------------------------------------------------------
+
+
+def build_node(tree: PlanarTree, labels, lengths, leaves) -> tuple | None:
+    """Assemble a node from flat data: labels per DFS vertex, lengths per
+    edge index (edge i sits above DFS vertex i + 1), leaves per planar
+    leaf position."""
+    if tree.children is None:
+        if tuple(leaves) != (0,):
+            raise ValueError("bare leaf tree must route its leaf to input 0")
+        return None
+    labels = list(labels)
+    lengths = list(lengths)
+    leaves = list(leaves)
+    if len(labels) != tree.vertex_count:
+        raise ValueError("label count mismatch")
+    if len(lengths) != tree.edge_count:
+        raise ValueError("length count mismatch")
+    if sorted(leaves) != list(range(tree.arity)):
+        raise ValueError("leaves must be a bijection onto the inputs")
+    state = {"v": 0, "leaf": 0}
+
+    def walk(t: PlanarTree):
+        my = state["v"]
+        state["v"] += 1
+        items = []
+        for c in t.children:
+            if c.children is None:
+                items.append(("leaf", leaves[state["leaf"]]))
+                state["leaf"] += 1
+            else:
+                child_idx = state["v"]
+                sub = walk(c)
+                items.append(("edge", lengths[child_idx - 1], sub))
+        return (labels[my], tuple(items))
+
+    return walk(tree)
+
+
+def node_tree(node) -> PlanarTree:
+    kids = []
+    for it in node[1]:
+        if it[0] == "leaf":
+            kids.append(PlanarTree(None))
+        else:
+            kids.append(node_tree(it[2]))
+    return PlanarTree(tuple(kids))
+
+
+def node_labels(node) -> tuple:
+    out = [node[0]]
+    for it in node[1]:
+        if it[0] == "edge":
+            out.extend(node_labels(it[2]))
+    return tuple(out)
+
+
+def node_lengths(node) -> tuple:
+    out = []
+    for it in node[1]:
+        if it[0] == "edge":
+            out.append(it[1])
+            out.extend(node_lengths(it[2]))
+    return tuple(out)
+
+
+def node_leaves(node) -> tuple:
+    out = []
+    for it in node[1]:
+        if it[0] == "leaf":
+            out.append(it[1])
+        else:
+            out.extend(node_leaves(it[2]))
+    return tuple(out)
+
+
+def map_leaves(node, table):
+    """A plain node with every leaf input g replaced by table[g]."""
+    label, items = node
+    out = []
+    for it in items:
+        if it[0] == "leaf":
+            out.append(("leaf", table[it[1]]))
+        else:
+            out.append(("edge", it[1], map_leaves(it[2], table)))
+    return (label, tuple(out))
+
+
+def map_labels(node, fn):
+    """A plain node with every label replaced by fn(label, valence)."""
+    label, items = node
+    out = []
+    for it in items:
+        if it[0] == "leaf":
+            out.append(it)
+        else:
+            out.append(("edge", it[1], map_labels(it[2], fn)))
+    return (fn(label, len(items)), tuple(out))
+
+
+def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool) -> list:
+    """The (tree, leaf routings) pairs a construction enumerates in one
+    arity, the bare leaf tree left out: one tree per isomorphism class
+    with its orbit-least routings when the operad is symmetric, every
+    planar tree with the identity routing when it is not."""
+    if symmetric:
+        return [
+            (cls.tree, least_routings(cls.tree))
+            for cls in iso_classes(arity, max_edges, min_valence)
+            if cls.tree.children is not None
+        ]
+    identity = [tuple(range(arity))]
+    return [
+        (tree, identity)
+        for tree in enumerate_planar(arity, max_edges, min_valence)
+        if tree.children is not None
+    ]
+
+
+# -- tagged nodes ------------------------------------------------------------
 
 _UIDS = itertools.count()
 
@@ -80,18 +209,6 @@ def graft_replace(nd, uid, new):
         else:
             out.append(it)
     return (nd[0], nd[1], nd[2], tuple(out))
-
-
-def map_leaves(node, table):
-    """A plain node with every leaf input g replaced by table[g]."""
-    label, items = node
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(("leaf", table[it[1]]))
-        else:
-            out.append(("edge", it[1], map_leaves(it[2], table)))
-    return (label, tuple(out))
 
 
 def koszul(old: list, new: list) -> int:

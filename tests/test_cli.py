@@ -334,6 +334,12 @@ def test_homology_on_file(tmp_path):
     )
     assert rc == 0
     assert report3["payload"]["ring"] == "Q"
+    rc, report4, _ = run_json(
+        ["homology", "--file", str(cx), "--ring", "F2"], tmp_path, "hf2.json"
+    )
+    assert rc == 0
+    assert report4["payload"]["ring"] == "F2"
+    assert report4["payload"]["by_degree"] == report2["payload"]["by_degree"]
 
 
 def test_homology_rejects_broken_complex(tmp_path):

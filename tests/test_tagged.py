@@ -9,7 +9,7 @@ from opres import perms
 from opres.bar_cobar import CooperadComplex
 from opres.chain_operads import WChainBasis, builtin_chain_operad, signed_canon, w_act_basis
 from opres.set_operads import build_node, node_leaves, node_lengths, node_tree
-from opres.tagged import koszul, least_routings
+from opres.tagged import koszul, least_routings, shapes
 from opres.trees import aut_leaf_perms, enumerate_planar, iso_classes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opres"
@@ -34,6 +34,22 @@ def test_least_routings_one_per_orbit(min_valence, cap):
             assert lams == sorted(set(lams))
             for lam in lams:
                 assert orbit_least(cls.tree, lam), (cls.tree.notation(), lam)
+
+
+@pytest.mark.parametrize("min_valence,cap", [(1, 2), (2, None)])
+def test_shapes_symmetric_and_planar_agree(min_valence, cap):
+    """Each leaf-labeled tree has one planar embedding per ordering of
+    the children at each vertex, so the routed classes, weighted by the
+    product of valence factorials, count the routed planar trees."""
+    for n in range(1, 6):
+        sym = shapes(n, cap, min_valence, True)
+        planar = shapes(n, cap, min_valence, False)
+        assert all(t.children is not None for t, _ in sym + planar)
+        assert all(lams == [tuple(range(n))] for _, lams in planar)
+        weighted = sum(
+            len(lams) * math.prod(math.factorial(v) for v in t.valences()) for t, lams in sym
+        )
+        assert weighted == len(planar) * math.factorial(n), n
 
 
 # -- canonical presentations -------------------------------------------------
@@ -115,6 +131,14 @@ def test_tagged_module_owns_no_sign_word():
     sources, _ = _imports("tagged")
     for other in ("chain_operads", "bar_cobar"):
         assert not any(s.split(".")[-1] == other for s in sources), other
+        # the node helpers come from tagged, not from the set-level module
+        from_set = {
+            alias.name
+            for node in ast.walk(ast.parse((SRC / f"{other}.py").read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "set_operads"
+            for alias in node.names
+        }
+        assert from_set <= {"AssOperad", "InfiniteEnumerationError"}, (other, from_set)
 
 
 def test_bar_cobar_keeps_its_own_sign_word():
