@@ -40,6 +40,9 @@ COMMANDS = (
     "setw diamond-compare --operad ass --arity 3 --cap 3",
     "godement build --operad ass --level 2 --arity 3",
     "godement compare-w --operad ass --level 1 --arity 3",
+    "godement compare-w --operad ass --level 2 --arity 3",
+    "godement build --operad ass --level 1 --arity 4",
+    "setw diamond-compare --operad com --arity 4 --cap 4",
 )
 
 

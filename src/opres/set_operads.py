@@ -316,6 +316,11 @@ def validate_operad(P, arity_bound: int) -> list[str]:
 
 @dataclass(frozen=True)
 class WSetElement:
+    """An element of a weighted-tree construction.  Every element the
+    library builds holds a canonical node (the output of canon_node), so
+    equal elements are equal tuples and acting by the identity permutation
+    may return the element itself."""
+
     arity: int
     node: tuple | None  # None encodes the unit element (bare leaf tree)
 
@@ -343,33 +348,62 @@ def _node_vertices(node) -> int:
 # canonical forms ----------------------------------------------------------
 
 
-def _bare_encoding(node) -> tuple:
-    enc: list = [1]
-    for it in node[1]:
-        if it[0] == "leaf":
-            enc.append((0,))
-        else:
-            enc.append(_bare_encoding(it[2]))
-    return tuple(enc)
-
-
 def _label_key(P, valence: int, label):
     return P.elements(valence).index(label)
 
 
-def decorated_key(P, node) -> tuple:
-    return (
-        _label_key(P, len(node[1]), node[0]),
-        tuple(_item_key(P, it) for it in node[1]),
-    )
+def _subtree_key(P, node, item_keys: tuple) -> tuple:
+    """(bare shape, decorated key) of a canonical node from the keys of its
+    items in sorted order; the one key builder behind canon_node's child
+    order and element_sort_key.  The bare shape leads so that sorting by
+    it keeps the planar tree canonical in the undecorated sense;
+    decorations only break shape ties."""
+    shape = (1,) + tuple(ik[0] for ik in item_keys)
+    return shape, (_label_key(P, len(item_keys), node[0]), item_keys)
 
 
-def _item_key(P, item) -> tuple:
-    if item[0] == "leaf":
-        return ((0,), 0, item[1])
-    # bare shape leads so that sorting by this key keeps the planar tree
-    # canonical in the undecorated sense; decorations only break shape ties
-    return (_bare_encoding(item[2]), item[1], decorated_key(P, item[2]))
+def _canon(P, node) -> tuple:
+    """(canonical node, keys of its items in sorted order), bottom up: each
+    child's key is built once from the keys its own pass returned."""
+    label, items = node
+    new_items = []
+    keys = []
+    for it in items:
+        if it[0] == "leaf":
+            new_items.append(it)
+            keys.append(((0,), 0, it[1]))
+        else:
+            child, child_keys = _canon(P, it[2])
+            new_items.append(("edge", it[1], child))
+            shape, decorated = _subtree_key(P, child, child_keys)
+            keys.append((shape, it[1], decorated))
+    k = len(items)
+    sigma = tuple(sorted(range(k), key=keys.__getitem__))
+    if sigma != perms.identity(k):
+        new_items = [new_items[j] for j in sigma]
+        keys = [keys[j] for j in sigma]
+        label = P.act(k, label, perms.invert(sigma))
+    runs = []
+    start = 0
+    for j in range(1, k + 1):
+        if j == k or keys[j] != keys[start]:
+            if j - start > 1:
+                runs.append((start, j - start))
+            start = j
+    if runs:
+        best = label
+        best_key = _label_key(P, k, best)
+        for taus in itertools.product(*(perms.all_perms(ln) for _, ln in runs)):
+            tau = list(range(k))
+            for (st, ln), block in zip(runs, taus):
+                for t in range(ln):
+                    tau[st + t] = st + block[t]
+            cand = P.act(k, label, tuple(tau))
+            ck = _label_key(P, k, cand)
+            if ck < best_key:
+                best, best_key = cand, ck
+        label = best
+    return (label, tuple(new_items)), tuple(keys)
 
 
 def canon_node(P, node) -> tuple:
@@ -377,42 +411,14 @@ def canon_node(P, node) -> tuple:
     with the vertex label transported along (placing old child sigma(j)
     at new slot j twists the label by the inverse of sigma); key ties,
     which only identical leafless subtrees can produce, are resolved by
-    minimizing the label over the Young subgroup of the tie blocks."""
-    label, items = node
-    k = len(items)
-    new_items = []
-    for it in items:
-        if it[0] == "leaf":
-            new_items.append(it)
-        else:
-            new_items.append(("edge", it[1], canon_node(P, it[2])))
-    keys = [_item_key(P, it) for it in new_items]
-    order = sorted(range(k), key=lambda j: keys[j])
-    sigma = tuple(order)
-    sorted_items = tuple(new_items[j] for j in sigma)
-    new_label = P.act(k, label, perms.invert(sigma))
-    sorted_keys = [keys[j] for j in sigma]
-    runs = []
-    start = 0
-    for j in range(1, k + 1):
-        if j == k or sorted_keys[j] != sorted_keys[start]:
-            if j - start > 1:
-                runs.append((start, j - start))
-            start = j
-    if runs:
-        best = new_label
-        best_key = _label_key(P, k, best)
-        for taus in itertools.product(*(perms.all_perms(ln) for _, ln in runs)):
-            tau = list(range(k))
-            for (st, ln), block in zip(runs, taus):
-                for t in range(ln):
-                    tau[st + t] = st + block[t]
-            cand = P.act(k, new_label, tuple(tau))
-            ck = _label_key(P, k, cand)
-            if ck < best_key:
-                best, best_key = cand, ck
-        new_label = best
-    return (new_label, sorted_items)
+    minimizing the label over the Young subgroup of the tie blocks.
+
+    One bottom-up pass computes each subtree's key once.  When the sort
+    leaves the children in place the label is kept as it is: the action
+    is unital, and a label that is itself a WSetElement already holds a
+    canonical node (every element the library builds does, and canon_node
+    is idempotent), so twisting it by the identity would give it back."""
+    return _canon(P, node)[0]
 
 
 def element_from_data(P, tree: PlanarTree, labels, lengths, leaves=None) -> WSetElement:
@@ -519,7 +525,7 @@ def is_normal_form(P, H: FiniteSegment, elem: WSetElement) -> bool:
 
 
 def w_act(P, elem: WSetElement, sigma) -> WSetElement:
-    if elem.node is None:
+    if elem.node is None or sigma == perms.identity(elem.arity):
         return elem
     return WSetElement(elem.arity, canon_node(P, map_leaves(elem.node, sigma)))
 
@@ -667,9 +673,11 @@ def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None
 
 
 def element_sort_key(P, e: WSetElement):
+    """The order the reports list elements in: the unit first, then by
+    vertex count, bare shape and decorations."""
     if e.node is None:
         return (0,)
-    return (1, _node_vertices(e.node), _bare_encoding(e.node), decorated_key(P, e.node))
+    return (1, _node_vertices(e.node)) + _subtree_key(P, e.node, _canon(P, e.node)[1])
 
 
 class WSetOperad:
@@ -789,15 +797,14 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
     return report
 
 
-def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe=None) -> WSetElement:
+def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe: WSetOperad) -> WSetElement:
     """Cut every edge carrying the adjoined top length of diamond(H); the
     pieces become vertex labels of an outer tree, i.e. an element of the
-    free pointed operad on the H-construction."""
+    free pointed operad on the H-construction.  label_universe is the
+    H-construction whose element order ranks the labels."""
     top = H.size  # index of the adjoined absorbing element in diamond(H)
     if elem.node is None:
         return W_UNIT
-    if label_universe is None:
-        label_universe = WSetOperad(H, P)
 
     def walk(node):
         """Return (piece, outer_items): the component containing this
@@ -903,13 +910,14 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
     collapse = diamond_collapse(H)
 
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
+    unflat: dict[WSetElement, WSetElement] = {}  # each element of WD, unflattened once
     for n in range(1, arity + 1):
         lhs = WD.elements(n)
         report["sizes"][n] = len(lhs)
         rhs = [e for e in outer.elements(n) if _total_label_vertices(e) <= vertex_cap]
         image = set()
         for x in lhs:
-            u = unflatten_diamond(P, H, x, WH)
+            u = unflat[x] = unflatten_diamond(P, H, x, WH)
             if u in image:
                 report["status"] = "fail"
                 report["witness"] = f"unflattening not injective at arity {n}"
@@ -930,7 +938,7 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
             if x.is_unit():
                 via_counit = W_UNIT
             else:
-                via_counit = _eval_raw(WH, unflatten_diamond(P, H, x, WH).node)
+                via_counit = _eval_raw(WH, unflat[x].node)
             if via_segment != via_counit:
                 report["status"] = "fail"
                 report["witness"] = f"collapse square fails at arity {n}: {element_to_json(P, x)}"
@@ -945,8 +953,7 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
                         continue
                     for i in range(n1):
                         lhs_c = unflatten_diamond(P, H, w_compose(P, D, x, i, y), WH)
-                        rhs_c = outer.compose(n1, i, unflatten_diamond(P, H, x, WH), n2,
-                                              unflatten_diamond(P, H, y, WH))
+                        rhs_c = outer.compose(n1, i, unflat[x], n2, unflat[y])
                         if lhs_c != rhs_c:
                             report["status"] = "fail"
                             report["witness"] = f"grafting mismatch at arities ({n1},{n2}) slot {i}"

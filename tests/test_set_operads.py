@@ -51,6 +51,7 @@ from opres.set_operads import (
     w_eval,
     w_segment_apply,
 )
+from opres.tagged import map_leaves
 from opres.trees import PlanarTree, corolla, enumerate_planar
 
 ASS = AssOperad()
@@ -265,6 +266,165 @@ def test_uncapped_enumeration_guard():
     T = _TwistCollection()
     with pytest.raises(InfiniteEnumerationError):
         enumerate_w_elements(T, chain_segment(1), 2)
+
+
+# -- the one-pass canonical form against the multi-pass reference ------------
+#
+# The reference below is the canonical form as first written: every level
+# re-walks its subtrees for their keys, and every label is twisted through
+# the action, the identity included.  Over tower levels its action is the
+# reference action all the way down, so nothing of the one-pass form or of
+# the identity shortcuts of w_act enters it.
+
+
+def ref_bare_encoding(node):
+    enc = [1]
+    for it in node[1]:
+        enc.append((0,) if it[0] == "leaf" else ref_bare_encoding(it[2]))
+    return tuple(enc)
+
+
+def ref_label_key(P, valence, label):
+    return P.elements(valence).index(label)
+
+
+def ref_decorated_key(P, node):
+    return (ref_label_key(P, len(node[1]), node[0]), tuple(ref_item_key(P, it) for it in node[1]))
+
+
+def ref_item_key(P, item):
+    if item[0] == "leaf":
+        return ((0,), 0, item[1])
+    return (ref_bare_encoding(item[2]), item[1], ref_decorated_key(P, item[2]))
+
+
+def ref_canon(P, node):
+    label, items = node
+    k = len(items)
+    new_items = [it if it[0] == "leaf" else ("edge", it[1], ref_canon(P, it[2])) for it in items]
+    keys = [ref_item_key(P, it) for it in new_items]
+    sigma = tuple(sorted(range(k), key=lambda j: keys[j]))
+    sorted_items = tuple(new_items[j] for j in sigma)
+    new_label = P.act(k, label, perms.invert(sigma))
+    sorted_keys = [keys[j] for j in sigma]
+    runs = []
+    start = 0
+    for j in range(1, k + 1):
+        if j == k or sorted_keys[j] != sorted_keys[start]:
+            if j - start > 1:
+                runs.append((start, j - start))
+            start = j
+    if runs:
+        best = new_label
+        best_key = ref_label_key(P, k, best)
+        for taus in itertools.product(*(perms.all_perms(ln) for _, ln in runs)):
+            tau = list(range(k))
+            for (st_, ln), block in zip(runs, taus):
+                for t in range(ln):
+                    tau[st_ + t] = st_ + block[t]
+            cand = P.act(k, new_label, tuple(tau))
+            ck = ref_label_key(P, k, cand)
+            if ck < best_key:
+                best, best_key = cand, ck
+        new_label = best
+    return (new_label, sorted_items)
+
+
+def ref_sort_key(P, node):
+    return (1, so._node_vertices(node), ref_bare_encoding(node), ref_decorated_key(P, node))
+
+
+class _RefCollection:
+    """The collection underlying ASS or a tower level, acted on through
+    the reference canonical form on every layer."""
+
+    def __init__(self, K):
+        self.K = K
+        self.inner = _RefCollection(K.P.K) if isinstance(K, WSetOperad) else None
+
+    def elements(self, n):
+        return self.K.elements(n)
+
+    def act(self, n, x, sigma):
+        if self.inner is None:
+            return self.K.act(n, x, sigma)
+        if x.node is None:
+            return x
+        return WSetElement(x.arity, ref_canon(self.inner, map_leaves(x.node, sigma)))
+
+
+TOWER = GodementTower(ASS)
+
+
+def random_twist_node(rng, budget, leaves):
+    """Random tree over _TwistCollection, rich in identical stumps so that
+    the tie branch runs; leaves numbered in planar order."""
+    valence = 0 if budget <= 0 else rng.choice((0, 1, 2, 2))
+    label = rng.choice(_TwistCollection().elements(valence))
+    items = []
+    for _ in range(valence):
+        if rng.random() < 0.3:
+            items.append(("leaf", next(leaves)))
+        else:
+            items.append(("edge", rng.randrange(2), random_twist_node(rng, budget - 1, leaves)))
+    return (label, tuple(items))
+
+
+def random_oracle_case(rng, which):
+    """(collection for canon_node, the same collection for the reference,
+    a raw node)."""
+    if which == "twist":
+        T = _TwistCollection()
+        return T, T, random_twist_node(rng, 3, itertools.count())
+    if which in ("ass", "com"):
+        P = ASS if which == "ass" else COM
+        H, ref = chain_segment(2), _RefCollection(P)
+        arity, extra = rng.randint(1, 4), 4
+    else:
+        level = TOWER.level(int(which[-1]))
+        P, H, ref = so._NoComposeWrapper(level), chain_segment(1), _RefCollection(level)
+        arity, extra = rng.randint(1, 3), 2
+    tree, labels, lengths, leaves = random_raw_instance(rng, P, H, arity, extra)
+    return P, ref, build_node(tree, labels, lengths, leaves)
+
+
+@pytest.mark.parametrize("which", ["ass", "com", "twist", "tower0", "tower1"])
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_canon_matches_multipass_reference(which, seed):
+    P, ref, node = random_oracle_case(random.Random(seed), which)
+    c = canon_node(P, node)
+    assert c == ref_canon(ref, node)
+    assert so.element_sort_key(P, WSetElement(len(node_leaves(c)), c)) == ref_sort_key(ref, c)
+
+
+def _invariant_families():
+    H = chain_segment(2)
+    yield ASS, [e for n in range(1, 4) for e in enumerate_w_elements(ASS, H, n)]
+    yield COM, [e for n in range(1, 5) for e in enumerate_w_elements(COM, H, n)]
+    for k in (0, 1):
+        level = TOWER.level(k)
+        yield level.P, [e for n in range(1, 4) for e in level.elements(n)]
+    rng = random.Random(11)
+    D = diamond(chain_segment(1))
+    normal = []
+    for _ in range(60):
+        tree, labels, lengths, leaves = random_raw_instance(rng, ASS, D, rng.randint(1, 4), 3)
+        normal.append(so._normal_element(ASS, D, tree.arity, build_node(tree, labels, lengths, leaves)))
+    yield ASS, normal
+
+
+def test_built_elements_hold_canonical_nodes():
+    # the invariant behind skipping identity twists: canon_node fixes every
+    # built node, and w_act is a right action with the identity acting trivially
+    rng = random.Random(5)
+    for P, elems in _invariant_families():
+        for e in elems:
+            if e.node is not None:
+                assert canon_node(P, e.node) == e.node
+            assert w_act(P, e, perms.identity(e.arity)) == e
+            sigma = tuple(rng.sample(range(e.arity), e.arity))
+            assert w_act(P, w_act(P, e, sigma), perms.invert(sigma)) == e
 
 
 # -- rewriting ----------------------------------------------------------------
