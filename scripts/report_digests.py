@@ -43,6 +43,11 @@ COMMANDS = (
     "godement compare-w --operad ass --level 2 --arity 3",
     "godement build --operad ass --level 1 --arity 4",
     "setw diamond-compare --operad com --arity 4 --cap 4",
+    "setw build --operad ass --arity 4 --segment diamond:interval --cap 3",
+    "setw build --operad com --arity 5 --segment chain:3 --cap 4",
+    "setw compare-free --operad com --arity 5",
+    "barcobar verify-twisting --operad com --arity 5",
+    "chainw verify --check all --operad ass_sym --arity 4",
 )
 
 

@@ -20,6 +20,7 @@ from .set_operads import InfiniteEnumerationError
 from .tagged import (
     build_node,
     canon,
+    edges,
     fresh_uid,
     graft_replace,
     koszul,
@@ -29,6 +30,7 @@ from .tagged import (
     node_leaves,
     node_lengths,
     node_tree,
+    replace_item,
     shapes,
     tag,
     untag,
@@ -52,32 +54,6 @@ def _t_word(nd):
         if it[0] == "edge":
             out.extend(_t_word(it[3]))
     return out
-
-
-def _t_edge_list(nd):
-    out = []
-
-    def rec(t):
-        for slot, it in enumerate(t[3]):
-            if it[0] == "edge":
-                out.append((t, slot, it[3]))
-                rec(it[3])
-
-    rec(nd)
-    return out
-
-
-def _t_replace_edge(nd, puid, slot, newitem):
-    uid, label, par, items = nd
-    if uid == puid:
-        return (uid, label, par, items[:slot] + (newitem,) + items[slot + 1 :])
-    out = []
-    for it in items:
-        if it[0] == "edge":
-            out.append(("edge", it[1], it[2], _t_replace_edge(it[3], puid, slot, newitem)))
-        else:
-            out.append(it)
-    return (uid, label, par, tuple(out))
 
 
 # -- the inner level ---------------------------------------------------------
@@ -152,7 +128,7 @@ def _bar_d(P, x: BarElement) -> dict:
             nd2 = graft_replace(nd, uid, (uid, zname, (par + 1) & 1, items))
             add(untag(nd2), -s * c)
 
-    for parent, slot, child in _t_edge_list(nd):
+    for parent, slot, child in edges(nd):
         puid, pname, ppar, pitems = parent
         cuid, cname, cpar, citems = child
         ia, ib = pos[puid], pos[cuid]
@@ -249,7 +225,7 @@ class CooperadComplex:
         nd = tag(x.node, _shifted_up(P))
         w0 = _t_word(nd)
         out = []
-        for parent, slot, child in _t_edge_list(nd):
+        for parent, slot, child in edges(nd):
             block = {u for u, _ in _t_word(child)}
             last = max(i for i, (u, _) in enumerate(w0) if u in block)
             block_par = sum(p for u, p in w0 if u in block) & 1
@@ -259,7 +235,7 @@ class CooperadComplex:
             lower_raw = map_leaves(untag(child), {v: j for j, v in enumerate(S)})
             sl, lower_node = _bar_canon(P, lower_raw)
             low = _mk_bar(P, lower_node)
-            upper_t = _t_replace_edge(nd, parent[0], slot, ("leaf", S[0]))
+            upper_t = replace_item(nd, parent, slot, ("leaf", S[0]))
             U = sorted(leaves(upper_t))
             su, upper_node = _bar_canon(
                 P, map_leaves(untag(upper_t), {v: j for j, v in enumerate(U)})
@@ -490,13 +466,13 @@ def _flat_eval(P, flat, n: int) -> dict:
     done: dict[str, int] = {}
     while work:
         c, nd = work.pop()
-        edges = _t_edge_list(nd)
-        if not edges:
+        edge = next(edges(nd), None)
+        if edge is None:
             lam = tuple(leaves(nd))
             for w, c2 in P.act(n, nd[1], lam).items():
                 done[w] = done.get(w, 0) + c * c2
             continue
-        parent, slot, child = edges[0]
+        parent, slot, child = edge
         puid, pname, ppar, pitems = parent
         cuid, cname, cpar, citems = child
         w0 = _t_word(nd)

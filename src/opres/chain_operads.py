@@ -49,6 +49,7 @@ from .tagged import (
     ROUTING_CACHE,
     build_node,
     canon,
+    edges,
     fresh_uid,
     graft_replace,
     koszul,
@@ -58,6 +59,7 @@ from .tagged import (
     node_leaves,
     node_lengths,
     node_tree,
+    replace_item,
     shapes,
     tag,
     untag,
@@ -693,63 +695,12 @@ def _prefix_sign(word: list, uid) -> int:
     raise KeyError(uid)
 
 
-def _marked_edges(nd):
-    for it in nd[3]:
-        if it[0] == "edge":
-            if it[2]:
-                yield it[1]
-            yield from _marked_edges(it[3])
-
-
-def _all_edges(nd):
-    for it in nd[3]:
-        if it[0] == "edge":
-            yield it[1]
-            yield from _all_edges(it[3])
-
-
-def _set_flag(nd, euid, flag):
-    uid, label, par, items = nd
-    out = []
-    for it in items:
-        if it[0] == "edge":
-            if it[1] == euid:
-                out.append(("edge", euid, flag, it[3]))
-            else:
-                out.append(("edge", it[1], it[2], _set_flag(it[3], euid, flag)))
-        else:
-            out.append(it)
-    return (uid, label, par, tuple(out))
-
-
-def _shift_leaves(nd, off):
-    uid, label, par, items = nd
-    out = []
-    for it in items:
-        if it[0] == "leaf":
-            out.append(("leaf", it[1] + off))
-        else:
-            out.append(("edge", it[1], it[2], _shift_leaves(it[3], off)))
-    return (uid, label, par, tuple(out))
-
-
-def _contract_step(P, nd, euid, w0) -> list:
-    """Contract one unmarked edge of nd, whose sign word is w0, merging the
-    child vertex into its parent by operad composition.  Returns
-    (coefficient, tagged, word) terms; the merged vertex keeps the parent
-    letter."""
-
-    def find(node):
-        for s, it in enumerate(node[3]):
-            if it[0] == "edge":
-                if it[1] == euid:
-                    return node, s
-                got = find(it[3])
-                if got:
-                    return got
-        return None
-
-    parent, slot = find(nd)
+def _contract_step(P, nd, parent, slot, w0) -> list:
+    """Contract the unmarked edge at item slot of the vertex parent of nd,
+    whose sign word is w0, merging the child vertex into its parent by
+    operad composition.  Returns (coefficient, tagged, word) terms; the
+    merged vertex keeps the parent letter.  Only the parent's letter,
+    label and other items are read, so its flag on the edge may differ."""
     puid, pname, ppar, pitems = parent
     child = pitems[slot][3]
     cuid, cname, cpar, citems = child
@@ -862,14 +813,17 @@ def w_boundary(P, x: WChainBasis) -> dict:
         for zname, c in pseudo.d(len(vitems), vname).items():
             nd2 = graft_replace(nd, vuid, (vuid, zname, (vpar + 1) & 1, vitems))
             add(untag(nd2), s * c)
-    for euid in list(_marked_edges(nd)):
+    for parent, slot, child in edges(nd):
+        _, euid, marked, _ = parent[3][slot]
+        if not marked:
+            continue
         s = _prefix_sign(w0, euid)
         w_minus = [tok for tok in w0 if tok[0] != euid]
-        unmarked = _set_flag(nd, euid, 0)
+        unmarked = replace_item(nd, parent, slot, ("edge", euid, 0, child))
         w1 = _word(unmarked)
         k1 = koszul(w_minus, w1)
         add(untag(unmarked), s * k1)
-        for c2, t2, w2 in _contract_step(pseudo, unmarked, euid, w1):
+        for c2, t2, w2 in _contract_step(pseudo, unmarked, parent, slot, w1):
             c3, node3 = signed_canon(pseudo, t2, w2)
             add(node3, -s * k1 * c2 * c3)
     return _clean(acc)
@@ -1100,12 +1054,12 @@ def _evaluate_free(P, x: WChainBasis) -> dict:
     done: dict[str, int] = {}
     while work:
         c, nd, w = work.pop()
-        euid = next(_all_edges(nd), None)
-        if euid is None:
+        edge = next(edges(nd), None)
+        if edge is None:
             lam = tuple(leaves(nd))
             _add_into(done, P.act(x.arity, nd[1], lam), c)
             continue
-        for c2, nd2, w2 in _contract_step(P, nd, euid, w):
+        for c2, nd2, w2 in _contract_step(P, nd, edge[0], edge[1], w):
             work.append((c * c2, nd2, w2))
     return _clean(done)
 
@@ -1191,7 +1145,7 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | N
         if total > edge_cap:
             raise ValueError("edge cap exceeded by composition")
     tx = tag(x.node, pseudo.degree_of)
-    ty = _shift_leaves(tag(y.node, pseudo.degree_of), i)
+    ty = tag(map_leaves(y.node, range(i, i + m)), pseudo.degree_of)
     w_xy = _word(tx) + _word(ty)
     euid = fresh_uid()
 

@@ -50,8 +50,9 @@ from .tagged import (
     node_leaves,
     node_lengths,
     node_tree,
+    shapes,
 )
-from .trees import PlanarTree, corolla, iso_classes
+from .trees import PlanarTree, corolla
 
 
 # -- concrete operads --------------------------------------------------------
@@ -642,7 +643,13 @@ def _eligible_labels(K, valence: int):
 def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None = None) -> list[WSetElement]:
     """All normal forms of one arity, optionally capped by vertex count.
     Uncapped enumeration requires empty arity 0 and nothing but the unit
-    in arity 1, otherwise every arity is infinite."""
+    in arity 1, otherwise every arity is infinite.
+
+    Each canonical tree shape is decorated with every labeling and every
+    non-neutral length, but routed only by its orbit-least routings: an
+    automorphism of the shape carries any decorated routing to one of them.
+    Without stumps each element arises once; the leafless siblings of
+    stumps can meet twice, and the dict keeps one."""
     nullary, extra_unary = _collection_profile(P)
     if vertex_cap is None and (nullary or extra_unary):
         raise InfiniteEnumerationError(
@@ -651,25 +658,25 @@ def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None
     min_val = 0 if nullary else (1 if extra_unary else 2)
     max_edges = None if vertex_cap is None else max(vertex_cap - 1, 0)
     lengths_pool = [ln for ln in range(H.size) if ln != H.zero]
-    out: set[WSetElement] = set()
-    if arity == 1:
-        out.add(W_UNIT)
-    for cls in iso_classes(arity, max_edges, min_val):
-        T = cls.tree
-        if T.children is None:
-            continue
+    keys: dict[WSetElement, tuple] = {W_UNIT: (0,)} if arity == 1 else {}
+    for T, lams in shapes(arity, max_edges, min_val, True):
         if vertex_cap is not None and T.vertex_count > vertex_cap:
             continue
-        valences = T.valences()
-        label_pools = [_eligible_labels(P, v) for v in valences]
-        if any(not pool for pool in label_pools):
+        label_pools = [_eligible_labels(P, v) for v in T.valences()]
+        if not all(label_pools):
             continue
         for labels in itertools.product(*label_pools):
             for lens in itertools.product(lengths_pool, repeat=T.edge_count):
-                for leaves in itertools.permutations(range(arity)):
-                    node = build_node(T, labels, lens, leaves)
-                    out.add(WSetElement(arity, canon_node(P, node)))
-    return sorted(out, key=lambda e: element_sort_key(P, e))
+                for lam in lams:
+                    node, item_keys = _canon(P, build_node(T, labels, lens, lam))
+                    keys[WSetElement(arity, node)] = _sort_key(P, node, item_keys)
+    return sorted(keys, key=keys.__getitem__)
+
+
+def _sort_key(P, node, item_keys: tuple) -> tuple:
+    """The report order of a canonical non-unit node from the item keys
+    _canon returned for it: vertex count, bare shape, decorations."""
+    return (1, _node_vertices(node)) + _subtree_key(P, node, item_keys)
 
 
 def element_sort_key(P, e: WSetElement):
@@ -677,7 +684,7 @@ def element_sort_key(P, e: WSetElement):
     vertex count, bare shape and decorations."""
     if e.node is None:
         return (0,)
-    return (1, _node_vertices(e.node)) + _subtree_key(P, e.node, _canon(P, e.node)[1])
+    return _sort_key(P, e.node, _canon(P, e.node)[1])
 
 
 class WSetOperad:
@@ -709,12 +716,6 @@ class WSetOperad:
 
     def act(self, n, x, sigma):
         return w_act(self.P, x, sigma)
-
-    def augment(self, x: WSetElement):
-        return w_eval(self.P, x)
-
-    def filtration(self, x: WSetElement) -> int:
-        return x.edge_count()
 
     def name_of(self, n, x) -> str:
         return json.dumps(element_to_json(self.P, x), sort_keys=True, separators=(",", ":"))
@@ -952,7 +953,13 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
                     if x.vertex_count() + y.vertex_count() > vertex_cap:
                         continue
                     for i in range(n1):
-                        lhs_c = unflatten_diamond(P, H, w_compose(P, D, x, i, y), WH)
+                        # the composite is within the cap and the arity,
+                        # so the first loop unflattened it already
+                        lhs_c = unflat.get(w_compose(P, D, x, i, y))
+                        if lhs_c is None:
+                            report["status"] = "fail"
+                            report["witness"] = f"composite outside the enumeration at arities ({n1},{n2}) slot {i}"
+                            return report
                         rhs_c = outer.compose(n1, i, unflat[x], n2, unflat[y])
                         if lhs_c != rhs_c:
                             report["status"] = "fail"

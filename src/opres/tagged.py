@@ -9,11 +9,13 @@ and cobar trees leave every flag at 0.  This module builds plain nodes
 from flat data (build_node), reads them back (node_tree, node_labels,
 node_lengths, node_leaves), walks them (map_leaves, map_labels), and
 chooses the tree shapes and leaf routings each construction enumerates
-(shapes).
+(shapes), for all four constructions, set-level stumps included.
 
 For sign tracking a node is tagged: (uid, label, parity, items) with edge
 items ("edge", euid, flag, child), where every vertex and every edge
-draws a fresh letter identity from one counter.
+draws a fresh letter identity from one counter.  The module owns the
+walks over tagged trees too: vertices, leaves, the (parent, slot, child)
+edges, and replacing a vertex (graft_replace) or one item (replace_item).
 
 This module walks and canonicalizes tagged trees but owns no sign word.
 Each construction linearizes a tagged tree into its own word of
@@ -198,6 +200,15 @@ def vertices(nd):
             yield from vertices(it[3])
 
 
+def edges(nd):
+    """The (parent, slot, child) triples of the edges, depth first: each
+    edge comes right before the edges above its child."""
+    for slot, it in enumerate(nd[3]):
+        if it[0] == "edge":
+            yield nd, slot, it[3]
+            yield from edges(it[3])
+
+
 def graft_replace(nd, uid, new):
     """Replace the vertex with letter uid, and everything above it, by new."""
     if nd[0] == uid:
@@ -209,6 +220,12 @@ def graft_replace(nd, uid, new):
         else:
             out.append(it)
     return (nd[0], nd[1], nd[2], tuple(out))
+
+
+def replace_item(nd, parent, slot, item):
+    """Replace item slot of the vertex parent of nd by item."""
+    items = parent[3][:slot] + (item,) + parent[3][slot + 1 :]
+    return graft_replace(nd, parent[0], parent[:3] + (items,))
 
 
 def koszul(old: list, new: list) -> int:
@@ -268,13 +285,15 @@ def least_routings(tree: PlanarTree) -> list:
 
     The group is generated by adjacent swaps of equal sibling subtrees, and
     a routing is least exactly when no such swap lowers it: lam[p] < lam[q]
-    for the first leaves p and q of the two siblings."""
+    for the first leaves p and q of the two siblings.  A swap of two
+    leafless siblings (stumps) moves no leaf and constrains nothing."""
     got = ROUTING_CACHE.get(tree.encoding)
     if got is None:
         pairs = []
         for gen in aut_generators(tree):
-            p = next(r for r, s in enumerate(gen.leaf_perm) if r != s)
-            pairs.append((p, gen.leaf_perm[p]))
+            p = next((r for r, s in enumerate(gen.leaf_perm) if r != s), None)
+            if p is not None:
+                pairs.append((p, gen.leaf_perm[p]))
         PAIR_CACHE[tree.encoding] = pairs
         got = [
             lam

@@ -116,9 +116,6 @@ class PlanarTree:
             walk(self, 0)
         return pairs
 
-    def leaf_count_check(self) -> int:
-        return self.arity
-
 
 UNIT = PlanarTree(None)
 

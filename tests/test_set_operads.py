@@ -11,6 +11,7 @@ from opres.segments import (
     SegmentMap,
     chain_segment,
     codiagonal,
+    delta1_level,
     diamond,
     diamond_collapse,
     segment_check,
@@ -32,6 +33,7 @@ from opres.set_operads import (
     compare_godement_w,
     confluence_experiment,
     element_from_data,
+    element_sort_key,
     element_to_json,
     enumerate_w_elements,
     free_pointed,
@@ -52,7 +54,7 @@ from opres.set_operads import (
     w_segment_apply,
 )
 from opres.tagged import map_leaves
-from opres.trees import PlanarTree, corolla, enumerate_planar
+from opres.trees import PlanarTree, corolla, enumerate_planar, iso_classes
 
 ASS = AssOperad()
 COM = ComOperad()
@@ -266,6 +268,66 @@ def test_uncapped_enumeration_guard():
     T = _TwistCollection()
     with pytest.raises(InfiniteEnumerationError):
         enumerate_w_elements(T, chain_segment(1), 2)
+
+
+# -- the enumerator against the all-routings reference -----------------------
+#
+# The reference is the enumerator as first written: every isomorphism class,
+# every labeling, length and leaf routing, canonicalized through canon_node,
+# de-duplicated in a set and sorted by element_sort_key.  No orbit-least
+# routing enters it.
+
+
+def ref_enumerate(P, H, arity, vertex_cap):
+    nullary = bool(P.elements(0))
+    extra_unary = any(x != P.unit for x in P.elements(1))
+    min_val = 0 if nullary else (1 if extra_unary else 2)
+    max_edges = None if vertex_cap is None else max(vertex_cap - 1, 0)
+    lengths_pool = [ln for ln in range(H.size) if ln != H.zero]
+    out = {W_UNIT} if arity == 1 else set()
+    for cls in iso_classes(arity, max_edges, min_val):
+        T = cls.tree
+        if T.children is None or (vertex_cap is not None and T.vertex_count > vertex_cap):
+            continue
+        pools = [
+            tuple(x for x in P.elements(v) if v != 1 or x != P.unit) for v in T.valences()
+        ]
+        for labels in itertools.product(*pools):
+            for lens in itertools.product(lengths_pool, repeat=T.edge_count):
+                for leaves in itertools.permutations(range(arity)):
+                    node = build_node(T, labels, lens, leaves)
+                    out.add(WSetElement(arity, canon_node(P, node)))
+    return sorted(out, key=lambda e: element_sort_key(P, e))
+
+
+ORACLE_SEGMENTS = {
+    "chain:1": (chain_segment(1), None, 4),
+    "chain:2": (chain_segment(2), None, 4),
+    "delta1:1": (delta1_level(1), None, 4),
+    "diamond:interval": (diamond(chain_segment(1)), 2, 4),
+}
+
+
+@pytest.mark.parametrize("segment", sorted(ORACLE_SEGMENTS))
+@pytest.mark.parametrize("P", [ASS, COM], ids=["ass", "com"])
+def test_enumerator_matches_all_routings_reference(P, segment):
+    H, cap, max_arity = ORACLE_SEGMENTS[segment]
+    for n in range(1, max_arity + 1):
+        assert enumerate_w_elements(P, H, n, cap) == ref_enumerate(P, H, n, cap), n
+
+
+def test_enumerator_matches_reference_with_stumps():
+    T = _TwistCollection()
+    H = chain_segment(1)
+    for n in range(4):
+        for cap in range(1, 5):
+            assert enumerate_w_elements(T, H, n, cap) == ref_enumerate(T, H, n, cap), (n, cap)
+
+
+def test_enumerator_matches_reference_on_tower_level():
+    level = GodementTower(ASS).level(0)
+    for n in range(1, 4):
+        assert list(level.elements(n)) == ref_enumerate(level.P, level.H, n, level.vertex_cap), n
 
 
 # -- the one-pass canonical form against the multi-pass reference ------------

@@ -9,7 +9,7 @@ from opres import perms
 from opres.bar_cobar import CooperadComplex
 from opres.chain_operads import WChainBasis, builtin_chain_operad, signed_canon, w_act_basis
 from opres.set_operads import build_node, node_leaves, node_lengths, node_tree
-from opres.tagged import koszul, least_routings, shapes
+from opres.tagged import edges, koszul, least_routings, replace_item, shapes, tag, untag, vertices
 from opres.trees import aut_leaf_perms, enumerate_planar, iso_classes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opres"
@@ -32,6 +32,18 @@ def test_least_routings_one_per_orbit(min_valence, cap):
             lams = least_routings(cls.tree)
             assert len(lams) * cls.aut_order == math.factorial(n), cls.tree.notation()
             assert lams == sorted(set(lams))
+            for lam in lams:
+                assert orbit_least(cls.tree, lam), (cls.tree.notation(), lam)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_least_routings_with_stumps(cap):
+    """Swaps of leafless siblings move no leaf, so the routings count the
+    cosets of the automorphisms' leaf action, not of the whole group."""
+    for n in range(5):
+        for cls in iso_classes(n, cap, 0):
+            lams = least_routings(cls.tree)
+            assert len(lams) * len(aut_leaf_perms(cls.tree)) == math.factorial(n)
             for lam in lams:
                 assert orbit_least(cls.tree, lam), (cls.tree.notation(), lam)
 
@@ -100,6 +112,24 @@ def test_bar_act_least_routing_and_round_trip(name, n, data):
     assert (z, c1 * c2) == (b, 1)
 
 
+def test_edges_depth_first_and_replace_item():
+    # root a over (leaf, b over (c, leaf), d)
+    c = ("c", (("leaf", 1),))
+    b = ("b", (("edge", 1, c), ("leaf", 2)))
+    d = ("d", (("leaf", 3),))
+    nd = tag(("a", (("leaf", 0), ("edge", 0, b), ("edge", 0, d))), lambda v, lab: 0)
+    found = [(p[1], slot, ch[1]) for p, slot, ch in edges(nd)]
+    assert found == [("a", 1, "b"), ("b", 0, "c"), ("a", 2, "d")]
+    assert [v[1] for v in vertices(nd)] == ["a", "b", "c", "d"]
+    parent, slot, _ = list(edges(nd))[1]
+    new = replace_item(nd, parent, slot, ("leaf", 7))
+    b_cut = ("b", (("leaf", 7), ("leaf", 2)))
+    assert untag(new) == ("a", (("leaf", 0), ("edge", 0, b_cut), ("edge", 0, d)))
+    uids = [v[0] for v in vertices(nd)]
+    assert [v[0] for v in vertices(new)] == uids[:2] + uids[3:]
+    assert new[3][2] == nd[3][2]  # the untouched sibling is the same subtree
+
+
 def test_koszul_counts_odd_letters_only():
     old = [("a", 1), ("b", 0), ("c", 1), ("d", 1)]
     assert koszul(old, old) == 1
@@ -144,3 +174,22 @@ def test_tagged_module_owns_no_sign_word():
 def test_bar_cobar_keeps_its_own_sign_word():
     _, names = _imports("bar_cobar")
     assert not names & {"_word", "_contract_step"}
+
+
+def test_edge_walks_live_in_tagged():
+    """The constructions walk and rewrite tagged trees through tagged."""
+    walkers = {
+        "chain_operads": {"_marked_edges", "_all_edges", "_set_flag", "_shift_leaves"},
+        "bar_cobar": {"_t_edge_list", "_t_replace_edge"},
+    }
+    for module, banned in walkers.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not defined & banned, (module, defined & banned)
+    contract = next(
+        n
+        for n in ast.walk(ast.parse((SRC / "chain_operads.py").read_text()))
+        if isinstance(n, ast.FunctionDef) and n.name == "_contract_step"
+    )
+    nested = [n.name for n in ast.walk(contract) if isinstance(n, ast.FunctionDef)]
+    assert nested == ["_contract_step"]
