@@ -12,10 +12,10 @@ Z, unit pivots leave the invariant factors unchanged; the columns left
 without a unit form a residual block, and only that block goes to the
 dense Smith normal form, which re-multiplies U*A*V and compares with its
 own diagonal on every call.  Every elimination is certified the same way:
-its recorded column operations V must give A*V = M exactly, V unit
-triangular and M triangular with units on the pivots.  A failed check
-raises SelfCheckError, so a wrong result can never be silently consumed
-downstream.
+its logged column operations U, one multiplier each, must give A = M*U
+exactly, U unit triangular and M triangular with units on the pivots.  A
+failed check raises SelfCheckError, so a wrong result can never be
+silently consumed downstream.
 """
 from __future__ import annotations
 
@@ -576,21 +576,23 @@ def rank_over_field(A: list[list], ring: Ring) -> int:
 
 @dataclass
 class Elimination:
-    """Record of one sparse elimination of A: A*V = M.
+    """Record of one sparse elimination of A: A = M*U.
 
-    V is the product of the column operations, unit upper triangular once
-    the pivot columns are put first in pivot order; M holds the pivot
-    columns as they stood when chosen, and the residual columns.  Pivot t
-    sits at (pivots[t]) with a unit entry; pivot row r_s is zero in pivot
-    columns chosen after s and in every residual column, so M is block
-    triangular with unit diagonal and the invariant factors of A are
-    those of the residual block plus one 1 per pivot.  ``check`` verifies
-    all of this exactly and raises SelfCheckError otherwise.
+    Each column operation subtracts f times a pivot column j, which never
+    changes once chosen, from a column c not pivoted yet; U[j, c] = f logs
+    it, so U is unit upper triangular once the pivot columns are put first
+    in pivot order.  M holds the pivot columns as they stood when chosen, and
+    the residual columns.  Pivot t sits at (pivots[t]) with a unit entry;
+    pivot row r_s is zero in pivot columns chosen after s and in every
+    residual column, so M is block triangular with unit diagonal.  U is
+    unimodular, so the invariant factors of A are those of M: the ones of
+    the residual block plus one 1 per pivot.  ``check`` verifies all of
+    this exactly and raises SelfCheckError otherwise.
     """
 
     ring: Ring
     source: SparseMat  # A
-    ops: SparseMat  # V
+    ops: SparseMat  # U
     reduced: SparseMat  # M
     pivots: list  # (row, col) in pivot order
 
@@ -599,20 +601,20 @@ class Elimination:
             raise SelfCheckError(f"elimination certificate failed: {what}")
 
         ring, n = self.ring, self.ops.cols
-        if not self.source.mul(self.ops, ring).equals(self.reduced, ring):
-            fail("A*V != M")
+        if not self.reduced.mul(self.ops, ring).equals(self.source, ring):
+            fail("M*U != A")
         order = {j: t for t, (_, j) in enumerate(self.pivots)}
         prow = {r: t for t, (r, _) in enumerate(self.pivots)}
         if len(order) != len(self.pivots) or len(prow) != len(self.pivots):
             fail("a row or column pivoted twice")
-        # V: unit upper triangular, pivot columns first in pivot order
+        # U: unit upper triangular, pivot columns first in pivot order
         diag = 0
         for (i, j), v in self.ops.data.items():
             if order.get(i, n + i) > order.get(j, n + j) or (i == j and v != 1):
-                fail(f"V[{i},{j}] = {v}")
+                fail(f"U[{i},{j}] = {v}")
             diag += i == j
         if diag != n:
-            fail("V has a zero on its diagonal")
+            fail("U has a zero on its diagonal")
         # M: units on the pivots; a pivot row is clear of later pivot
         # columns and of the residual, which is empty over a field
         for r, j in self.pivots:
@@ -673,7 +675,7 @@ def eliminate(A: SparseMat, ring: Ring) -> Elimination:
         if v:
             cols[j][i] = v
             on_row[i].add(j)
-    ops: list[dict | None] = [None] * A.cols  # None stands for the unit vector
+    ops = {(j, j): 1 for j in range(A.cols)}
     done = [False] * A.cols
     pivots = []
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
@@ -701,7 +703,6 @@ def eliminate(A: SparseMat, ring: Ring) -> Elimination:
             inv = col[r]  # a unit is its own inverse
         else:
             inv = 1 / Fraction(col[r])
-        vj = ops[j] or {j: 1}
         for c in list(on_row[r]):
             target = cols[c]
             f = target[r] * inv
@@ -718,25 +719,12 @@ def eliminate(A: SparseMat, ring: Ring) -> Elimination:
                 elif i in target:
                     del target[i]
                     on_row[i].discard(c)
-            vc = ops[c]
-            if vc is None:
-                vc = ops[c] = {c: 1}
-            for i, v in vj.items():
-                w = vc.get(i, 0) - f * v
-                if p:
-                    w %= p
-                if w:
-                    vc[i] = w
-                else:
-                    vc.pop(i, None)
+            ops[(j, c)] = f
             heapq.heappush(heap, (len(target), c))
     reduced = SparseMat(A.rows, A.cols, {
         (i, j): v for j, col in enumerate(cols) for i, v in col.items()
     })
-    V = SparseMat(A.cols, A.cols, {
-        (i, j): v for j, vc in enumerate(ops) for i, v in (vc or {j: 1}).items()
-    })
-    return Elimination(ring, A, V, reduced, pivots)
+    return Elimination(ring, A, SparseMat(A.cols, A.cols, ops), reduced, pivots)
 
 
 def certified_elimination(A: SparseMat, ring: Ring) -> Elimination:

@@ -54,6 +54,7 @@ from .tagged import (
     graft_replace,
     koszul,
     leaves,
+    map_labels,
     map_leaves,
     node_labels,
     node_leaves,
@@ -324,30 +325,46 @@ def load_chain_operad(data: dict):
 
     Keys: "arities" mapping arity to [name, degree] pairs, optional "d",
     "compose" keyed "x o1 y" (slots 1-based), "actions" keyed "x * 2,1",
-    flags "symmetric" and "reduced"."""
+    flags "symmetric" and "reduced".  A row that names an element outside
+    the basis, or a term of the wrong arity or degree, raises ValueError."""
     basis = {
         int(k): [(str(nm), int(deg)) for nm, deg in v]
         for k, v in data["arities"].items()
     }
-    d_table = {
-        str(x): {str(t): int(c) for t, c in row.items()}
-        for x, row in data.get("d", {}).items()
-    }
+    where = {nm: (n, deg) for n, row in basis.items() for nm, deg in row}
+
+    def find(key, x):
+        if x not in where:
+            raise ValueError(f"row {key!r} names {x!r}, which is outside the basis")
+        return where[x]
+
+    def terms(key, row, arity, degree):
+        out = {str(t): int(c) for t, c in row.items()}
+        for t in out:
+            if find(key, t) != (arity, degree):
+                raise ValueError(
+                    f"row {key!r} has the term {t!r}, which is not of arity {arity} and degree {degree}"
+                )
+        return out
+
+    d_table = {}
+    for x, row in data.get("d", {}).items():
+        n, a = find(x, x)
+        d_table[x] = terms(x, row, n, a - 1)
     compose_table = {}
     for key, row in data.get("compose", {}).items():
         x, mid, y = key.split(" ")
         if not mid.startswith("o"):
             raise ValueError(f"bad composition key {key!r}")
-        compose_table[(x, int(mid[1:]) - 1, y)] = {
-            str(t): int(c) for t, c in row.items()
-        }
+        (n, a), (m, b) = find(key, x), find(key, y)
+        compose_table[(x, int(mid[1:]) - 1, y)] = terms(key, row, n + m - 1, a + b)
     action_table = {}
     for key, row in data.get("actions", {}).items():
         x, star, sig = key.split(" ")
         if star != "*":
             raise ValueError(f"bad action key {key!r}")
         sigma = tuple(int(s) - 1 for s in sig.split(","))
-        action_table[(x, sigma)] = {str(t): int(c) for t, c in row.items()}
+        action_table[(x, sigma)] = terms(key, row, *find(key, x))
     P = TableChainOperad(
         data.get("symmetric", True),
         basis,
@@ -868,16 +885,6 @@ class _SymbolicOperad:
         return ("s", x[1], n, x, sigma), 1
 
 
-def _skeleton(P, node, ids):
-    """The skeleton of a plain node; ids numbers the vertices."""
-    label, items = node
-    var = ("x", P.degree_of(len(items), label) & 1, next(ids))
-    return (
-        var,
-        tuple([it if it[0] == "leaf" else ("edge", it[1], _skeleton(P, it[2], ids)) for it in items]),
-    )
-
-
 def _flatten(P, node, key: list, shape: list) -> None:
     """Append prefix codes of the skeleton and the bare shape of a plain
     node to key and shape, depth first.  Per vertex both codes hold the
@@ -922,15 +929,6 @@ def _evaluate(P, e, labels, memo) -> dict:
     return got
 
 
-def _fill(node, take):
-    """The node with its labels replaced, in depth-first order, by take()."""
-    label = take()
-    return (
-        label,
-        tuple([it if it[0] == "leaf" else ("edge", it[1], _fill(it[2], take)) for it in node[1]]),
-    )
-
-
 def _instantiate(P, template, labels, arity, degree) -> dict:
     """A template's boundary for one labeling, in P."""
     memo: dict = {}
@@ -944,7 +942,8 @@ def _instantiate(P, template, labels, arity, degree) -> dict:
             coeff = c
             for _, k in combo:
                 coeff *= k
-            key = WChainBasis(arity, _fill(node, iter([nm for nm, _ in combo]).__next__), degree)
+            take = iter([nm for nm, _ in combo]).__next__
+            key = WChainBasis(arity, map_labels(node, lambda lab, val: take()), degree)
             acc[key] = acc.get(key, 0) + coeff
     return _clean(acc)
 
@@ -994,7 +993,8 @@ def _run_boundaries(P, sym, run):
             continue
         template = templates.get(key)
         if template is None:
-            sk = _skeleton(P, x.node, itertools.count())
+            ids = itertools.count()
+            sk = map_labels(x.node, lambda lab, val: ("x", P.degree_of(val, lab) & 1, next(ids)))
             bd = w_boundary(sym, WChainBasis(x.arity, sk, x.degree))
             template = [(c, y.node, node_labels(y.node)) for y, c in bd.items()]
             templates[key] = template

@@ -178,22 +178,37 @@ class TableOperad:
 
 
 def operad_from_json(data: dict) -> TableOperad:
+    """The table operad of a serialization; a row that names an undeclared
+    element, or a result of the wrong arity, raises ValueError."""
     if not data.get("symmetric", True):
         raise ValueError("set-level operads here are symmetric")
     elements = {int(k): list(v) for k, v in data["arities"].items()}
+    arity_of = {e: n for n, v in elements.items() for e in v}
+
+    def find(key, x):
+        if x not in arity_of:
+            raise ValueError(f"row {key!r} names {x!r}, which is not a declared element")
+        return arity_of[x]
+
+    def result_of(key, result, arity):
+        if find(key, result) != arity:
+            raise ValueError(f"row {key!r} has the result {result!r}, which is not of arity {arity}")
+        return result
+
     compose_table = {}
     for key, result in data.get("compose", {}).items():
         x, mid, y = key.split(" ")
         if not mid.startswith("o"):
             raise ValueError(f"bad composition key {key!r}")
-        compose_table[(x, int(mid[1:]) - 1, y)] = result
+        arity = find(key, x) + find(key, y) - 1
+        compose_table[(x, int(mid[1:]) - 1, y)] = result_of(key, result, arity)
     action_table = {}
     for key, result in data.get("actions", {}).items():
         x, star, sig = key.split(" ")
         if star != "*":
             raise ValueError(f"bad action key {key!r}")
         sigma = tuple(int(s) - 1 for s in sig.split(","))
-        action_table[(x, sigma)] = result
+        action_table[(x, sigma)] = result_of(key, result, find(key, x))
     return TableOperad(elements, data["unit"], compose_table, action_table)
 
 

@@ -120,15 +120,17 @@ def map_leaves(node, table):
 
 
 def map_labels(node, fn):
-    """A plain node with every label replaced by fn(label, valence)."""
+    """A plain node with every label replaced by fn(label, valence); fn is
+    called on the vertices in depth-first preorder."""
     label, items = node
+    label = fn(label, len(items))
     out = []
     for it in items:
         if it[0] == "leaf":
             out.append(it)
         else:
             out.append(("edge", it[1], map_labels(it[2], fn)))
-    return (fn(label, len(items)), tuple(out))
+    return (label, tuple(out))
 
 
 def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool) -> list:

@@ -379,193 +379,3 @@ def iso_classes(arity: int, max_edges: int | None = None, min_valence: int = 0) 
         )
     return classes
 
-
-# -- grafting and quotients --------------------------------------------
-
-
-def graft(t: PlanarTree, pos: int, s: PlanarTree) -> PlanarTree:
-    """Substitute s into leaf number pos (1-based, planar order) of t."""
-    if not (1 <= pos <= t.arity):
-        raise ValueError(f"leaf position {pos} out of range for arity {t.arity}")
-    tree, _ = _graft_rec(t, pos - 1, s)
-    return tree
-
-
-def _graft_rec(t: PlanarTree, pos0: int, s: PlanarTree) -> tuple[PlanarTree, bool]:
-    if t.children is None:
-        return s, True
-    acc = 0
-    kids = list(t.children)
-    for j, c in enumerate(kids):
-        if acc <= pos0 < acc + c.arity:
-            new_child, done = _graft_rec(c, pos0 - acc, s)
-            kids[j] = new_child
-            return PlanarTree(tuple(kids)), done
-        acc += c.arity
-    raise AssertionError("unreachable: leaf position not found")
-
-
-def graft_edge_info(t: PlanarTree, pos: int, s: PlanarTree) -> dict:
-    """Graft plus the edge correspondence.
-
-    Returns dict with keys: tree, new_edge (result edge index or None),
-    edge_map_host (old edge index -> new), edge_map_graft.
-    Uses the fact that edge i sits above vertex i + 1 in DFS order.
-    """
-    result = graft(t, pos, s)
-    if t.is_unit:
-        return {
-            "tree": result,
-            "new_edge": None,
-            "edge_map_host": {},
-            "edge_map_graft": {i: i for i in range(s.edge_count)},
-        }
-    if s.is_unit:
-        return {
-            "tree": result,
-            "new_edge": None,
-            "edge_map_host": {i: i for i in range(t.edge_count)},
-            "edge_map_graft": {},
-        }
-    # vertices of the result: t's vertices with s's block spliced in at the
-    # DFS position its root receives
-    host_map, s_root_new = _vertex_positions_after_graft(t, pos - 1, s.vertex_count)
-    edge_map_host = {}
-    for old_child in range(1, t.vertex_count):
-        edge_map_host[old_child - 1] = host_map[old_child] - 1
-    edge_map_graft = {}
-    for old_child in range(1, s.vertex_count):
-        edge_map_graft[old_child - 1] = s_root_new + old_child - 1
-    return {
-        "tree": result,
-        "new_edge": s_root_new - 1,
-        "edge_map_host": edge_map_host,
-        "edge_map_graft": edge_map_graft,
-    }
-
-
-def _vertex_positions_after_graft(t: PlanarTree, pos0: int, s_count: int) -> tuple[dict[int, int], int]:
-    """DFS index bookkeeping for grafting an s_count-vertex block at leaf pos0.
-
-    Returns (map old host DFS index -> new index, new index of the graft root).
-    """
-    host_map: dict[int, int] = {}
-    counter = {"old": 0, "new": 0, "leaf": 0, "graft_root": -1}
-
-    def walk(u: PlanarTree) -> None:
-        host_map[counter["old"]] = counter["new"]
-        counter["old"] += 1
-        counter["new"] += 1
-        for c in u.children:
-            if c.children is None:
-                if counter["leaf"] == pos0:
-                    counter["graft_root"] = counter["new"]
-                    counter["new"] += s_count
-                counter["leaf"] += 1
-            else:
-                walk(c)
-
-    walk(t)
-    return host_map, counter["graft_root"]
-
-
-def contract_edges(t: PlanarTree, edge_indices: set[int] | frozenset[int] | list[int]) -> tuple[PlanarTree, dict[int, int]]:
-    """Contract a set of internal edges; returns (quotient tree, vertex map).
-
-    The vertex map sends each old vertex DFS index to the DFS index of the
-    vertex it lands on in the quotient.  Contracting the parent edge of
-    vertex w merges w into its parent, splicing w's child slots into the
-    parent's slot list at w's position.
-    """
-    edge_set = set(edge_indices)
-    for e in edge_set:
-        if not (0 <= e < t.edge_count):
-            raise ValueError(f"edge index {e} out of range")
-    if t.children is None:
-        return t, {}
-
-    # mutable form: vertex = [old_index, [slot, ...]], slot = ("leaf",) | vertex
-    counter = itertools.count()
-
-    def to_mut(u: PlanarTree):
-        idx = next(counter)
-        slots = []
-        for c in u.children:
-            if c.children is None:
-                slots.append(("leaf",))
-            else:
-                slots.append(to_mut(c))
-        return [idx, slots]
-
-    root = to_mut(t)
-    merged_into: dict[int, int] = {}
-
-    def contract(u) -> None:
-        # process children first so deep contractions happen before shallow
-        new_slots = []
-        for slot in u[1]:
-            if slot == ("leaf",):
-                new_slots.append(slot)
-                continue
-            contract(slot)
-            child_edge = slot[0] - 1
-            if child_edge in edge_set:
-                merged_into[slot[0]] = u[0]
-                new_slots.extend(slot[1])
-            else:
-                new_slots.append(slot)
-        u[1] = new_slots
-
-    contract(root)
-
-    def resolve(v: int) -> int:
-        while v in merged_into:
-            v = merged_into[v]
-        return v
-
-    new_index: dict[int, int] = {}
-    counter2 = itertools.count()
-
-    def rebuild(u) -> PlanarTree:
-        new_index[u[0]] = next(counter2)
-        kids = []
-        for slot in u[1]:
-            if slot == ("leaf",):
-                kids.append(UNIT)
-            else:
-                kids.append(rebuild(slot))
-        return PlanarTree(tuple(kids))
-
-    out = rebuild(root)
-    vmap = {v: new_index[resolve(v)] for v in range(t.vertex_count)}
-    return out, vmap
-
-
-def remove_unary(t: PlanarTree, vertex_indices: set[int] | list[int]) -> PlanarTree:
-    """Delete the given unary vertices, splicing their single slot upward.
-
-    Arity is preserved.  Deleting the root promotes its child; deleting a
-    vertex whose slot is a leaf turns the parent slot into a leaf.
-    """
-    todel = set(vertex_indices)
-    vals = t.valences()
-    for v in todel:
-        if not (0 <= v < t.vertex_count):
-            raise ValueError(f"vertex index {v} out of range")
-        if vals[v] != 1:
-            raise ValueError(f"vertex {v} has valence {vals[v]}, not unary")
-    counter = itertools.count()
-
-    def walk(u: PlanarTree) -> PlanarTree:
-        idx = next(counter)
-        rebuilt = []
-        for c in u.children:
-            if c.children is None:
-                rebuilt.append(UNIT)
-            else:
-                rebuilt.append(walk(c))
-        if idx in todel:
-            return rebuilt[0]
-        return PlanarTree(tuple(rebuilt))
-
-    return walk(t)

@@ -468,6 +468,41 @@ def test_elimination_certificate_catches_corruption():
         E.check()
 
 
+def test_elimination_certificate_checks_every_multiplier():
+    A = sparse([
+        [1, 2, 0, 1, 3],
+        [0, 1, 1, 2, 1],
+        [1, 0, 1, -1, 2],
+        [2, 1, 1, 1, 0],
+    ])
+    for ring in (ZZ, QQ, Ring("Fp", 5)):
+        off = [k for k in eliminate(A, ring).ops.data if k[0] != k[1]]
+        assert len(off) >= 3
+        for key in off:
+            E = eliminate(A, ring)
+            E.ops.data[key] = ring.normalize(E.ops.data[key] + 1)
+            with pytest.raises(SelfCheckError, match="M\\*U != A"):
+                E.check()
+            E = eliminate(A, ring)
+            j, c = key
+            E.ops.data[(c, j)] = E.ops.data.pop(key)
+            with pytest.raises(SelfCheckError):
+                E.check()
+
+
+def test_elimination_certificate_rejects_multiplier_below_diagonal():
+    # the fourth column reduces to zero, so a multiplier in its row leaves
+    # M*U unchanged and only the triangularity check can catch it
+    A = sparse([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    for ring in (ZZ, QQ, Ring("Fp", 5)):
+        E = eliminate(A, ring)
+        E.check()
+        assert not E.reduced.column(3)
+        E.ops.data[(3, E.pivots[0][1])] = ring.one()
+        with pytest.raises(SelfCheckError, match="U\\[3,"):
+            E.check()
+
+
 def test_elimination_zero_and_empty():
     assert certified_elimination(SparseMat(3, 2), ZZ).invariant_factors() == []
     assert certified_elimination(SparseMat(0, 0), QQ).rank() == 0

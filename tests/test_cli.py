@@ -362,6 +362,67 @@ def test_missing_file():
     assert rc == 2
 
 
+MALFORMED_ROWS = [
+    # a term outside the basis
+    ("compose", "m o1 m", {"zzz": 1}),
+    # a term of the wrong arity, then of the wrong degree
+    ("compose", "m o1 m", {"m": 1}),
+    ("compose", "m o1 m", {"h": 1}),
+    ("d", "h", {"m": 1}),
+    ("d", "t", {"h": 1}),
+    ("actions", "m * 2,1", {"t": 1}),
+    # a key outside the basis
+    ("compose", "zzz o1 m", {"t": 1}),
+]
+
+
+@pytest.mark.parametrize("section,key,row", MALFORMED_ROWS)
+@pytest.mark.parametrize("command", [
+    ["chainw", "build"],
+    ["chainw", "verify"],
+    ["chainw", "homology"],
+    ["barcobar", "build"],
+    ["barcobar", "compare-w"],
+])
+def test_malformed_chain_table_exits_2(tmp_path, command, section, key, row):
+    table = {
+        "symmetric": False,
+        "arities": {"2": [["m", 0]], "3": [["t", 0], ["h", 1]]},
+        "d": {},
+        "compose": {f"m o{i} m": {"t": 1} for i in (1, 2)},
+        "actions": {"m * 2,1": {"m": 1}},
+    }
+    table[section][key] = row
+    op = tmp_path / "malformed.json"
+    op.write_text(json.dumps(table))
+    rc, out, err = run(command + ["--operad", str(op), "--arity", "3"])
+    assert rc == 2
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section,key,result", [
+    ("compose", "m o1 m", "zzz"),
+    ("compose", "m o1 m", "m"),
+    ("actions", "m * 2,1", "t"),
+    ("compose", "zzz o1 m", "t"),
+])
+def test_malformed_set_table_exits_2(tmp_path, section, key, result):
+    table = {
+        "arities": {"1": ["e"], "2": ["m"], "3": ["t"]},
+        "unit": "e",
+        "compose": {f"m o{i} m": "t" for i in (1, 2)},
+        "actions": {"m * 2,1": "m"},
+    }
+    table[section][key] = result
+    op = tmp_path / "malformed.json"
+    op.write_text(json.dumps(table))
+    rc, out, err = run(["setw", "build", "--operad", str(op), "--arity", "3"])
+    assert rc == 2
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
 # -- environment and entry point ---------------------------------------------
 
 
@@ -379,7 +440,7 @@ def test_failed_certificate_exits_1(monkeypatch):
     monkeypatch.setattr(chain_core, "eliminate", corrupted)
     rc, out, err = run(["chainw", "homology", "--operad", "as_ns", "--arity", "3"])
     assert rc == 1
-    assert "A*V != M" in err
+    assert "M*U != A" in err
     assert "Traceback" not in err
 
 

@@ -11,14 +11,10 @@ from opres.trees import (
     aut_leaf_perms,
     aut_order,
     build_tree,
-    contract_edges,
     corolla,
     enumerate_planar,
-    graft,
-    graft_edge_info,
     iso_classes,
     iso_leaf_maps,
-    remove_unary,
     tree_to_json,
 )
 
@@ -305,140 +301,3 @@ def test_generators_generate():
             frontier = new
         assert len(group) == aut_order(t)
 
-
-# -- grafting ------------------------------------------------------------
-
-
-def test_graft_examples():
-    t2 = corolla(2)
-    assert graft(t2, 1, t2).notation() == "((| |) |)"
-    assert graft(t2, 2, t2).notation() == "(| (| |))"
-    assert graft(t2, 1, UNIT) == t2
-    assert graft(UNIT, 1, t2) == t2
-
-
-def test_graft_position_range():
-    with pytest.raises(ValueError):
-        graft(corolla(2), 0, UNIT)
-    with pytest.raises(ValueError):
-        graft(corolla(2), 3, UNIT)
-
-
-@given(tree_strategy, tree_strategy, st.integers(1, 5))
-@settings(max_examples=80)
-def test_graft_arity(t, s, raw_pos):
-    pos = 1 + (raw_pos - 1) % t.arity
-    assert graft(t, pos, s).arity == t.arity + s.arity - 1
-
-
-def test_graft_edge_info_new_edge():
-    t = build_tree("((| |) |)")
-    s = corolla(2)
-    info = graft_edge_info(t, 3, s)
-    assert info["tree"].notation() == "((| |) (| |))"
-    assert info["new_edge"] == 1
-    assert info["edge_map_host"] == {0: 0}
-    assert info["edge_map_graft"] == {}
-
-
-def test_graft_edge_info_shifts_host_edges():
-    t = build_tree("(| (| |))")
-    s = build_tree("((| |) |)")
-    info = graft_edge_info(t, 1, s)
-    # s occupies DFS positions 1..2, pushing t's old vertex 1 to index 3
-    assert info["new_edge"] == 0
-    assert info["edge_map_graft"] == {0: 1}
-    assert info["edge_map_host"] == {0: 2}
-    assert info["tree"].notation() == "(((| |) |) (| |))"
-
-
-@given(tree_strategy, tree_strategy, st.integers(1, 5))
-@settings(max_examples=60)
-def test_graft_edge_info_consistent(t, s, raw_pos):
-    pos = 1 + (raw_pos - 1) % t.arity
-    info = graft_edge_info(t, pos, s)
-    result = info["tree"]
-    assert result == graft(t, pos, s)
-    mapped = set(info["edge_map_host"].values()) | set(info["edge_map_graft"].values())
-    if info["new_edge"] is not None:
-        mapped.add(info["new_edge"])
-    assert mapped == set(range(result.edge_count))
-
-
-# -- contraction and unary removal ---------------------------------------
-
-
-def test_contract_single_edge():
-    t = build_tree("((| |) |)")
-    out, vmap = contract_edges(t, {0})
-    assert out == corolla(3)
-    assert vmap == {0: 0, 1: 0}
-
-
-def test_contract_preserves_planar_order():
-    t = build_tree("(| (| |) |)")
-    out, _ = contract_edges(t, {0})
-    assert out == corolla(4)
-
-
-def test_contract_nested():
-    t = build_tree("(((| |) |) |)")
-    out, vmap = contract_edges(t, {1})
-    assert out.notation() == "((| | |) |)"
-    assert vmap == {0: 0, 1: 1, 2: 1}
-    out2, vmap2 = contract_edges(t, {0, 1})
-    assert out2 == corolla(4)
-    assert vmap2 == {0: 0, 1: 0, 2: 0}
-
-
-def test_contract_edge_range():
-    with pytest.raises(ValueError):
-        contract_edges(corolla(2), {0})
-
-
-@given(tree_strategy, st.data())
-@settings(max_examples=80)
-def test_contract_arity_and_counts(t, data):
-    if t.edge_count == 0:
-        subset: set[int] = set()
-    else:
-        subset = set(
-            data.draw(st.lists(st.integers(0, t.edge_count - 1), unique=True))
-        )
-    out, vmap = contract_edges(t, subset)
-    assert out.arity == t.arity
-    assert out.vertex_count == t.vertex_count - len(subset)
-    assert set(vmap) == set(range(t.vertex_count))
-
-
-def test_remove_unary_midtree():
-    t = build_tree("((| (|)) |)")
-    # vertex 2 is the unary one
-    assert t.valences() == [2, 2, 1]
-    assert remove_unary(t, {2}).notation() == "((| |) |)"
-
-
-def test_remove_unary_root():
-    t = build_tree("((| |))")
-    assert remove_unary(t, {0}) == corolla(2)
-
-
-def test_remove_unary_leaf_slot():
-    t = build_tree("(| (|))")
-    assert remove_unary(t, {1}) == corolla(2)
-
-
-def test_remove_unary_whole_chain():
-    t = build_tree("((()))")
-    # arity 0 chain: root unary, middle unary, stump
-    assert t.valences() == [1, 1, 0]
-    assert remove_unary(t, {0, 1}) == build_tree("()")
-    t2 = build_tree("((|))")
-    assert remove_unary(t2, {0, 1}) == UNIT
-
-
-def test_remove_unary_validates():
-    with pytest.raises(ValueError):
-        remove_unary(corolla(2), {0})
-    with pytest.raises(ValueError):
-        remove_unary(build_tree("(|)"), {5})
