@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .chain_core import ZZ, ChainComplex, ChainMap, assemble_complex, mat_from_columns
-from .chain_operads import _pseudo_of, w_augmentation, w_pseudo
+from .chain_operads import w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
     build_node,
@@ -25,6 +25,7 @@ from .tagged import (
     graft_replace,
     koszul,
     leaves,
+    map_labels,
     map_leaves,
     node_labels,
     node_leaves,
@@ -149,14 +150,13 @@ class CooperadComplex:
     plus the cocomposition structure the cobar side consumes."""
 
     def __init__(self, P, max_arity: int, vertex_cap: int | None = None):
-        pseudo = _pseudo_of(P)
-        if pseudo.basis(0):
+        if P.basis(0):
             raise ValueError("the bar transform needs an operad with empty arity 0")
-        if pseudo.basis(1) and vertex_cap is None:
+        if P.basis(1) and vertex_cap is None:
             raise InfiniteEnumerationError(
                 "unary labels allow arbitrarily tall trees; give a vertex cap"
             )
-        self.operad = pseudo
+        self.operad = P
         self.max_arity = max_arity
         self.vertex_cap = vertex_cap
         self._basis: dict[int, tuple] = {}
@@ -491,36 +491,19 @@ def _flat_eval(P, flat, n: int) -> dict:
 def _counit_value(C: CooperadComplex, X: CobarElement) -> dict:
     """Project every label to its single vertex, then compose."""
     P = C.operad
-
-    def to_flat(nd):
-        label, items = nd
-        if label.tree().edge_count != 0:
-            return None
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(it)
-            else:
-                sub = to_flat(it[2])
-                if sub is None:
-                    return None
-                out.append(("edge", 0, sub))
-        return (label.labels()[0], tuple(out))
-
-    flat = to_flat(X.node)
-    if flat is None:
+    if any(label.tree().edge_count for label in node_labels(X.node)):
         return {}
+    flat = map_labels(X.node, lambda lab, val: lab.labels()[0])
     return _flat_eval(P, flat, X.arity)
 
 
 def cobar_bar_counit(P, arity: int, cap: int | None = None, C=None, CB=None) -> ChainMap:
     """The chain map from the cobar-of-bar piece onto the operad piece."""
-    pseudo = _pseudo_of(P)
     if C is None:
-        C = bar(pseudo, arity, cap)
+        C = bar(P, arity, cap)
     if CB is None:
         CB = cobar(C, arity, cap)
-    D = pseudo.complex(arity)
+    D = P.complex(arity)
     mats = {}
     for k in CB.degrees():
         cols = []
@@ -617,10 +600,9 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> Comparison
     built under that correspondence.  The report carries the degreewise
     basis bijection, a diagonal sign rescaling equating the two
     differentials, and the compatibility of the two augmentations."""
-    pseudo = _pseudo_of(P)
-    W = w_pseudo(pseudo, arity, edge_cap)
+    W = w_pseudo(P, arity, edge_cap)
     vcap = None if edge_cap is None else edge_cap + 1
-    C = bar(pseudo, arity, vcap)
+    C = bar(P, arity, vcap)
     CB = cobar(C, arity, vcap)
 
     def fail(msg):
@@ -635,7 +617,7 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> Comparison
     for k in degs:
         seen = set()
         for x in W.basis_of(k):
-            y = _w_to_cobar(pseudo, C, x)
+            y = _w_to_cobar(P, C, x)
             try:
                 CB.index(k, y)
             except KeyError:
@@ -666,8 +648,8 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> Comparison
                 req = 1 if (v > 0) == (colb[CB.index(k - 1, phi[ys[r]])] > 0) else -1
                 cons.append((x, ys[r], req))
 
-    gamma = w_augmentation(pseudo, arity, edge_cap, W=W)
-    counit = cobar_bar_counit(pseudo, arity, vcap, C=C, CB=CB)
+    gamma = w_augmentation(P, arity, edge_cap, W=W)
+    counit = cobar_bar_counit(P, arity, vcap, C=C, CB=CB)
     forced = {}
     for k in degs:
         if W.dim(k) == 0:

@@ -1,8 +1,9 @@
-"""Pseudo and reduced chain operads over the integers, the three-cell
-interval complex with its join, and the chain-level cylinder built on
-trees with a marked edge set.
+"""Pseudo chain operads over the integers, the three-cell interval
+complex with its join, and the chain-level cylinder built on trees with
+a marked edge set.
 
-A pseudo chain operad has no arity-0 part and no unit.  Each arity piece
+A pseudo chain operad has no arity-0 part and no unit; the cylinder on
+the reduced operad adjoins the unit summand itself.  Each arity piece
 is a free graded module with a chosen basis, a degree -1 boundary, and
 partial compositions; symmetric variants also carry signed permutation
 actions.  The cylinder complex in arity n is spanned by trees whose
@@ -84,7 +85,6 @@ class PseudoChainOperad:
     """
 
     symmetric: bool = True
-    max_arity: int = 8
     name: str = "operad"
 
     def basis(self, n: int) -> tuple:
@@ -144,50 +144,14 @@ class PseudoChainOperad:
         return ChainComplex(ZZ, basis, mats, check=True)
 
 
-@dataclass
-class ReducedChainOperad:
-    """A pseudo chain operad with the unit summand adjoined in arity 1."""
-
-    pseudo: PseudoChainOperad
-    unit_name: str = "1"
-
-    @property
-    def symmetric(self) -> bool:
-        return self.pseudo.symmetric
-
-    @property
-    def name(self) -> str:
-        return self.pseudo.name
-
-    def unary_basis(self) -> tuple:
-        """Basis of the full arity-1 piece, unit first."""
-        return ((self.unit_name, 0),) + tuple(self.pseudo.basis(1))
-
-    def compose(self, n, i, x, m, y) -> dict:
-        if x == self.unit_name:
-            return {y: 1}
-        if y == self.unit_name:
-            return {x: 1}
-        return self.pseudo.compose(n, i, x, m, y)
-
-
-def _pseudo_of(P) -> PseudoChainOperad:
-    return P.pseudo if isinstance(P, ReducedChainOperad) else P
-
-
 class _NonsymAssociative(PseudoChainOperad):
     """One operation in each arity from two up, concentrated in degree 0."""
 
     symmetric = False
     name = "as_ns"
 
-    def __init__(self, max_arity: int = 8):
-        self.max_arity = max_arity
-
     def basis(self, n):
-        if 2 <= n <= self.max_arity:
-            return ((f"a{n}", 0),)
-        return ()
+        return ((f"a{n}", 0),) if n >= 2 else ()
 
     def compose(self, n, i, x, m, y):
         return {f"a{n + m - 1}": 1}
@@ -202,9 +166,8 @@ class _SymAssociative(PseudoChainOperad):
     symmetric = True
     name = "ass_sym"
 
-    def __init__(self, max_arity: int = 8):
-        self.max_arity = max_arity
-        self._words = AssOperad(max_arity=max(max_arity, 2))
+    def __init__(self):
+        self._words = AssOperad()
         self._tables: dict[int, dict[str, tuple]] = {}
 
     def _arity_words(self, n: int) -> dict[str, tuple]:
@@ -218,9 +181,7 @@ class _SymAssociative(PseudoChainOperad):
         return tab
 
     def basis(self, n):
-        if 2 <= n <= self.max_arity:
-            return tuple((nm, 0) for nm in self._arity_words(n))
-        return ()
+        return tuple((nm, 0) for nm in self._arity_words(n)) if n >= 2 else ()
 
     def compose(self, n, i, x, m, y):
         wx = self._arity_words(n)[x]
@@ -239,13 +200,8 @@ class _TrivialCommutative(PseudoChainOperad):
     symmetric = True
     name = "com"
 
-    def __init__(self, max_arity: int = 8):
-        self.max_arity = max_arity
-
     def basis(self, n):
-        if 2 <= n <= self.max_arity:
-            return ((f"c{n}", 0),)
-        return ()
+        return ((f"c{n}", 0),) if n >= 2 else ()
 
     def compose(self, n, i, x, m, y):
         return {f"c{n + m - 1}": 1}
@@ -254,13 +210,14 @@ class _TrivialCommutative(PseudoChainOperad):
         return {x: 1}
 
 
-def builtin_chain_operad(name: str, max_arity: int = 8) -> PseudoChainOperad:
+def builtin_chain_operad(name: str) -> PseudoChainOperad:
+    """A builtin by name; its basis is nonempty in every arity from two up."""
     if name == "as_ns":
-        return _NonsymAssociative(max_arity)
+        return _NonsymAssociative()
     if name == "ass_sym":
-        return _SymAssociative(max_arity)
+        return _SymAssociative()
     if name == "com":
-        return _TrivialCommutative(max_arity)
+        return _TrivialCommutative()
     raise ValueError(f"unknown chain operad {name!r}")
 
 
@@ -291,7 +248,6 @@ class TableChainOperad(PseudoChainOperad):
                 self.arity_of[nm] = n
                 row.append((nm, int(deg)))
             self.by_arity[n] = tuple(row)
-        self.max_arity = max(self.by_arity, default=1)
         self.d_table = {k: dict(v) for k, v in (d_table or {}).items()}
         self.compose_table = {k: dict(v) for k, v in (compose_table or {}).items()}
         self.action_table = {k: dict(v) for k, v in (action_table or {}).items()}
@@ -320,13 +276,14 @@ class TableChainOperad(PseudoChainOperad):
         return dict(self.action_table[key])
 
 
-def load_chain_operad(data: dict):
+def load_chain_operad(data: dict) -> TableChainOperad:
     """Build a chain operad from its table serialization.
 
     Keys: "arities" mapping arity to [name, degree] pairs, optional "d",
     "compose" keyed "x o1 y" (slots 1-based), "actions" keyed "x * 2,1",
-    flags "symmetric" and "reduced".  A row that names an element outside
-    the basis, or a term of the wrong arity or degree, raises ValueError."""
+    the flag "symmetric" and a "name"; other keys are ignored.  A row that
+    names an element outside the basis, or a term of the wrong arity or
+    degree, raises ValueError."""
     basis = {
         int(k): [(str(nm), int(deg)) for nm, deg in v]
         for k, v in data["arities"].items()
@@ -365,7 +322,7 @@ def load_chain_operad(data: dict):
             raise ValueError(f"bad action key {key!r}")
         sigma = tuple(int(s) - 1 for s in sig.split(","))
         action_table[(x, sigma)] = terms(key, row, *find(key, x))
-    P = TableChainOperad(
+    return TableChainOperad(
         data.get("symmetric", True),
         basis,
         d_table,
@@ -373,51 +330,46 @@ def load_chain_operad(data: dict):
         action_table,
         name=data.get("name", "table"),
     )
-    if data.get("reduced"):
-        return ReducedChainOperad(P)
-    return P
 
 
 def chain_operad_to_json(P, arity_bound: int) -> dict:
     """Table serialization of a chain operad up to an arity bound."""
-    pseudo = _pseudo_of(P)
     arities: dict[str, list] = {}
     d: dict[str, dict] = {}
     compose: dict[str, dict] = {}
     actions: dict[str, dict] = {}
     for n in range(1, arity_bound + 1):
-        row = pseudo.basis(n)
+        row = P.basis(n)
         if row:
             arities[str(n)] = [[nm, deg] for nm, deg in row]
         for nm, _ in row:
-            dr = {t: c for t, c in pseudo.d(n, nm).items() if c}
+            dr = {t: c for t, c in P.d(n, nm).items() if c}
             if dr:
                 d[nm] = dr
     for n in range(1, arity_bound + 1):
         for m in range(1, arity_bound + 2 - n):
-            for x in pseudo.names(n):
-                for y in pseudo.names(m):
+            for x in P.names(n):
+                for y in P.names(m):
                     for i in range(n):
                         # empty rows stay in the table: a missing entry is
                         # an error on load, not a zero
                         compose[f"{x} o{i + 1} {y}"] = {
                             t: c
-                            for t, c in pseudo.compose(n, i, x, m, y).items()
+                            for t, c in P.compose(n, i, x, m, y).items()
                             if c
                         }
-    if pseudo.symmetric:
+    if P.symmetric:
         for n in range(1, arity_bound + 1):
-            for x in pseudo.names(n):
+            for x in P.names(n):
                 for sigma in perms.all_perms(n):
                     if sigma == perms.identity(n):
                         continue
-                    row = {t: c for t, c in pseudo.act(n, x, sigma).items() if c}
+                    row = {t: c for t, c in P.act(n, x, sigma).items() if c}
                     key = f"{x} * {','.join(str(s + 1) for s in sigma)}"
                     actions[key] = row
     return {
-        "name": pseudo.name,
-        "symmetric": pseudo.symmetric,
-        "reduced": isinstance(P, ReducedChainOperad),
+        "name": P.name,
+        "symmetric": P.symmetric,
         "arities": arities,
         "d": d,
         "compose": compose,
@@ -466,48 +418,47 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
     zero, compositions are chain maps, nested and disjoint associativity
     with the transposition sign, and for symmetric operads the action
     and equivariance laws."""
-    pseudo = _pseudo_of(P)
     bad: list[str] = []
-    if pseudo.basis(0):
+    if P.basis(0):
         bad.append("arity 0 must vanish for a pseudo chain operad")
     seen: dict[str, int] = {}
     for n in range(1, arity_bound + 1):
-        for nm, deg in pseudo.basis(n):
+        for nm, deg in P.basis(n):
             if nm in seen:
                 bad.append(f"basis name {nm!r} reused across arities")
             seen[nm] = n
-            dn = pseudo.d(n, nm)
+            dn = P.d(n, nm)
             for t, c in dn.items():
-                if c and (t not in dict(pseudo.basis(n)) or pseudo.degree_of(n, t) != deg - 1):
+                if c and (t not in dict(P.basis(n)) or P.degree_of(n, t) != deg - 1):
                     bad.append(f"d({nm}) has a bad target {t!r}")
-            if _lin_d(pseudo, n, dn):
+            if _lin_d(P, n, dn):
                 bad.append(f"d^2 fails on {nm}")
     rng = range(1, arity_bound + 1)
     for n in rng:
         for m in rng:
             if n + m - 1 > arity_bound:
                 continue
-            for x in pseudo.names(n):
-                degx = pseudo.degree_of(n, x)
-                for y in pseudo.names(m):
-                    degy = pseudo.degree_of(m, y)
+            for x in P.names(n):
+                degx = P.degree_of(n, x)
+                for y in P.names(m):
+                    degy = P.degree_of(m, y)
                     for i in range(n):
-                        z = pseudo.compose(n, i, x, m, y)
-                        tgt = dict(pseudo.basis(n + m - 1))
+                        z = P.compose(n, i, x, m, y)
+                        tgt = dict(P.basis(n + m - 1))
                         for t, c in z.items():
                             if c and tgt.get(t) != degx + degy:
                                 bad.append(
                                     f"{x} o{i + 1} {y} hits {t!r} off degree"
                                 )
-                        lhs = _lin_d(pseudo, n + m - 1, z)
+                        lhs = _lin_d(P, n + m - 1, z)
                         rhs: dict = {}
                         _add_into(
                             rhs,
-                            _lin_compose(pseudo, n, i, pseudo.d(n, x), m, {y: 1}),
+                            _lin_compose(P, n, i, P.d(n, x), m, {y: 1}),
                         )
                         _add_into(
                             rhs,
-                            _lin_compose(pseudo, n, i, {x: 1}, m, pseudo.d(m, y)),
+                            _lin_compose(P, n, i, {x: 1}, m, P.d(m, y)),
                             -1 if degx % 2 else 1,
                         )
                         if lhs != _clean(rhs):
@@ -517,20 +468,20 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
             for l in rng:
                 if n + m + l - 2 > arity_bound:
                     continue
-                for x in pseudo.names(n):
-                    for y in pseudo.names(m):
-                        degy = pseudo.degree_of(m, y)
-                        for z in pseudo.names(l):
-                            degz = pseudo.degree_of(l, z)
+                for x in P.names(n):
+                    for y in P.names(m):
+                        degy = P.degree_of(m, y)
+                        for z in P.names(l):
+                            degz = P.degree_of(l, z)
                             for i in range(n):
-                                xy = pseudo.compose(n, i, x, m, y)
+                                xy = P.compose(n, i, x, m, y)
                                 for j in range(m):
                                     lhs = _lin_compose(
-                                        pseudo, n + m - 1, i + j, xy, l, {z: 1}
+                                        P, n + m - 1, i + j, xy, l, {z: 1}
                                     )
                                     rhs = _lin_compose(
-                                        pseudo, n, i, {x: 1}, m + l - 1,
-                                        pseudo.compose(m, j, y, l, z),
+                                        P, n, i, {x: 1}, m + l - 1,
+                                        P.compose(m, j, y, l, z),
                                     )
                                     if lhs != rhs:
                                         bad.append(
@@ -538,11 +489,11 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
                                         )
                                 for j2 in range(i + 1, n):
                                     lhs = _lin_compose(
-                                        pseudo, n + m - 1, j2 + m - 1, xy, l, {z: 1}
+                                        P, n + m - 1, j2 + m - 1, xy, l, {z: 1}
                                     )
                                     rhs = _lin_compose(
-                                        pseudo, n + l - 1, i,
-                                        pseudo.compose(n, j2, x, l, z), m, {y: 1},
+                                        P, n + l - 1, i,
+                                        P.compose(n, j2, x, l, z), m, {y: 1},
                                     )
                                     sgn = -1 if (degy % 2) and (degz % 2) else 1
                                     rhs = {k: sgn * v for k, v in rhs.items()}
@@ -550,19 +501,19 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
                                         bad.append(
                                             f"disjoint associativity fails at ({x},{y},{z}) slots ({i},{j2})"
                                         )
-    if pseudo.symmetric:
+    if P.symmetric:
         for n in rng:
-            for x in pseudo.names(n):
-                if pseudo.act(n, x, perms.identity(n)) != {x: 1}:
+            for x in P.names(n):
+                if P.act(n, x, perms.identity(n)) != {x: 1}:
                     bad.append(f"identity action fails on {x}")
                 if n > 4:
                     continue
                 for s in perms.all_perms(n):
-                    xs = pseudo.act(n, x, s)
-                    if _lin_d(pseudo, n, xs) != _lin_act(pseudo, n, pseudo.d(n, x), s):
+                    xs = P.act(n, x, s)
+                    if _lin_d(P, n, xs) != _lin_act(P, n, P.d(n, x), s):
                         bad.append(f"action of {s} on {x} is not a chain map")
                     for t in perms.all_perms(n):
-                        if _lin_act(pseudo, n, xs, t) != pseudo.act(
+                        if _lin_act(P, n, xs, t) != P.act(
                             n, x, perms.perm_then(s, t)
                         ):
                             bad.append(f"action composition fails on {x}")
@@ -572,16 +523,16 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
             for m in rng:
                 if n + m - 1 > arity_bound or m > 3:
                     continue
-                for x in pseudo.names(n):
-                    for y in pseudo.names(m):
+                for x in P.names(n):
+                    for y in P.names(m):
                         for s in perms.all_perms(n):
                             for j in range(n):
                                 lhs = _lin_compose(
-                                    pseudo, n, s[j], pseudo.act(n, x, s), m, {y: 1}
+                                    P, n, s[j], P.act(n, x, s), m, {y: 1}
                                 )
                                 rhs = _lin_act(
-                                    pseudo, n + m - 1,
-                                    pseudo.compose(n, j, x, m, y),
+                                    P, n + m - 1,
+                                    P.compose(n, j, x, m, y),
                                     perms.blow(s, j, m),
                                 )
                                 if lhs != rhs:
@@ -589,11 +540,11 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
                         for rho in perms.all_perms(m):
                             for i in range(n):
                                 lhs = _lin_compose(
-                                    pseudo, n, i, {x: 1}, m, pseudo.act(m, y, rho)
+                                    P, n, i, {x: 1}, m, P.act(m, y, rho)
                                 )
                                 rhs = _lin_act(
-                                    pseudo, n + m - 1,
-                                    pseudo.compose(n, i, x, m, y),
+                                    P, n + m - 1,
+                                    P.compose(n, i, x, m, y),
                                     perms.embed(rho, i, n),
                                 )
                                 if lhs != rhs:
@@ -775,10 +726,9 @@ def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
     Without a cap the operad must have no unary part, which bounds trees
     by the arity; the symmetric basis takes one leaf routing per
     automorphism coset."""
-    pseudo = _pseudo_of(P)
-    if pseudo.basis(0):
+    if P.basis(0):
         raise ValueError("the cylinder needs an operad with empty arity 0")
-    unary = bool(pseudo.basis(1))
+    unary = bool(P.basis(1))
     if unary and edge_cap is None:
         raise InfiniteEnumerationError(
             "unary labels allow arbitrarily long edge chains; give an edge cap"
@@ -788,8 +738,8 @@ def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
     cap = edge_cap if edge_cap is not None else max(arity - 2, 0)
     min_val = 1 if unary else 2
     out: list[WChainBasis] = []
-    for tree, lams in shapes(arity, cap, min_val, pseudo.symmetric):
-        out.extend(_tree_basis(pseudo, tree, lams))
+    for tree, lams in shapes(arity, cap, min_val, P.symmetric):
+        out.extend(_tree_basis(P, tree, lams))
     return tuple(out)
 
 
@@ -813,10 +763,9 @@ def _tree_basis(P, tree: PlanarTree, leaf_choices) -> list:
 def w_boundary(P, x: WChainBasis) -> dict:
     """Differential of a basis element: label boundaries, unmarking of a
     marked edge, and contraction of a marked edge, in that sign order."""
-    pseudo = _pseudo_of(P)
     if x.node is None:
         return {}
-    nd = tag(x.node, pseudo.degree_of)
+    nd = tag(x.node, P.degree_of)
     w0 = _word(nd)
     acc: dict[WChainBasis, int] = {}
 
@@ -827,7 +776,7 @@ def w_boundary(P, x: WChainBasis) -> dict:
 
     for vuid, vname, vpar, vitems in vertices(nd):
         s = _prefix_sign(w0, vuid)
-        for zname, c in pseudo.d(len(vitems), vname).items():
+        for zname, c in P.d(len(vitems), vname).items():
             nd2 = graft_replace(nd, vuid, (vuid, zname, (vpar + 1) & 1, vitems))
             add(untag(nd2), s * c)
     for parent, slot, child in edges(nd):
@@ -840,8 +789,8 @@ def w_boundary(P, x: WChainBasis) -> dict:
         w1 = _word(unmarked)
         k1 = koszul(w_minus, w1)
         add(untag(unmarked), s * k1)
-        for c2, t2, w2 in _contract_step(pseudo, unmarked, parent, slot, w1):
-            c3, node3 = signed_canon(pseudo, t2, w2)
+        for c2, t2, w2 in _contract_step(P, unmarked, parent, slot, w1):
+            c3, node3 = signed_canon(P, t2, w2)
             add(node3, -s * k1 * c2 * c3)
     return _clean(acc)
 
@@ -1018,33 +967,30 @@ def _assemble_w(P, elems, arity, edge_cap, construction) -> ChainComplex:
 
 def w_pseudo(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder complex on the pseudo operad in one arity."""
-    pseudo = _pseudo_of(P)
-    elems = enumerate_w_basis(pseudo, arity, edge_cap)
-    return _assemble_w(pseudo, elems, arity, edge_cap, "w_pseudo")
+    elems = enumerate_w_basis(P, arity, edge_cap)
+    return _assemble_w(P, elems, arity, edge_cap, "w_pseudo")
 
 
 def w_reduced(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder on the reduced operad: the pseudo cylinder plus the
     unit summand in arities 0 and 1."""
-    pseudo = _pseudo_of(P)
     elems: list[WChainBasis] = []
     if arity <= 1:
         elems.append(WChainBasis(arity, None, 0))
     if arity >= 1:
-        elems.extend(enumerate_w_basis(pseudo, arity, edge_cap))
-    return _assemble_w(pseudo, tuple(elems), arity, edge_cap, "w_reduced")
+        elems.extend(enumerate_w_basis(P, arity, edge_cap))
+    return _assemble_w(P, tuple(elems), arity, edge_cap, "w_reduced")
 
 
 def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The span of the unmarked basis elements; the differential is the
     label part alone, so this is a subcomplex of the cylinder."""
-    pseudo = _pseudo_of(P)
     elems = tuple(
         x
-        for x in enumerate_w_basis(pseudo, arity, edge_cap)
+        for x in enumerate_w_basis(P, arity, edge_cap)
         if not any(node_lengths(x.node))
     )
-    return _assemble_w(pseudo, elems, arity, edge_cap, "free")
+    return _assemble_w(P, elems, arity, edge_cap, "free")
 
 
 def _evaluate_free(P, x: WChainBasis) -> dict:
@@ -1067,16 +1013,15 @@ def _evaluate_free(P, x: WChainBasis) -> dict:
 def w_augmentation(P, arity: int, edge_cap: int | None = None, W: ChainComplex | None = None) -> ChainMap:
     """The chain map from the cylinder onto the operad piece: kill every
     element with a marked edge, compose the labels of the rest."""
-    pseudo = _pseudo_of(P)
     if W is None:
-        W = w_pseudo(pseudo, arity, edge_cap)
-    D = pseudo.complex(arity)
+        W = w_pseudo(P, arity, edge_cap)
+    D = P.complex(arity)
     mats = {}
     for k in W.degrees():
         cols = []
         for x in W.basis_of(k):
             if x.node is not None and not any(node_lengths(x.node)):
-                vals = _evaluate_free(pseudo, x)
+                vals = _evaluate_free(P, x)
                 cols.append({D.index(k, nm): c for nm, c in vals.items()})
             else:
                 cols.append({})
@@ -1086,10 +1031,9 @@ def w_augmentation(P, arity: int, edge_cap: int | None = None, W: ChainComplex |
 
 def delta_embedding(P, arity: int, edge_cap: int | None = None, W: ChainComplex | None = None) -> ChainMap:
     """The inclusion of the unmarked span into the cylinder."""
-    pseudo = _pseudo_of(P)
     if W is None:
-        W = w_pseudo(pseudo, arity, edge_cap)
-    F = free_operad_complex(pseudo, arity, edge_cap)
+        W = w_pseudo(P, arity, edge_cap)
+    F = free_operad_complex(P, arity, edge_cap)
     mats = {}
     for k in F.degrees():
         cols = [{W.index(k, x): 1} for x in F.basis_of(k)]
@@ -1099,14 +1043,13 @@ def delta_embedding(P, arity: int, edge_cap: int | None = None, W: ChainComplex 
 
 def free_counit(P, F: ChainComplex) -> ChainMap:
     """Label composition on the unmarked span, as a chain map."""
-    pseudo = _pseudo_of(P)
     arity = F.meta["arity"]
-    D = pseudo.complex(arity)
+    D = P.complex(arity)
     mats = {}
     for k in F.degrees():
         cols = []
         for x in F.basis_of(k):
-            vals = _evaluate_free(pseudo, x)
+            vals = _evaluate_free(P, x)
             cols.append({D.index(k, nm): c for nm, c in vals.items()})
         mats[k] = mat_from_columns(D.dim(k), cols, ZZ)
     return ChainMap(F, D, 0, mats)
@@ -1116,9 +1059,8 @@ def truncation_inclusion(P, arity: int, small_cap: int, big_cap: int | None) -> 
     """Inclusion of the smaller edge-cap cylinder into the larger."""
     if big_cap is not None and small_cap > big_cap:
         raise ValueError("small cap exceeds big cap")
-    pseudo = _pseudo_of(P)
-    Cs = w_pseudo(pseudo, arity, small_cap)
-    Cb = w_pseudo(pseudo, arity, big_cap)
+    Cs = w_pseudo(P, arity, small_cap)
+    Cb = w_pseudo(P, arity, big_cap)
     mats = {}
     for k in Cs.degrees():
         cols = [{Cb.index(k, x): 1} for x in Cs.basis_of(k)]
@@ -1132,7 +1074,6 @@ def truncation_inclusion(P, arity: int, small_cap: int, big_cap: int | None) -> 
 def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | None = None):
     """Graft y under input i of x along a fresh unmarked edge.  Returns
     the sign and the canonical composite."""
-    pseudo = _pseudo_of(P)
     n, m = x.arity, y.arity
     if not 0 <= i < n:
         raise ValueError("slot out of range")
@@ -1144,8 +1085,8 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | N
         total = len(node_lengths(x.node)) + len(node_lengths(y.node)) + 1
         if total > edge_cap:
             raise ValueError("edge cap exceeded by composition")
-    tx = tag(x.node, pseudo.degree_of)
-    ty = tag(map_leaves(y.node, range(i, i + m)), pseudo.degree_of)
+    tx = tag(x.node, P.degree_of)
+    ty = tag(map_leaves(y.node, range(i, i + m)), P.degree_of)
     w_xy = _word(tx) + _word(ty)
     euid = fresh_uid()
 
@@ -1165,30 +1106,28 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | N
 
     nd = plug(tx)
     k = koszul(w_xy, _word(nd))
-    c, node = signed_canon(pseudo, untag(nd))
+    c, node = signed_canon(P, untag(nd))
     return k * c, WChainBasis(n + m - 1, node, x.degree + y.degree)
 
 
 def w_act_basis(P, x: WChainBasis, sigma):
     """Right action on a basis element: reroute the leaves, recanonize."""
-    pseudo = _pseudo_of(P)
     sigma = tuple(sigma)
     if x.node is None or sigma == perms.identity(x.arity):
         return 1, x
-    if not pseudo.symmetric:
+    if not P.symmetric:
         raise ValueError("non-symmetric cylinder acted on by a permutation")
-    c, node = signed_canon(pseudo, map_leaves(x.node, sigma))
+    c, node = signed_canon(P, map_leaves(x.node, sigma))
     return c, WChainBasis(x.arity, node, x.degree)
 
 
 def w_operad_composition(P, n: int, m: int, edge_cap: int | None = None) -> dict[int, ChainMap]:
     """Partial compositions as chain maps from the tensor square of the
     cylinder; the target cap leaves room for the grafting edge."""
-    pseudo = _pseudo_of(P)
-    A = w_pseudo(pseudo, n, edge_cap)
-    B = w_pseudo(pseudo, m, edge_cap)
+    A = w_pseudo(P, n, edge_cap)
+    B = w_pseudo(P, m, edge_cap)
     cap_t = None if edge_cap is None else 2 * edge_cap + 1
-    T = w_pseudo(pseudo, n + m - 1, cap_t)
+    T = w_pseudo(P, n + m - 1, cap_t)
     S = tensor_complexes(A, B)
     out = {}
     for i in range(n):
@@ -1196,7 +1135,7 @@ def w_operad_composition(P, n: int, m: int, edge_cap: int | None = None) -> dict
         for k in S.degrees():
             cols = []
             for x, y in S.basis_of(k):
-                c, z = w_compose_basis(pseudo, x, i, y)
+                c, z = w_compose_basis(P, x, i, y)
                 cols.append({T.index(k, z): c})
             mats[k] = mat_from_columns(T.dim(k), cols, ZZ)
         out[i] = ChainMap(S, T, 0, mats)
@@ -1209,18 +1148,17 @@ def w_operad_composition(P, n: int, m: int, edge_cap: int | None = None) -> dict
 def _census_ranks(P, arity: int, edge_cap: int | None) -> dict[int, int] | None:
     """Expected ranks by marked-edge count when every label has degree 0;
     None when graded labels make the census inapplicable."""
-    pseudo = _pseudo_of(P)
-    unary = bool(pseudo.basis(1))
+    unary = bool(P.basis(1))
     cap = edge_cap if edge_cap is not None else max(arity - 2, 0)
     min_val = 1 if unary else 2
     expected: dict[int, int] = {}
 
     def tally(tree, weight):
-        pools = [len(pseudo.basis(v)) for v in tree.valences()]
+        pools = [len(P.basis(v)) for v in tree.valences()]
         if any(
             deg != 0
             for v in set(tree.valences())
-            for _, deg in pseudo.basis(v)
+            for _, deg in P.basis(v)
         ):
             return False
         count = 1
@@ -1235,7 +1173,7 @@ def _census_ranks(P, arity: int, edge_cap: int | None) -> dict[int, int] | None:
                 expected[d] = expected.get(d, 0) + count * binom * weight
         return True
 
-    if pseudo.symmetric:
+    if P.symmetric:
         fact = 1
         for t in range(2, arity + 1):
             fact *= t
@@ -1257,22 +1195,21 @@ def verify_w_construction(P, arity: int, edge_cap: int | None = None) -> list[st
     """Structural checks for one arity piece: the differential squares
     to zero, the augmentation and the embedding are chain maps composing
     to label evaluation, and ranks match the tree census."""
-    pseudo = _pseudo_of(P)
     msgs: list[str] = []
     try:
-        W = w_pseudo(pseudo, arity, edge_cap)
+        W = w_pseudo(P, arity, edge_cap)
     except ValueError as err:
         return [f"complex construction failed: {err}"]
-    gamma = w_augmentation(pseudo, arity, edge_cap, W=W)
-    delta = delta_embedding(pseudo, arity, edge_cap, W=W)
+    gamma = w_augmentation(P, arity, edge_cap, W=W)
+    delta = delta_embedding(P, arity, edge_cap, W=W)
     msgs += [f"augmentation: {m}" for m in verify_chain_map(gamma)]
     msgs += [f"embedding: {m}" for m in verify_chain_map(delta)]
     composite = compose_chain_maps(delta, gamma)
-    counit = free_counit(pseudo, delta.source)
+    counit = free_counit(P, delta.source)
     for k in delta.source.degrees():
         if not composite.mat(k).equals(counit.mat(k), ZZ):
             msgs.append(f"augmentation after embedding is not label evaluation in degree {k}")
-    census = _census_ranks(pseudo, arity, edge_cap)
+    census = _census_ranks(P, arity, edge_cap)
     if census is not None:
         got = {}
         for k in W.degrees():
@@ -1287,38 +1224,37 @@ def check_composition_maps(P, n: int, m: int, edge_cap: int | None = None) -> li
     """Checks on the grafting maps: each slot is a chain map, label
     evaluation turns grafting into operad composition, and the action
     laws hold with signs."""
-    pseudo = _pseudo_of(P)
     msgs: list[str] = []
-    comps = w_operad_composition(pseudo, n, m, edge_cap)
+    comps = w_operad_composition(P, n, m, edge_cap)
     for i, f in comps.items():
         msgs += [f"slot {i + 1}: {w}" for w in verify_chain_map(f)]
-    xs = enumerate_w_basis(pseudo, n, edge_cap)
-    ys = enumerate_w_basis(pseudo, m, edge_cap)
+    xs = enumerate_w_basis(P, n, edge_cap)
+    ys = enumerate_w_basis(P, m, edge_cap)
     for x in xs:
-        gx = _evaluate_free(pseudo, x) if not any(node_lengths(x.node)) else {}
+        gx = _evaluate_free(P, x) if not any(node_lengths(x.node)) else {}
         for y in ys:
-            gy = _evaluate_free(pseudo, y) if not any(node_lengths(y.node)) else {}
+            gy = _evaluate_free(P, y) if not any(node_lengths(y.node)) else {}
             for i in range(n):
-                c, z = w_compose_basis(pseudo, x, i, y)
+                c, z = w_compose_basis(P, x, i, y)
                 gz = (
-                    {k: c * v for k, v in _evaluate_free(pseudo, z).items()}
+                    {k: c * v for k, v in _evaluate_free(P, z).items()}
                     if not any(node_lengths(z.node))
                     else {}
                 )
-                want = _lin_compose(pseudo, n, i, gx, m, gy)
+                want = _lin_compose(P, n, i, gx, m, gy)
                 if _clean(gz) != want:
                     msgs.append(
                         f"evaluation does not respect grafting at slot {i + 1}"
                     )
-    if pseudo.symmetric and n <= 3 and m <= 3:
+    if P.symmetric and n <= 3 and m <= 3:
         for x in xs:
             for y in ys:
                 for s in perms.all_perms(n):
-                    cs, xs_ = w_act_basis(pseudo, x, s)
+                    cs, xs_ = w_act_basis(P, x, s)
                     for j in range(n):
-                        c1, lhs = w_compose_basis(pseudo, xs_, s[j], y)
-                        c0, xy = w_compose_basis(pseudo, x, j, y)
-                        c2, rhs = w_act_basis(pseudo, xy, perms.blow(s, j, m))
+                        c1, lhs = w_compose_basis(P, xs_, s[j], y)
+                        c0, xy = w_compose_basis(P, x, j, y)
+                        c2, rhs = w_act_basis(P, xy, perms.blow(s, j, m))
                         if lhs != rhs or cs * c1 != c0 * c2:
                             msgs.append(f"grafting equivariance fails at slot {j + 1}")
     return msgs

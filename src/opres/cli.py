@@ -5,7 +5,10 @@ constructions and verifications, prints small human tables, and writes a
 machine report via --json.  Exit codes: 0 success or verified, 1 a
 verification failed (the report carries the witness) or an exact
 self-check failed (the witness goes to stderr), 2 usage or input
-errors.  Reports are byte-stable for a fixed invocation and version.
+errors, 3 an internal fault (any other exception, reported on stderr
+without a traceback).  Reports are byte-stable for a fixed invocation
+and version.  The arity ceiling HARD_ARITY, lifted by --unsafe, is the
+only bound on arity: the builtin operads are defined in every arity.
 """
 
 import argparse
@@ -67,6 +70,7 @@ HARD_CAP = 8
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 # -- input loading -----------------------------------------------------------
@@ -509,6 +513,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     report = {
         "status": status,
         "payload": payload,

@@ -64,16 +64,10 @@ class AssOperad:
     order a_{w_0} a_{w_1} ...; composition substitutes a block and the
     right action relabels letters."""
 
-    max_arity: int = 8
     symmetric: bool = True
 
-    def arities(self):
-        return range(1, self.max_arity + 1)
-
     def elements(self, n: int) -> tuple:
-        if not (1 <= n <= self.max_arity):
-            return ()
-        return tuple(itertools.permutations(range(n)))
+        return tuple(itertools.permutations(range(n))) if n >= 1 else ()
 
     @property
     def unit(self):
@@ -101,16 +95,10 @@ class AssOperad:
 
 @dataclass(frozen=True)
 class ComOperad:
-    max_arity: int = 8
     symmetric: bool = True
 
-    def arities(self):
-        return range(1, self.max_arity + 1)
-
     def elements(self, n: int) -> tuple:
-        if not (1 <= n <= self.max_arity):
-            return ()
-        return ("*",)
+        return ("*",) if n >= 1 else ()
 
     @property
     def unit(self):
@@ -144,9 +132,6 @@ class TableOperad:
                 self.arity_of[e] = n
         if self.arity_of.get(unit_name) != 1:
             raise ValueError("unit must be a declared arity-1 element")
-
-    def arities(self):
-        return sorted(self.by_arity)
 
     def elements(self, n: int) -> tuple:
         return self.by_arity.get(n, ())
@@ -245,11 +230,12 @@ def operad_to_json(P, max_arity: int) -> dict:
     }
 
 
-def get_builtin_operad(name: str, max_arity: int = 8):
+def get_builtin_operad(name: str):
+    """A builtin by name; it has elements in every arity from one up."""
     if name == "ass":
-        return AssOperad(max_arity)
+        return AssOperad()
     if name == "com":
-        return ComOperad(max_arity)
+        return ComOperad()
     raise ValueError(f"unknown builtin operad {name!r}")
 
 
@@ -713,10 +699,6 @@ class WSetOperad:
         self.vertex_cap = vertex_cap
         self._cache: dict[int, tuple] = {}
 
-    @property
-    def truncated(self) -> bool:
-        return self.vertex_cap is not None
-
     def elements(self, n: int):
         if n not in self._cache:
             self._cache[n] = tuple(enumerate_w_elements(self.P, self.H, n, self.vertex_cap))
@@ -870,42 +852,12 @@ def _finish_piece(P, piece) -> WSetElement:
 
 
 def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:
-    """Inverse of unflatten_diamond: splice the label trees in, giving the
-    outer edges the adjoined top length."""
-    D = diamond(H)
-    top = H.size
+    """Inverse of unflatten_diamond: compose the label trees in the
+    construction over diamond(H), whose grafting gives the outer edges
+    the adjoined top length."""
     if elem.node is None:
         return W_UNIT
-
-    def splice(node):
-        label, items = node  # label: an H-construction element
-        outer_parts = []
-        for it in items:
-            if it[0] == "leaf":
-                outer_parts.append(("leaf", it[1]))
-            else:
-                outer_parts.append(("edge", top, splice(it[2])))
-        if label.node is None:
-            (only,) = outer_parts
-            if only[0] == "leaf":
-                raise ValueError("unit label over a bare leaf cannot be spliced")
-            return only[2]
-
-        def fix(nd):
-            lab, its = nd
-            out = []
-            for it in its:
-                if it[0] == "leaf":
-                    # the label routes its planar leaf to a global index,
-                    # which names the outer slot receiving the subtree
-                    out.append(outer_parts[it[1]])
-                else:
-                    out.append(("edge", it[1], fix(it[2])))
-            return (lab, tuple(out))
-
-        return fix(label.node)
-
-    return _normal_element(P, D, elem.arity, splice(elem.node))
+    return _eval_raw(WSetOperad(diamond(H), P), elem.node)
 
 
 def _total_label_vertices(e: WSetElement) -> int:
@@ -1222,9 +1174,13 @@ def random_raw_instance(rng: random.Random, P, H: FiniteSegment, arity: int, ext
     return tree, labels, lengths, tuple(leaves)
 
 
-def reachable_normal_forms(P, H: FiniteSegment, state, state_cap: int = 4000):
+# the largest rewrite state space reachable_normal_forms explores
+STATE_CAP = 4000
+
+
+def reachable_normal_forms(P, H: FiniteSegment, state):
     """All normal forms reachable by rewriting in any order, canonicalized;
-    None when the explored state space exceeds the cap."""
+    None when the explored state space exceeds STATE_CAP."""
     seen = {state}
     stack = [state]
     normals = set()
@@ -1239,7 +1195,7 @@ def reachable_normal_forms(P, H: FiniteSegment, state, state_cap: int = 4000):
             continue
         for _, nxt in steps:
             if nxt not in seen:
-                if len(seen) >= state_cap:
+                if len(seen) >= STATE_CAP:
                     return None
                 seen.add(nxt)
                 stack.append(nxt)
@@ -1247,10 +1203,10 @@ def reachable_normal_forms(P, H: FiniteSegment, state, state_cap: int = 4000):
 
 
 def confluence_experiment(P, H: FiniteSegment, count: int, seed: int, max_arity: int = 4,
-                          extra_vertices: int = 3, state_cap: int = 4000) -> dict:
+                          extra_vertices: int = 3) -> dict:
     """Randomized confluence check: every rewrite order of every sampled
     instance reaches the same canonical normal form.  Falls back to fifty
-    random maximal rewrite sequences when a state space exceeds the cap."""
+    random maximal rewrite sequences when a state space exceeds STATE_CAP."""
     rng = random.Random(seed)
     failures = []
     sampled_fallbacks = 0
@@ -1261,7 +1217,7 @@ def confluence_experiment(P, H: FiniteSegment, count: int, seed: int, max_arity:
         if node is None:
             continue
         state = ("node", node)
-        normals = reachable_normal_forms(P, H, state, state_cap)
+        normals = reachable_normal_forms(P, H, state)
         if normals is None:
             sampled_fallbacks += 1
             normals = set()

@@ -357,7 +357,6 @@ class TreeClass:
     tree: PlanarTree  # canonical representative
     aut_order: int
     planar_count: int
-    generators: tuple[AutGenerator, ...]
 
 
 def iso_classes(arity: int, max_edges: int | None = None, min_valence: int = 0) -> list[TreeClass]:
@@ -369,13 +368,6 @@ def iso_classes(arity: int, max_edges: int | None = None, min_valence: int = 0) 
     for key in sorted(groups):
         members = groups[key]
         rep = members[0].canonical()
-        classes.append(
-            TreeClass(
-                tree=rep,
-                aut_order=aut_order(rep),
-                planar_count=len(members),
-                generators=tuple(aut_generators(rep)),
-            )
-        )
+        classes.append(TreeClass(rep, aut_order(rep), len(members)))
     return classes
 

@@ -7,7 +7,6 @@ from opres import chain_operads, perms
 from opres.chain_core import ZZ, homology, verify_chain_map
 from opres.chain_operads import (
     ChainInterval,
-    ReducedChainOperad,
     TableChainOperad,
     WChainBasis,
     basis_to_json,
@@ -505,11 +504,7 @@ def test_operad_json_round_trip():
 
 
 def test_reduced_wrapper():
-    R = ReducedChainOperad(AS_NS)
-    assert R.unary_basis() == (("1", 0),)
-    assert R.compose(1, 0, "1", 3, "a3") == {"a3": 1}
-    assert R.compose(3, 1, "a3", 1, "1") == {"a3": 1}
-    C = w_reduced(R, 3)
+    C = w_reduced(AS_NS, 3)
     assert dims(C) == {0: 3, 1: 2}
 
 

@@ -89,6 +89,42 @@ def test_arity_ceiling_lifted_parses():
     assert rc == 0
 
 
+def test_builtin_chain_operad_past_the_default_ceiling(tmp_path):
+    # the builtins have corollas in every arity: H0 of the corolla-only
+    # cylinder is the operad piece, Z for com
+    rc, report, _ = run_json(
+        ["chainw", "homology", "--operad", "com", "--arity", "9", "--cap", "0", "--unsafe"],
+        tmp_path,
+    )
+    assert rc == 0
+    assert report["payload"]["by_degree"] == {"0": {"free": 1, "torsion": []}}
+
+
+def test_builtin_set_operad_past_the_default_ceiling(tmp_path):
+    rc, report, _ = run_json(
+        ["setw", "build", "--operad", "com", "--arity", "9", "--cap", "1", "--unsafe"],
+        tmp_path,
+    )
+    assert rc == 0
+    assert report["payload"]["count"] == 1
+
+
+def test_chain_table_reduced_key_is_ignored(tmp_path):
+    from opres.chain_operads import builtin_chain_operad, chain_operad_to_json
+
+    table = chain_operad_to_json(builtin_chain_operad("as_ns"), 4)
+    payloads = []
+    for flag in (False, True):
+        op = tmp_path / f"as_ns_{flag}.json"
+        op.write_text(json.dumps(dict(table, reduced=True) if flag else table))
+        rc, report, _ = run_json(
+            ["chainw", "build", "--operad", str(op), "--arity", "4"], tmp_path, f"r{flag}.json"
+        )
+        assert rc == 0
+        payloads.append(report["payload"])
+    assert payloads[0] == payloads[1]
+
+
 def test_chainw_verify_d2_example():
     rc, out, err = run(
         ["chainw", "verify", "--check", "d2", "--operad", "as_ns", "--arity", "4"]
@@ -441,6 +477,19 @@ def test_failed_certificate_exits_1(monkeypatch):
     rc, out, err = run(["chainw", "homology", "--operad", "as_ns", "--arity", "3"])
     assert rc == 1
     assert "M*U != A" in err
+    assert "Traceback" not in err
+
+
+def test_internal_fault_exits_3(monkeypatch):
+    from opres import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boundary left the basis")
+
+    monkeypatch.setattr(cli, "w_reduced", broken)
+    rc, out, err = run(["chainw", "homology", "--operad", "as_ns", "--arity", "3"])
+    assert rc == cli.EXIT_INTERNAL == 3
+    assert "internal error: RuntimeError: boundary left the basis" in err
     assert "Traceback" not in err
 
 

@@ -13,7 +13,7 @@ from opres.tagged import edges, koszul, least_routings, replace_item, shapes, ta
 from opres.trees import aut_leaf_perms, enumerate_planar, iso_classes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opres"
-OPERADS = {name: builtin_chain_operad(name, 5) for name in ("ass_sym", "com")}
+OPERADS = {name: builtin_chain_operad(name) for name in ("ass_sym", "com")}
 BARS = {name: CooperadComplex(P, 5) for name, P in OPERADS.items()}
 
 
