@@ -49,17 +49,11 @@ class Ring:
     def zero(self):
         return self.normalize(0)
 
-    def one(self):
-        return self.normalize(1)
-
     def add(self, a, b):
         return self.normalize(a + b)
 
     def mul(self, a, b):
         return self.normalize(a * b)
-
-    def neg(self, a):
-        return self.normalize(-a)
 
     def is_zero(self, a) -> bool:
         return self.normalize(a) == self.zero()
@@ -102,10 +96,6 @@ class SparseMat:
         self.rows = rows
         self.cols = cols
         self.data = data or {}
-
-    @staticmethod
-    def identity(n: int, ring: Ring) -> "SparseMat":
-        return SparseMat(n, n, {(i, i): ring.one() for i in range(n)})
 
     def get(self, i: int, j: int):
         return self.data.get((i, j), 0)
@@ -169,12 +159,6 @@ class SparseMat:
     def column(self, j: int) -> dict[int, object]:
         return {i: v for (i, jj), v in self.data.items() if jj == j}
 
-    def to_dense(self) -> list[list]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            out[i][j] = v
-        return out
-
     def equals(self, other: "SparseMat", ring: Ring) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
@@ -199,41 +183,32 @@ def mat_from_columns(rows: int, columns: list[dict[int, object]], ring: Ring) ->
     return out
 
 
-# -- graded modules and complexes ------------------------------------------
+# -- complexes ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedModule:
-    basis: dict  # degree -> tuple of labels
-
-    def __post_init__(self):
-        for deg, labels in self.basis.items():
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate labels in degree {deg}")
-
-    def dim(self, degree: int) -> int:
-        return len(self.basis.get(degree, ()))
-
-    def degrees(self) -> list[int]:
-        return sorted(d for d, b in self.basis.items() if b)
-
-    def index(self, degree: int, label) -> int:
-        return self.basis[degree].index(label)
+class VerificationError(ValueError):
+    """An identity the program checks, such as d^2 = 0, fails on what it
+    built; the message is the witness."""
 
 
 class ChainComplex:
     """Chain complex with chosen bases; d[k]: degree k -> degree k-1.
 
-    d squares to zero; this is checked at construction unless deferred,
-    and ``d_squared_verified`` records whether the check ran.
+    basis maps each degree to its tuple of distinct labels.  d squares to
+    zero; this is checked at construction unless deferred, a failure
+    raises VerificationError, and ``d_squared_verified`` records whether
+    the check ran.
     """
 
     def __init__(self, ring: Ring, basis: dict, d: dict, check: bool = True):
         self.ring = ring
-        self.module = GradedModule({k: tuple(v) for k, v in basis.items()})
+        self.basis = {k: tuple(v) for k, v in basis.items()}
+        for k, labels in self.basis.items():
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate labels in degree {k}")
         self.d: dict[int, SparseMat] = {}
         for k, mat in d.items():
-            expect = (self.module.dim(k - 1), self.module.dim(k))
+            expect = (self.dim(k - 1), self.dim(k))
             if (mat.rows, mat.cols) != expect:
                 raise ValueError(
                     f"d[{k}] has shape {(mat.rows, mat.cols)}, expected {expect}"
@@ -245,16 +220,16 @@ class ChainComplex:
         if check:
             report = verify_d_squared(self)
             if report:
-                raise ValueError("d^2 != 0: " + report[0])
+                raise VerificationError("d^2 != 0: " + report[0])
 
     def dim(self, degree: int) -> int:
-        return self.module.dim(degree)
+        return len(self.basis.get(degree, ()))
 
     def degrees(self) -> list[int]:
-        return self.module.degrees()
+        return sorted(k for k, labels in self.basis.items() if labels)
 
     def basis_of(self, degree: int) -> tuple:
-        return self.module.basis.get(degree, ())
+        return self.basis.get(degree, ())
 
     def index(self, degree: int, label) -> int:
         cache = self._index_cache.get(degree)
@@ -360,21 +335,7 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target, f.offset + g.offset, mats)
 
 
-def identity_chain_map(C: ChainComplex) -> ChainMap:
-    mats = {k: SparseMat.identity(C.dim(k), C.ring) for k in C.degrees()}
-    return ChainMap(C, C, 0, mats)
-
-
 # -- constructions -----------------------------------------------------------
-
-
-def shift_complex(C: ChainComplex, r: int) -> ChainComplex:
-    """Degree shift: new degree i holds the old degree i - r; the
-    differential picks up the sign (-1)^r."""
-    basis = {k + r: labels for k, labels in C.module.basis.items()}
-    sign = C.ring.normalize(-1 if r % 2 else 1)
-    d = {k + r: mat.scale(sign, C.ring) for k, mat in C.d.items()}
-    return ChainComplex(C.ring, basis, d, check=False)
 
 
 def tensor_complexes(C: ChainComplex, D: ChainComplex) -> ChainComplex:
@@ -418,28 +379,6 @@ def tensor_complexes(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         if mat.data:
             d_mats[n] = mat
     return ChainComplex(ring, basis, d_mats, check=False)
-
-
-# -- koszul helpers -----------------------------------------------------------
-
-
-def koszul_sign_permute(perm: tuple[int, ...], degrees: tuple[int, ...]) -> int:
-    """Sign for reordering graded symbols: symbol at old position t moves
-    to new position perm[t]; each transposition of odd-degree symbols
-    contributes -1."""
-    sign = 1
-    n = len(perm)
-    for s in range(n):
-        for t in range(s + 1, n):
-            if perm[s] > perm[t] and degrees[s] % 2 and degrees[t] % 2:
-                sign = -sign
-    return sign
-
-
-def koszul_sign_block_move(deg_moved: int, degs_jumped: int) -> int:
-    """Sign for moving one symbol of degree deg_moved past a block of total
-    degree degs_jumped."""
-    return -1 if (deg_moved % 2) and (degs_jumped % 2) else 1
 
 
 class SelfCheckError(ArithmeticError):
@@ -797,7 +736,7 @@ def change_ring(C: ChainComplex, ring: Ring) -> ChainComplex:
             if v:
                 out.data[key] = v
         d[k] = out
-    image = ChainComplex(ring, C.module.basis, d, check=False)
+    image = ChainComplex(ring, C.basis, d, check=False)
     image.d_squared_verified = C.d_squared_verified
     return image
 

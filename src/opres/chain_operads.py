@@ -38,6 +38,7 @@ from .chain_core import (
     ZZ,
     ChainComplex,
     ChainMap,
+    VerificationError,
     assemble_complex,
     compose_chain_maps,
     mat_from_columns,
@@ -332,51 +333,6 @@ def load_chain_operad(data: dict) -> TableChainOperad:
     )
 
 
-def chain_operad_to_json(P, arity_bound: int) -> dict:
-    """Table serialization of a chain operad up to an arity bound."""
-    arities: dict[str, list] = {}
-    d: dict[str, dict] = {}
-    compose: dict[str, dict] = {}
-    actions: dict[str, dict] = {}
-    for n in range(1, arity_bound + 1):
-        row = P.basis(n)
-        if row:
-            arities[str(n)] = [[nm, deg] for nm, deg in row]
-        for nm, _ in row:
-            dr = {t: c for t, c in P.d(n, nm).items() if c}
-            if dr:
-                d[nm] = dr
-    for n in range(1, arity_bound + 1):
-        for m in range(1, arity_bound + 2 - n):
-            for x in P.names(n):
-                for y in P.names(m):
-                    for i in range(n):
-                        # empty rows stay in the table: a missing entry is
-                        # an error on load, not a zero
-                        compose[f"{x} o{i + 1} {y}"] = {
-                            t: c
-                            for t, c in P.compose(n, i, x, m, y).items()
-                            if c
-                        }
-    if P.symmetric:
-        for n in range(1, arity_bound + 1):
-            for x in P.names(n):
-                for sigma in perms.all_perms(n):
-                    if sigma == perms.identity(n):
-                        continue
-                    row = {t: c for t, c in P.act(n, x, sigma).items() if c}
-                    key = f"{x} * {','.join(str(s + 1) for s in sigma)}"
-                    actions[key] = row
-    return {
-        "name": P.name,
-        "symmetric": P.symmetric,
-        "arities": arities,
-        "d": d,
-        "compose": compose,
-        "actions": actions,
-    }
-
-
 # -- linear-extension helpers ------------------------------------------------
 
 
@@ -603,11 +559,6 @@ class WChainBasis:
 
     def tree(self) -> PlanarTree:
         return node_tree(self.node) if self.node else PlanarTree(None)
-
-    def marked_edges(self) -> tuple:
-        if self.node is None:
-            return ()
-        return tuple(i for i, f in enumerate(node_lengths(self.node)) if f)
 
     def labels(self) -> tuple:
         return node_labels(self.node) if self.node else ()
@@ -1055,19 +1006,6 @@ def free_counit(P, F: ChainComplex) -> ChainMap:
     return ChainMap(F, D, 0, mats)
 
 
-def truncation_inclusion(P, arity: int, small_cap: int, big_cap: int | None) -> ChainMap:
-    """Inclusion of the smaller edge-cap cylinder into the larger."""
-    if big_cap is not None and small_cap > big_cap:
-        raise ValueError("small cap exceeds big cap")
-    Cs = w_pseudo(P, arity, small_cap)
-    Cb = w_pseudo(P, arity, big_cap)
-    mats = {}
-    for k in Cs.degrees():
-        cols = [{Cb.index(k, x): 1} for x in Cs.basis_of(k)]
-        mats[k] = mat_from_columns(Cb.dim(k), cols, ZZ)
-    return ChainMap(Cs, Cb, 0, mats)
-
-
 # -- operad structure on the cylinder ----------------------------------------
 
 
@@ -1198,7 +1136,7 @@ def verify_w_construction(P, arity: int, edge_cap: int | None = None) -> list[st
     msgs: list[str] = []
     try:
         W = w_pseudo(P, arity, edge_cap)
-    except ValueError as err:
+    except VerificationError as err:
         return [f"complex construction failed: {err}"]
     gamma = w_augmentation(P, arity, edge_cap, W=W)
     delta = delta_embedding(P, arity, edge_cap, W=W)

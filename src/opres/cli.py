@@ -3,12 +3,13 @@
 Loads operads and segments (builtin names or JSON files), runs the
 constructions and verifications, prints small human tables, and writes a
 machine report via --json.  Exit codes: 0 success or verified, 1 a
-verification failed (the report carries the witness) or an exact
-self-check failed (the witness goes to stderr), 2 usage or input
-errors, 3 an internal fault (any other exception, reported on stderr
-without a traceback).  Reports are byte-stable for a fixed invocation
-and version.  The arity ceiling HARD_ARITY, lifted by --unsafe, is the
-only bound on arity: the builtin operads are defined in every arity.
+verification failed (the report carries the witness), or a complex
+built from an operad fails d^2 = 0 or an exact self-check fails (the
+witness goes to stderr), 2 usage or input errors, 3 an internal fault
+(any other exception, reported on stderr without a traceback).
+Reports are byte-stable for a fixed invocation and version.  The arity
+ceiling HARD_ARITY, lifted by --unsafe, is the only bound on arity: the
+builtin operads are defined in every arity.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .bar_cobar import (
 )
 from .chain_core import (
     SelfCheckError,
+    VerificationError,
     change_ring,
     complex_from_json,
     complex_to_json,
@@ -292,9 +294,7 @@ def _h_chainw_verify(a):
         try:
             w_reduced(P, a.arity, a.cap)
             problems = []
-        except InfiniteEnumerationError:
-            raise
-        except ValueError as exc:
+        except VerificationError as exc:
             problems = [str(exc)]
     else:
         problems = verify_w_construction(P, a.arity, a.cap)
@@ -331,6 +331,8 @@ def _h_barcobar_build(a):
 
 def _h_barcobar_twisting(a):
     P = _load_chain_operad(a.operad)
+    for n in range(1, a.arity + 1):
+        P.complex(n)  # the twisting identity presumes d^2 = 0 in P
     problems = check_twisting(bar_counit(bar(P, a.arity, a.cap)))
     for msg in problems:
         print(msg)
@@ -350,7 +352,11 @@ def _h_homology_file(a):
         data = json.load(fh)
     if a.ring is not None:
         data["ring"] = a.ring
-    payload = _homology_payload(complex_from_json(data))
+    try:
+        C = complex_from_json(data)
+    except VerificationError as exc:
+        raise ValueError(str(exc)) from None  # a file failing d^2 is bad input
+    payload = _homology_payload(C)
     _print_homology(payload)
     return "verified", payload
 
@@ -507,7 +513,7 @@ def main(argv=None) -> int:
     except InfiniteEnumerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SelfCheckError as exc:
+    except (SelfCheckError, VerificationError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

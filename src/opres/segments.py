@@ -79,10 +79,6 @@ def segment_check(H: FiniteSegment) -> list[str]:
     return bad
 
 
-def is_valid_segment(H: FiniteSegment) -> bool:
-    return not segment_check(H)
-
-
 @dataclass(frozen=True)
 class SegmentMap:
     source: FiniteSegment
@@ -184,16 +180,6 @@ def codiagonal() -> SegmentMap:
 
 
 # -- the levels of the 1-simplex ------------------------------------------
-
-
-def monotone_maps(l: int, k: int) -> list[tuple[int, ...]]:
-    """All order-preserving maps [l] -> [k] as value tuples of length l+1."""
-    if l < 0 or k < 0:
-        raise ValueError("levels must be >= 0")
-    out = []
-    for comb in itertools.combinations_with_replacement(range(k + 1), l + 1):
-        out.append(comb)
-    return out
 
 
 def delta1_level(k: int) -> FiniteSegment:

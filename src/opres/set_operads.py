@@ -197,39 +197,6 @@ def operad_from_json(data: dict) -> TableOperad:
     return TableOperad(elements, data["unit"], compose_table, action_table)
 
 
-def operad_to_json(P, max_arity: int) -> dict:
-    arities = {}
-    for n in range(1, max_arity + 1):
-        elems = P.elements(n)
-        if elems:
-            arities[str(n)] = [P.name_of(n, x) for x in elems]
-    compose = {}
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
-            if n + m - 1 > max_arity:
-                continue
-            for x in P.elements(n):
-                for i in range(n):
-                    for y in P.elements(m):
-                        z = P.compose(n, i, x, m, y)
-                        compose[f"{P.name_of(n, x)} o{i + 1} {P.name_of(m, y)}"] = P.name_of(n + m - 1, z)
-    actions = {}
-    for n in range(1, max_arity + 1):
-        for x in P.elements(n):
-            for sigma in perms.all_perms(n):
-                if sigma == perms.identity(n):
-                    continue
-                key = f"{P.name_of(n, x)} * {','.join(str(s + 1) for s in sigma)}"
-                actions[key] = P.name_of(n, P.act(n, x, sigma))
-    return {
-        "symmetric": True,
-        "arities": arities,
-        "unit": P.name_of(1, P.unit),
-        "compose": compose,
-        "actions": actions,
-    }
-
-
 def get_builtin_operad(name: str):
     """A builtin by name; it has elements in every arity from one up."""
     if name == "ass":
@@ -423,16 +390,6 @@ def canon_node(P, node) -> tuple:
     return _canon(P, node)[0]
 
 
-def element_from_data(P, tree: PlanarTree, labels, lengths, leaves=None) -> WSetElement:
-    """Canonical element from presentation data, without rewriting."""
-    if leaves is None:
-        leaves = tuple(range(tree.arity))
-    node = build_node(tree, labels, lengths, leaves)
-    if node is None:
-        return W_UNIT
-    return WSetElement(tree.arity, canon_node(P, node))
-
-
 # rewriting ------------------------------------------------------------------
 #
 # state = ("node", node) or ("unit", g): the bare leaf routed to input g
@@ -515,12 +472,6 @@ def normalize(P, H: FiniteSegment, tree: PlanarTree, labels, lengths, leaves=Non
     if node is None:
         return W_UNIT
     return _normal_element(P, H, tree.arity, node)
-
-
-def is_normal_form(P, H: FiniteSegment, elem: WSetElement) -> bool:
-    if elem.node is None:
-        return True
-    return not rewrite_steps(P, H, ("node", elem.node))
 
 
 # operations on elements -------------------------------------------------------
@@ -751,11 +702,14 @@ class FreePointedOperad(WSetOperad):
         super().__init__(chain_segment(1), _NoComposeWrapper(K), vertex_cap)
 
 
-def free_pointed(K, arity: int, vertex_cap: int | None = None) -> list[WSetElement]:
-    return list(FreePointedOperad(K, vertex_cap).elements(arity))
-
-
 # comparisons ----------------------------------------------------------------
+
+
+def _fail(report: dict, witness: str) -> dict:
+    """A comparison report marked failed, with its witness."""
+    report["status"] = "fail"
+    report["witness"] = witness
+    return report
 
 
 def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
@@ -772,15 +726,11 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
         fs = F.elements(n)
         report["sizes"][n] = len(ws)
         if list(ws) != list(fs):
-            report["status"] = "fail"
-            report["witness"] = f"element lists differ at arity {n}"
-            return report
+            return _fail(report, f"element lists differ at arity {n}")
         for x in ws:
             folded = w_segment_apply(P, fold, x)
             if w_eval(P, folded) != w_eval(P, x):
-                report["status"] = "fail"
-                report["witness"] = f"counit mismatch at arity {n}: {element_to_json(P, x)}"
-                return report
+                return _fail(report, f"counit mismatch at arity {n}: {element_to_json(P, x)}")
     for n1 in range(1, arity + 1):
         for n2 in range(1, arity + 1):
             if n1 + n2 - 1 > arity:
@@ -789,9 +739,7 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
                 for y in W.elements(n2):
                     for i in range(n1):
                         if W.compose(n1, i, x, n2, y) != F.compose(n1, i, x, n2, y):
-                            report["status"] = "fail"
-                            report["witness"] = f"composition mismatch at arities ({n1},{n2}) slot {i}"
-                            return report
+                            return _fail(report, f"composition mismatch at arities ({n1},{n2}) slot {i}")
     return report
 
 
@@ -887,20 +835,14 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
         for x in lhs:
             u = unflat[x] = unflatten_diamond(P, H, x, WH)
             if u in image:
-                report["status"] = "fail"
-                report["witness"] = f"unflattening not injective at arity {n}"
-                return report
+                return _fail(report, f"unflattening not injective at arity {n}")
             image.add(u)
             if flatten_diamond(P, H, u) != x:
-                report["status"] = "fail"
-                report["witness"] = f"round trip fails at arity {n}: {element_to_json(P, x)}"
-                return report
+                return _fail(report, f"round trip fails at arity {n}: {element_to_json(P, x)}")
         if image != set(rhs):
             missing = len(set(rhs) - image)
             extra = len(image - set(rhs))
-            report["status"] = "fail"
-            report["witness"] = f"arity {n}: {missing} free elements unmatched, {extra} images unexpected"
-            return report
+            return _fail(report, f"arity {n}: {missing} free elements unmatched, {extra} images unexpected")
         for x in lhs:
             via_segment = w_segment_apply(P, collapse, x)
             if x.is_unit():
@@ -908,9 +850,7 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
             else:
                 via_counit = _eval_raw(WH, unflat[x].node)
             if via_segment != via_counit:
-                report["status"] = "fail"
-                report["witness"] = f"collapse square fails at arity {n}: {element_to_json(P, x)}"
-                return report
+                return _fail(report, f"collapse square fails at arity {n}: {element_to_json(P, x)}")
     for n1 in range(1, arity + 1):
         for n2 in range(1, arity + 1):
             if n1 + n2 - 1 > arity:
@@ -924,14 +864,10 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
                         # so the first loop unflattened it already
                         lhs_c = unflat.get(w_compose(P, D, x, i, y))
                         if lhs_c is None:
-                            report["status"] = "fail"
-                            report["witness"] = f"composite outside the enumeration at arities ({n1},{n2}) slot {i}"
-                            return report
+                            return _fail(report, f"composite outside the enumeration at arities ({n1},{n2}) slot {i}")
                         rhs_c = outer.compose(n1, i, unflat[x], n2, unflat[y])
                         if lhs_c != rhs_c:
-                            report["status"] = "fail"
-                            report["witness"] = f"grafting mismatch at arities ({n1},{n2}) slot {i}"
-                            return report
+                            return _fail(report, f"grafting mismatch at arities ({n1},{n2}) slot {i}")
     return report
 
 
@@ -1082,13 +1018,9 @@ def compare_godement_w(P, k: int, max_arity: int) -> dict:
         report["sizes"][n] = len(w_elems)
         flats = [flat(k, x) for x in g_elems]
         if len(set(flats)) != len(flats):
-            report["status"] = "fail"
-            report["witness"] = f"flattening not injective at arity {n}"
-            return report
+            return _fail(report, f"flattening not injective at arity {n}")
         if set(flats) != set(w_elems):
-            report["status"] = "fail"
-            report["witness"] = f"flattening not onto at arity {n}: {len(g_elems)} vs {len(w_elems)}"
-            return report
+            return _fail(report, f"flattening not onto at arity {n}: {len(g_elems)} vs {len(w_elems)}")
     for n1 in range(1, max_arity + 1):
         for n2 in range(1, max_arity + 1):
             if n1 + n2 - 1 > max_arity:
@@ -1099,9 +1031,7 @@ def compare_godement_w(P, k: int, max_arity: int) -> dict:
                         lhs = flat(k, tower.compose(k, x, i, y))
                         rhs = w_compose(P, W_by_level[k].H, flat(k, x), i, flat(k, y))
                         if lhs != rhs:
-                            report["status"] = "fail"
-                            report["witness"] = f"composition mismatch at arities ({n1},{n2}) slot {i}"
-                            return report
+                            return _fail(report, f"composition mismatch at arities ({n1},{n2}) slot {i}")
     for n in range(1, max_arity + 1):
         for x in tower.elements(k, n):
             fx = flat(k, x)
@@ -1110,20 +1040,14 @@ def compare_godement_w(P, k: int, max_arity: int) -> dict:
                     lhs = flat(k - 1, tower.face(k, i, x))
                     rhs = w_segment_apply(P, delta1_face(k, k - i), fx)
                     if lhs != rhs:
-                        report["status"] = "fail"
-                        report["witness"] = f"face {i} mismatch at level {k}, arity {n}"
-                        return report
+                        return _fail(report, f"face {i} mismatch at level {k}, arity {n}")
             for i in range(k + 1):
                 lhs = flat(k + 1, tower.degeneracy(k, i, x))
                 rhs = w_segment_apply(P, delta1_degeneracy(k, k - i), fx)
                 if lhs != rhs:
-                    report["status"] = "fail"
-                    report["witness"] = f"degeneracy {i} mismatch at level {k}, arity {n}"
-                    return report
+                    return _fail(report, f"degeneracy {i} mismatch at level {k}, arity {n}")
             if tower.augment(k, x) != w_eval(P, fx):
-                report["status"] = "fail"
-                report["witness"] = f"augmentation mismatch at level {k}, arity {n}"
-                return report
+                return _fail(report, f"augmentation mismatch at level {k}, arity {n}")
     return report
 
 

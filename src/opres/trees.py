@@ -95,27 +95,6 @@ class PlanarTree:
         """Valence (number of input slots) of each vertex, DFS pre-order."""
         return [len(t.children) for t in self.subtrees_preorder()]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Internal edges as (parent_vertex, child_vertex) DFS index pairs.
-
-        Edge i is the parent edge of vertex i + 1, so the list is simply
-        ordered by child vertex.
-        """
-        pairs: list[tuple[int, int]] = []
-        counter = itertools.count()
-
-        def walk(t: PlanarTree, my_idx: int) -> None:
-            for c in t.children:
-                if c.children is not None:
-                    idx = next(counter)
-                    pairs.append((my_idx, idx))
-                    walk(c, idx)
-
-        if self.children is not None:
-            next(counter)  # root takes index 0
-            walk(self, 0)
-        return pairs
-
 
 UNIT = PlanarTree(None)
 
@@ -150,10 +129,6 @@ def build_tree(text: str) -> PlanarTree:
     if pos != len(s):
         raise ValueError(f"trailing tokens in tree notation {text!r}")
     return tree
-
-
-def tree_to_json(t: PlanarTree) -> dict:
-    return {"arity": t.arity, "tree": t.notation(), "edges": [list(e) for e in t.edges()]}
 
 
 # -- enumeration -------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opres import chain_operads, perms
-from opres.chain_core import ZZ, homology, verify_chain_map
+from opres.chain_core import ZZ, ChainMap, homology, mat_from_columns, verify_chain_map
 from opres.chain_operads import (
     ChainInterval,
     TableChainOperad,
@@ -12,7 +12,6 @@ from opres.chain_operads import (
     basis_to_json,
     builtin_chain_operad,
     chain_interval,
-    chain_operad_to_json,
     check_composition_maps,
     delta_embedding,
     enumerate_w_basis,
@@ -20,7 +19,6 @@ from opres.chain_operads import (
     free_operad_complex,
     load_chain_operad,
     signed_canon,
-    truncation_inclusion,
     validate_chain_operad,
     verify_w_construction,
     w_act_basis,
@@ -40,6 +38,31 @@ COM = builtin_chain_operad("com")
 
 def dims(C):
     return {k: C.dim(k) for k in sorted(C.degrees())}
+
+
+def truncation_inclusion(P, arity, small_cap, big_cap):
+    """The inclusion of the smaller edge-cap cylinder into the larger."""
+    small, big = w_pseudo(P, arity, small_cap), w_pseudo(P, arity, big_cap)
+    mats = {
+        k: mat_from_columns(big.dim(k), [{big.index(k, x): 1} for x in small.basis_of(k)], ZZ)
+        for k in small.degrees()
+    }
+    return ChainMap(small, big, 0, mats)
+
+
+def table_of(E):
+    """The JSON table of a TableChainOperad, as load_chain_operad reads it."""
+    return {
+        "name": E.name,
+        "symmetric": E.symmetric,
+        "arities": {str(n): [list(b) for b in row] for n, row in E.by_arity.items()},
+        "d": E.d_table,
+        "compose": {f"{x} o{i + 1} {y}": row for (x, i, y), row in E.compose_table.items()},
+        "actions": {
+            f"{x} * {','.join(str(s + 1) for s in sigma)}": row
+            for (x, sigma), row in E.action_table.items()
+        },
+    }
 
 
 def unary_ns():
@@ -258,12 +281,6 @@ def test_truncation_inclusion():
             assert translated == {r: v for r, v in bigcol.items() if v}
 
 
-def test_truncation_cap_order_checked():
-    U = unary_ns()
-    with pytest.raises(ValueError):
-        truncation_inclusion(U, 2, 3, 1)
-
-
 def test_cap_none_vs_big_cap_agree():
     # for operads with empty unary part a huge cap changes nothing
     assert dims(w_pseudo(AS_NS, 4, 8)) == dims(w_pseudo(AS_NS, 4))
@@ -396,7 +413,7 @@ def test_compose_basis_grafts():
     assert z.arity == 3
     assert z.degree == 0
     # the graft adds one unmarked internal edge
-    assert len(z.marked_edges()) == 0
+    assert basis_to_json(z)["gamma_edges"] == []
     assert z.tree().edge_count == 1
 
 
@@ -481,13 +498,13 @@ def test_basis_to_json_shapes():
     data = basis_to_json(x)
     assert set(data) == {"tree", "gamma_edges", "labels", "leaf_coset"}
     assert sorted(data["leaf_coset"]) == [0, 1, 2]
-    assert data["gamma_edges"] == list(x.marked_edges())
+    assert len(data["gamma_edges"]) == x.degree  # the labels have degree 0
     assert all(isinstance(k, str) for k in data["labels"])
 
 
 def test_operad_json_round_trip():
     E = endv(2, True)
-    data = chain_operad_to_json(E, 2)
+    data = table_of(E)
     F = load_chain_operad(data)
     assert validate_chain_operad(F, 2) == []
     assert F.symmetric

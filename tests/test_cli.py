@@ -110,9 +110,15 @@ def test_builtin_set_operad_past_the_default_ceiling(tmp_path):
 
 
 def test_chain_table_reduced_key_is_ignored(tmp_path):
-    from opres.chain_operads import builtin_chain_operad, chain_operad_to_json
-
-    table = chain_operad_to_json(builtin_chain_operad("as_ns"), 4)
+    # the builtin as_ns up to arity 4: a_n o_i a_m = a_{n+m-1}
+    table = {
+        "symmetric": False,
+        "arities": {str(n): [[f"a{n}", 0]] for n in (2, 3, 4)},
+        "compose": {
+            f"a{n} o{i} a{m}": {f"a{n + m - 1}": 1}
+            for n in (2, 3) for m in (2, 3) if n + m <= 5 for i in range(1, n + 1)
+        },
+    }
     payloads = []
     for flag in (False, True):
         op = tmp_path / f"as_ns_{flag}.json"
@@ -202,6 +208,27 @@ def test_broken_differential_fails(tmp_path):
     assert rc == 1
     assert report["status"] == "failed"
     assert report["payload"]["problems"]
+
+
+# the witness of each command that builds a complex from BAD_D_OPERAD; the
+# bar complex sits one degree up, and verify-twisting checks P(2) itself
+D_SQUARED_WITNESS = {
+    "chainw build": "(d[1] d[2])[0,0] = 1",
+    "chainw homology": "(d[1] d[2])[0,0] = 1",
+    "barcobar build": "(d[2] d[3])[0,0] = 1",
+    "barcobar compare-w": "(d[1] d[2])[0,0] = 1",
+    "barcobar verify-twisting": "(d[1] d[2])[0,0] = 1",
+}
+
+
+@pytest.mark.parametrize("command", D_SQUARED_WITNESS)
+def test_built_complex_failing_d_squared_exits_1(tmp_path, command):
+    op = tmp_path / "bad_d.json"
+    op.write_text(json.dumps(BAD_D_OPERAD))
+    rc, out, err = run(command.split() + ["--operad", str(op), "--arity", "2"])
+    assert rc == 1
+    assert f"d^2 != 0: {D_SQUARED_WITNESS[command]}" in err
+    assert "Traceback" not in err
 
 
 # -- segments ----------------------------------------------------------------
@@ -309,8 +336,10 @@ def test_bad_ring_rejected():
 def test_unary_needs_cap(tmp_path):
     op = tmp_path / "unary.json"
     op.write_text(json.dumps(TINY_UNARY))
-    rc, out, err = run(["chainw", "build", "--operad", str(op), "--arity", "2"])
-    assert rc == 2
+    for command in (["chainw", "build"], ["chainw", "verify"]):
+        rc, out, err = run(command + ["--operad", str(op), "--arity", "2"])
+        assert rc == 2
+        assert "give an edge cap" in err
     rc, report, _ = run_json(
         ["chainw", "build", "--operad", str(op), "--arity", "2", "--cap", "2"],
         tmp_path,

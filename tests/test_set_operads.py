@@ -32,17 +32,13 @@ from opres.set_operads import (
     compare_free,
     compare_godement_w,
     confluence_experiment,
-    element_from_data,
     element_sort_key,
     element_to_json,
     enumerate_w_elements,
-    free_pointed,
     godement_simplicial_check,
-    is_normal_form,
     node_leaves,
     normalize,
     operad_from_json,
-    operad_to_json,
     random_raw_instance,
     reachable_normal_forms,
     rewrite_steps,
@@ -59,6 +55,39 @@ from opres.trees import PlanarTree, corolla, enumerate_planar, iso_classes
 ASS = AssOperad()
 COM = ComOperad()
 L = PlanarTree(None)
+
+
+def element_from_data(P, tree, labels, lengths, leaves):
+    """The canonical element of a presentation, without rewriting."""
+    return WSetElement(tree.arity, canon_node(P, build_node(tree, labels, lengths, leaves)))
+
+
+def operad_to_json(P, max_arity):
+    """The table serialization of P up to an arity, which operad_from_json reads."""
+    rng = range(1, max_arity + 1)
+    compose = {
+        f"{P.name_of(n, x)} o{i + 1} {P.name_of(m, y)}": P.name_of(n + m - 1, P.compose(n, i, x, m, y))
+        for n in rng
+        for m in rng
+        if n + m - 1 <= max_arity
+        for x in P.elements(n)
+        for i in range(n)
+        for y in P.elements(m)
+    }
+    actions = {
+        f"{P.name_of(n, x)} * {','.join(str(s + 1) for s in sigma)}": P.name_of(n, P.act(n, x, sigma))
+        for n in rng
+        for x in P.elements(n)
+        for sigma in perms.all_perms(n)
+        if sigma != perms.identity(n)
+    }
+    return {
+        "symmetric": True,
+        "arities": {str(n): [P.name_of(n, x) for x in P.elements(n)] for n in rng if P.elements(n)},
+        "unit": P.name_of(1, P.unit),
+        "compose": compose,
+        "actions": actions,
+    }
 
 
 # -- independent orbit oracle --------------------------------------------------
@@ -560,7 +589,7 @@ def test_enumerated_elements_are_normal():
     H = chain_segment(2)
     for n in range(1, 4):
         for e in enumerate_w_elements(ASS, H, n):
-            assert is_normal_form(ASS, H, e)
+            assert e.node is None or not rewrite_steps(ASS, H, ("node", e.node))
 
 
 def test_rewrite_steps_empty_on_unit_state():
@@ -674,7 +703,7 @@ def test_element_json_shape():
 
 
 def test_free_on_com_collection():
-    assert len(free_pointed(COM, 3)) == 4
+    assert len(FreePointedOperad(COM).elements(3)) == 4
 
 
 def test_compare_free_ass():

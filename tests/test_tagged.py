@@ -193,3 +193,70 @@ def test_edge_walks_live_in_tagged():
     )
     nested = [n.name for n in ast.walk(contract) if isinstance(n, ast.FunctionDef)]
     assert nested == ["_contract_step"]
+
+
+# -- the public surface ------------------------------------------------------
+
+# Public functions and methods of opres that nothing in src/, scripts/ or
+# perfbench/ uses, each with its reason to stay.
+UNUSED_ON_PURPOSE = {
+    "trees.aut_leaf_perms": "test oracle: the automorphism group by brute force",
+    "set_operads.element_sort_key": "test oracle: the report order of the reference enumeration",
+    "chain_core.HomologyReport.free_rank": "report accessor",
+    "chain_core.HomologyReport.torsion": "report accessor",
+    "chain_core.HomologyReport.nonzero_degrees": "report accessor",
+    "set_operads.validate_operad": "awaits `chainw verify --check operad` (ROADMAP item 2)",
+    "chain_operads.validate_chain_operad": "awaits `chainw verify --check operad` (ROADMAP item 2)",
+    "chain_operads.chain_interval": "awaits the cylinder over any chain segment (ROADMAP item 5)",
+    "chain_operads.ChainInterval.vee": "awaits the cylinder over any chain segment (ROADMAP item 5)",
+    "chain_operads.ChainInterval.counit": "awaits the cylinder over any chain segment (ROADMAP item 5)",
+}
+
+
+def _uses(paths) -> list:
+    """(path, line, name, through an attribute) for every name the files
+    use.  perfbench/tracing.py names what it wraps by strings, like
+    "SparseMat.mul", so there the last dotted part of a string counts as
+    an attribute."""
+    out = []
+    for path in paths:
+        strings = path.parts[-2:] == ("perfbench", "tracing.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                out.append((path, node.lineno, node.attr, True))
+            elif isinstance(node, ast.Name):
+                out.append((path, node.lineno, node.id, False))
+            elif isinstance(node, ast.alias):
+                out.append((path, node.lineno, node.name, False))
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.append((path, node.lineno, node.value.split(".")[-1], True))
+    return out
+
+
+def test_public_surface_has_callers():
+    """A public top-level function is used when its name is; a method only
+    when an attribute of its name is.  Uses inside its own body, and uses
+    under tests/, do not count."""
+    root = SRC.parent.parent
+    uses = _uses([*SRC.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "perfbench").rglob("*.py")])
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [(top.name, top, False)]
+            elif isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{m.name}", m, True) for m in top.body if isinstance(m, ast.FunctionDef)]
+            else:
+                continue
+            for name, node, method in defs:
+                short = name.split(".")[-1]
+                if short.startswith("_"):
+                    continue
+                if not any(
+                    used == short
+                    and (attr or not method)
+                    and not (where == path and node.lineno <= line <= node.end_lineno)
+                    for where, line, used, attr in uses
+                ):
+                    unused.add(f"{path.stem}.{name}")
+    assert unused == set(UNUSED_ON_PURPOSE)

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opres.tagged import build_node
 from opres.trees import (
     UNIT,
     PlanarTree,
@@ -15,7 +16,6 @@ from opres.trees import (
     enumerate_planar,
     iso_classes,
     iso_leaf_maps,
-    tree_to_json,
 )
 
 
@@ -107,10 +107,26 @@ def test_arity_additive():
     assert t.edge_count == 2
 
 
+def edge_pairs(t):
+    """(parent, child) DFS vertex indices of each internal edge, by edge
+    index, as build_node numbers them."""
+    pairs = {}
+
+    def walk(node):
+        parent, items = node
+        for it in items:
+            if it[0] == "edge":
+                pairs[it[1]] = (parent, it[2][0])
+                walk(it[2])
+
+    walk(build_node(t, range(t.vertex_count), range(t.edge_count), range(t.arity)))
+    return [pairs[i] for i in range(t.edge_count)]
+
+
 def test_edges_index_convention():
     # edge i must be the parent edge of DFS vertex i + 1
     t = build_tree("((| (| |)) | ((| |) |))")
-    edges = t.edges()
+    edges = edge_pairs(t)
     assert len(edges) == t.edge_count
     for i, (parent, child) in enumerate(edges):
         assert child == i + 1
@@ -119,14 +135,9 @@ def test_edges_index_convention():
 
 def test_edges_example():
     t = build_tree("(((| |) |) |)")
-    assert t.edges() == [(0, 1), (1, 2)]
+    assert edge_pairs(t) == [(0, 1), (1, 2)]
     t2 = build_tree("((| |) (| |))")
-    assert t2.edges() == [(0, 1), (0, 2)]
-
-
-def test_tree_json():
-    t = build_tree("((| |) |)")
-    assert tree_to_json(t) == {"arity": 3, "tree": "((| |) |)", "edges": [[0, 1]]}
+    assert edge_pairs(t2) == [(0, 1), (0, 2)]
 
 
 # -- enumeration -------------------------------------------------------
