@@ -488,27 +488,22 @@ def _flat_eval(P, flat, n: int) -> dict:
     return {k: v for k, v in done.items() if v}
 
 
-def _counit_value(C: CooperadComplex, X: CobarElement) -> dict:
+def _counit_value(P, X: CobarElement) -> dict:
     """Project every label to its single vertex, then compose."""
-    P = C.operad
     if any(label.tree().edge_count for label in node_labels(X.node)):
         return {}
     flat = map_labels(X.node, lambda lab, val: lab.labels()[0])
     return _flat_eval(P, flat, X.arity)
 
 
-def cobar_bar_counit(P, arity: int, cap: int | None = None, C=None, CB=None) -> ChainMap:
+def cobar_bar_counit(P, CB: ChainComplex) -> ChainMap:
     """The chain map from the cobar-of-bar piece onto the operad piece."""
-    if C is None:
-        C = bar(P, arity, cap)
-    if CB is None:
-        CB = cobar(C, arity, cap)
-    D = P.complex(arity)
+    D = P.complex(CB.meta["arity"])
     mats = {}
     for k in CB.degrees():
         cols = []
         for X in CB.basis_of(k):
-            cols.append({D.index(k, nm): c for nm, c in _counit_value(C, X).items()})
+            cols.append({D.index(k, nm): c for nm, c in _counit_value(P, X).items()})
         mats[k] = mat_from_columns(D.dim(k), cols, ZZ)
     return ChainMap(CB, D, 0, mats)
 
@@ -648,8 +643,8 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> Comparison
                 req = 1 if (v > 0) == (colb[CB.index(k - 1, phi[ys[r]])] > 0) else -1
                 cons.append((x, ys[r], req))
 
-    gamma = w_augmentation(P, arity, edge_cap, W=W)
-    counit = cobar_bar_counit(P, arity, vcap, C=C, CB=CB)
+    gamma = w_augmentation(P, W)
+    counit = cobar_bar_counit(P, CB)
     forced = {}
     for k in degs:
         if W.dim(k) == 0:

@@ -19,6 +19,7 @@ silently consumed downstream.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,9 +97,6 @@ class SparseMat:
         self.rows = rows
         self.cols = cols
         self.data = data or {}
-
-    def get(self, i: int, j: int):
-        return self.data.get((i, j), 0)
 
     def add_entry(self, ring: Ring, i: int, j: int, v) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -333,52 +331,6 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     for k in f.source.degrees():
         mats[k] = g.mat(k + f.offset).mul(f.mat(k), f.source.ring)
     return ChainMap(f.source, g.target, f.offset + g.offset, mats)
-
-
-# -- constructions -----------------------------------------------------------
-
-
-def tensor_complexes(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Tensor product with the Koszul rule d(c x d) = dc x d + (-1)^|c| c x dd.
-
-    Basis labels are pairs (c_label, d_label); within a total degree the
-    pairs are ordered by increasing C-degree, then C-index, then D-index.
-    """
-    if C.ring != D.ring:
-        raise ValueError("ring mismatch in tensor product")
-    ring = C.ring
-    basis: dict[int, list] = {}
-    info: dict[int, list] = {}  # degree -> [(a, jc, b, jd)] parallel to basis
-    # labels may repeat across degrees, so positions are located by
-    # (bidegree, index) rather than by label
-    locate: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    c_degs = C.degrees()
-    d_degs = D.degrees()
-    for a in c_degs:
-        for b in d_degs:
-            n = a + b
-            lst = basis.setdefault(n, [])
-            meta = info.setdefault(n, [])
-            for jc, c_lab in enumerate(C.basis_of(a)):
-                for jd, d_lab in enumerate(D.basis_of(b)):
-                    locate[(a, jc, b, jd)] = (n, len(lst))
-                    lst.append((c_lab, d_lab))
-                    meta.append((a, jc, b, jd))
-    d_mats: dict[int, SparseMat] = {}
-    for n, labels in basis.items():
-        rows = len(basis.get(n - 1, []))
-        mat = SparseMat(rows, len(labels))
-        for j, (a, jc, b, jd) in enumerate(info[n]):
-            for i, v in C.diff(a).column(jc).items():
-                _, row = locate[(a - 1, i, b, jd)]
-                mat.add_entry(ring, row, j, v)
-            sgn = ring.normalize(-1 if a % 2 else 1)
-            for i, v in D.diff(b).column(jd).items():
-                _, row = locate[(a, jc, b - 1, i)]
-                mat.add_entry(ring, row, j, ring.mul(sgn, v))
-        if mat.data:
-            d_mats[n] = mat
-    return ChainComplex(ring, basis, d_mats, check=False)
 
 
 class SelfCheckError(ArithmeticError):
@@ -744,6 +696,24 @@ def change_ring(C: ChainComplex, ring: Ring) -> ChainComplex:
 # -- serialization ----------------------------------------------------------------
 
 
+def json_reader(what: str):
+    """Decorate a reader of parsed JSON: a value of the wrong shape, which
+    surfaces as TypeError, AttributeError or IndexError, raises ValueError
+    naming what was read, since the input is at fault."""
+
+    def wrap(read):
+        @functools.wraps(read)
+        def checked(data):
+            try:
+                return read(data)
+            except (TypeError, AttributeError, IndexError) as exc:
+                raise ValueError(f"malformed {what}: {exc}") from None
+
+        return checked
+
+    return wrap
+
+
 def complex_to_json(C: ChainComplex, label_str=str) -> dict:
     basis = {
         str(k): [label_str(lab) for lab in C.basis_of(k)] for k in C.degrees()
@@ -754,6 +724,7 @@ def complex_to_json(C: ChainComplex, label_str=str) -> dict:
     return {"ring": C.ring.name(), "basis": basis, "d": d}
 
 
+@json_reader("complex")
 def complex_from_json(data: dict) -> ChainComplex:
     ring = ring_from_name(data["ring"])
     basis = {int(k): tuple(v) for k, v in data["basis"].items()}

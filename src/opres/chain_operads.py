@@ -41,8 +41,8 @@ from .chain_core import (
     VerificationError,
     assemble_complex,
     compose_chain_maps,
+    json_reader,
     mat_from_columns,
-    tensor_complexes,
     verify_chain_map,
 )
 from .set_operads import AssOperad, InfiniteEnumerationError
@@ -277,6 +277,7 @@ class TableChainOperad(PseudoChainOperad):
         return dict(self.action_table[key])
 
 
+@json_reader("chain operad table")
 def load_chain_operad(data: dict) -> TableChainOperad:
     """Build a chain operad from its table serialization.
 
@@ -961,12 +962,10 @@ def _evaluate_free(P, x: WChainBasis) -> dict:
     return _clean(done)
 
 
-def w_augmentation(P, arity: int, edge_cap: int | None = None, W: ChainComplex | None = None) -> ChainMap:
+def w_augmentation(P, W: ChainComplex) -> ChainMap:
     """The chain map from the cylinder onto the operad piece: kill every
     element with a marked edge, compose the labels of the rest."""
-    if W is None:
-        W = w_pseudo(P, arity, edge_cap)
-    D = P.complex(arity)
+    D = P.complex(W.meta["arity"])
     mats = {}
     for k in W.degrees():
         cols = []
@@ -980,11 +979,9 @@ def w_augmentation(P, arity: int, edge_cap: int | None = None, W: ChainComplex |
     return ChainMap(W, D, 0, mats)
 
 
-def delta_embedding(P, arity: int, edge_cap: int | None = None, W: ChainComplex | None = None) -> ChainMap:
+def delta_embedding(P, W: ChainComplex) -> ChainMap:
     """The inclusion of the unmarked span into the cylinder."""
-    if W is None:
-        W = w_pseudo(P, arity, edge_cap)
-    F = free_operad_complex(P, arity, edge_cap)
+    F = free_operad_complex(P, W.meta["arity"], W.meta["edge_cap"])
     mats = {}
     for k in F.degrees():
         cols = [{W.index(k, x): 1} for x in F.basis_of(k)]
@@ -1059,25 +1056,12 @@ def w_act_basis(P, x: WChainBasis, sigma):
     return c, WChainBasis(x.arity, node, x.degree)
 
 
-def w_operad_composition(P, n: int, m: int, edge_cap: int | None = None) -> dict[int, ChainMap]:
-    """Partial compositions as chain maps from the tensor square of the
-    cylinder; the target cap leaves room for the grafting edge."""
-    A = w_pseudo(P, n, edge_cap)
-    B = w_pseudo(P, m, edge_cap)
-    cap_t = None if edge_cap is None else 2 * edge_cap + 1
-    T = w_pseudo(P, n + m - 1, cap_t)
-    S = tensor_complexes(A, B)
-    out = {}
-    for i in range(n):
-        mats = {}
-        for k in S.degrees():
-            cols = []
-            for x, y in S.basis_of(k):
-                c, z = w_compose_basis(P, x, i, y)
-                cols.append({T.index(k, z): c})
-            mats[k] = mat_from_columns(T.dim(k), cols, ZZ)
-        out[i] = ChainMap(S, T, 0, mats)
-    return out
+def w_operad_composition(P, n: int, m: int, edge_cap: int | None = None) -> dict:
+    """The partial compositions on basis pairs: (x, i, y) -> (sign, x o_i y)
+    for every enumerated x of arity n, slot i and enumerated y of arity m."""
+    xs = enumerate_w_basis(P, n, edge_cap)
+    ys = enumerate_w_basis(P, m, edge_cap)
+    return {(x, i, y): w_compose_basis(P, x, i, y) for x in xs for y in ys for i in range(n)}
 
 
 # -- structure checks --------------------------------------------------------
@@ -1138,8 +1122,8 @@ def verify_w_construction(P, arity: int, edge_cap: int | None = None) -> list[st
         W = w_pseudo(P, arity, edge_cap)
     except VerificationError as err:
         return [f"complex construction failed: {err}"]
-    gamma = w_augmentation(P, arity, edge_cap, W=W)
-    delta = delta_embedding(P, arity, edge_cap, W=W)
+    gamma = w_augmentation(P, W)
+    delta = delta_embedding(P, W)
     msgs += [f"augmentation: {m}" for m in verify_chain_map(gamma)]
     msgs += [f"embedding: {m}" for m in verify_chain_map(delta)]
     composite = compose_chain_maps(delta, gamma)
@@ -1159,40 +1143,48 @@ def verify_w_construction(P, arity: int, edge_cap: int | None = None) -> list[st
 
 
 def check_composition_maps(P, n: int, m: int, edge_cap: int | None = None) -> list[str]:
-    """Checks on the grafting maps: each slot is a chain map, label
-    evaluation turns grafting into operad composition, and the action
-    laws hold with signs."""
+    """Checks on the grafting maps, one basis pair and slot at a time: the
+    composite is a basis element of the target, whose cap leaves room for
+    the grafting edge; grafting is a chain map for the tensor differential
+    d(x o y) = dx o y + (-1)^|x| x o dy; label evaluation turns grafting
+    into operad composition; and the action laws hold with signs."""
     msgs: list[str] = []
-    comps = w_operad_composition(P, n, m, edge_cap)
-    for i, f in comps.items():
-        msgs += [f"slot {i + 1}: {w}" for w in verify_chain_map(f)]
+    table = w_operad_composition(P, n, m, edge_cap)
     xs = enumerate_w_basis(P, n, edge_cap)
     ys = enumerate_w_basis(P, m, edge_cap)
-    for x in xs:
-        gx = _evaluate_free(P, x) if not any(node_lengths(x.node)) else {}
-        for y in ys:
-            gy = _evaluate_free(P, y) if not any(node_lengths(y.node)) else {}
-            for i in range(n):
-                c, z = w_compose_basis(P, x, i, y)
-                gz = (
-                    {k: c * v for k, v in _evaluate_free(P, z).items()}
-                    if not any(node_lengths(z.node))
-                    else {}
-                )
-                want = _lin_compose(P, n, i, gx, m, gy)
-                if _clean(gz) != want:
-                    msgs.append(
-                        f"evaluation does not respect grafting at slot {i + 1}"
-                    )
+    cap_t = None if edge_cap is None else 2 * edge_cap + 1
+    target = set(enumerate_w_basis(P, n + m - 1, cap_t))
+    bd = {x: w_boundary(P, x) for x in xs + ys}
+    ev = {x: {} if any(node_lengths(x.node)) else _evaluate_free(P, x) for x in xs + ys}
+
+    def fail(i, x, y, what):
+        msgs.append(f"slot {i + 1}, pair {basis_to_json(x)} o {basis_to_json(y)}: {what}")
+
+    for (x, i, y), (c, z) in table.items():
+        if z not in target:
+            fail(i, x, y, f"composite {basis_to_json(z)} is outside the basis")
+        rhs: dict = {}
+        for x2, a in bd[x].items():
+            c2, z2 = table[(x2, i, y)]
+            rhs[z2] = rhs.get(z2, 0) + a * c2
+        sx = -1 if x.degree % 2 else 1
+        for y2, b in bd[y].items():
+            c2, z2 = table[(x, i, y2)]
+            rhs[z2] = rhs.get(z2, 0) + sx * b * c2
+        if {w: c * k for w, k in w_boundary(P, z).items()} != _clean(rhs):
+            fail(i, x, y, "grafting is not a chain map")
+        gz = {} if any(node_lengths(z.node)) else _evaluate_free(P, z)
+        if _clean({k: c * v for k, v in gz.items()}) != _lin_compose(P, n, i, ev[x], m, ev[y]):
+            fail(i, x, y, "evaluation does not respect grafting")
     if P.symmetric and n <= 3 and m <= 3:
         for x in xs:
-            for y in ys:
-                for s in perms.all_perms(n):
-                    cs, xs_ = w_act_basis(P, x, s)
+            for s in perms.all_perms(n):
+                cs, xs_ = w_act_basis(P, x, s)
+                for y in ys:
                     for j in range(n):
-                        c1, lhs = w_compose_basis(P, xs_, s[j], y)
-                        c0, xy = w_compose_basis(P, x, j, y)
+                        c1, lhs = table[(xs_, s[j], y)]
+                        c0, xy = table[(x, j, y)]
                         c2, rhs = w_act_basis(P, xy, perms.blow(s, j, m))
                         if lhs != rhs or cs * c1 != c0 * c2:
-                            msgs.append(f"grafting equivariance fails at slot {j + 1}")
+                            fail(j, x, y, f"grafting equivariance fails under {s}")
     return msgs

@@ -251,7 +251,8 @@ def _h_godement_build(a):
     P = _load_set_operad(a.operad)
     tower = GodementTower(P)
     els = tower.elements(a.level, a.arity)
-    flats = [flatten_godement(tower, a.level, x) for x in els]
+    W_by_level: dict = {}
+    flats = [flatten_godement(tower, a.level, x, W_by_level) for x in els]
     print(f"{len(els)} elements at level {a.level}, arity {a.arity}")
     payload = {
         "level": a.level,
@@ -350,7 +351,7 @@ def _h_barcobar_compare(a):
 def _h_homology_file(a):
     with open(a.file) as fh:
         data = json.load(fh)
-    if a.ring is not None:
+    if a.ring is not None and isinstance(data, dict):
         data["ring"] = a.ring
     try:
         C = complex_from_json(data)

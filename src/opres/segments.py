@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .chain_core import json_reader
+
 
 @dataclass(frozen=True)
 class FiniteSegment:
@@ -253,6 +255,7 @@ def segment_to_json(H: FiniteSegment) -> dict:
     }
 
 
+@json_reader("segment")
 def segment_from_json(data: dict) -> FiniteSegment:
     H = FiniteSegment(
         tuple(data["elements"]),

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 
 from . import perms
+from .chain_core import json_reader
 from .segments import (
     FiniteSegment,
     SegmentMap,
@@ -162,6 +163,7 @@ class TableOperad:
         return x
 
 
+@json_reader("operad table")
 def operad_from_json(data: dict) -> TableOperad:
     """The table operad of a serialization; a row that names an undeclared
     element, or a result of the wrong arity, raises ValueError."""
@@ -981,12 +983,11 @@ def godement_simplicial_check(P, max_level: int, max_arity: int) -> list[str]:
     return bad
 
 
-def flatten_godement(tower: GodementTower, k: int, x: WSetElement, W_by_level: dict | None = None) -> WSetElement:
+def flatten_godement(tower: GodementTower, k: int, x: WSetElement, W_by_level: dict) -> WSetElement:
     """Level-k tower elements as weighted trees over the segment of
     monotone maps [k] -> [1]: the outermost layer's edges take the top
-    length, deeper layers keep their (index-shared) lengths."""
-    if W_by_level is None:
-        W_by_level = {}
+    length, deeper layers keep their (index-shared) lengths.  W_by_level
+    caches the weighted operad of each level, filled as needed."""
     if x.node is None:
         return W_UNIT
     if k == 0:

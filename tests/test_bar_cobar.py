@@ -233,7 +233,7 @@ def test_counit_chain_map_and_resolution_corpus():
         (COM, 4, lambda n: 1),
     ):
         for n in range(2, tops + 1):
-            eta = cobar_bar_counit(P, n)
+            eta = cobar_bar_counit(P, cobar(bar(P, n), n))
             assert verify_chain_map(eta) == []
             rep = homology(eta.source)
             assert rep.nonzero_degrees() == [0]
@@ -243,11 +243,13 @@ def test_counit_chain_map_and_resolution_corpus():
 
 def test_counit_chain_map_graded():
     for sym in (False, True):
-        assert verify_chain_map(cobar_bar_counit(endv(3, sym), 3, 2)) == []
+        P = endv(3, sym)
+        assert verify_chain_map(cobar_bar_counit(P, cobar(bar(P, 3, 2), 3, 2))) == []
 
 
 def test_counit_chain_map_unary():
-    eta = cobar_bar_counit(unary_ns(), 2, 3)
+    P = unary_ns()
+    eta = cobar_bar_counit(P, cobar(bar(P, 2, 3), 2, 3))
     assert verify_chain_map(eta) == []
 
 
@@ -301,8 +303,8 @@ def test_compare_rescaling_unique_and_reported():
     W = w_pseudo(P, 3)
     C = bar(P, 3)
     CB = cobar(C, 3)
-    gamma = w_augmentation(P, 3, W=W)
-    counit = cobar_bar_counit(P, 3, C=C, CB=CB)
+    gamma = w_augmentation(P, W)
+    counit = cobar_bar_counit(P, CB)
     xs = [(k, x) for k in sorted(W.degrees()) for x in W.basis_of(k)]
     phi = {x: _w_to_cobar(P, C, x) for _, x in xs}
 

@@ -26,7 +26,6 @@ from opres.chain_core import (
     rank_over_field,
     ring_from_name,
     smith_normal_form,
-    tensor_complexes,
     verify_chain_map,
     verify_d_squared,
 )
@@ -104,7 +103,7 @@ def test_sparse_shape_checks():
 def test_mat_from_columns():
     M = mat_from_columns(2, [{0: 1}, {1: -1}, {}], ZZ)
     assert M.rows == 2 and M.cols == 3
-    assert M.get(1, 1) == -1
+    assert M.data == {(0, 0): 1, (1, 1): -1}
 
 
 # -- complexes ---------------------------------------------------------------
@@ -243,67 +242,6 @@ def test_compose_chain_maps():
     c = compose_chain_maps(i, i)
     assert verify_chain_map(c) == []
     assert c.offset == 0
-
-
-# -- tensor products -----------------------------------------------------------
-
-
-def test_tensor_with_unit():
-    C = interval_complex()
-    unit = ChainComplex(ZZ, {0: ("*",)}, {})
-    T = tensor_complexes(C, unit)
-    assert T.dim(0) == 2 and T.dim(1) == 1
-    assert T.diff(1).get(0, 0) == -1
-
-
-def test_tensor_square_of_two_term():
-    C = two_term(ZZ, 1)
-    T = tensor_complexes(C, C)
-    assert [T.dim(k) for k in (0, 1, 2)] == [1, 2, 1]
-    assert verify_d_squared(T) == []
-    H = homology(T)
-    assert H.nonzero_degrees() == []
-
-
-def test_tensor_koszul_sign():
-    C = two_term(ZZ, 1)
-    T = tensor_complexes(C, C)
-    col = T.diff(2).column(0)
-    vals = sorted(col.values())
-    assert vals == [-1, 1]
-    # the C-factor differential acts without sign, the D-factor with (-1)^1
-    bb = T.basis_of(2)[0]
-    assert bb == ("b", "b")
-    ab_index = T.basis_of(1).index(("a", "b"))
-    ba_index = T.basis_of(1).index(("b", "a"))
-    assert T.diff(2).get(ab_index, 0) == 1
-    assert T.diff(2).get(ba_index, 0) == -1
-
-
-def test_tensor_associative_ranks():
-    C = two_term(ZZ, 1)
-    left = tensor_complexes(tensor_complexes(C, C), C)
-    right = tensor_complexes(C, tensor_complexes(C, C))
-    for k in range(4):
-        assert left.dim(k) == right.dim(k)
-    # identical differentials under the canonical relabeling
-    for k in range(1, 4):
-        flat_l = {}
-        for (i, j), v in left.diff(k).data.items():
-            li = left.basis_of(k - 1)[i]
-            lj = left.basis_of(k)[j]
-            flat_l[((li[0][0], li[0][1], li[1]), (lj[0][0], lj[0][1], lj[1]))] = v
-        flat_r = {}
-        for (i, j), v in right.diff(k).data.items():
-            ri = right.basis_of(k - 1)[i]
-            rj = right.basis_of(k)[j]
-            flat_r[((ri[0], ri[1][0], ri[1][1]), (rj[0], rj[1][0], rj[1][1]))] = v
-        assert flat_l == flat_r
-
-
-def test_tensor_ring_mismatch():
-    with pytest.raises(ValueError):
-        tensor_complexes(two_term(ZZ, 1), two_term(QQ, 1))
 
 
 # -- koszul signs ------------------------------------------------------------------
@@ -500,7 +438,7 @@ def test_change_ring_maps_integer_entries():
     assert C2.ring == Ring("Fp", 2)
     assert C2.diff(1).data == {(1, 0): 1, (1, 1): 1}
     assert C2.basis_of(0) == ("a", "b")
-    assert change_ring(C, QQ).diff(1).get(0, 0) == Fraction(2)
+    assert change_ring(C, QQ).diff(1).data[(0, 0)] == Fraction(2)
     # an entry that vanishes mod p takes its differential with it
     C3 = change_ring(two_term(ZZ, 3), Ring("Fp", 3))
     assert C3.d == {}
@@ -523,7 +461,7 @@ def test_complex_json_roundtrip():
     assert data["d"]["1"] == [[0, 0, "-1"], [1, 0, "1"]]
     back = complex_from_json(data)
     assert back.dim(0) == 2 and back.dim(1) == 1
-    assert back.diff(1).get(0, 0) == -1
+    assert back.diff(1).data[(0, 0)] == -1
     H = homology(back)
     assert H.free_rank(0) == 1
 
@@ -532,4 +470,4 @@ def test_complex_json_rational():
     mat = SparseMat(1, 1, {(0, 0): Fraction(1, 2)})
     C = ChainComplex(QQ, {0: ("a",), 1: ("b",)}, {1: mat})
     back = complex_from_json(complex_to_json(C))
-    assert back.diff(1).get(0, 0) == Fraction(1, 2)
+    assert back.diff(1).data[(0, 0)] == Fraction(1, 2)

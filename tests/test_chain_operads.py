@@ -306,8 +306,9 @@ def test_check_composition_maps_builtins():
 def test_augmentation_counit_factorisation():
     # gamma restricted along delta is the free-operad counit
     F = free_operad_complex(AS_NS, 4)
-    gamma = w_augmentation(AS_NS, 4)
-    delta = delta_embedding(AS_NS, 4)
+    W = w_pseudo(AS_NS, 4)
+    gamma = w_augmentation(AS_NS, W)
+    delta = delta_embedding(AS_NS, W)
     eps = free_counit(AS_NS, F)
     assert verify_chain_map(gamma) == []
     assert verify_chain_map(delta) == []
@@ -428,10 +429,65 @@ def test_compose_basis_cap_refusal():
 
 
 def test_operad_composition_maps_are_chain_maps():
-    maps = w_operad_composition(AS_NS, 2, 2)
-    assert sorted(maps) == [0, 1]
-    for f in maps.values():
-        assert verify_chain_map(f) == []
+    # the table read through the assembled complexes: each composite is a
+    # target basis element and sign * d(x o_i y) = dx o_i y + (-1)^|x| x o_i dy
+    table = w_operad_composition(AS_NS, 3, 2)
+    A, B, T = w_pseudo(AS_NS, 3), w_pseudo(AS_NS, 2), w_pseudo(AS_NS, 4)
+    assert len(table) == A.total_dim() * 3 * B.total_dim()
+    assert {i for _, i, _ in table} == {0, 1, 2}
+
+    def d(C, x):
+        col = C.diff(x.degree).column(C.index(x.degree, x))
+        return {C.basis_of(x.degree - 1)[r]: v for r, v in col.items()}
+
+    for (x, i, y), (c, z) in table.items():
+        assert z in T.basis_of(x.degree + y.degree)
+        rhs = {}
+        for x2, a in d(A, x).items():
+            c2, z2 = table[(x2, i, y)]
+            rhs[z2] = rhs.get(z2, 0) + a * c2
+        for y2, b in d(B, y).items():
+            c2, z2 = table[(x, i, y2)]
+            rhs[z2] = rhs.get(z2, 0) + (-1) ** x.degree * b * c2
+        assert {w: c * v for w, v in d(T, z).items()} == {w: v for w, v in rhs.items() if v}
+
+
+def _pair(i, x, y):
+    return f"slot {i + 1}, pair {basis_to_json(x)} o {basis_to_json(y)}: "
+
+
+def test_composition_check_catches_dropped_sign(monkeypatch):
+    honest = chain_operads.w_compose_basis
+
+    def dropped(P, x, i, y, edge_cap=None):
+        c, z = honest(P, x, i, y, edge_cap)
+        return (1 if x.degree % 2 and y.degree % 2 else c), z
+
+    table = w_operad_composition(AS_NS, 4, 3)
+    assert any(c == -1 and x.degree % 2 and y.degree % 2 for (x, _, y), (c, _) in table.items())
+    monkeypatch.setattr(chain_operads, "w_compose_basis", dropped)
+    msgs = check_composition_maps(AS_NS, 4, 3)
+    assert msgs
+    named = {_pair(i, x, y) + "grafting is not a chain map" for x, i, y in table}
+    assert set(msgs) <= named
+
+
+def test_composition_check_catches_composite_outside_basis(monkeypatch):
+    honest = chain_operads.w_compose_basis
+    xs = enumerate_w_basis(COM, 3)
+    x0, y0 = xs[-1], xs[1]
+
+    def misgraded(P, x, i, y, edge_cap=None):
+        c, z = honest(P, x, i, y, edge_cap)
+        if (x, i, y) == (x0, 2, y0):
+            z = WChainBasis(z.arity, z.node, z.degree + 1)
+        return c, z
+
+    monkeypatch.setattr(chain_operads, "w_compose_basis", misgraded)
+    msgs = check_composition_maps(COM, 3, 3)
+    _, z = misgraded(COM, x0, 2, y0)
+    assert _pair(2, x0, y0) + f"composite {basis_to_json(z)} is outside the basis" in msgs
+    assert all(m.startswith("slot ") and ", pair {" in m for m in msgs)
 
 
 def test_boundary_lands_in_basis_span():

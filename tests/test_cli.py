@@ -488,6 +488,35 @@ def test_malformed_set_table_exits_2(tmp_path, section, key, result):
     assert "Traceback" not in err
 
 
+MALFORMED_SHAPES = [
+    # a top-level list where an object belongs
+    (["chainw", "build", "--arity", "3", "--operad"], []),
+    (["setw", "build", "--arity", "3", "--operad"], []),
+    (["segment", "check", "--file"], []),
+    (["homology", "--file"], []),
+    (["homology", "--ring", "Q", "--file"], []),
+    # a list where a mapping belongs
+    (["chainw", "build", "--arity", "3", "--operad"], {"arities": [["m", 0]]}),
+    (["setw", "build", "--arity", "3", "--operad"], {"arities": ["m"], "unit": "e"}),
+    (["homology", "--file"], {"ring": "Z", "basis": [["a"]]}),
+    # a d entry outside its matrix
+    (["homology", "--file"], {"ring": "Z", "basis": {"0": ["a"], "1": ["b"]}, "d": {"1": [[1, 0, "1"]]}}),
+]
+
+
+@pytest.mark.parametrize("command,data", MALFORMED_SHAPES, ids=[
+    "chain-list", "set-list", "segment-list", "complex-list", "complex-list-ring",
+    "chain-arities", "set-arities", "complex-basis", "complex-d-entry",
+])
+def test_malformed_json_shape_exits_2(tmp_path, command, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(command + [str(path)])
+    assert rc == 2
+    assert err.startswith("error: malformed ")
+    assert "Traceback" not in err
+
+
 # -- environment and entry point ---------------------------------------------
 
 

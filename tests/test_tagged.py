@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import math
 from pathlib import Path
 
@@ -260,3 +262,22 @@ def test_public_surface_has_callers():
                 ):
                     unused.add(f"{path.stem}.{name}")
     assert unused == set(UNUSED_ON_PURPOSE)
+
+
+def test_traced_targets_resolve():
+    """Every (module, attribute path) that perfbench/tracing.py wraps is
+    defined in opres, so deleting or renaming a traced function fails here
+    rather than under perfbench's --trace 1."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, module, attr_path, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"opres.{module}")
+        for part in attr_path.split("."):
+            owner = vars(owner).get(part) if owner is not None else None
+        if not callable(owner):
+            missing.append(f"{module}.{attr_path}")
+    assert len(tracing.TARGETS) > 40
+    assert missing == []
