@@ -568,40 +568,24 @@ def _w_to_cobar(P, C: CooperadComplex, x) -> CobarElement:
     return CobarElement(x.arity, onode, x.degree)
 
 
-@dataclass
-class ComparisonReport:
-    status: str
-    witness: str | None
-    bijection: list
-    rescaling: dict
-    arity: int
-    edge_cap: int | None
-    components: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "bijection": self.bijection,
-            "rescaling": self.rescaling,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
-
-def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> ComparisonReport:
+def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     """Match the cylinder piece with the cobar-of-bar piece.
 
     An edge cap of c on the cylinder side corresponds to capping the
     total vertex count across the inner trees at c + 1; both sides are
-    built under that correspondence.  The report carries the degreewise
-    basis bijection, a diagonal sign rescaling equating the two
-    differentials, and the compatibility of the two augmentations."""
+    built under that correspondence.  The report has the keys of the
+    other comparators' reports, "status" ("iso" or "fail") and
+    "witness", and carries the degreewise basis "bijection" and a
+    diagonal sign "rescaling" that equates the two differentials and is
+    compatible with the two augmentations; a failed report carries
+    neither."""
     W = w_pseudo(P, arity, edge_cap)
     vcap = None if edge_cap is None else edge_cap + 1
     C = bar(P, arity, vcap)
     CB = cobar(C, arity, vcap)
 
     def fail(msg):
-        return ComparisonReport("fail", msg, [], {}, arity, edge_cap)
+        return {"bijection": [], "rescaling": {}, "status": "fail", "witness": msg}
 
     degs = sorted(set(W.degrees()) | set(CB.degrees()))
     for k in degs:
@@ -672,11 +656,9 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> Comparison
         adj.setdefault(y, []).append((x, req))
     nodes = [x for k in degs for x in W.basis_of(k)]
     eps: dict = {}
-    ncomp = 0
     for root in nodes:
         if root in eps:
             continue
-        ncomp += 1
         eps[root] = 1
         members = [root]
         stack = [root]
@@ -703,12 +685,5 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> Comparison
     for x, v in forced.items():
         if eps[x] != v:
             return fail("augmentation incompatible with the rescaling")
-    return ComparisonReport(
-        "iso",
-        None,
-        bij,
-        {_w_key(x): eps[x] for x in nodes},
-        arity,
-        edge_cap,
-        ncomp,
-    )
+    rescaling = {_w_key(x): eps[x] for x in nodes}
+    return {"bijection": bij, "rescaling": rescaling, "status": "iso", "witness": None}

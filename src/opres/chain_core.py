@@ -698,14 +698,16 @@ def change_ring(C: ChainComplex, ring: Ring) -> ChainComplex:
 
 def json_reader(what: str):
     """Decorate a reader of parsed JSON: a value of the wrong shape, which
-    surfaces as TypeError, AttributeError or IndexError, raises ValueError
-    naming what was read, since the input is at fault."""
+    surfaces as TypeError, AttributeError or IndexError, or a missing key
+    raises ValueError naming what was read, since the input is at fault."""
 
     def wrap(read):
         @functools.wraps(read)
         def checked(data):
             try:
                 return read(data)
+            except KeyError as exc:
+                raise ValueError(f"malformed {what}: missing key {exc}") from None
             except (TypeError, AttributeError, IndexError) as exc:
                 raise ValueError(f"malformed {what}: {exc}") from None
 

@@ -262,7 +262,7 @@ class TableChainOperad(PseudoChainOperad):
     def compose(self, n, i, x, m, y):
         key = (x, i, y)
         if key not in self.compose_table:
-            raise KeyError(f"composition {x} o{i + 1} {y} missing from table")
+            raise ValueError(f"composition {x} o{i + 1} {y} missing from table")
         return dict(self.compose_table[key])
 
     def act(self, n, x, sigma):
@@ -273,7 +273,7 @@ class TableChainOperad(PseudoChainOperad):
             raise ValueError("non-symmetric operad acted on by a permutation")
         key = (x, sigma)
         if key not in self.action_table:
-            raise KeyError(f"action of {sigma} on {x} missing from table")
+            raise ValueError(f"action of {sigma} on {x} missing from table")
         return dict(self.action_table[key])
 
 
@@ -557,15 +557,6 @@ class WChainBasis:
     arity: int
     node: tuple | None
     degree: int
-
-    def tree(self) -> PlanarTree:
-        return node_tree(self.node) if self.node else PlanarTree(None)
-
-    def labels(self) -> tuple:
-        return node_labels(self.node) if self.node else ()
-
-    def leaves(self) -> tuple:
-        return node_leaves(self.node) if self.node else (0,)
 
 
 def basis_to_json(x: WChainBasis) -> dict:
@@ -1006,7 +997,7 @@ def free_counit(P, F: ChainComplex) -> ChainMap:
 # -- operad structure on the cylinder ----------------------------------------
 
 
-def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | None = None):
+def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis):
     """Graft y under input i of x along a fresh unmarked edge.  Returns
     the sign and the canonical composite."""
     n, m = x.arity, y.arity
@@ -1016,10 +1007,6 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis, edge_cap: int | N
         return 1, y
     if y.node is None:
         return 1, x
-    if edge_cap is not None:
-        total = len(node_lengths(x.node)) + len(node_lengths(y.node)) + 1
-        if total > edge_cap:
-            raise ValueError("edge cap exceeded by composition")
     tx = tag(x.node, P.degree_of)
     ty = tag(map_leaves(y.node, range(i, i + m)), P.degree_of)
     w_xy = _word(tx) + _word(ty)

@@ -148,7 +148,7 @@ class TableOperad:
             return x
         key = (x, i, y)
         if key not in self.compose_table:
-            raise KeyError(f"composition {x} o{i + 1} {y} missing from table")
+            raise ValueError(f"composition {x} o{i + 1} {y} missing from table")
         return self.compose_table[key]
 
     def act(self, n, x, sigma):
@@ -156,7 +156,7 @@ class TableOperad:
             return x
         key = (x, sigma)
         if key not in self.action_table:
-            raise KeyError(f"action of {sigma} on {x} missing from table")
+            raise ValueError(f"action of {sigma} on {x} missing from table")
         return self.action_table[key]
 
     def name_of(self, n, x) -> str:
@@ -300,9 +300,6 @@ class WSetElement:
 
     def vertex_count(self) -> int:
         return 0 if self.node is None else _node_vertices(self.node)
-
-    def edge_count(self) -> int:
-        return 0 if self.node is None else _node_vertices(self.node) - 1
 
 
 W_UNIT = WSetElement(1, None)
@@ -464,16 +461,6 @@ def _normal_element(P, H: FiniteSegment, arity: int, node) -> WSetElement:
     if state[0] == "unit":
         return W_UNIT
     return WSetElement(arity, canon_node(P, state[1]))
-
-
-def normalize(P, H: FiniteSegment, tree: PlanarTree, labels, lengths, leaves=None) -> WSetElement:
-    """Normal form of a raw decorated tree, as a canonical element."""
-    if leaves is None:
-        leaves = tuple(range(tree.arity))
-    node = build_node(tree, labels, lengths, leaves)
-    if node is None:
-        return W_UNIT
-    return _normal_element(P, H, tree.arity, node)
 
 
 # operations on elements -------------------------------------------------------
@@ -883,6 +870,7 @@ class GodementTower:
     def __init__(self, P):
         self.P = P
         self._levels: dict[int, FreePointedOperad] = {}
+        self._flat_levels: dict[int, WSetOperad] = {}
 
     def level(self, k: int) -> FreePointedOperad:
         if k < 0:
@@ -894,12 +882,6 @@ class GodementTower:
 
     def elements(self, k: int, n: int):
         return self.level(k).elements(n)
-
-    def compose(self, k: int, x: WSetElement, i: int, y: WSetElement) -> WSetElement:
-        return self.level(k).compose(x.arity, i, x, y.arity, y)
-
-    def act(self, k: int, x: WSetElement, sigma) -> WSetElement:
-        return self.level(k).act(x.arity, x, sigma)
 
     def face(self, k: int, i: int, x: WSetElement):
         """Face i at level k evaluates one layer: the outermost for i = k,
@@ -944,10 +926,29 @@ class GodementTower:
             x = self.face(level, 0, x)
         return self.face(0, 0, x)
 
+    def flat_level(self, k: int) -> WSetOperad:
+        """The weighted operad over the segment of monotone maps [k] -> [1],
+        in which flatten evaluates level k."""
+        if k not in self._flat_levels:
+            self._flat_levels[k] = WSetOperad(delta1_level(k), self.P)
+        return self._flat_levels[k]
 
-def godement_simplicial_check(P, max_level: int, max_arity: int) -> list[str]:
+    def flatten(self, k: int, x: WSetElement) -> WSetElement:
+        """A level-k element as a weighted tree over the segment of monotone
+        maps [k] -> [1]: the outermost layer's edges take the top length,
+        deeper layers keep their (index-shared) lengths."""
+        if x.node is None:
+            return W_UNIT
+        if k == 0:
+            return x
+        # flattened level-(k-1) elements read unchanged over the larger
+        # segment: length indices 0..k are shared
+        flat = map_labels(x.node, lambda lab, val: self.flatten(k - 1, lab))
+        return _eval_raw(self.flat_level(k), flat)
+
+
+def godement_simplicial_check(tower: GodementTower, max_level: int, max_arity: int) -> list[str]:
     """Elementwise simplicial identities for the cotriple tower."""
-    tower = GodementTower(P)
     bad: list[str] = []
     for k in range(max_level + 1):
         for n in range(1, max_arity + 1):
@@ -978,46 +979,26 @@ def godement_simplicial_check(P, max_level: int, max_arity: int) -> list[str]:
                         if out != expect:
                             bad.append(f"ds identity fails at level {k}, pair ({i},{j}), arity {n}")
                 if k == 1:
-                    if w_eval(P, tower.face(1, 1, x)) != tower.face(0, 0, tower.face(1, 0, x)):
+                    if w_eval(tower.P, tower.face(1, 1, x)) != tower.face(0, 0, tower.face(1, 0, x)):
                         bad.append(f"augmentation coequalizer fails at arity {n}")
     return bad
 
 
-def flatten_godement(tower: GodementTower, k: int, x: WSetElement, W_by_level: dict) -> WSetElement:
-    """Level-k tower elements as weighted trees over the segment of
-    monotone maps [k] -> [1]: the outermost layer's edges take the top
-    length, deeper layers keep their (index-shared) lengths.  W_by_level
-    caches the weighted operad of each level, filled as needed."""
-    if x.node is None:
-        return W_UNIT
-    if k == 0:
-        return x
-    if k not in W_by_level:
-        W_by_level[k] = WSetOperad(delta1_level(k), tower.P)
-    # flattened level-(k-1) elements read unchanged over the larger
-    # segment: length indices 0..k are shared
-    flat = map_labels(x.node, lambda lab, val: flatten_godement(tower, k - 1, lab, W_by_level))
-    return _eval_raw(W_by_level[k], flat)
-
-
-def compare_godement_w(P, k: int, max_arity: int) -> dict:
+def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
     """Compare tower level k with the weighted construction over the
     segment of monotone maps [k] -> [1]: bijection, composition, faces
     (tower face i matches segment face k - i: both merge the adjacent
     lengths i and i + 1), degeneracies with the same index reversal, and
     the augmentation."""
-    tower = GodementTower(P)
-    W_by_level = {j: WSetOperad(delta1_level(j), P) for j in range(k + 2)}
+    P, W = tower.P, tower.flat_level(k)
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
-
-    def flat(j, x):
-        return flatten_godement(tower, j, x, W_by_level)
-
+    flat: dict[WSetElement, WSetElement] = {}  # each level-k element, flattened once
     for n in range(1, max_arity + 1):
         g_elems = tower.elements(k, n)
-        w_elems = W_by_level[k].elements(n)
+        w_elems = W.elements(n)
         report["sizes"][n] = len(w_elems)
-        flats = [flat(k, x) for x in g_elems]
+        flats = [tower.flatten(k, x) for x in g_elems]
+        flat.update(zip(g_elems, flats))
         if len(set(flats)) != len(flats):
             return _fail(report, f"flattening not injective at arity {n}")
         if set(flats) != set(w_elems):
@@ -1029,21 +1010,21 @@ def compare_godement_w(P, k: int, max_arity: int) -> dict:
             for x in tower.elements(k, n1):
                 for y in tower.elements(k, n2):
                     for i in range(n1):
-                        lhs = flat(k, tower.compose(k, x, i, y))
-                        rhs = w_compose(P, W_by_level[k].H, flat(k, x), i, flat(k, y))
+                        lhs = tower.flatten(k, tower.level(k).compose(n1, i, x, n2, y))
+                        rhs = w_compose(P, W.H, flat[x], i, flat[y])
                         if lhs != rhs:
                             return _fail(report, f"composition mismatch at arities ({n1},{n2}) slot {i}")
     for n in range(1, max_arity + 1):
         for x in tower.elements(k, n):
-            fx = flat(k, x)
+            fx = flat[x]
             if k >= 1:
                 for i in range(k + 1):
-                    lhs = flat(k - 1, tower.face(k, i, x))
+                    lhs = tower.flatten(k - 1, tower.face(k, i, x))
                     rhs = w_segment_apply(P, delta1_face(k, k - i), fx)
                     if lhs != rhs:
                         return _fail(report, f"face {i} mismatch at level {k}, arity {n}")
             for i in range(k + 1):
-                lhs = flat(k + 1, tower.degeneracy(k, i, x))
+                lhs = tower.flatten(k + 1, tower.degeneracy(k, i, x))
                 rhs = w_segment_apply(P, delta1_degeneracy(k, k - i), fx)
                 if lhs != rhs:
                     return _fail(report, f"degeneracy {i} mismatch at level {k}, arity {n}")

@@ -25,6 +25,7 @@ from opres.chain_operads import builtin_chain_operad, chain_interval, w_pseudo, 
 from opres.cli import main
 from opres.segments import chain_segment
 from opres.set_operads import (
+    GodementTower,
     compare_free,
     compare_godement_w,
     confluence_experiment,
@@ -146,13 +147,13 @@ def test_criterion_06_free_pointed_comparison():
 
 def test_criterion_07_godement_tower():
     t0 = time.perf_counter()
-    P = get_builtin_operad("ass")
+    tower = GodementTower(get_builtin_operad("ass"))
     bad = []
     for k in (0, 1, 2):
-        rep = compare_godement_w(P, k, 3)
+        rep = compare_godement_w(tower, k, 3)
         if rep["status"] != "iso":
             bad.append(f"level {k}: {rep['witness']}")
-    bad.extend(godement_simplicial_check(P, 2, 3))
+    bad.extend(godement_simplicial_check(tower, 2, 3))
     dt = time.perf_counter() - t0
     ok = not bad and dt < 120
     line = report(7, ok, dt,

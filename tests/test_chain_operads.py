@@ -30,6 +30,7 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
+from opres.tagged import node_tree
 
 AS_NS = builtin_chain_operad("as_ns")
 ASS = builtin_chain_operad("ass_sym")
@@ -415,17 +416,7 @@ def test_compose_basis_grafts():
     assert z.degree == 0
     # the graft adds one unmarked internal edge
     assert basis_to_json(z)["gamma_edges"] == []
-    assert z.tree().edge_count == 1
-
-
-def test_compose_basis_cap_refusal():
-    U = unary_ns()
-    xs = [x for x in enumerate_w_basis(U, 2, 1) if x.tree().edge_count == 1]
-    x = xs[0]
-    ys = enumerate_w_basis(U, 1, 1)
-    y = max(ys, key=lambda e: e.tree().edge_count)
-    with pytest.raises(ValueError):
-        w_compose_basis(U, x, 0, y, edge_cap=1)
+    assert node_tree(z.node).edge_count == 1
 
 
 def test_operad_composition_maps_are_chain_maps():
@@ -459,8 +450,8 @@ def _pair(i, x, y):
 def test_composition_check_catches_dropped_sign(monkeypatch):
     honest = chain_operads.w_compose_basis
 
-    def dropped(P, x, i, y, edge_cap=None):
-        c, z = honest(P, x, i, y, edge_cap)
+    def dropped(P, x, i, y):
+        c, z = honest(P, x, i, y)
         return (1 if x.degree % 2 and y.degree % 2 else c), z
 
     table = w_operad_composition(AS_NS, 4, 3)
@@ -477,8 +468,8 @@ def test_composition_check_catches_composite_outside_basis(monkeypatch):
     xs = enumerate_w_basis(COM, 3)
     x0, y0 = xs[-1], xs[1]
 
-    def misgraded(P, x, i, y, edge_cap=None):
-        c, z = honest(P, x, i, y, edge_cap)
+    def misgraded(P, x, i, y):
+        c, z = honest(P, x, i, y)
         if (x, i, y) == (x0, 2, y0):
             z = WChainBasis(z.arity, z.node, z.degree + 1)
         return c, z
@@ -583,7 +574,7 @@ def test_reduced_wrapper():
 
 def test_table_operad_missing_entries():
     U = unary_ns()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="missing from table"):
         U.compose(2, 0, "m", 2, "m")
 
 

@@ -149,6 +149,27 @@ def test_barcobar_compare_example(tmp_path):
     assert set(resc.values()) <= {1, -1}
 
 
+def test_barcobar_compare_failure_payload(monkeypatch, tmp_path):
+    # a planted fault: every degree-0 cylinder element reads as the first
+    from opres import bar_cobar
+
+    honest = bar_cobar._w_to_cobar
+    first = {}
+
+    def merged(P, C, x):
+        y = honest(P, C, x)
+        return first.setdefault(x.degree, y) if x.degree == 0 else y
+
+    monkeypatch.setattr(bar_cobar, "_w_to_cobar", merged)
+    rc, report, _ = run_json(
+        ["barcobar", "compare-w", "--operad", "as_ns", "--arity", "3"], tmp_path
+    )
+    assert rc == 1 and report["status"] == "failed"
+    payload = report["payload"]
+    assert payload["witness"].startswith("two degree 0 elements share the image ")
+    assert payload == {"bijection": [], "rescaling": {}, "status": "fail", "witness": payload["witness"]}
+
+
 def test_corrupted_operad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"arities": [2], "d":')
@@ -292,6 +313,24 @@ def test_godement_compare():
         ["godement", "compare-w", "--operad", "ass", "--level", "1", "--arity", "2"]
     )
     assert rc == 0
+
+
+def test_godement_compare_builds_one_tower(monkeypatch):
+    from opres import set_operads
+
+    built = []
+    init = set_operads.GodementTower.__init__
+
+    def counting(self, P):
+        built.append(P)
+        init(self, P)
+
+    monkeypatch.setattr(set_operads.GodementTower, "__init__", counting)
+    rc, out, err = run(
+        ["godement", "compare-w", "--operad", "ass", "--level", "1", "--arity", "2"]
+    )
+    assert rc == 0
+    assert len(built) == 1
 
 
 def test_godement_build(tmp_path):
@@ -549,6 +588,45 @@ def test_internal_fault_exits_3(monkeypatch):
     assert rc == cli.EXIT_INTERNAL == 3
     assert "internal error: RuntimeError: boundary left the basis" in err
     assert "Traceback" not in err
+
+
+def _internal_key_error(monkeypatch, tmp_path):
+    from opres import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal bookkeeping")
+
+    monkeypatch.setattr(cli, "w_reduced", broken)
+    return ["chainw", "homology", "--operad", "as_ns", "--arity", "3"]
+
+
+def _missing_table_row(monkeypatch, tmp_path):
+    table = {
+        "symmetric": False,
+        "arities": {"2": [["m", 0]], "3": [["t", 0]]},
+        "compose": {"m o1 m": {"t": 1}},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    return ["chainw", "build", "--operad", str(path), "--arity", "3"]
+
+
+def _complex_without_ring(monkeypatch, tmp_path):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"basis": {"0": ["a"]}, "d": {}}))
+    return ["homology", "--file", str(path)]
+
+
+@pytest.mark.parametrize("case,code,message", [
+    (_internal_key_error, 3, "internal error: KeyError: 'internal bookkeeping'\n"),
+    (_missing_table_row, 2, "error: composition m o2 m missing from table\n"),
+    (_complex_without_ring, 2, "error: malformed complex: missing key 'ring'\n"),
+], ids=["internal", "table-row", "json-key"])
+def test_key_error_exit_codes(monkeypatch, tmp_path, case, code, message):
+    """Only a missing table row or JSON key is the input's fault; any
+    other KeyError is an internal fault."""
+    rc, out, err = run(case(monkeypatch, tmp_path))
+    assert (rc, err) == (code, message)
 
 
 def test_unbounded_tree_enum_rejected():

@@ -237,13 +237,24 @@ def _uses(paths) -> list:
 
 def test_public_surface_has_callers():
     """A public top-level function is used when its name is; a method only
-    when an attribute of its name is.  Uses inside its own body, and uses
-    under tests/, do not count."""
+    when an attribute of its name is.  A top-level function named like a
+    method of opres is used only through its own name, as an import or a
+    call, since an attribute of that name may be the method.  Uses inside
+    its own body, and uses under tests/, do not count."""
     root = SRC.parent.parent
     uses = _uses([*SRC.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "perfbench").rglob("*.py")])
+    modules = {path: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
+    methods = {
+        m.name
+        for body in modules.values()
+        for top in body
+        if isinstance(top, ast.ClassDef)
+        for m in top.body
+        if isinstance(m, ast.FunctionDef)
+    }
     unused = set()
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
+    for path, body in modules.items():
+        for top in body:
             if isinstance(top, ast.FunctionDef):
                 defs = [(top.name, top, False)]
             elif isinstance(top, ast.ClassDef):
@@ -256,7 +267,7 @@ def test_public_surface_has_callers():
                     continue
                 if not any(
                     used == short
-                    and (attr or not method)
+                    and (attr if method else not (attr and short in methods))
                     and not (where == path and node.lineno <= line <= node.end_lineno)
                     for where, line, used, attr in uses
                 ):
