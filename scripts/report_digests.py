@@ -9,7 +9,8 @@ holding this script), and one line "sha256  command" is printed per
 report.  The exit code is 1 if any command exits nonzero, raises, or
 writes no report.  Running the script once on each of two checkouts and
 diffing the output shows whether a change kept every report
-byte-identical.  Standard library only.
+byte-identical; scripts/report_digests.txt holds the expected output,
+and CI diffs a fresh run against it.  Standard library only.
 """
 
 import contextlib

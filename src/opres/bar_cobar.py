@@ -1,13 +1,21 @@
 """Bar and cobar transforms of reduced chain operads.
 
-The bar side expands an operad into labeled trees, one extra degree per
-vertex, with a differential that contracts edges and composes labels.
-The cobar side rebuilds an operad complex out of trees whose vertices
-carry bar elements, shifted one degree down, with a differential that
-splits them apart again.  The composite resolves the operad; this module
-also matches it against the cylinder resolution of chain_operads by an
-explicit basis bijection and a diagonal sign rescaling, so the two sign
-disciplines never have to agree literally, only up to signs.
+Both transforms build labeled trees through one engine that reads its
+labels from a label source: symmetric, basis(k) as (label, degree) pairs,
+degree_of(k, x), d(k, x), and signed_act(k, x, sigma) returning (label,
+sign).  A reduced chain operad is a label source.  The bar side expands
+one into trees with every vertex one degree up, and its differential
+adds the contraction of each edge.  The expansion, CooperadComplex, is a
+label source in turn: the cobar side builds trees of its elements with
+every vertex one degree down, and its differential adds the splittings
+(splits) of each label.  Both shifts are odd, so one canonical form, one
+enumerator and one differential scaffold serve both levels; only the
+contractions and the splittings differ.
+
+The composite resolves the operad; this module also matches it against
+the cylinder resolution of chain_operads by an explicit basis bijection
+and a diagonal sign rescaling, so the two sign disciplines never have to
+agree literally, only up to signs.
 """
 
 import itertools
@@ -40,30 +48,19 @@ from .tagged import (
 from .trees import PlanarTree
 
 
-# -- tagged trees ------------------------------------------------------------
+# -- the tree engine ---------------------------------------------------------
 #
 # Both levels use the tagged shape of the tagged module with every edge
-# flag 0.  At the inner level labels are operad element names with parity
-# shifted up one; at the outer level labels are whole bar elements with
-# parity shifted down one.  Words are the vertices in depth-first
-# preorder, and every sign is a Koszul count over those words.
-
-
-def _t_word(nd):
-    out = [(nd[0], nd[2])]
-    for it in nd[3]:
-        if it[0] == "edge":
-            out.extend(_t_word(it[3]))
-    return out
-
-
-# -- the inner level ---------------------------------------------------------
+# flag 0.  A vertex letter's parity is its label's degree plus one, for
+# the shift up to the bar and down to the cobar alike.  Words are the
+# vertices in depth-first preorder, and every sign is a Koszul count over
+# those words.
 
 
 @dataclass(frozen=True)
-class BarElement:
-    """One bar basis element: a labeled tree with every vertex one
-    degree up, and a leaf routing."""
+class TreeElement:
+    """One basis element of either level: a tree labeled by a label
+    source, every vertex shifted one degree, and a leaf routing."""
 
     arity: int
     node: tuple
@@ -79,6 +76,118 @@ class BarElement:
         return node_leaves(self.node)
 
 
+def _t_word(nd):
+    out = [(nd[0], nd[2])]
+    for it in nd[3]:
+        if it[0] == "edge":
+            out.extend(_t_word(it[3]))
+    return out
+
+
+def _parity(Q):
+    return lambda k, label: Q.degree_of(k, label) + 1
+
+
+def _canon(Q, node):
+    if not Q.symmetric:
+        return 1, node
+    t0 = tag(node, _parity(Q))
+    sign, t1 = canon(Q.signed_act, t0)
+    return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
+
+
+def _trees(Q, arity: int, cap: int | None, shift: int, cost) -> tuple:
+    """The trees of one arity labeled by Q, every vertex shifted by
+    shift, whose labels cost at most cap in total; in shape, label and
+    routing order.  Depth-first over label choices: every remaining
+    vertex costs at least one unit of the cap, so dead branches prune
+    early."""
+    if arity < 1 or (cap is not None and cap < 1):
+        return ()
+    max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
+    min_val = 1 if Q.basis(1) else 2
+    pools: dict[int, tuple] = {}
+    out = []
+    for tree, lams in shapes(arity, max_edges, min_val, Q.symmetric):
+        flags = (0,) * tree.edge_count
+        vals = tree.valences()
+        for v in vals:
+            if v not in pools:
+                pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
+        chosen: list = []
+
+        def rec(j, used, deg):
+            if j == len(vals):
+                for lam in lams:
+                    out.append(TreeElement(arity, build_node(tree, chosen, flags, lam), deg))
+                return
+            rem = len(vals) - j - 1
+            for lb, d, c in pools[vals[j]]:
+                if cap is not None and used + c + rem > cap:
+                    continue
+                chosen.append(lb)
+                rec(j + 1, used + c, deg + d)
+                chosen.pop()
+
+        rec(0, 0, 0)
+    return tuple(out)
+
+
+def _tree_d(Q, x: TreeElement, terms) -> dict:
+    """The shifted boundary of each label, prefix counted exclusively,
+    plus the structure terms(Q, nd, w0) yields as (plain node,
+    coefficient) pairs; every result canonicalized."""
+    nd = tag(x.node, _parity(Q))
+
+    def label_terms():
+        s = 1
+        for uid, label, par, items in vertices(nd):
+            for y, c in Q.d(len(items), label).items():
+                yield untag(graft_replace(nd, uid, (uid, y, par, items))), -s * c
+            s = -s if par else s
+
+    acc: dict[TreeElement, int] = {}
+    for node, c in itertools.chain(label_terms(), terms(Q, nd, _t_word(nd))):
+        if c:
+            sign, rep = _canon(Q, node)
+            key = TreeElement(x.arity, rep, x.degree - 1)
+            acc[key] = acc.get(key, 0) + c * sign
+    return {k: v for k, v in acc.items() if v}
+
+
+def _merge(P, nd, w0, parent, slot, child, shift: int):
+    """Compose the child into its parent: the tagged results, each with
+    the sign of moving the child letter past the letters between the two
+    and the Koszul sign of the merged word.  The merged letter's parity
+    is the sum of the two plus shift."""
+    puid, pname, ppar, pitems = parent
+    cuid, cname, cpar, citems = child
+    uids = [u for u, _ in w0]
+    between = sum(p for _, p in w0[uids.index(puid) + 1 : uids.index(cuid)]) & 1
+    move = -1 if (cpar and between) else 1
+    mpar = (ppar + cpar + shift) & 1
+    mid = [(u, mpar if u == puid else p) for u, p in w0 if u != cuid]
+    for zname, c in P.compose(len(pitems), slot, pname, len(citems), cname).items():
+        merged = (puid, zname, mpar, pitems[:slot] + citems + pitems[slot + 1 :])
+        nd2 = graft_replace(nd, puid, merged)
+        yield nd2, move * c * koszul(mid, _t_word(nd2))
+
+
+# -- the inner level ---------------------------------------------------------
+
+
+def _contractions(P, nd, w0):
+    """One term per edge: the child composed into its parent, with the
+    prefix through the parent counted inclusively."""
+    pre, s = {}, 1
+    for u, p in w0:
+        s = -s if p else s
+        pre[u] = s
+    for parent, slot, child in edges(nd):
+        for nd2, c in _merge(P, nd, w0, parent, slot, child, 1):
+            yield untag(nd2), pre[parent[0]] * c
+
+
 def _bar_degree(P, node) -> int:
     label, items = node
     deg = P.degree_of(len(items), label) + 1
@@ -88,66 +197,14 @@ def _bar_degree(P, node) -> int:
     return deg
 
 
-def _mk_bar(P, node) -> BarElement:
-    return BarElement(len(node_leaves(node)), node, _bar_degree(P, node))
-
-
-def _shifted_up(P):
-    """Parity of an inner vertex: its label one degree up."""
-    return lambda k, name: P.degree_of(k, name) + 1
-
-
-def _bar_canon(P, node):
-    if not P.symmetric:
-        return 1, node
-    t0 = tag(node, _shifted_up(P))
-    sign, t1 = canon(P.signed_act, t0)
-    return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
-
-
-def _bar_d(P, x: BarElement) -> dict:
-    """Inner differential plus one contraction per edge.
-
-    The label part carries the usual shift sign; a contraction consumes
-    the child letter next to its parent, prefix counted inclusively."""
-    nd = tag(x.node, _shifted_up(P))
-    w0 = _t_word(nd)
-    pos = {u: i for i, (u, _) in enumerate(w0)}
-    acc: dict[BarElement, int] = {}
-
-    def add(node, c):
-        if not c:
-            return
-        sign, rep = _bar_canon(P, node)
-        key = BarElement(x.arity, rep, x.degree - 1)
-        acc[key] = acc.get(key, 0) + c * sign
-
-    for uid, name, par, items in vertices(nd):
-        pre = sum(p for _, p in w0[: pos[uid]]) & 1
-        s = -1 if pre else 1
-        for zname, c in P.d(len(items), name).items():
-            nd2 = graft_replace(nd, uid, (uid, zname, (par + 1) & 1, items))
-            add(untag(nd2), -s * c)
-
-    for parent, slot, child in edges(nd):
-        puid, pname, ppar, pitems = parent
-        cuid, cname, cpar, citems = child
-        ia, ib = pos[puid], pos[cuid]
-        pre = sum(p for _, p in w0[: ia + 1]) & 1
-        between = sum(p for _, p in w0[ia + 1 : ib]) & 1
-        s = (-1 if pre else 1) * (-1 if (cpar and between) else 1)
-        mpar = (ppar + cpar + 1) & 1
-        mid = [(u, mpar if u == puid else p) for u, p in w0 if u != cuid]
-        for zname, c in P.compose(len(pitems), slot, pname, len(citems), cname).items():
-            merged = (puid, zname, mpar, pitems[:slot] + citems + pitems[slot + 1 :])
-            nd2 = graft_replace(nd, puid, merged)
-            add(untag(nd2), s * c * koszul(mid, _t_word(nd2)))
-    return {k: v for k, v in acc.items() if v}
+def _mk_bar(P, node) -> TreeElement:
+    return TreeElement(len(node_leaves(node)), node, _bar_degree(P, node))
 
 
 class CooperadComplex:
     """Tree expansion of the bar transform: per arity a chain complex,
-    plus the cocomposition structure the cobar side consumes."""
+    plus the cocomposition structure the cobar side consumes.  It is a
+    label source like the operad it expands."""
 
     def __init__(self, P, max_arity: int, vertex_cap: int | None = None):
         if P.basis(0):
@@ -157,72 +214,62 @@ class CooperadComplex:
                 "unary labels allow arbitrarily tall trees; give a vertex cap"
             )
         self.operad = P
+        self.name = P.name
+        self.symmetric = P.symmetric
         self.max_arity = max_arity
         self.vertex_cap = vertex_cap
-        self._basis: dict[int, tuple] = {}
+        self._elements: dict[int, tuple] = {}
         self._pieces: dict[int, ChainComplex] = {}
 
-    def basis(self, k: int) -> tuple:
-        if k not in self._basis:
-            self._basis[k] = self._enumerate(k)
-        return self._basis[k]
+    def elements(self, k: int) -> tuple:
+        if k not in self._elements:
+            self._elements[k] = _trees(self.operad, k, self.vertex_cap, 1, lambda name: 1)
+        return self._elements[k]
 
-    def _enumerate(self, k: int) -> tuple:
-        P = self.operad
-        if k < 1 or (self.vertex_cap is not None and self.vertex_cap < 1):
-            return ()
-        cap = self.vertex_cap - 1 if self.vertex_cap is not None else max(k - 2, 0)
-        min_val = 1 if P.basis(1) else 2
-        out = []
-        for tree, lams in shapes(k, cap, min_val, P.symmetric):
-            pools = [P.basis(v) for v in tree.valences()]
-            if not all(pools):
-                continue
-            for labels in itertools.product(*pools):
-                names = tuple(nm for nm, _ in labels)
-                deg = sum(d for _, d in labels) + tree.vertex_count
-                for lam in lams:
-                    node = build_node(tree, names, (0,) * tree.edge_count, lam)
-                    out.append(BarElement(k, node, deg))
-        return tuple(out)
+    def basis(self, k: int) -> tuple:
+        return tuple((x, x.degree) for x in self.elements(k))
+
+    def degree_of(self, k: int, x: TreeElement) -> int:
+        return x.degree
 
     def piece(self, k: int) -> ChainComplex:
         if k not in self._pieces:
             C = assemble_complex(
-                self.basis(k),
-                lambda xs: [self.d(x) for x in xs],
+                self.elements(k),
+                lambda xs: [self.d(k, x) for x in xs],
                 lambda x, y: "boundary left the basis in the bar expansion",
             )
             C.meta = {
                 "arity": k,
                 "vertex_cap": self.vertex_cap,
-                "operad": self.operad.name,
+                "operad": self.name,
                 "construction": "bar",
             }
             self._pieces[k] = C
         return self._pieces[k]
 
-    def d(self, x: BarElement) -> dict:
-        return _bar_d(self.operad, x)
+    def d(self, k: int, x: TreeElement) -> dict:
+        """Inner differential plus one contraction per edge."""
+        return _tree_d(self.operad, x, _contractions)
 
-    def act(self, x: BarElement, sigma):
+    def signed_act(self, k: int, x: TreeElement, sigma) -> tuple:
         """Right action on a bar element: reroute the leaves, recanonize."""
         sigma = tuple(sigma)
-        if sigma == perms.identity(x.arity):
-            return 1, x
-        if not self.operad.symmetric:
+        if sigma == perms.identity(k):
+            return x, 1
+        if not self.symmetric:
             raise ValueError("non-symmetric bar element acted on by a permutation")
-        s, node = _bar_canon(self.operad, map_leaves(x.node, sigma))
-        return s, BarElement(x.arity, node, x.degree)
+        s, node = _canon(self.operad, map_leaves(x.node, sigma))
+        return TreeElement(k, node, x.degree), s
 
-    def splits(self, x: BarElement) -> list:
+    def splits(self, x: TreeElement) -> list:
         """Quadratic cocomposition, upper factor first.
 
         One term per edge: (sign, upper, slot, lower, routing) where the
         routing is the leaf tuple of the standard two-vertex composite
         rebuilding the original element."""
         P = self.operad
-        nd = tag(x.node, _shifted_up(P))
+        nd = tag(x.node, _parity(P))
         w0 = _t_word(nd)
         out = []
         for parent, slot, child in edges(nd):
@@ -233,11 +280,11 @@ class CooperadComplex:
             ksign = -1 if (block_par and tail_par) else 1
             S = sorted(leaves(child))
             lower_raw = map_leaves(untag(child), {v: j for j, v in enumerate(S)})
-            sl, lower_node = _bar_canon(P, lower_raw)
+            sl, lower_node = _canon(P, lower_raw)
             low = _mk_bar(P, lower_node)
             upper_t = replace_item(nd, parent, slot, ("leaf", S[0]))
             U = sorted(leaves(upper_t))
-            su, upper_node = _bar_canon(
+            su, upper_node = _canon(
                 P, map_leaves(untag(upper_t), {v: j for j, v in enumerate(U)})
             )
             up = _mk_bar(P, upper_node)
@@ -263,7 +310,7 @@ class TwistingCochain:
     cooperad: CooperadComplex
     values: dict
 
-    def value(self, x: BarElement) -> dict:
+    def value(self, x: TreeElement) -> dict:
         return self.values.get(x, {})
 
 
@@ -271,7 +318,7 @@ def bar_counit(C: CooperadComplex) -> TwistingCochain:
     """Projection onto the single-vertex trees."""
     vals = {}
     for k in range(1, C.max_arity + 1):
-        for x in C.basis(k):
+        for x in C.elements(k):
             if x.tree().edge_count == 0:
                 vals[x] = {x.labels()[0]: 1}
     return TwistingCochain(C, vals)
@@ -284,18 +331,18 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
     bad: list[str] = []
     for k in range(1, C.max_arity + 1):
         deg_of = {nm: d for nm, d in P.basis(k)}
-        for x in C.basis(k):
+        for x in C.elements(k):
             for nm in tau.value(x):
                 if deg_of.get(nm) != x.degree - 1:
                     bad.append(
                         f"arity {k} degree {x.degree}: value {nm} is not one degree down"
                     )
-        for x in C.basis(k):
+        for x in C.elements(k):
             lhs: dict = {}
             for nm, c in tau.value(x).items():
                 for z, c2 in P.d(k, nm).items():
                     lhs[z] = lhs.get(z, 0) + c * c2
-            for y, c in C.d(x).items():
+            for y, c in C.d(k, x).items():
                 for z, c2 in tau.value(y).items():
                     lhs[z] = lhs.get(z, 0) + c * c2
             rhs: dict = {}
@@ -318,122 +365,30 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
 # -- the outer level ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CobarElement:
-    """Tree of bar elements: an outer tree, one bar label per vertex,
-    everything one degree down."""
-
-    arity: int
-    node: tuple
-    degree: int
-
-
-def _shifted_down(k, label):
-    """Parity of an outer vertex: its bar label one degree down."""
-    return label.degree + 1
-
-
-def _cobar_canon(C, node):
-    if not C.operad.symmetric:
-        return 1, node
-    t0 = tag(node, _shifted_down)
-    sign, t1 = canon(lambda k, label, sigma: C.act(label, sigma)[::-1], t0)
-    return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
-
-
-def _cobar_elements(C: CooperadComplex, arity: int, cap: int | None) -> tuple:
-    unary = bool(C.basis(1))
-    if unary and cap is None:
-        raise InfiniteEnumerationError(
-            "unary bar labels allow arbitrarily large trees; give a cap"
-        )
-    if arity < 1 or (cap is not None and cap < 1):
-        return ()
-    max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
-    min_val = 1 if unary else 2
-    out = []
-    for tree, lams in shapes(arity, max_edges, min_val, C.operad.symmetric):
-        flags = (0,) * tree.edge_count
-        pools = [
-            tuple((lb, lb.tree().vertex_count) for lb in C.basis(v))
-            for v in tree.valences()
-        ]
-        if not all(pools):
-            continue
-        r = len(pools)
-        chosen: list = []
-
-        # depth-first over label choices; every remaining vertex costs
-        # at least one unit of the cap, so dead branches prune early
-        def rec(j, used):
-            if j == r:
-                labels = tuple(chosen)
-                deg = sum(lb.degree - 1 for lb in labels)
-                for lam in lams:
-                    out.append(CobarElement(arity, build_node(tree, labels, flags, lam), deg))
-                return
-            rem = r - j - 1
-            for lb, vc in pools[j]:
-                if cap is not None and used + vc + rem > cap:
-                    continue
-                chosen.append(lb)
-                rec(j + 1, used + vc)
-                chosen.pop()
-
-        rec(0, 0)
-    return tuple(out)
-
-
-def _cobar_d(C: CooperadComplex, X: CobarElement) -> dict:
-    """Shifted bar differential on each label plus one splitting per
-    label edge, prefix counted exclusively."""
-    nd = tag(X.node, _shifted_down)
-    w0 = _t_word(nd)
-    pos = {u: i for i, (u, _) in enumerate(w0)}
-    acc: dict[CobarElement, int] = {}
-
-    def add(node, c):
-        if not c:
-            return
-        s, rep = _cobar_canon(C, node)
-        key = CobarElement(X.arity, rep, X.degree - 1)
-        acc[key] = acc.get(key, 0) + c * s
-
-    for uid, label, par, items in vertices(nd):
-        pre = sum(p for _, p in w0[: pos[uid]]) & 1
-        s = -1 if pre else 1
-        for y, c in C.d(label).items():
-            nd2 = graft_replace(nd, uid, (uid, y, (y.degree + 1) & 1, items))
-            add(untag(nd2), -s * c)
+def _splittings(C, nd, w0):
+    """One term per splitting of each label: the upper factor takes the
+    vertex and the lower factor grafts above it, prefix counted
+    exclusively."""
+    s = 1
+    for i, (uid, label, par, items) in enumerate(vertices(nd)):
         for sgn, up, slot, low, lam2 in C.splits(label):
-            tk = -1 if up.degree & 1 else 1
             m = low.arity
             low_uid = fresh_uid()
             low_par = (low.degree + 1) & 1
             up_par = (up.degree + 1) & 1
-            upper_items = []
-            for j in range(up.arity):
-                if j == slot:
-                    lower_items = tuple(items[lam2[slot + u]] for u in range(m))
-                    upper_items.append(("edge", fresh_uid(), 0, (low_uid, low, low_par, lower_items)))
-                elif j < slot:
-                    upper_items.append(items[lam2[j]])
-                else:
-                    upper_items.append(items[lam2[j + m - 1]])
-            nd2 = graft_replace(nd, uid, (uid, up, up_par, tuple(upper_items)))
-            natural = []
-            for u, p in w0:
-                if u == uid:
-                    natural.append((uid, up_par))
-                    natural.append((low_uid, low_par))
-                else:
-                    natural.append((u, p))
-            add(untag(nd2), s * sgn * tk * koszul(natural, _t_word(nd2)))
-    return {k: v for k, v in acc.items() if v}
+            routed = tuple(items[g] for g in lam2)
+            lower = ("edge", fresh_uid(), 0, (low_uid, low, low_par, routed[slot : slot + m]))
+            upper_items = routed[:slot] + (lower,) + routed[slot + m :]
+            nd2 = graft_replace(nd, uid, (uid, up, up_par, upper_items))
+            natural = w0[:i] + [(uid, up_par), (low_uid, low_par)] + w0[i + 1 :]
+            tk = -1 if up.degree & 1 else 1
+            yield untag(nd2), s * sgn * tk * koszul(natural, _t_word(nd2))
+        s = -s if par else s
 
 
-def cobar(C: CooperadComplex, arity: int, cap: int | None = None) -> ChainComplex:
-    """One arity piece of the operad rebuilt from the tree cooperad.
+def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
+    """One arity piece of the operad rebuilt from a cooperad: any label
+    source with splits, expanded up to max_arity under vertex_cap.
 
     The cap bounds the total vertex count across all labels of one
     element; it must not exceed what the cooperad was expanded with."""
@@ -444,14 +399,14 @@ def cobar(C: CooperadComplex, arity: int, cap: int | None = None) -> ChainComple
     if cap is not None and C.vertex_cap is not None and C.vertex_cap < cap:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
     X = assemble_complex(
-        _cobar_elements(C, arity, cap),
-        lambda xs: [_cobar_d(C, x) for x in xs],
+        _trees(C, arity, cap, -1, lambda label: label.tree().vertex_count),
+        lambda xs: [_tree_d(C, x, _splittings) for x in xs],
         lambda x, y: "boundary left the basis in the cobar expansion",
     )
     X.meta = {
         "arity": arity,
         "cap": cap,
-        "operad": C.operad.name,
+        "operad": C.name,
         "construction": "cobar",
     }
     return X
@@ -468,29 +423,17 @@ def _flat_eval(P, flat, n: int) -> dict:
         c, nd = work.pop()
         edge = next(edges(nd), None)
         if edge is None:
-            lam = tuple(leaves(nd))
-            for w, c2 in P.act(n, nd[1], lam).items():
+            for w, c2 in P.act(n, nd[1], tuple(leaves(nd))).items():
                 done[w] = done.get(w, 0) + c * c2
             continue
-        parent, slot, child = edge
-        puid, pname, ppar, pitems = parent
-        cuid, cname, cpar, citems = child
-        w0 = _t_word(nd)
-        pos = {u: i for i, (u, _) in enumerate(w0)}
-        between = sum(p for _, p in w0[pos[puid] + 1 : pos[cuid]]) & 1
-        move = -1 if (cpar and between) else 1
-        mpar = (ppar + cpar) & 1
-        mid = [(u, mpar if u == puid else p) for u, p in w0 if u != cuid]
-        for zname, c2 in P.compose(len(pitems), slot, pname, len(citems), cname).items():
-            merged = (puid, zname, mpar, pitems[:slot] + citems + pitems[slot + 1 :])
-            nd2 = graft_replace(nd, puid, merged)
-            work.append((c * move * c2 * koszul(mid, _t_word(nd2)), nd2))
+        for nd2, c2 in _merge(P, nd, _t_word(nd), *edge, 0):
+            work.append((c * c2, nd2))
     return {k: v for k, v in done.items() if v}
 
 
-def _counit_value(P, X: CobarElement) -> dict:
+def _counit_value(P, X: TreeElement) -> dict:
     """Project every label to its single vertex, then compose."""
-    if any(label.tree().edge_count for label in node_labels(X.node)):
+    if any(label.tree().edge_count for label in X.labels()):
         return {}
     flat = map_labels(X.node, lambda lab, val: lab.labels()[0])
     return _flat_eval(P, flat, X.arity)
@@ -520,13 +463,13 @@ def _w_key(x) -> str:
     return f"{node_tree(x.node).notation()} g[{marked}] l[{labs}] c[{lvs}]"
 
 
-def _bar_key(b: BarElement) -> str:
+def _bar_key(b: TreeElement) -> str:
     labs = ",".join(b.labels())
     lvs = ",".join(map(str, b.leaves()))
     return f"{b.tree().notation()} l[{labs}] c[{lvs}]"
 
 
-def _cobar_key(X: CobarElement) -> str:
+def _cobar_key(X: TreeElement) -> str:
     def rec(nd):
         label, items = nd
         parts = []
@@ -537,7 +480,7 @@ def _cobar_key(X: CobarElement) -> str:
     return rec(X.node)
 
 
-def _w_to_cobar(P, C: CooperadComplex, x) -> CobarElement:
+def _w_to_cobar(P, C: CooperadComplex, x) -> TreeElement:
     """Read a cylinder element as a tree of trees: marked components
     become bar labels, unmarked edges become outer edges.  Unsigned;
     the rescaling search owns all signs."""
@@ -561,11 +504,11 @@ def _w_to_cobar(P, C: CooperadComplex, x) -> CobarElement:
             return (label, tuple(out))
 
         inner = walk(flat)
-        _, rep = _bar_canon(P, inner)
+        _, rep = _canon(P, inner)
         return (_mk_bar(P, rep), tuple(outer_items))
 
-    _, onode = _cobar_canon(C, comp(x.node))
-    return CobarElement(x.arity, onode, x.degree)
+    _, onode = _canon(C, comp(x.node))
+    return TreeElement(x.arity, onode, x.degree)
 
 
 def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:

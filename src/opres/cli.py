@@ -80,12 +80,13 @@ def _looks_like_path(text: str) -> bool:
     return text.endswith(".json") or os.path.sep in text
 
 
-def _load_segment(text: str):
-    """Builtin segment names or a JSON file.
+def _load_segment(text: str, is_file: bool = False):
+    """A builtin segment name, or a JSON file when text looks like a
+    path or is_file is set.
 
     Names: "interval" (two-element chain), "chain:m", "delta1:k", and
     "diamond:NAME" wrapping any of these."""
-    if _looks_like_path(text):
+    if is_file or _looks_like_path(text):
         with open(text) as fh:
             return segment_from_json(json.load(fh))
     if text == "interval":
@@ -206,7 +207,7 @@ def _h_segment_make(a):
 
 
 def _h_segment_check(a):
-    H = _load_segment(a.file if a.file else a.name)
+    H = _load_segment(a.file, True) if a.file else _load_segment(a.name)
     problems = segment_check(H)
     for msg in problems:
         print(msg)

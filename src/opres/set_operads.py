@@ -1010,9 +1010,12 @@ def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
             for x in tower.elements(k, n1):
                 for y in tower.elements(k, n2):
                     for i in range(n1):
-                        lhs = tower.flatten(k, tower.level(k).compose(n1, i, x, n2, y))
-                        rhs = w_compose(P, W.H, flat[x], i, flat[y])
-                        if lhs != rhs:
+                        # the composite is within the arity, so the first
+                        # loop flattened it already
+                        lhs = flat.get(tower.level(k).compose(n1, i, x, n2, y))
+                        if lhs is None:
+                            return _fail(report, f"composite outside the enumeration at arities ({n1},{n2}) slot {i}")
+                        if lhs != w_compose(P, W.H, flat[x], i, flat[y]):
                             return _fail(report, f"composition mismatch at arities ({n1},{n2}) slot {i}")
     for n in range(1, max_arity + 1):
         for x in tower.elements(k, n):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from opres import bar_cobar, perms
 from opres.bar_cobar import (
-    BarElement,
     TwistingCochain,
     bar,
     bar_counit,
@@ -29,6 +28,7 @@ from opres.chain_operads import (
     w_pseudo,
 )
 from opres.set_operads import InfiniteEnumerationError
+from opres.tagged import build_node, shapes
 from test_chain_operads import endv, unary_ns
 
 AS_NS = builtin_chain_operad("as_ns")
@@ -73,7 +73,7 @@ def test_bar_as_ns_homology_top_degree():
 
 def test_bar_corollas_match_operad_basis():
     B = bar(ASS, 3)
-    corollas = [x for x in B.basis(3) if x.tree().edge_count == 0]
+    corollas = [x for x in B.elements(3) if x.tree().edge_count == 0]
     assert sorted(x.labels()[0] for x in corollas) == sorted(
         nm for nm, _ in ASS.basis(3)
     )
@@ -83,15 +83,15 @@ def test_bar_corollas_match_operad_basis():
 
 def test_bar_unary_needs_cap():
     with pytest.raises(InfiniteEnumerationError):
-        bar(unary_ns(), 2).basis(2)
+        bar(unary_ns(), 2).elements(2)
 
 
 def test_bar_d_squared_elementwise():
     B = bar(ASS, 3)
-    for x in B.basis(3):
+    for x in B.elements(3):
         acc = {}
-        for y, c in B.d(x).items():
-            for z, c2 in B.d(y).items():
+        for y, c in B.d(3, x).items():
+            for z, c2 in B.d(3, y).items():
                 acc[z] = acc.get(z, 0) + c * c2
         assert all(v == 0 for v in acc.values())
 
@@ -100,17 +100,17 @@ def test_bar_d_squared_elementwise():
 @given(st.permutations(range(3)), st.permutations(range(3)), st.integers(0, 17))
 def test_bar_act_composition_law(s, t, pick):
     B = bar(ASS, 3)
-    basis = B.basis(3)
+    basis = B.elements(3)
     x = basis[pick % len(basis)]
-    c1, y = B.act(x, tuple(s))
-    c2, z = B.act(y, tuple(t))
-    c3, w = B.act(x, perms.perm_then(tuple(s), tuple(t)))
+    y, c1 = B.signed_act(3, x, tuple(s))
+    z, c2 = B.signed_act(3, y, tuple(t))
+    w, c3 = B.signed_act(3, x, perms.perm_then(tuple(s), tuple(t)))
     assert (c1 * c2, z) == (c3, w)
 
 
 def test_bar_splits_count_edges():
     B = bar(ASS, 3)
-    for x in B.basis(3):
+    for x in B.elements(3):
         assert len(B.splits(x)) == x.tree().edge_count
 
 
@@ -156,7 +156,7 @@ def test_scaled_counit_fails_naming_arity():
 def test_wrong_degree_value_reported():
     C = bar(AS_NS, 3)
     vals = dict(bar_counit(C).values)
-    x = next(x for x in C.basis(3) if x.tree().edge_count > 0)
+    x = next(x for x in C.elements(3) if x.tree().edge_count > 0)
     vals[x] = {"a3": 1}
     assert any("not one degree down" in msg for msg in check_twisting(TwistingCochain(C, vals)))
 
@@ -350,12 +350,55 @@ def test_compare_detects_rank_mismatch(monkeypatch):
     assert rep == {"bijection": [], "rescaling": {}, "status": "fail", "witness": rep["witness"]}
 
 
+# -- basis order ----------------------------------------------------------------
+
+
+def _product_order(pool, arity, cap, symmetric, cost, shift):
+    """Reference enumeration, (node, degree) pairs: itertools.product over
+    the (label, degree) pools of each shape, filtered by total cost."""
+    min_val = 1 if pool(1) else 2
+    max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
+    out = []
+    for tree, lams in shapes(arity, max_edges, min_val, symmetric):
+        for labels in itertools.product(*(pool(v) for v in tree.valences())):
+            if cap is not None and sum(cost(lb) for lb, _ in labels) > cap:
+                continue
+            names = [lb for lb, _ in labels]
+            deg = sum(d + shift for _, d in labels)
+            for lam in lams:
+                out.append((build_node(tree, names, (0,) * tree.edge_count, lam), deg))
+    return out
+
+
+@pytest.mark.parametrize(
+    "P,arities,cap",
+    [(AS_NS, (1, 2, 3, 4), None), (ASS, (1, 2, 3, 4), None), (COM, (1, 2, 3, 4), None)]
+    + [(unary_ns(), (1, 2), c) for c in (1, 2, 3)],
+    ids=["as_ns", "ass_sym", "com", "unary-cap1", "unary-cap2", "unary-cap3"],
+)
+def test_bar_and_cobar_basis_order(P, arities, cap):
+    """The `barcobar build` reports list the bases in this order."""
+    B = bar(P, max(arities), cap)
+
+    def bar_pool(v):
+        return [(x, x.degree) for x in B.elements(v)]
+
+    for n in arities:
+        want = _product_order(P.basis, n, cap, P.symmetric, lambda nm: 1, 1)
+        assert [(x.node, x.degree) for x in B.elements(n)] == want
+        want = _product_order(bar_pool, n, cap, P.symmetric, lambda x: x.tree().vertex_count, -1)
+        CB = cobar(B, n, cap)
+        for k in CB.degrees():
+            assert [(X.node, X.degree) for X in CB.basis_of(k)] == [w for w in want if w[1] == k]
+        assert sum(CB.dim(k) for k in CB.degrees()) == len(want)
+
+
 # -- bar elements -------------------------------------------------------------
 
 
 def test_bar_element_accessors():
     B = bar(AS_NS, 3)
-    x = next(x for x in B.basis(3) if x.tree().edge_count == 1)
+    x = next(x for x in B.elements(3) if x.tree().edge_count == 1)
     assert x.arity == 3
     assert x.degree == 2
     assert x.labels() == ("a2", "a2")
@@ -365,7 +408,7 @@ def test_bar_element_accessors():
 
 def test_bar_act_identity_fast_path():
     B = bar(AS_NS, 3)
-    x = B.basis(3)[0]
-    assert B.act(x, (0, 1, 2)) == (1, x)
+    x = B.elements(3)[0]
+    assert B.signed_act(3, x, (0, 1, 2)) == (x, 1)
     with pytest.raises(ValueError):
-        B.act(x, (1, 0, 2))
+        B.signed_act(3, x, (1, 0, 2))

@@ -266,6 +266,18 @@ def test_segment_roundtrip(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("name", ["interval", "myseg"])
+def test_segment_check_file_read_whatever_its_name(tmp_path, monkeypatch, name):
+    # a bare file name, even a builtin one, is still read as segment JSON
+    rc, report, _ = run_json(["segment", "make", "--name", "chain:2"], tmp_path)
+    assert rc == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(report["payload"]["segment"]))
+    rc, report, _ = run_json(["segment", "check", "--file", name], tmp_path, "check.json")
+    assert rc == 0
+    assert report["payload"]["size"] == 3
+
+
 def test_segment_check_needs_input():
     rc, out, err = run(["segment", "check"])
     assert rc == 2

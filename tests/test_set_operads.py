@@ -777,6 +777,16 @@ def test_compare_godement_w():
         assert rep["sizes"][2] == 2
 
 
+def test_compare_godement_w_composite_outside(monkeypatch):
+    # a composite missing from the table of flattenings fails loudly
+    tower = GodementTower(ASS)
+    big = tower.elements(1, 4)[0]
+    monkeypatch.setattr(tower.level(1), "compose", lambda n1, i, x, n2, y: big)
+    rep = compare_godement_w(tower, 1, 3)
+    assert rep["status"] == "fail"
+    assert rep["witness"] == "composite outside the enumeration at arities (1,1) slot 0"
+
+
 # -- diamond comparison ----------------------------------------------------------
 
 

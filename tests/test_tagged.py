@@ -106,10 +106,10 @@ def test_signed_canon_least_routing_and_round_trip(case):
 @given(st.sampled_from(sorted(BARS)), st.integers(2, 5), st.data())
 def test_bar_act_least_routing_and_round_trip(name, n, data):
     C = BARS[name]
-    b = data.draw(st.sampled_from(C.basis(n)))
+    b = data.draw(st.sampled_from(C.elements(n)))
     sigma = tuple(data.draw(st.permutations(range(n))))
-    c1, y = C.act(b, sigma)
-    c2, z = C.act(y, perms.invert(sigma))
+    y, c1 = C.signed_act(n, b, sigma)
+    z, c2 = C.signed_act(n, y, perms.invert(sigma))
     assert orbit_least(y.tree(), y.leaves())
     assert (z, c1 * c2) == (b, 1)
 
