@@ -8,9 +8,11 @@ one into trees with every vertex one degree up, and its differential
 adds the contraction of each edge.  The expansion, CooperadComplex, is a
 label source in turn: the cobar side builds trees of its elements with
 every vertex one degree down, and its differential adds the splittings
-(splits) of each label.  Both shifts are odd, so one canonical form, one
-enumerator and one differential scaffold serve both levels; only the
-contractions and the splittings differ.
+(splits) of each label.  Both shifts are odd, so one canonical form and
+one differential scaffold serve both levels; only the contractions and
+the splittings differ.  The element class and the enumerator are the
+tagged module's TreeElement and labeled_trees, which the cylinder of
+chain_operads shares.
 
 The composite resolves the operad; this module also matches it against
 the cylinder resolution of chain_operads by an explicit basis bijection
@@ -26,12 +28,14 @@ from .chain_core import ZZ, ChainComplex, ChainMap, assemble_complex, mat_from_c
 from .chain_operads import w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
-    build_node,
+    TreeElement,
     canon,
+    cut,
     edges,
     fresh_uid,
     graft_replace,
     koszul,
+    labeled_trees,
     leaves,
     map_labels,
     map_leaves,
@@ -40,12 +44,10 @@ from .tagged import (
     node_lengths,
     node_tree,
     replace_item,
-    shapes,
     tag,
     untag,
     vertices,
 )
-from .trees import PlanarTree
 
 
 # -- the tree engine ---------------------------------------------------------
@@ -57,31 +59,8 @@ from .trees import PlanarTree
 # those words.
 
 
-@dataclass(frozen=True)
-class TreeElement:
-    """One basis element of either level: a tree labeled by a label
-    source, every vertex shifted one degree, and a leaf routing."""
-
-    arity: int
-    node: tuple
-    degree: int
-
-    def tree(self) -> PlanarTree:
-        return node_tree(self.node)
-
-    def labels(self) -> tuple:
-        return node_labels(self.node)
-
-    def leaves(self) -> tuple:
-        return node_leaves(self.node)
-
-
 def _t_word(nd):
-    out = [(nd[0], nd[2])]
-    for it in nd[3]:
-        if it[0] == "edge":
-            out.extend(_t_word(it[3]))
-    return out
+    return [(v[0], v[2]) for v in vertices(nd)]
 
 
 def _parity(Q):
@@ -94,43 +73,6 @@ def _canon(Q, node):
     t0 = tag(node, _parity(Q))
     sign, t1 = canon(Q.signed_act, t0)
     return sign * koszul(_t_word(t0), _t_word(t1)), untag(t1)
-
-
-def _trees(Q, arity: int, cap: int | None, shift: int, cost) -> tuple:
-    """The trees of one arity labeled by Q, every vertex shifted by
-    shift, whose labels cost at most cap in total; in shape, label and
-    routing order.  Depth-first over label choices: every remaining
-    vertex costs at least one unit of the cap, so dead branches prune
-    early."""
-    if arity < 1 or (cap is not None and cap < 1):
-        return ()
-    max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
-    min_val = 1 if Q.basis(1) else 2
-    pools: dict[int, tuple] = {}
-    out = []
-    for tree, lams in shapes(arity, max_edges, min_val, Q.symmetric):
-        flags = (0,) * tree.edge_count
-        vals = tree.valences()
-        for v in vals:
-            if v not in pools:
-                pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
-        chosen: list = []
-
-        def rec(j, used, deg):
-            if j == len(vals):
-                for lam in lams:
-                    out.append(TreeElement(arity, build_node(tree, chosen, flags, lam), deg))
-                return
-            rem = len(vals) - j - 1
-            for lb, d, c in pools[vals[j]]:
-                if cap is not None and used + c + rem > cap:
-                    continue
-                chosen.append(lb)
-                rec(j + 1, used + c, deg + d)
-                chosen.pop()
-
-        rec(0, 0, 0)
-    return tuple(out)
 
 
 def _tree_d(Q, x: TreeElement, terms) -> dict:
@@ -223,7 +165,7 @@ class CooperadComplex:
 
     def elements(self, k: int) -> tuple:
         if k not in self._elements:
-            self._elements[k] = _trees(self.operad, k, self.vertex_cap, 1, lambda name: 1)
+            self._elements[k] = labeled_trees(self.operad, k, self.vertex_cap, 1, lambda name: 1, (0,))
         return self._elements[k]
 
     def basis(self, k: int) -> tuple:
@@ -399,7 +341,7 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
     if cap is not None and C.vertex_cap is not None and C.vertex_cap < cap:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
     X = assemble_complex(
-        _trees(C, arity, cap, -1, lambda label: label.tree().vertex_count),
+        labeled_trees(C, arity, cap, -1, lambda label: label.tree().vertex_count, (0,)),
         lambda xs: [_tree_d(C, x, _splittings) for x in xs],
         lambda x, y: "boundary left the basis in the cobar expansion",
     )
@@ -485,29 +427,13 @@ def _w_to_cobar(P, C: CooperadComplex, x) -> TreeElement:
     become bar labels, unmarked edges become outer edges.  Unsigned;
     the rescaling search owns all signs."""
 
-    def comp(flat):
-        ctr = itertools.count()
-        outer_items: list = []
-
-        def walk(ndd):
-            label, items = ndd
-            out = []
-            for it in items:
-                if it[0] == "leaf":
-                    out.append(("leaf", next(ctr)))
-                    outer_items.append(("leaf", it[1]))
-                elif it[1] == 1:
-                    out.append(("edge", 0, walk(it[2])))
-                else:
-                    out.append(("leaf", next(ctr)))
-                    outer_items.append(("edge", 0, comp(it[2])))
-            return (label, tuple(out))
-
-        inner = walk(flat)
+    def outer(flat):
+        inner, hanging = cut(flat, lambda f: 0 if f else None)
         _, rep = _canon(P, inner)
-        return (_mk_bar(P, rep), tuple(outer_items))
+        items = (it if it[0] == "leaf" else ("edge", 0, outer(it[2])) for it in hanging)
+        return (_mk_bar(P, rep), tuple(items))
 
-    _, onode = _canon(C, comp(x.node))
+    _, onode = _canon(C, outer(x.node))
     return TreeElement(x.arity, onode, x.degree)
 
 

@@ -10,7 +10,9 @@ actions.  The cylinder complex in arity n is spanned by trees whose
 vertices carry basis labels, together with a subset of marked internal
 edges worth one degree each and a routing of the leaves to the inputs.
 Unmarked edges are silent: they carry the degree-0 interval cell that
-grafting produces.
+grafting produces.  The basis elements and their enumeration are the
+tagged module's TreeElement and labeled_trees, shared with bar/cobar:
+edge flags run over 0 and 1 and each vertex costs one unit of the cap.
 
 Signs are mechanical.  Every basis element linearizes to a word: for
 each component of the tree under marked edges, in discovery order, the
@@ -31,7 +33,6 @@ labels enter the boundary only through P's compose, d and act.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import perms
 from .chain_core import (
@@ -49,12 +50,13 @@ from .set_operads import AssOperad, InfiniteEnumerationError
 from .tagged import (
     PAIR_CACHE,
     ROUTING_CACHE,
-    build_node,
+    TreeElement,
     canon,
     edges,
     fresh_uid,
     graft_replace,
     koszul,
+    labeled_trees,
     leaves,
     map_labels,
     map_leaves,
@@ -63,12 +65,11 @@ from .tagged import (
     node_lengths,
     node_tree,
     replace_item,
-    shapes,
     tag,
     untag,
     vertices,
 )
-from .trees import PlanarTree, enumerate_planar, iso_classes
+from .trees import enumerate_planar, iso_classes
 
 
 # -- pseudo chain operads ----------------------------------------------------
@@ -545,21 +546,12 @@ def chain_interval() -> ChainInterval:
 
 # -- cylinder basis elements -------------------------------------------------
 #
-# Nodes come in the plain and the tagged shape of the tagged module; an
-# edge flag of 1 marks the edge.
+# A basis element is a TreeElement of the tagged module, whose node is
+# None for the unit.  Nodes come in the plain and the tagged shape of the
+# tagged module; an edge flag of 1 marks the edge.
 
 
-@dataclass(frozen=True)
-class WChainBasis:
-    """One cylinder basis element: a canonical planar presentation of a
-    labeled tree, its marked edges, and a leaf routing."""
-
-    arity: int
-    node: tuple | None
-    degree: int
-
-
-def basis_to_json(x: WChainBasis) -> dict:
+def basis_to_json(x: TreeElement) -> dict:
     if x.node is None:
         return {"tree": "|", "gamma_edges": [], "labels": {}, "leaf_coset": [0]}
     return {
@@ -671,50 +663,27 @@ def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
     automorphism coset."""
     if P.basis(0):
         raise ValueError("the cylinder needs an operad with empty arity 0")
-    unary = bool(P.basis(1))
-    if unary and edge_cap is None:
+    if P.basis(1) and edge_cap is None:
         raise InfiniteEnumerationError(
             "unary labels allow arbitrarily long edge chains; give an edge cap"
         )
-    if arity < 1:
-        return ()
-    cap = edge_cap if edge_cap is not None else max(arity - 2, 0)
-    min_val = 1 if unary else 2
-    out: list[WChainBasis] = []
-    for tree, lams in shapes(arity, cap, min_val, P.symmetric):
-        out.extend(_tree_basis(P, tree, lams))
-    return tuple(out)
+    # every vertex costs one, and edge_cap edges join edge_cap + 1 vertices
+    cap = None if edge_cap is None else edge_cap + 1
+    return labeled_trees(P, arity, cap, 0, lambda name: 1, (0, 1))
 
 
-def _tree_basis(P, tree: PlanarTree, leaf_choices) -> list:
-    pools = [P.basis(v) for v in tree.valences()]
-    if not all(pools):
-        return []
-    edges = tree.edge_count
-    out = []
-    for labels in itertools.product(*pools):
-        names = tuple(nm for nm, _ in labels)
-        base_deg = sum(deg for _, deg in labels)
-        for mask in itertools.product((0, 1), repeat=edges):
-            deg = base_deg + sum(mask)
-            for lam in leaf_choices:
-                node = build_node(tree, names, mask, lam)
-                out.append(WChainBasis(tree.arity, node, deg))
-    return out
-
-
-def w_boundary(P, x: WChainBasis) -> dict:
+def w_boundary(P, x: TreeElement) -> dict:
     """Differential of a basis element: label boundaries, unmarking of a
     marked edge, and contraction of a marked edge, in that sign order."""
     if x.node is None:
         return {}
     nd = tag(x.node, P.degree_of)
     w0 = _word(nd)
-    acc: dict[WChainBasis, int] = {}
+    acc: dict[TreeElement, int] = {}
 
     def add(node, c):
         if c:
-            key = WChainBasis(x.arity, node, x.degree - 1)
+            key = TreeElement(x.arity, node, x.degree - 1)
             acc[key] = acc.get(key, 0) + c
 
     for vuid, vname, vpar, vitems in vertices(nd):
@@ -824,7 +793,7 @@ def _evaluate(P, e, labels, memo) -> dict:
 def _instantiate(P, template, labels, arity, degree) -> dict:
     """A template's boundary for one labeling, in P."""
     memo: dict = {}
-    acc: dict[WChainBasis, int] = {}
+    acc: dict[TreeElement, int] = {}
     for c, node, exprs in template:
         values = [
             ((labels[e[2]], 1),) if e[0] == "x" else _evaluate(P, e, labels, memo).items()
@@ -835,7 +804,7 @@ def _instantiate(P, template, labels, arity, degree) -> dict:
             for _, k in combo:
                 coeff *= k
             take = iter([nm for nm, _ in combo]).__next__
-            key = WChainBasis(arity, map_labels(node, lambda lab, val: take()), degree)
+            key = TreeElement(arity, map_labels(node, lambda lab, val: take()), degree)
             acc[key] = acc.get(key, 0) + coeff
     return _clean(acc)
 
@@ -887,7 +856,7 @@ def _run_boundaries(P, sym, run):
         if template is None:
             ids = itertools.count()
             sk = map_labels(x.node, lambda lab, val: ("x", P.degree_of(val, lab) & 1, next(ids)))
-            bd = w_boundary(sym, WChainBasis(x.arity, sk, x.degree))
+            bd = w_boundary(sym, TreeElement(x.arity, sk, x.degree))
             template = [(c, y.node, node_labels(y.node)) for y, c in bd.items()]
             templates[key] = template
         yield _instantiate(P, template, node_labels(x.node), x.arity, x.degree - 1)
@@ -917,9 +886,9 @@ def w_pseudo(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
 def w_reduced(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder on the reduced operad: the pseudo cylinder plus the
     unit summand in arities 0 and 1."""
-    elems: list[WChainBasis] = []
+    elems: list[TreeElement] = []
     if arity <= 1:
-        elems.append(WChainBasis(arity, None, 0))
+        elems.append(TreeElement(arity, None, 0))
     if arity >= 1:
         elems.extend(enumerate_w_basis(P, arity, edge_cap))
     return _assemble_w(P, tuple(elems), arity, edge_cap, "w_reduced")
@@ -936,7 +905,7 @@ def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComp
     return _assemble_w(P, elems, arity, edge_cap, "free")
 
 
-def _evaluate_free(P, x: WChainBasis) -> dict:
+def _evaluate_free(P, x: TreeElement) -> dict:
     """Operadic composite of the labels of an unmarked element."""
     nd = tag(x.node, P.degree_of)
     work = [(1, nd, _word(nd))]
@@ -997,7 +966,7 @@ def free_counit(P, F: ChainComplex) -> ChainMap:
 # -- operad structure on the cylinder ----------------------------------------
 
 
-def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis):
+def w_compose_basis(P, x: TreeElement, i: int, y: TreeElement):
     """Graft y under input i of x along a fresh unmarked edge.  Returns
     the sign and the canonical composite."""
     n, m = x.arity, y.arity
@@ -1029,10 +998,10 @@ def w_compose_basis(P, x: WChainBasis, i: int, y: WChainBasis):
     nd = plug(tx)
     k = koszul(w_xy, _word(nd))
     c, node = signed_canon(P, untag(nd))
-    return k * c, WChainBasis(n + m - 1, node, x.degree + y.degree)
+    return k * c, TreeElement(n + m - 1, node, x.degree + y.degree)
 
 
-def w_act_basis(P, x: WChainBasis, sigma):
+def w_act_basis(P, x: TreeElement, sigma):
     """Right action on a basis element: reroute the leaves, recanonize."""
     sigma = tuple(sigma)
     if x.node is None or sigma == perms.identity(x.arity):
@@ -1040,7 +1009,7 @@ def w_act_basis(P, x: WChainBasis, sigma):
     if not P.symmetric:
         raise ValueError("non-symmetric cylinder acted on by a permutation")
     c, node = signed_canon(P, map_leaves(x.node, sigma))
-    return c, WChainBasis(x.arity, node, x.degree)
+    return c, TreeElement(x.arity, node, x.degree)
 
 
 def w_operad_composition(P, n: int, m: int, edge_cap: int | None = None) -> dict:

@@ -114,22 +114,13 @@ def _load_chain_operad(text: str):
     return builtin_chain_operad(text)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _ring_arg(text: str) -> str:
-    if text in ("Z", "Q"):
-        return text
-    if len(text) > 1 and text[0] == "F" and text[1:].isdigit() and _is_prime(int(text[1:])):
-        return text
+    if text in ("Z", "Q") or (text[:1] == "F" and text[1:].isdigit()):
+        try:
+            ring_from_name(text)
+            return text
+        except ValueError:
+            pass
     raise argparse.ArgumentTypeError(f"ring must be Z, Q, or Fp with p prime (got {text!r})")
 
 

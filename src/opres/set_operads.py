@@ -45,6 +45,7 @@ from .segments import (
 )
 from .tagged import (
     build_node,
+    cut,
     map_labels,
     map_leaves,
     node_labels,
@@ -299,18 +300,10 @@ class WSetElement:
         return self.node is None
 
     def vertex_count(self) -> int:
-        return 0 if self.node is None else _node_vertices(self.node)
+        return 0 if self.node is None else len(node_labels(self.node))
 
 
 W_UNIT = WSetElement(1, None)
-
-
-def _node_vertices(node) -> int:
-    total = 1
-    for it in node[1]:
-        if it[0] == "edge":
-            total += _node_vertices(it[2])
-    return total
 
 
 # canonical forms ----------------------------------------------------------
@@ -617,7 +610,7 @@ def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None
 def _sort_key(P, node, item_keys: tuple) -> tuple:
     """The report order of a canonical non-unit node from the item keys
     _canon returned for it: vertex count, bare shape, decorations."""
-    return (1, _node_vertices(node)) + _subtree_key(P, node, item_keys)
+    return (1, len(node_labels(node))) + _subtree_key(P, node, item_keys)
 
 
 def element_sort_key(P, e: WSetElement):
@@ -741,51 +734,14 @@ def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe: WS
     if elem.node is None:
         return W_UNIT
 
-    def walk(node):
-        """Return (piece, outer_items): the component containing this
-        vertex, its leaves placeholders in planar order, and the outer
-        items hanging under the component in the same planar order."""
-        label, items = node
-        piece_items = []
-        outer_items = []
-        for it in items:
-            if it[0] == "leaf":
-                piece_items.append(("leaf", None))
-                outer_items.append(("leaf", it[1]))
-            elif it[1] == top:
-                inner_piece, inner_outer = walk(it[2])
-                piece_items.append(("leaf", None))
-                outer_items.append(("edge", 1, (_finish_piece(P, inner_piece), tuple(inner_outer))))
-            else:
-                inner_piece, inner_outer = walk(it[2])
-                piece_items.append(("edge", it[1], inner_piece))
-                outer_items.extend(inner_outer)
-        return (label, tuple(piece_items)), outer_items
+    def outer(node):
+        piece, hanging = cut(node, lambda ln: None if ln == top else ln)
+        label = WSetElement(len(hanging), canon_node(P, piece))
+        items = (it if it[0] == "leaf" else ("edge", 1, outer(it[2])) for it in hanging)
+        return (label, tuple(items))
 
-    root_piece, root_outer = walk(elem.node)
-    outer_node = (_finish_piece(P, root_piece), tuple(root_outer))
     wrapper = _NoComposeWrapper(label_universe)
-    return WSetElement(elem.arity, canon_node(wrapper, outer_node))
-
-
-def _finish_piece(P, piece) -> WSetElement:
-    """Number the placeholder leaves of a cut-out component in planar
-    order and canonicalize it as an H-construction element."""
-    counter = itertools.count()
-
-    def fix(nd):
-        label, items = nd
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(("leaf", next(counter)))
-            else:
-                out.append(("edge", it[1], fix(it[2])))
-        return (label, tuple(out))
-
-    fixed = fix(piece)
-    arity = len(node_leaves(fixed))
-    return WSetElement(arity, canon_node(P, fixed))
+    return WSetElement(elem.arity, canon_node(wrapper, outer(elem.node)))
 
 
 def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:

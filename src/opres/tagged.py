@@ -7,9 +7,15 @@ A plain node is (label, items) with items ("leaf", input) or
 in the flag; the chain-level cylinder puts 1 on a marked edge; the bar
 and cobar trees leave every flag at 0.  This module builds plain nodes
 from flat data (build_node), reads them back (node_tree, node_labels,
-node_lengths, node_leaves), walks them (map_leaves, map_labels), and
-chooses the tree shapes and leaf routings each construction enumerates
-(shapes), for all four constructions, set-level stumps included.
+node_lengths, node_leaves), walks them (map_leaves, map_labels), reads a
+tree as a tree of trees by cutting edges (cut), and chooses the tree
+shapes and leaf routings each construction enumerates (shapes), for all
+four constructions, set-level stumps included.
+
+The chain-level constructions share one graded element class
+(TreeElement) and one enumerator (labeled_trees): the cylinder, the bar
+and the cobar differ only in their label source, the degree shift of a
+vertex, what a label costs against the cap, and which edge flags occur.
 
 For sign tracking a node is tagged: (uid, label, parity, items) with edge
 items ("edge", euid, flag, child), where every vertex and every edge
@@ -26,6 +32,7 @@ words apart is what keeps the bar/cobar comparison an independent check.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from . import perms
 from .trees import PlanarTree, aut_generators, enumerate_planar, iso_classes
@@ -133,6 +140,29 @@ def map_labels(node, fn):
     return (label, tuple(out))
 
 
+def cut(node, keep) -> tuple[tuple, list]:
+    """Read a plain node as a tree of trees: keep(flag) gives the new flag
+    of a kept edge, or None to cut the edge.  Returns the root component,
+    its leaves numbered in planar order, and the items hanging under it
+    in the same order: its leaves, and its cut edges with their children
+    left whole."""
+    hanging: list = []
+
+    def walk(nd):
+        label, items = nd
+        out = []
+        for it in items:
+            flag = None if it[0] == "leaf" else keep(it[1])
+            if flag is None:
+                out.append(("leaf", len(hanging)))
+                hanging.append(it)
+            else:
+                out.append(("edge", flag, walk(it[2])))
+        return (label, tuple(out))
+
+    return walk(node), hanging
+
+
 def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool) -> list:
     """The (tree, leaf routings) pairs a construction enumerates in one
     arity, the bare leaf tree left out: one tree per isomorphism class
@@ -150,6 +180,68 @@ def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool)
         for tree in enumerate_planar(arity, max_edges, min_valence)
         if tree.children is not None
     ]
+
+
+# -- graded labeled trees ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TreeElement:
+    """One basis element of a chain-level tree construction: a canonical
+    plain node (None for the cylinder's unit), its arity and its degree."""
+
+    arity: int
+    node: tuple | None
+    degree: int
+
+    def tree(self) -> PlanarTree:
+        return node_tree(self.node)
+
+    def labels(self) -> tuple:
+        return node_labels(self.node)
+
+    def leaves(self) -> tuple:
+        return node_leaves(self.node)
+
+
+def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tuple:
+    """The trees of one arity labeled by the label source Q, every vertex
+    shifted by shift, every edge flagged from flags, whose labels cost at
+    most cap in total; in shape, label, flag and routing order.  A flag
+    adds itself to the degree.  Depth-first over label choices: every
+    remaining vertex costs at least one unit of the cap, so dead branches
+    prune early."""
+    if arity < 1 or (cap is not None and cap < 1):
+        return ()
+    max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
+    min_val = 1 if Q.basis(1) else 2
+    pools: dict[int, tuple] = {}
+    out = []
+    for tree, lams in shapes(arity, max_edges, min_val, Q.symmetric):
+        masks = list(itertools.product(flags, repeat=tree.edge_count))
+        vals = tree.valences()
+        for v in vals:
+            if v not in pools:
+                pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
+        chosen: list = []
+
+        def rec(j, used, deg):
+            if j == len(vals):
+                for mask in masks:
+                    d = deg + sum(mask)
+                    for lam in lams:
+                        out.append(TreeElement(arity, build_node(tree, chosen, mask, lam), d))
+                return
+            rem = len(vals) - j - 1
+            for lb, d, c in pools[vals[j]]:
+                if cap is not None and used + c + rem > cap:
+                    continue
+                chosen.append(lb)
+                rec(j + 1, used + c, deg + d)
+                chosen.pop()
+
+        rec(0, 0, 0)
+    return tuple(out)
 
 
 # -- tagged nodes ------------------------------------------------------------

@@ -24,6 +24,7 @@ from opres.chain_core import homology, verify_chain_map
 from opres.chain_operads import (
     TableChainOperad,
     builtin_chain_operad,
+    enumerate_w_basis,
     w_augmentation,
     w_pseudo,
 )
@@ -391,6 +392,36 @@ def test_bar_and_cobar_basis_order(P, arities, cap):
         for k in CB.degrees():
             assert [(X.node, X.degree) for X in CB.basis_of(k)] == [w for w in want if w[1] == k]
         assert sum(CB.dim(k) for k in CB.degrees()) == len(want)
+
+
+def _w_product_order(P, arity, edge_cap):
+    """Reference cylinder enumeration, (node, degree) pairs: per shape,
+    itertools.product over the label pools, then over the marked-edge
+    masks, then the routings; a marked edge adds one to the degree."""
+    min_val = 1 if P.basis(1) else 2
+    max_edges = edge_cap if edge_cap is not None else max(arity - 2, 0)
+    out = []
+    for tree, lams in shapes(arity, max_edges, min_val, P.symmetric):
+        for labels in itertools.product(*(P.basis(v) for v in tree.valences())):
+            names = [lb for lb, _ in labels]
+            for mask in itertools.product((0, 1), repeat=tree.edge_count):
+                deg = sum(d for _, d in labels) + sum(mask)
+                for lam in lams:
+                    out.append((build_node(tree, names, mask, lam), deg))
+    return out
+
+
+@pytest.mark.parametrize(
+    "P,arities,cap",
+    [(AS_NS, range(1, 6), None), (ASS, range(1, 6), None), (COM, range(1, 6), None)]
+    + [(unary_ns(), (1, 2, 3), c) for c in (0, 1, 2)],
+    ids=["as_ns", "ass_sym", "com", "unary-cap0", "unary-cap1", "unary-cap2"],
+)
+def test_cylinder_basis_order(P, arities, cap):
+    """The `chainw build` reports list the basis in this order."""
+    for n in arities:
+        got = [(x.node, x.degree) for x in enumerate_w_basis(P, n, cap)]
+        assert got == _w_product_order(P, n, cap)
 
 
 # -- bar elements -------------------------------------------------------------

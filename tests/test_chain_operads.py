@@ -8,7 +8,6 @@ from opres.chain_core import ZZ, ChainMap, homology, mat_from_columns, verify_ch
 from opres.chain_operads import (
     ChainInterval,
     TableChainOperad,
-    WChainBasis,
     basis_to_json,
     builtin_chain_operad,
     chain_interval,
@@ -30,7 +29,7 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
-from opres.tagged import node_tree
+from opres.tagged import TreeElement, node_tree
 
 AS_NS = builtin_chain_operad("as_ns")
 ASS = builtin_chain_operad("ass_sym")
@@ -401,7 +400,7 @@ def test_act_basis_rejects_ns():
 
 
 def test_compose_basis_units():
-    unit = WChainBasis(1, None, 0)
+    unit = TreeElement(1, None, 0)
     x = enumerate_w_basis(AS_NS, 3)[0]
     assert w_compose_basis(AS_NS, unit, 0, x) == (1, x)
     for i in range(3):
@@ -471,7 +470,7 @@ def test_composition_check_catches_composite_outside_basis(monkeypatch):
     def misgraded(P, x, i, y):
         c, z = honest(P, x, i, y)
         if (x, i, y) == (x0, 2, y0):
-            z = WChainBasis(z.arity, z.node, z.degree + 1)
+            z = TreeElement(z.arity, z.node, z.degree + 1)
         return c, z
 
     monkeypatch.setattr(chain_operads, "w_compose_basis", misgraded)
@@ -534,7 +533,7 @@ def test_templated_boundaries_match_w_boundary(monkeypatch, which, n, cap, templ
 
 
 def test_basis_to_json_shapes():
-    unit = WChainBasis(1, None, 0)
+    unit = TreeElement(1, None, 0)
     assert basis_to_json(unit) == {
         "tree": "|",
         "gamma_edges": [],

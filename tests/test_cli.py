@@ -377,11 +377,16 @@ def test_chainw_homology_field(tmp_path):
     assert report["payload"]["by_degree"]["0"]["free"] == 1
 
 
-def test_bad_ring_rejected():
+@pytest.mark.parametrize(
+    "ring,code",
+    [(r, 0) for r in ("Z", "Q", "F2", "F3", "F03", "F97")]
+    + [(r, 2) for r in ("F4", "F1", "F0", "F", "F+3", "X5", "F9")],
+)
+def test_ring_arg_exit_codes(ring, code):
     rc, out, err = run(
-        ["chainw", "homology", "--operad", "as_ns", "--arity", "2", "--ring", "F4"]
+        ["chainw", "homology", "--operad", "as_ns", "--arity", "2", "--ring", ring]
     )
-    assert rc == 2
+    assert rc == code
 
 
 def test_unary_needs_cap(tmp_path):

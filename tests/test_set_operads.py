@@ -380,6 +380,10 @@ def ref_bare_encoding(node):
     return tuple(enc)
 
 
+def ref_vertex_count(node):
+    return 1 + sum(ref_vertex_count(it[2]) for it in node[1] if it[0] == "edge")
+
+
 def ref_label_key(P, valence, label):
     return P.elements(valence).index(label)
 
@@ -427,7 +431,7 @@ def ref_canon(P, node):
 
 
 def ref_sort_key(P, node):
-    return (1, so._node_vertices(node), ref_bare_encoding(node), ref_decorated_key(P, node))
+    return (1, ref_vertex_count(node), ref_bare_encoding(node), ref_decorated_key(P, node))
 
 
 class _RefCollection:

@@ -9,9 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from opres import perms
 from opres.bar_cobar import CooperadComplex
-from opres.chain_operads import WChainBasis, builtin_chain_operad, signed_canon, w_act_basis
+from opres.chain_operads import builtin_chain_operad, signed_canon, w_act_basis
 from opres.set_operads import build_node, node_leaves, node_lengths, node_tree
-from opres.tagged import edges, koszul, least_routings, replace_item, shapes, tag, untag, vertices
+from opres.tagged import (
+    TreeElement,
+    cut,
+    edges,
+    koszul,
+    least_routings,
+    replace_item,
+    shapes,
+    tag,
+    untag,
+    vertices,
+)
 from opres.trees import aut_leaf_perms, enumerate_planar, iso_classes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opres"
@@ -95,7 +106,7 @@ def test_signed_canon_least_routing_and_round_trip(case):
     assert tree == node_tree(node).canonical()
     assert orbit_least(tree, node_leaves(canon))
     assert signed_canon(P, canon) == (1, canon)
-    x = WChainBasis(n, canon, sum(node_lengths(canon)))
+    x = TreeElement(n, canon, sum(node_lengths(canon)))
     c1, y = w_act_basis(P, x, sigma)
     c2, z = w_act_basis(P, y, perms.invert(sigma))
     assert orbit_least(node_tree(y.node), node_leaves(y.node))
@@ -130,6 +141,16 @@ def test_edges_depth_first_and_replace_item():
     uids = [v[0] for v in vertices(nd)]
     assert [v[0] for v in vertices(new)] == uids[:2] + uids[3:]
     assert new[3][2] == nd[3][2]  # the untouched sibling is the same subtree
+
+
+def test_cut_numbers_leaves_and_hangs_items_in_planar_order():
+    # root a over (leaf, edge 5 to b, edge 1 to c over two leaves)
+    b = ("b", (("leaf", 0),))
+    c = ("c", (("leaf", 1), ("leaf", 3)))
+    node = ("a", (("leaf", 2), ("edge", 5, b), ("edge", 1, c)))
+    root, hanging = cut(node, lambda f: None if f == 5 else 0)
+    assert root == ("a", (("leaf", 0), ("leaf", 1), ("edge", 0, ("c", (("leaf", 2), ("leaf", 3))))))
+    assert hanging == [("leaf", 2), ("edge", 5, b), ("leaf", 1), ("leaf", 3)]
 
 
 def test_koszul_counts_odd_letters_only():
@@ -273,6 +294,23 @@ def test_public_surface_has_callers():
                 ):
                     unused.add(f"{path.stem}.{name}")
     assert unused == set(UNUSED_ON_PURPOSE)
+
+
+def test_no_unused_imports():
+    """Every name a module of src/opres/ or scripts/ imports is used in
+    it; a dotted import binds its first part."""
+    root = SRC.parent.parent
+    unused = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted((root / "scripts").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_traced_targets_resolve():
