@@ -39,10 +39,8 @@ from .tagged import (
     leaves,
     map_labels,
     map_leaves,
-    node_labels,
     node_leaves,
-    node_lengths,
-    node_tree,
+    node_view,
     replace_item,
     tag,
     untag,
@@ -399,42 +397,41 @@ def cobar_bar_counit(P, CB: ChainComplex) -> ChainMap:
 def _w_key(x) -> str:
     if x.node is None:
         return "|"
-    marked = ",".join(str(i) for i, f in enumerate(node_lengths(x.node)) if f)
-    labs = ",".join(node_labels(x.node))
-    lvs = ",".join(map(str, node_leaves(x.node)))
-    return f"{node_tree(x.node).notation()} g[{marked}] l[{labs}] c[{lvs}]"
+    text, flags, labels, leaves = node_view(x.node)
+    marked = ",".join(str(i) for i, f in enumerate(flags) if f)
+    return f"{text} g[{marked}] l[{','.join(labels)}] c[{','.join(map(str, leaves))}]"
 
 
 def _bar_key(b: TreeElement) -> str:
-    labs = ",".join(b.labels())
-    lvs = ",".join(map(str, b.leaves()))
-    return f"{b.tree().notation()} l[{labs}] c[{lvs}]"
+    text, _, labels, leaves = node_view(b.node)
+    return f"{text} l[{','.join(labels)}] c[{','.join(map(str, leaves))}]"
 
 
 def _cobar_key(X: TreeElement) -> str:
-    def rec(nd):
-        label, items = nd
-        parts = []
-        for it in items:
-            parts.append(str(it[1]) if it[0] == "leaf" else rec(it[2]))
-        return "<" + _bar_key(label) + " : " + " ".join(parts) + ">"
+    return _cobar_node_key(X.node)
 
-    return rec(X.node)
+
+def _cobar_node_key(nd) -> str:
+    label, items = nd
+    parts = []
+    for it in items:
+        parts.append(str(it[1]) if it[0] == "leaf" else _cobar_node_key(it[2]))
+    return "<" + _bar_key(label) + " : " + " ".join(parts) + ">"
 
 
 def _w_to_cobar(P, C: CooperadComplex, x) -> TreeElement:
     """Read a cylinder element as a tree of trees: marked components
     become bar labels, unmarked edges become outer edges.  Unsigned;
     the rescaling search owns all signs."""
-
-    def outer(flat):
-        inner, hanging = cut(flat, lambda f: 0 if f else None)
-        _, rep = _canon(P, inner)
-        items = (it if it[0] == "leaf" else ("edge", 0, outer(it[2])) for it in hanging)
-        return (_mk_bar(P, rep), tuple(items))
-
-    _, onode = _canon(C, outer(x.node))
+    _, onode = _canon(C, _marked_components(P, x.node))
     return TreeElement(x.arity, onode, x.degree)
+
+
+def _marked_components(P, flat) -> tuple:
+    inner, hanging = cut(flat, lambda f: 0 if f else None)
+    _, rep = _canon(P, inner)
+    items = (it if it[0] == "leaf" else ("edge", 0, _marked_components(P, it[2])) for it in hanging)
+    return (_mk_bar(P, rep), tuple(items))
 
 
 def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:

@@ -722,7 +722,7 @@ def complex_to_json(C: ChainComplex, label_str=str) -> dict:
     }
     d = {}
     for k in sorted(C.d):
-        d[str(k)] = [[i, j, C.ring.show(v)] for i, j, v in C.d[k].entries()]
+        d[str(k)] = [(i, j, C.ring.show(v)) for i, j, v in C.d[k].entries()]
     return {"ring": C.ring.name(), "basis": basis, "d": d}
 
 

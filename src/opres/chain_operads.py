@@ -61,9 +61,8 @@ from .tagged import (
     map_labels,
     map_leaves,
     node_labels,
-    node_leaves,
     node_lengths,
-    node_tree,
+    node_view,
     replace_item,
     tag,
     untag,
@@ -554,11 +553,12 @@ def chain_interval() -> ChainInterval:
 def basis_to_json(x: TreeElement) -> dict:
     if x.node is None:
         return {"tree": "|", "gamma_edges": [], "labels": {}, "leaf_coset": [0]}
+    text, flags, labels, leaves = node_view(x.node)
     return {
-        "tree": node_tree(x.node).notation(),
-        "gamma_edges": [i for i, f in enumerate(node_lengths(x.node)) if f],
-        "labels": {str(i): nm for i, nm in enumerate(node_labels(x.node))},
-        "leaf_coset": list(node_leaves(x.node)),
+        "tree": text,
+        "gamma_edges": [i for i, f in enumerate(flags) if f],
+        "labels": {str(i): nm for i, nm in enumerate(labels)},
+        "leaf_coset": leaves,
     }
 
 
@@ -566,27 +566,29 @@ def _word(nd) -> list:
     """The sign word: per marked-edge component in discovery order, the
     marked-edge letters in global edge order, then the vertex letters."""
     comps: list[tuple[list, list]] = [([], [])]
-
-    def walk(node, ci):
-        uid, label, parity, items = node
-        comps[ci][1].append((uid, parity))
-        for it in items:
-            if it[0] != "edge":
-                continue
-            _, euid, flag, child = it
-            if flag:
-                comps[ci][0].append((euid, 1))
-                walk(child, ci)
-            else:
-                comps.append(([], []))
-                walk(child, len(comps) - 1)
-
-    walk(nd, 0)
+    _word_walk(nd, comps[0], comps)
     out: list = []
     for edges, verts in comps:
         out.extend(edges)
         out.extend(verts)
     return out
+
+
+def _word_walk(node, comp: tuple[list, list], comps: list) -> None:
+    """Add node's letters to its component comp: a marked edge keeps its
+    child in comp, an unmarked edge opens a new component."""
+    uid, label, parity, items = node
+    comp[1].append((uid, parity))
+    for it in items:
+        if it[0] != "edge":
+            continue
+        _, euid, flag, child = it
+        if flag:
+            comp[0].append((euid, 1))
+            _word_walk(child, comp, comps)
+        else:
+            comps.append(([], []))
+            _word_walk(child, comps[-1], comps)
 
 
 def _prefix_sign(word: list, uid) -> int:
@@ -979,26 +981,27 @@ def w_compose_basis(P, x: TreeElement, i: int, y: TreeElement):
     tx = tag(x.node, P.degree_of)
     ty = tag(map_leaves(y.node, range(i, i + m)), P.degree_of)
     w_xy = _word(tx) + _word(ty)
-    euid = fresh_uid()
-
-    def plug(nd):
-        uid, name, par, items = nd
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                g = it[1]
-                if g == i:
-                    out.append(("edge", euid, 0, ty))
-                else:
-                    out.append(("leaf", g if g < i else g + m - 1))
-            else:
-                out.append(("edge", it[1], it[2], plug(it[3])))
-        return (uid, name, par, tuple(out))
-
-    nd = plug(tx)
+    nd = _plug(tx, i, m, ("edge", fresh_uid(), 0, ty))
     k = koszul(w_xy, _word(nd))
     c, node = signed_canon(P, untag(nd))
     return k * c, TreeElement(n + m - 1, node, x.degree + y.degree)
+
+
+def _plug(nd, i: int, m: int, graft) -> tuple:
+    """The tagged node nd with the item graft at leaf input i, and its
+    later inputs shifted up by m - 1."""
+    uid, name, par, items = nd
+    out = []
+    for it in items:
+        if it[0] == "leaf":
+            g = it[1]
+            if g == i:
+                out.append(graft)
+            else:
+                out.append(("leaf", g if g < i else g + m - 1))
+        else:
+            out.append(("edge", it[1], it[2], _plug(it[3], i, m, graft)))
+    return (uid, name, par, tuple(out))
 
 
 def w_act_basis(P, x: TreeElement, sigma):

@@ -400,44 +400,48 @@ def rewrite_steps(P, H: FiniteSegment, state) -> list[tuple[str, tuple]]:
         return []
     root = state[1]
     out: list[tuple[str, tuple]] = []
-    unit = P.unit
-    zero = H.zero
-
-    def visit(node, rebuild):
-        label, items = node
-        for j, it in enumerate(items):
-            if it[0] != "edge":
-                continue
-            ln, child = it[1], it[2]
-
-            def rebuild_child(new_child, j=j, label=label, items=items, ln=ln, rebuild=rebuild):
-                its = items[:j] + (("edge", ln, new_child),) + items[j + 1 :]
-                return rebuild((label, its))
-
-            visit(child, rebuild_child)
-            c_label, c_items = child
-            if ln == zero:
-                merged = P.compose(len(items), j, label, len(c_items), c_label)
-                its = items[:j] + c_items + items[j + 1 :]
-                out.append(("contract", ("node", rebuild((merged, its)))))
-            if c_label == unit and len(c_items) == 1:
-                sub = c_items[0]
-                if sub[0] == "edge":
-                    its = items[:j] + (("edge", H.j(ln, sub[1]), sub[2]),) + items[j + 1 :]
-                    out.append(("join", ("node", rebuild((label, its)))))
-                else:
-                    its = items[:j] + (sub,) + items[j + 1 :]
-                    out.append(("drop", ("node", rebuild((label, its)))))
-
-    visit(root, lambda nd: nd)
+    _rewrite_visit(P, H, root, [], out)
     r_label, r_items = root
-    if r_label == unit and len(r_items) == 1:
+    if r_label == P.unit and len(r_items) == 1:
         sub = r_items[0]
         if sub[0] == "edge":
             out.append(("promote", ("node", sub[2])))
         else:
             out.append(("collapse", ("unit", sub[1])))
     return out
+
+
+def _rewrite_visit(P, H: FiniteSegment, node, path: list, out: list) -> None:
+    """Append to out the rewrites at the edges of node and above it; path
+    holds (label, items, slot, length) for each vertex below node."""
+    label, items = node
+    for j, it in enumerate(items):
+        if it[0] != "edge":
+            continue
+        ln, child = it[1], it[2]
+        path.append((label, items, j, ln))
+        _rewrite_visit(P, H, child, path, out)
+        path.pop()
+        c_label, c_items = child
+        if ln == H.zero:
+            merged = P.compose(len(items), j, label, len(c_items), c_label)
+            its = items[:j] + c_items + items[j + 1 :]
+            out.append(("contract", ("node", _rebuild(path, (merged, its)))))
+        if c_label == P.unit and len(c_items) == 1:
+            sub = c_items[0]
+            if sub[0] == "edge":
+                its = items[:j] + (("edge", H.j(ln, sub[1]), sub[2]),) + items[j + 1 :]
+                out.append(("join", ("node", _rebuild(path, (label, its)))))
+            else:
+                its = items[:j] + (sub,) + items[j + 1 :]
+                out.append(("drop", ("node", _rebuild(path, (label, its)))))
+
+
+def _rebuild(path: list, node) -> tuple:
+    """The root node with node in the place path leads to."""
+    for label, items, j, ln in reversed(path):
+        node = (label, items[:j] + (("edge", ln, node),) + items[j + 1 :])
+    return node
 
 
 def normalize_state(P, H: FiniteSegment, state) -> tuple:
@@ -474,43 +478,46 @@ def w_compose(P, H: FiniteSegment, x: WSetElement, i: int, y: WSetElement) -> WS
         return y
     if y.node is None:
         return x
-    y_node = map_leaves(y.node, range(i, i + m))
+    graft = ("edge", H.one, map_leaves(y.node, range(i, i + m)))
+    return _normal_element(P, H, n + m - 1, _plug(x.node, i, m, graft))
 
-    def plug(node):
-        label, items = node
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                g = it[1]
-                if g == i:
-                    out.append(("edge", H.one, y_node))
-                else:
-                    out.append(("leaf", g if g < i else g + m - 1))
+
+def _plug(node, i: int, m: int, graft) -> tuple:
+    """The node with the item graft at leaf input i, and its later inputs
+    shifted up by m - 1."""
+    label, items = node
+    out = []
+    for it in items:
+        if it[0] == "leaf":
+            g = it[1]
+            if g == i:
+                out.append(graft)
             else:
-                out.append(("edge", it[1], plug(it[2])))
-        return (label, tuple(out))
-
-    return _normal_element(P, H, n + m - 1, plug(x.node))
+                out.append(("leaf", g if g < i else g + m - 1))
+        else:
+            out.append(("edge", it[1], _plug(it[2], i, m, graft)))
+    return (label, tuple(out))
 
 
 def _eval_raw(Q, node):
     """Compose the labels of a raw node in the operad Q, planar slots
     right to left, then route the inputs by the leaf bijection."""
-
-    def ev(nd):
-        label, items = nd
-        val = label
-        n_val = len(items)
-        for j in range(len(items) - 1, -1, -1):
-            it = items[j]
-            if it[0] == "edge":
-                child_val, child_ar = ev(it[2])
-                val = Q.compose(n_val, j, val, child_ar, child_val)
-                n_val += child_ar - 1
-        return val, n_val
-
-    val, n = ev(node)
+    val, n = _eval_planar(Q, node)
     return Q.act(n, val, node_leaves(node))
+
+
+def _eval_planar(Q, nd) -> tuple:
+    """The planar composite of nd's labels and its arity."""
+    label, items = nd
+    val = label
+    n_val = len(items)
+    for j in range(len(items) - 1, -1, -1):
+        it = items[j]
+        if it[0] == "edge":
+            child_val, child_ar = _eval_planar(Q, it[2])
+            val = Q.compose(n_val, j, val, child_ar, child_val)
+            n_val += child_ar - 1
+    return val, n_val
 
 
 def w_eval(P, elem: WSetElement):
@@ -524,18 +531,19 @@ def w_segment_apply(P, f: SegmentMap, elem: WSetElement) -> WSetElement:
     """Relabel edge lengths along a segment map, then renormalize."""
     if elem.node is None:
         return elem
+    return _normal_element(P, f.target, elem.arity, _relength(elem.node, f.table))
 
-    def relen(node):
-        label, items = node
-        out = []
-        for it in items:
-            if it[0] == "leaf":
-                out.append(it)
-            else:
-                out.append(("edge", f.table[it[1]], relen(it[2])))
-        return (label, tuple(out))
 
-    return _normal_element(P, f.target, elem.arity, relen(elem.node))
+def _relength(node, table) -> tuple:
+    """The node with every edge length ln replaced by table[ln]."""
+    label, items = node
+    out = []
+    for it in items:
+        if it[0] == "leaf":
+            out.append(it)
+        else:
+            out.append(("edge", table[it[1]], _relength(it[2], table)))
+    return (label, tuple(out))
 
 
 def element_to_json(P, elem: WSetElement) -> dict:
@@ -733,15 +741,17 @@ def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe: WS
     top = H.size  # index of the adjoined absorbing element in diamond(H)
     if elem.node is None:
         return W_UNIT
-
-    def outer(node):
-        piece, hanging = cut(node, lambda ln: None if ln == top else ln)
-        label = WSetElement(len(hanging), canon_node(P, piece))
-        items = (it if it[0] == "leaf" else ("edge", 1, outer(it[2])) for it in hanging)
-        return (label, tuple(items))
-
     wrapper = _NoComposeWrapper(label_universe)
-    return WSetElement(elem.arity, canon_node(wrapper, outer(elem.node)))
+    return WSetElement(elem.arity, canon_node(wrapper, _top_pieces(P, elem.node, top)))
+
+
+def _top_pieces(P, node, top) -> tuple:
+    """The outer tree whose labels are the pieces of node between the
+    edges of length top."""
+    piece, hanging = cut(node, lambda ln: None if ln == top else ln)
+    label = WSetElement(len(hanging), canon_node(P, piece))
+    items = (it if it[0] == "leaf" else ("edge", 1, _top_pieces(P, it[2], top)) for it in hanging)
+    return (label, tuple(items))
 
 
 def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:

@@ -7,10 +7,11 @@ A plain node is (label, items) with items ("leaf", input) or
 in the flag; the chain-level cylinder puts 1 on a marked edge; the bar
 and cobar trees leave every flag at 0.  This module builds plain nodes
 from flat data (build_node), reads them back (node_tree, node_labels,
-node_lengths, node_leaves), walks them (map_leaves, map_labels), reads a
-tree as a tree of trees by cutting edges (cut), and chooses the tree
-shapes and leaf routings each construction enumerates (shapes), for all
-four constructions, set-level stumps included.
+node_lengths, node_leaves, or all four in one walk with node_view), walks
+them (map_leaves, map_labels), reads a tree as a tree of trees by cutting
+edges (cut), and chooses the tree shapes and leaf routings each
+construction enumerates (shapes), for all four constructions, set-level
+stumps included.
 
 The chain-level constructions share one graded element class
 (TreeElement) and one enumerator (labeled_trees): the cylinder, the bar
@@ -27,6 +28,10 @@ This module walks and canonicalizes tagged trees but owns no sign word.
 Each construction linearizes a tagged tree into its own word of
 (uid, parity) letters and hands pairs of words to koszul; keeping the
 words apart is what keeps the bar/cobar comparison an independent check.
+
+Every walk lives at module level and takes its accumulators as
+arguments, because a nested function that calls itself is a reference
+cycle, and its locals then wait for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -58,23 +63,21 @@ def build_node(tree: PlanarTree, labels, lengths, leaves) -> tuple | None:
         raise ValueError("length count mismatch")
     if sorted(leaves) != list(range(tree.arity)):
         raise ValueError("leaves must be a bijection onto the inputs")
-    state = {"v": 0, "leaf": 0}
+    return _assemble(tree, iter(labels), iter(lengths), iter(leaves))
 
-    def walk(t: PlanarTree):
-        my = state["v"]
-        state["v"] += 1
-        items = []
-        for c in t.children:
-            if c.children is None:
-                items.append(("leaf", leaves[state["leaf"]]))
-                state["leaf"] += 1
-            else:
-                child_idx = state["v"]
-                sub = walk(c)
-                items.append(("edge", lengths[child_idx - 1], sub))
-        return (labels[my], tuple(items))
 
-    return walk(tree)
+def _assemble(t: PlanarTree, labels, lengths, leaves) -> tuple:
+    """The node of t, drawing labels, edge lengths and leaf inputs from
+    the three iterators in preorder."""
+    label = next(labels)
+    items = []
+    for c in t.children:
+        if c.children is None:
+            items.append(("leaf", next(leaves)))
+        else:
+            flag = next(lengths)
+            items.append(("edge", flag, _assemble(c, labels, lengths, leaves)))
+    return (label, tuple(items))
 
 
 def node_tree(node) -> PlanarTree:
@@ -114,6 +117,33 @@ def node_leaves(node) -> tuple:
     return tuple(out)
 
 
+def node_view(node) -> tuple[str, list, list, list]:
+    """A plain node's tree notation, edge flags, labels and leaves, all
+    read in one walk; the same as node_tree(node).notation(),
+    node_lengths, node_labels and node_leaves."""
+    text: list = []
+    flags: list = []
+    labels: list = []
+    leaves: list = []
+    _view(node, text, flags, labels, leaves)
+    return "".join(text), flags, labels, leaves
+
+
+def _view(node, text, flags, labels, leaves) -> None:
+    labels.append(node[0])
+    text.append("(")
+    for k, it in enumerate(node[1]):
+        if k:
+            text.append(" ")
+        if it[0] == "leaf":
+            text.append("|")
+            leaves.append(it[1])
+        else:
+            flags.append(it[1])
+            _view(it[2], text, flags, labels, leaves)
+    text.append(")")
+
+
 def map_leaves(node, table):
     """A plain node with every leaf input g replaced by table[g]."""
     label, items = node
@@ -147,20 +177,20 @@ def cut(node, keep) -> tuple[tuple, list]:
     in the same order: its leaves, and its cut edges with their children
     left whole."""
     hanging: list = []
+    return _cut(node, keep, hanging), hanging
 
-    def walk(nd):
-        label, items = nd
-        out = []
-        for it in items:
-            flag = None if it[0] == "leaf" else keep(it[1])
-            if flag is None:
-                out.append(("leaf", len(hanging)))
-                hanging.append(it)
-            else:
-                out.append(("edge", flag, walk(it[2])))
-        return (label, tuple(out))
 
-    return walk(node), hanging
+def _cut(nd, keep, hanging: list) -> tuple:
+    label, items = nd
+    out = []
+    for it in items:
+        flag = None if it[0] == "leaf" else keep(it[1])
+        if flag is None:
+            out.append(("leaf", len(hanging)))
+            hanging.append(it)
+        else:
+            out.append(("edge", flag, _cut(it[2], keep, hanging)))
+    return (label, tuple(out))
 
 
 def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool) -> list:
@@ -200,9 +230,6 @@ class TreeElement:
     def labels(self) -> tuple:
         return node_labels(self.node)
 
-    def leaves(self) -> tuple:
-        return node_leaves(self.node)
-
 
 def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tuple:
     """The trees of one arity labeled by the label source Q, every vertex
@@ -223,25 +250,31 @@ def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tu
         for v in vals:
             if v not in pools:
                 pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
-        chosen: list = []
-
-        def rec(j, used, deg):
-            if j == len(vals):
-                for mask in masks:
-                    d = deg + sum(mask)
-                    for lam in lams:
-                        out.append(TreeElement(arity, build_node(tree, chosen, mask, lam), d))
-                return
-            rem = len(vals) - j - 1
-            for lb, d, c in pools[vals[j]]:
-                if cap is not None and used + c + rem > cap:
-                    continue
-                chosen.append(lb)
-                rec(j + 1, used + c, deg + d)
-                chosen.pop()
-
-        rec(0, 0, 0)
+        choices: list = []
+        _choose_labels([pools[v] for v in vals], cap, 0, 0, [], choices)
+        for chosen, deg in choices:
+            for mask in masks:
+                d = deg + sum(mask)
+                for lam in lams:
+                    out.append(TreeElement(arity, build_node(tree, chosen, mask, lam), d))
     return tuple(out)
+
+
+def _choose_labels(pools, cap: int | None, used: int, deg: int, chosen: list, out: list) -> None:
+    """Append to out each (labels, degree) that extends chosen by one
+    (label, degree, cost) entry of every remaining pool, costing at most
+    cap in total."""
+    j = len(chosen)
+    if j == len(pools):
+        out.append((tuple(chosen), deg))
+        return
+    rem = len(pools) - j - 1
+    for lb, d, c in pools[j]:
+        if cap is not None and used + c + rem > cap:
+            continue
+        chosen.append(lb)
+        _choose_labels(pools, cap, used + c, deg + d, chosen, out)
+        chosen.pop()
 
 
 # -- tagged nodes ------------------------------------------------------------
@@ -286,12 +319,18 @@ def leaves(nd) -> list:
     return out
 
 
-def vertices(nd):
+def vertices(nd) -> list:
     """The tagged vertex nodes in depth-first preorder."""
-    yield nd
+    out: list = []
+    _vertices(nd, out)
+    return out
+
+
+def _vertices(nd, out: list) -> None:
+    out.append(nd)
     for it in nd[3]:
         if it[0] == "edge":
-            yield from vertices(it[3])
+            _vertices(it[3], out)
 
 
 def edges(nd):

@@ -80,20 +80,20 @@ class PlanarTree:
     def subtrees_preorder(self) -> list["PlanarTree"]:
         """All vertex subtrees in DFS pre-order (unit trees excluded)."""
         out: list[PlanarTree] = []
-
-        def walk(t: PlanarTree) -> None:
-            if t.children is None:
-                return
-            out.append(t)
-            for c in t.children:
-                walk(c)
-
-        walk(self)
+        _preorder(self, out)
         return out
 
     def valences(self) -> list[int]:
         """Valence (number of input slots) of each vertex, DFS pre-order."""
         return [len(t.children) for t in self.subtrees_preorder()]
+
+
+def _preorder(t: PlanarTree, out: list) -> None:
+    if t.children is None:
+        return
+    out.append(t)
+    for c in t.children:
+        _preorder(c, out)
 
 
 UNIT = PlanarTree(None)
@@ -105,30 +105,29 @@ def corolla(n: int) -> PlanarTree:
 
 def build_tree(text: str) -> PlanarTree:
     """Parse nested-list notation: '|' unit, '(c1 c2 ... ck)' a vertex, '()' a stump."""
-    pos = 0
     s = text.replace("(", " ( ").replace(")", " ) ").split()
-
-    def parse(i: int) -> tuple[PlanarTree, int]:
-        tok = s[i]
-        if tok == "|":
-            return UNIT, i + 1
-        if tok != "(":
-            raise ValueError(f"unexpected token {tok!r} in tree notation {text!r}")
-        kids = []
-        i += 1
-        while i < len(s) and s[i] != ")":
-            child, i = parse(i)
-            kids.append(child)
-        if i >= len(s):
-            raise ValueError(f"unbalanced parentheses in tree notation {text!r}")
-        return PlanarTree(tuple(kids)), i + 1
-
     if not s:
         raise ValueError("empty tree notation")
-    tree, pos = parse(0)
+    tree, pos = _parse(s, 0, text)
     if pos != len(s):
         raise ValueError(f"trailing tokens in tree notation {text!r}")
     return tree
+
+
+def _parse(s: list, i: int, text: str) -> tuple[PlanarTree, int]:
+    tok = s[i]
+    if tok == "|":
+        return UNIT, i + 1
+    if tok != "(":
+        raise ValueError(f"unexpected token {tok!r} in tree notation {text!r}")
+    kids = []
+    i += 1
+    while i < len(s) and s[i] != ")":
+        child, i = _parse(s, i, text)
+        kids.append(child)
+    if i >= len(s):
+        raise ValueError(f"unbalanced parentheses in tree notation {text!r}")
+    return PlanarTree(tuple(kids)), i + 1
 
 
 # -- enumeration -------------------------------------------------------
@@ -170,32 +169,32 @@ def _enum(n: int, k: int, v: int) -> tuple[PlanarTree, ...]:
 def _children_tuples(n: int, k: int, v: int, m: int) -> list[tuple[PlanarTree, ...]]:
     """All m-tuples of child trees with total arity n within edge budget k."""
     results: list[tuple[PlanarTree, ...]] = []
-
-    def rec(slots_left: int, arity_left: int, budget: int, acc: list[PlanarTree]) -> None:
-        if slots_left == 0:
-            if arity_left == 0:
-                results.append(tuple(acc))
-            return
-        if arity_left < 0:
-            return
-        for a in range(arity_left + 1):
-            # a child of arity a; unit child only when a == 1
-            if a == 1:
-                acc.append(UNIT)
-                rec(slots_left - 1, arity_left - 1, budget, acc)
-                acc.pop()
-            if budget >= 1:
-                for child in _enum(a, budget - 1, v):
-                    if child.is_unit:
-                        continue
-                    if child.edge_count + 1 > budget:
-                        continue
-                    acc.append(child)
-                    rec(slots_left - 1, arity_left - a, budget - 1 - child.edge_count, acc)
-                    acc.pop()
-
-    rec(m, n, k, [])
+    _fill_children(m, n, k, v, [], results)
     return results
+
+
+def _fill_children(slots_left: int, arity_left: int, budget: int, v: int, acc: list, results: list) -> None:
+    if slots_left == 0:
+        if arity_left == 0:
+            results.append(tuple(acc))
+        return
+    if arity_left < 0:
+        return
+    for a in range(arity_left + 1):
+        # a child of arity a; unit child only when a == 1
+        if a == 1:
+            acc.append(UNIT)
+            _fill_children(slots_left - 1, arity_left - 1, budget, v, acc, results)
+            acc.pop()
+        if budget >= 1:
+            for child in _enum(a, budget - 1, v):
+                if child.is_unit:
+                    continue
+                if child.edge_count + 1 > budget:
+                    continue
+                acc.append(child)
+                _fill_children(slots_left - 1, arity_left - a, budget - 1 - child.edge_count, v, acc, results)
+                acc.pop()
 
 
 # -- automorphisms -----------------------------------------------------
@@ -246,34 +245,38 @@ def iso_leaf_maps(t1: PlanarTree, t2: PlanarTree) -> list[tuple[int, ...]]:
     if t1.children is None:
         return [(0,)]
     kids1, kids2 = t1.children, t2.children
-    m = len(kids1)
-    offs1 = _leaf_offsets(kids1)
-    offs2 = _leaf_offsets(kids2)
     keys1 = [c.canonical_key for c in kids1]
     keys2 = [c.canonical_key for c in kids2]
     out: list[tuple[int, ...]] = []
-
-    # match children of t1 to children of t2 within isomorphism classes
-    def assign(j: int, used: list[bool], target: list[int]) -> None:
-        if j == m:
-            child_maps = [iso_leaf_maps(kids1[i], kids2[target[i]]) for i in range(m)]
-            for combo in itertools.product(*child_maps):
-                perm = [0] * t1.arity
-                for i in range(m):
-                    for p_local, q_local in enumerate(combo[i]):
-                        perm[offs1[i] + p_local] = offs2[target[i]] + q_local
-                out.append(tuple(perm))
-            return
-        for i2 in range(m):
-            if not used[i2] and keys2[i2] == keys1[j]:
-                used[i2] = True
-                target.append(i2)
-                assign(j + 1, used, target)
-                target.pop()
-                used[i2] = False
-
-    assign(0, [False] * m, [])
+    _assign(t1, t2, keys1, keys2, [False] * len(kids1), [], out)
     return out
+
+
+def _assign(t1, t2, keys1, keys2, used: list[bool], target: list[int], out: list) -> None:
+    """Match the children of t1 to children of t2 within isomorphism
+    classes, the first len(target) already matched, and append the leaf
+    maps of every completed matching to out."""
+    kids1, kids2 = t1.children, t2.children
+    m = len(kids1)
+    j = len(target)
+    if j == m:
+        offs1 = _leaf_offsets(kids1)
+        offs2 = _leaf_offsets(kids2)
+        child_maps = [iso_leaf_maps(kids1[i], kids2[target[i]]) for i in range(m)]
+        for combo in itertools.product(*child_maps):
+            perm = [0] * t1.arity
+            for i in range(m):
+                for p_local, q_local in enumerate(combo[i]):
+                    perm[offs1[i] + p_local] = offs2[target[i]] + q_local
+            out.append(tuple(perm))
+        return
+    for i2 in range(m):
+        if not used[i2] and keys2[i2] == keys1[j]:
+            used[i2] = True
+            target.append(i2)
+            _assign(t1, t2, keys1, keys2, used, target, out)
+            target.pop()
+            used[i2] = False
 
 
 def _leaf_offsets(kids: tuple[PlanarTree, ...]) -> list[int]:
@@ -296,35 +299,35 @@ def aut_leaf_perms(t: PlanarTree) -> list[tuple[int, ...]]:
 def aut_generators(t: PlanarTree) -> list[AutGenerator]:
     """Generators realizing the semidirect decomposition at each vertex."""
     gens: list[AutGenerator] = []
-
-    def walk(s: PlanarTree, path: tuple[int, ...], leaf_off: int) -> None:
-        if s.children is None:
-            return
-        offs = _leaf_offsets(s.children)
-        # block generators: adjacent transpositions of isomorphic siblings
-        for j in range(len(s.children) - 1):
-            a, b = s.children[j], s.children[j + 1]
-            if a.canonical_key == b.canonical_key:
-                perm = list(range(t.arity))
-                wa = a.arity
-                wb = b.arity
-                base = leaf_off + offs[j]
-                for p in range(wa):
-                    perm[base + p] = base + wb + p
-                for p in range(wb):
-                    perm[base + wa + p] = base + p
-                gens.append(
-                    AutGenerator(
-                        "block",
-                        f"swap children {j} and {j + 1} at vertex {path}",
-                        tuple(perm),
-                    )
-                )
-        for j, c in enumerate(s.children):
-            walk(c, path + (j,), leaf_off + offs[j])
-
-    walk(t, (), 0)
+    _block_generators(t, (), 0, t.arity, gens)
     return gens
+
+
+def _block_generators(s: PlanarTree, path: tuple[int, ...], leaf_off: int, arity: int, gens: list) -> None:
+    if s.children is None:
+        return
+    offs = _leaf_offsets(s.children)
+    # block generators: adjacent transpositions of isomorphic siblings
+    for j in range(len(s.children) - 1):
+        a, b = s.children[j], s.children[j + 1]
+        if a.canonical_key == b.canonical_key:
+            perm = list(range(arity))
+            wa = a.arity
+            wb = b.arity
+            base = leaf_off + offs[j]
+            for p in range(wa):
+                perm[base + p] = base + wb + p
+            for p in range(wb):
+                perm[base + wa + p] = base + p
+            gens.append(
+                AutGenerator(
+                    "block",
+                    f"swap children {j} and {j + 1} at vertex {path}",
+                    tuple(perm),
+                )
+            )
+    for j, c in enumerate(s.children):
+        _block_generators(c, path + (j,), leaf_off + offs[j], arity, gens)
 
 
 @dataclass(frozen=True)

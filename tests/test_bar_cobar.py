@@ -29,7 +29,7 @@ from opres.chain_operads import (
     w_pseudo,
 )
 from opres.set_operads import InfiniteEnumerationError
-from opres.tagged import build_node, shapes
+from opres.tagged import build_node, node_leaves, shapes
 from test_chain_operads import endv, unary_ns
 
 AS_NS = builtin_chain_operad("as_ns")
@@ -433,7 +433,7 @@ def test_bar_element_accessors():
     assert x.arity == 3
     assert x.degree == 2
     assert x.labels() == ("a2", "a2")
-    assert sorted(x.leaves()) == [0, 1, 2]
+    assert sorted(node_leaves(x.node)) == [0, 1, 2]
     assert isinstance(hash(x), int)
 
 

@@ -458,7 +458,7 @@ def test_complex_json_roundtrip():
     data = complex_to_json(C)
     assert data["ring"] == "Z"
     assert data["basis"]["0"] == ["g0", "g1"]
-    assert data["d"]["1"] == [[0, 0, "-1"], [1, 0, "1"]]
+    assert data["d"]["1"] == [(0, 0, "-1"), (1, 0, "1")]
     back = complex_from_json(data)
     assert back.dim(0) == 2 and back.dim(1) == 1
     assert back.diff(1).data[(0, 0)] == -1

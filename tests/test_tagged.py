@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import importlib.util
 import math
@@ -9,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from opres import perms
 from opres.bar_cobar import CooperadComplex
-from opres.chain_operads import builtin_chain_operad, signed_canon, w_act_basis
+from opres.chain_core import homology
+from opres.chain_operads import (
+    builtin_chain_operad,
+    check_composition_maps,
+    signed_canon,
+    w_act_basis,
+    w_reduced,
+)
 from opres.set_operads import build_node, node_leaves, node_lengths, node_tree
 from opres.tagged import (
     TreeElement,
@@ -121,7 +129,7 @@ def test_bar_act_least_routing_and_round_trip(name, n, data):
     sigma = tuple(data.draw(st.permutations(range(n))))
     y, c1 = C.signed_act(n, b, sigma)
     z, c2 = C.signed_act(n, y, perms.invert(sigma))
-    assert orbit_least(y.tree(), y.leaves())
+    assert orbit_least(y.tree(), node_leaves(y.node))
     assert (z, c1 * c2) == (b, 1)
 
 
@@ -311,6 +319,44 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_nested_function_calls_itself():
+    """A nested function that refers to its own name is a reference cycle
+    (function, closure cell, function), so its locals outlive each call
+    until the cyclic collector runs.  Recursive walks live at module level
+    and take their accumulators as arguments."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(outer):
+                if node is not outer and isinstance(node, ast.FunctionDef):
+                    if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node)):
+                        found.add(f"{path.name}:{node.lineno} {node.name}")
+    assert sorted(found) == []
+
+
+def test_builds_leave_nothing_for_the_collector():
+    """With the cyclic collector paused, reference counting alone frees
+    every temporary of a build, a homology and a grafting check."""
+    as_ns, com = builtin_chain_operad("as_ns"), builtin_chain_operad("com")
+    runs = {
+        "w_reduced(as_ns, 6)": lambda: w_reduced(as_ns, 6),
+        "homology(w_reduced(com, 5))": lambda: homology(w_reduced(com, 5)),
+        "check_composition_maps(com, 3, 3)": lambda: check_composition_maps(com, 3, 3),
+    }
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in runs.items():
+            run()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(runs, 0)
 
 
 def test_traced_targets_resolve():
