@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Traced memory of each stage of one cylinder build.
+
+Usage: python3 scripts/memory_probe.py --operad as_ns --arity 5
+
+Runs the stages of ``chainw build`` in this process under tracemalloc,
+with opres imported from the checkout holding this script, and prints
+one line per stage: the traced memory held after it and the stage's
+own peak, in MB.  The stages are
+
+- enumerate: the basis alone (enumerate_w_basis), dropped afterwards;
+- assemble: w_reduced, which enumerates the basis again and assembles
+  the differentials with the d^2 check;
+- complex_to_json: the report payload, with the CLI's basis labels;
+- report: the report string, serialized as ``--json`` writes it.
+
+From assemble on, each stage keeps what the ones before it built, as
+the CLI does.  tracemalloc counts Python's own allocations only, and it
+slows the build several times over.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import sys
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--operad", required=True, help="as_ns, ass_sym or com")
+    parser.add_argument("--arity", type=int, required=True)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from opres.chain_core import complex_to_json
+    from opres.chain_operads import builtin_chain_operad, enumerate_w_basis, w_reduced
+    from opres.cli import _chain_label
+
+    P = builtin_chain_operad(args.operad)
+    print(f"{args.operad} arity {args.arity}, traced MB")
+    print(f"{'stage':<16} {'current':>8} {'peak':>8}")
+    tracemalloc.start()
+
+    def report(stage: str) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        print(f"{stage:<16} {current / 1e6:>8.1f} {peak / 1e6:>8.1f}", flush=True)
+        tracemalloc.reset_peak()
+
+    basis = enumerate_w_basis(P, args.arity)
+    report("enumerate")
+    del basis
+    C = w_reduced(P, args.arity)
+    report("assemble")
+    data = complex_to_json(C, label_str=_chain_label)
+    report("complex_to_json")
+    text = json.dumps({"complex": data}, sort_keys=True, separators=(",", ":"))
+    report("report")
+    tracemalloc.stop()
+    print(f"{sum(C.dim(k) for k in C.degrees())} basis elements, {len(text)} report bytes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

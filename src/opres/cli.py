@@ -13,6 +13,7 @@ builtin operads are defined in every arity.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -264,8 +265,12 @@ def _h_godement_compare(a):
     return ("verified" if ok else "failed"), payload
 
 
+# one encoder for every basis label, with json.dumps's defaults otherwise
+_LABEL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _chain_label(x) -> str:
-    return json.dumps(basis_to_json(x), sort_keys=True)
+    return _LABEL_ENCODER.encode(basis_to_json(x))
 
 
 def _h_chainw_build(a):
@@ -349,7 +354,10 @@ def _h_homology_file(a):
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser; it is constant, so one process builds it
+    once."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the machine report to PATH")

@@ -17,6 +17,8 @@ The chain-level constructions share one graded element class
 (TreeElement) and one enumerator (labeled_trees): the cylinder, the bar
 and the cobar differ only in their label source, the degree shift of a
 vertex, what a label costs against the cap, and which edge flags occur.
+The nodes of one enumeration share their equal subtrees and items, so
+nothing may rely on node identity: nodes are compared by value.
 
 For sign tracking a node is tagged: (uid, label, parity, items) with edge
 items ("edge", euid, flag, child), where every vertex and every edge
@@ -63,21 +65,25 @@ def build_node(tree: PlanarTree, labels, lengths, leaves) -> tuple | None:
         raise ValueError("length count mismatch")
     if sorted(leaves) != list(range(tree.arity)):
         raise ValueError("leaves must be a bijection onto the inputs")
-    return _assemble(tree, iter(labels), iter(lengths), iter(leaves))
+    return _assemble(tree, iter(labels), iter(lengths), iter(leaves), None)
 
 
-def _assemble(t: PlanarTree, labels, lengths, leaves) -> tuple:
+def _assemble(t: PlanarTree, labels, lengths, leaves, table: dict | None) -> tuple:
     """The node of t, drawing labels, edge lengths and leaf inputs from
-    the three iterators in preorder."""
+    the three iterators in preorder.  With a table, every item and node
+    built is swapped for its equal entry there, so that equal subtrees
+    become one object."""
     label = next(labels)
     items = []
     for c in t.children:
         if c.children is None:
-            items.append(("leaf", next(leaves)))
+            it = ("leaf", next(leaves))
         else:
             flag = next(lengths)
-            items.append(("edge", flag, _assemble(c, labels, lengths, leaves)))
-    return (label, tuple(items))
+            it = ("edge", flag, _assemble(c, labels, lengths, leaves, table))
+        items.append(it if table is None else table.setdefault(it, it))
+    node = (label, tuple(items))
+    return node if table is None else table.setdefault(node, node)
 
 
 def node_tree(node) -> PlanarTree:
@@ -218,11 +224,24 @@ def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool)
 @dataclass(frozen=True)
 class TreeElement:
     """One basis element of a chain-level tree construction: a canonical
-    plain node (None for the cylinder's unit), its arity and its degree."""
+    plain node (None for the cylinder's unit), its arity and its degree.
+    The hash is computed once, on construction: a tuple does not cache
+    its own, and every element is hashed as a dictionary key at least
+    once."""
+
+    # slots declared by hand: dataclass(slots=True) breaks the frozen
+    # __setattr__ for names that are not fields before Python 3.12
+    __slots__ = ("arity", "node", "degree", "_hash")
 
     arity: int
     node: tuple | None
     degree: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.arity, self.node, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tree(self) -> PlanarTree:
         return node_tree(self.node)
@@ -243,6 +262,7 @@ def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tu
     max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
     min_val = 1 if Q.basis(1) else 2
     pools: dict[int, tuple] = {}
+    table: dict = {}
     out = []
     for tree, lams in shapes(arity, max_edges, min_val, Q.symmetric):
         masks = list(itertools.product(flags, repeat=tree.edge_count))
@@ -256,7 +276,8 @@ def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tu
             for mask in masks:
                 d = deg + sum(mask)
                 for lam in lams:
-                    out.append(TreeElement(arity, build_node(tree, chosen, mask, lam), d))
+                    node = _assemble(tree, iter(chosen), iter(mask), iter(lam), table)
+                    out.append(TreeElement(arity, node, d))
     return tuple(out)
 
 

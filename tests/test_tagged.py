@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opres import perms
-from opres.bar_cobar import CooperadComplex
+from opres import cli, perms
+from opres.bar_cobar import CooperadComplex, bar, cobar
 from opres.chain_core import homology
 from opres.chain_operads import (
     builtin_chain_operad,
     check_composition_maps,
+    enumerate_w_basis,
     signed_canon,
     w_act_basis,
+    w_boundary,
     w_reduced,
 )
 from opres.set_operads import build_node, node_leaves, node_lengths, node_tree
@@ -166,6 +168,48 @@ def test_koszul_counts_odd_letters_only():
     assert koszul(old, old) == 1
     assert koszul(old, [("c", 1), ("a", 1), ("b", 0), ("d", 1)]) == -1
     assert koszul(old, [("b", 0), ("d", 1), ("a", 1), ("c", 1)]) == 1
+
+
+# -- shared nodes and the element class --------------------------------------
+
+
+def _parts(node, out: list) -> None:
+    """Append node, its items and, recursively, the parts of its children."""
+    out.append(node)
+    for it in node[1]:
+        out.append(it)
+        if it[0] == "edge":
+            _parts(it[2], out)
+
+
+def test_enumerated_nodes_share_equal_parts():
+    """Within one enumeration, equal subtrees and equal items are one
+    object each: the cylinder basis, each bar arity and a cobar piece."""
+    P = OPERADS["ass_sym"]
+    B = bar(P, 4)
+    bases = {"w": enumerate_w_basis(P, 4)}
+    bases.update({f"bar {k}": B.elements(k) for k in range(1, 5)})
+    bases["cobar"] = [x for xs in cobar(B, 4).basis.values() for x in xs]
+    for name, basis in bases.items():
+        parts: list = []
+        for x in basis:
+            _parts(x.node, parts)
+        assert len({id(p) for p in parts}) == len(set(parts)), name
+
+    basis = {x: x for x in bases["w"]}
+    x = next(x for x in bases["w"] if x.degree == 2)
+    terms = w_boundary(P, x)
+    assert terms
+    for y in terms:
+        twin = basis[y]
+        assert y.node is not twin.node  # built apart, equal by value
+        assert y == twin and hash(y) == hash(twin)
+    assert TreeElement(arity=x.arity, node=x.node, degree=x.degree) == x
+    assert repr(x) == f"TreeElement(arity={x.arity!r}, node={x.node!r}, degree={x.degree!r})"
+    for attr in ("degree", "node", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 0)
+    assert not hasattr(x, "__dict__")
 
 
 # -- independence of the two sign disciplines --------------------------------
@@ -340,13 +384,18 @@ def test_no_nested_function_calls_itself():
 
 def test_builds_leave_nothing_for_the_collector():
     """With the cyclic collector paused, reference counting alone frees
-    every temporary of a build, a homology and a grafting check."""
+    every temporary of a build, a homology, a grafting check and a CLI
+    call.  The CLI's parser is built once per process, so a first call
+    builds it before the count."""
     as_ns, com = builtin_chain_operad("as_ns"), builtin_chain_operad("com")
+    argv = ["chainw", "homology", "--operad", "com", "--arity", "3"]
     runs = {
         "w_reduced(as_ns, 6)": lambda: w_reduced(as_ns, 6),
         "homology(w_reduced(com, 5))": lambda: homology(w_reduced(com, 5)),
         "check_composition_maps(com, 3, 3)": lambda: check_composition_maps(com, 3, 3),
+        "cli.main(chainw homology)": lambda: cli.main(argv),
     }
+    assert cli.main(argv) == 0
     left = {}
     gc.collect()
     gc.disable()
