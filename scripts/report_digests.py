@@ -5,12 +5,14 @@ Usage: python3 scripts/report_digests.py [CHECKOUT]
 
 Each command runs in process through ``opres.cli.main(argv + ["--json",
 path])`` with opres imported from CHECKOUT/src (default: the checkout
-holding this script), and one line "sha256  command" is printed per
-report.  The exit code is 1 if any command exits nonzero, raises, or
-writes no report.  Running the script once on each of two checkouts and
-diffing the output shows whether a change kept every report
-byte-identical; scripts/report_digests.txt holds the expected output,
-and CI diffs a fresh run against it.  Standard library only.
+holding this script) and CHECKOUT as the working directory, so that the
+graded tables under scripts/data/ resolve there.  One line
+"sha256  command" is printed per report.  The exit code is 1 if any
+command exits nonzero, raises, or writes no report.  Running the script
+once on each of two checkouts and diffing the output shows whether a
+change kept every report byte-identical; scripts/report_digests.txt
+holds the expected output, and CI diffs a fresh run against it.
+Standard library only.
 """
 
 import contextlib
@@ -49,6 +51,12 @@ COMMANDS = (
     "setw compare-free --operad com --arity 5",
     "barcobar verify-twisting --operad com --arity 5",
     "chainw verify --check all --operad ass_sym --arity 4",
+    # endv(3): labels of both parities, label boundaries, unary labels and
+    # an edge cap, which no builtin reaches
+    "chainw build --operad scripts/data/endv3_ns.json --arity 3 --cap 1",
+    "chainw build --operad scripts/data/endv3_sym.json --arity 3 --cap 1",
+    "chainw homology --operad scripts/data/endv3_ns.json --arity 2 --cap 2",
+    "chainw homology --operad scripts/data/endv3_sym.json --arity 2 --cap 2",
 )
 
 
@@ -79,8 +87,9 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    root = os.path.abspath(argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    sys.path.insert(0, os.path.join(root, "src"))
+    os.chdir(root)
     from opres.cli import main as cli_main
 
     failed = 0

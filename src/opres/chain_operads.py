@@ -13,6 +13,8 @@ Unmarked edges are silent: they carry the degree-0 interval cell that
 grafting produces.  The basis elements and their enumeration are the
 tagged module's TreeElement and labeled_trees, shared with bar/cobar:
 edge flags run over 0 and 1 and each vertex costs one unit of the cap.
+The assembler walks the same blocks (label_blocks) that the enumeration
+flattens.
 
 Signs are mechanical.  Every basis element linearizes to a word: for
 each component of the tree under marked edges, in discovery order, the
@@ -22,16 +24,22 @@ merging letters, and its sign is the Koszul sign of the odd letters.
 d^2 = 0 is then a property of the bookkeeping, checked eagerly whenever
 a complex is assembled.
 
-Assembly computes the boundary once per skeleton, the node with every
-label replaced by a variable that keeps its depth-first index and parity,
-and instantiates it for each labeling.  This is exact: the canonical sort
-orders children by bare shape and leaf tuple and never looks at a label,
-so every twist permutation and Koszul sign is fixed by the skeleton, and
-labels enter the boundary only through P's compose, d and act.
+Assembly differentiates each cube once.  A family (tree, labels,
+routing) spans the cube of its edge markings, and the contraction face
+of a marked edge depends on the family and the edge alone: the
+canonical sort orders children by bare shape and leaf tuple and never
+looks at a label or a flag.  So each tree, routing and parity pattern
+gets one contraction template per edge, built over formal labels; each
+marking gets its Koszul signs once, on integer sign words; each labeling
+evaluates the templates' formal labels once, through P's compose and
+act; and every column is filled by looking up integer (family, marking)
+keys in the degree below.  w_boundary stays the per-element definition
+that the assembled columns are tested against.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from . import perms
@@ -39,8 +47,8 @@ from .chain_core import (
     ZZ,
     ChainComplex,
     ChainMap,
+    SparseMat,
     VerificationError,
-    assemble_complex,
     compose_chain_maps,
     json_reader,
     mat_from_columns,
@@ -51,16 +59,16 @@ from .tagged import (
     PAIR_CACHE,
     ROUTING_CACHE,
     TreeElement,
+    block_elements,
+    build_node,
     canon,
     edges,
     fresh_uid,
     graft_replace,
     koszul,
-    labeled_trees,
+    label_blocks,
     leaves,
-    map_labels,
     map_leaves,
-    node_labels,
     node_lengths,
     node_view,
     replace_item,
@@ -68,7 +76,7 @@ from .tagged import (
     untag,
     vertices,
 )
-from .trees import enumerate_planar, iso_classes
+from .trees import build_tree, enumerate_planar, iso_classes
 
 
 # -- pseudo chain operads ----------------------------------------------------
@@ -618,11 +626,18 @@ def _contract_step(P, nd, parent, slot, w0) -> list:
     terms = P.compose(len(pitems), slot, pname, len(citems), cname)
     out = []
     for zname, c in terms.items():
-        merged = (puid, zname, merged_par, pitems[:slot] + citems + pitems[slot + 1 :])
-        t2 = graft_replace(nd, puid, merged)
+        t2 = _contract_tree(nd, parent, slot, zname, merged_par)
         w2 = _word(t2)
         out.append((move * koszul(mid, w2) * c, t2, w2))
     return out
+
+
+def _contract_tree(nd, parent, slot, label, par):
+    """nd with the child at item slot of the vertex parent merged into
+    parent, which keeps its letter and takes label and parity par."""
+    puid, _, _, pitems = parent
+    citems = pitems[slot][3][3]
+    return graft_replace(nd, puid, (puid, label, par, pitems[:slot] + citems + pitems[slot + 1 :]))
 
 
 # -- canonical presentations -------------------------------------------------
@@ -657,12 +672,8 @@ def signed_canon(P, node, word=None) -> tuple[int, tuple]:
 # -- basis enumeration and the complex ---------------------------------------
 
 
-def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
-    """All cylinder basis elements of one arity, edge count capped.
-
-    Without a cap the operad must have no unary part, which bounds trees
-    by the arity; the symmetric basis takes one leaf routing per
-    automorphism coset."""
+def _w_blocks(P, arity: int, edge_cap: int | None, flags=(0, 1)) -> list:
+    """The enumeration blocks of the cylinder basis, one per tree shape."""
     if P.basis(0):
         raise ValueError("the cylinder needs an operad with empty arity 0")
     if P.basis(1) and edge_cap is None:
@@ -671,7 +682,16 @@ def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
         )
     # every vertex costs one, and edge_cap edges join edge_cap + 1 vertices
     cap = None if edge_cap is None else edge_cap + 1
-    return labeled_trees(P, arity, cap, 0, lambda name: 1, (0, 1))
+    return label_blocks(P, arity, cap, 0, lambda name: 1, flags)
+
+
+def enumerate_w_basis(P, arity: int, edge_cap: int | None = None) -> tuple:
+    """All cylinder basis elements of one arity, edge count capped.
+
+    Without a cap the operad must have no unary part, which bounds trees
+    by the arity; the symmetric basis takes one leaf routing per
+    automorphism coset."""
+    return block_elements(arity, _w_blocks(P, arity, edge_cap))
 
 
 def w_boundary(P, x: TreeElement) -> dict:
@@ -709,64 +729,31 @@ def w_boundary(P, x: TreeElement) -> dict:
     return _clean(acc)
 
 
-# -- skeleton templates ------------------------------------------------------
+# -- cube assembly -----------------------------------------------------------
 #
-# The skeleton of a basis element is its plain node with each label
-# replaced by the variable ("x", parity, depth-first index).  Its boundary
-# is a template for every labeling: w_boundary run over _SymbolicOperad
-# records each composition, label boundary and action as a formal label,
-# and a labeling instantiates the formal labels through P.
+# A family is a tree with its labels and leaf routing; its basis elements
+# are the markings of its edges, the cells of the cube H^{(x)E(T)}.  The
+# assembler names an element by the integer key fid << width | mask, where
+# fid numbers its family and bit j of mask marks edge j, the edge above
+# vertex j + 1 in preorder.  It differentiates each cube once: the
+# contraction of an edge, sorted into canonical form over formal labels,
+# is one template per tree, routing and vertex parities; the Koszul signs
+# of a marking are computed once per tree and parities on integer words;
+# and each labeling evaluates the formal labels of a template once.
 
 
 class _SymbolicOperad:
-    """Formal labels over P, each carrying its parity second:
-    ("x", par, i) the i-th variable, ("d", par, n, e) a boundary,
-    ("o", par, n, i, e, m, f) a composition, ("s", par, n, e, sigma) an
-    action.  A boundary appears only in valences where P has one.
-    w_boundary reads only the variables' parities; a contraction carries
-    the merged parity on its tagged tree."""
-
-    def __init__(self, P):
-        self.operad = P
-        self.symmetric = P.symmetric
-        self._has_d: dict[int, bool] = {}
-
-    def degree_of(self, n, x):
-        return x[1]
-
-    def d(self, n, x):
-        has = self._has_d.get(n)
-        if has is None:
-            has = any(self.operad.d(n, nm) for nm in self.operad.names(n))
-            self._has_d[n] = has
-        return {("d", x[1] ^ 1, n, x): 1} if has else {}
+    """Formal labels, each carrying its parity second: ("x", par, v) the
+    label of vertex v, ("o", par, n, i, e, m, f) a composition and
+    ("s", par, n, e, sigma) an action.  Contracting an edge over them
+    records the compositions and label twists of the contraction face for
+    every labeling at once."""
 
     def compose(self, n, i, x, m, y):
         return {("o", x[1] ^ y[1], n, i, x, m, y): 1}
 
     def signed_act(self, n, x, sigma):
         return ("s", x[1], n, x, sigma), 1
-
-
-def _flatten(P, node, key: list, shape: list) -> None:
-    """Append prefix codes of the skeleton and the bare shape of a plain
-    node to key and shape, depth first.  Per vertex both codes hold the
-    valence, key also the parity; a leaf item is -1 - input in key and -1
-    in shape, an edge item is its flag in key and 0 in shape, followed by
-    the child's code."""
-    label, items = node
-    n = len(items)
-    key.append(n)
-    key.append(P.degree_of(n, label) & 1)
-    shape.append(n)
-    for it in items:
-        if it[0] == "leaf":
-            key.append(-1 - it[1])
-            shape.append(-1)
-        else:
-            key.append(it[1])
-            shape.append(0)
-            _flatten(P, it[2], key, shape)
 
 
 def _evaluate(P, e, labels, memo) -> dict:
@@ -776,8 +763,6 @@ def _evaluate(P, e, labels, memo) -> dict:
         op = e[0]
         if op == "x":
             got = {labels[e[2]]: 1}
-        elif op == "d":
-            got = _lin_d(P, e[2], _evaluate(P, e[3], labels, memo))
         elif op == "o":
             xs = _evaluate(P, e[4], labels, memo)
             ys = _evaluate(P, e[6], labels, memo)
@@ -792,84 +777,337 @@ def _evaluate(P, e, labels, memo) -> dict:
     return got
 
 
-def _instantiate(P, template, labels, arity, degree) -> dict:
-    """A template's boundary for one labeling, in P."""
-    memo: dict = {}
-    acc: dict[TreeElement, int] = {}
-    for c, node, exprs in template:
-        values = [
-            ((labels[e[2]], 1),) if e[0] == "x" else _evaluate(P, e, labels, memo).items()
-            for e in exprs
-        ]
-        for combo in itertools.product(*values):
-            coeff = c
-            for _, k in combo:
-                coeff *= k
-            take = iter([nm for nm, _ in combo]).__next__
-            key = TreeElement(arity, map_labels(node, lambda lab, val: take()), degree)
-            acc[key] = acc.get(key, 0) + coeff
-    return _clean(acc)
+class _Families:
+    """Integer ids of the families of a basis, block by block: the family
+    of labeling li and routing ri in block b is base[b] + li * R + ri, with
+    R the block's routing count.  A family outside the basis, reached by a
+    boundary that leaves it, gets the next free id.
+
+    A block's labelings depend only on its valences, which its labels
+    determine because basis names are unique across arities, so one index
+    of labels serves every block; a lookup still checks the block."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.block_of: dict[str, int] = {}
+        self.notations: list[str] = []
+        self.base: list[int] = []
+        self.label_index: dict[tuple, int] = {}
+        self.routing_index: list[dict] = []
+        shared: dict[int, dict] = {}
+        count = width = 0
+        for b, (tree, lams, choices, _) in enumerate(blocks):
+            self.notations.append(tree.notation())
+            self.block_of[self.notations[-1]] = b
+            self.base.append(count)
+            for li, (chosen, _) in enumerate(choices):
+                self.label_index.setdefault(chosen, li)
+            # the planar shapes share one routing list
+            if id(lams) not in shared:
+                shared[id(lams)] = {lam: ri for ri, lam in enumerate(lams)}
+            self.routing_index.append(shared[id(lams)])
+            count += len(choices) * len(lams)
+            width = max(width, tree.edge_count)
+        self.count = count
+        self.width = width
+        self.outside: dict[tuple, int] = {}
+        self.outside_families: list[tuple] = []
+
+    def fid(self, b, notation: str, labels: tuple, lam: tuple) -> int:
+        """The id of a family, where b is the block of its tree, given by
+        its notation, or None."""
+        if b is not None:
+            li = self.label_index.get(labels)
+            ri = self.routing_index[b].get(lam)
+            _, lams, choices, _ = self.blocks[b]
+            if li is not None and ri is not None and li < len(choices) and choices[li][0] == labels:
+                return self.base[b] + li * len(lams) + ri
+        key = (notation, labels, lam)
+        got = self.outside.get(key)
+        if got is None:
+            got = self.count + len(self.outside_families)
+            self.outside[key] = got
+            self.outside_families.append(key)
+        return got
+
+    def node(self, key: int):
+        """The plain node of an element key."""
+        fid, mask = key >> self.width, key & ((1 << self.width) - 1)
+        if fid < self.count:
+            b = bisect.bisect_right(self.base, fid) - 1
+            tree, lams, choices, _ = self.blocks[b]
+            li, ri = divmod(fid - self.base[b], len(lams))
+            labels, lam = choices[li][0], lams[ri]
+        else:
+            notation, labels, lam = self.outside_families[fid - self.count]
+            tree = build_tree(notation)
+        flags = [(mask >> j) & 1 for j in range(tree.edge_count)]
+        return build_node(tree, labels, flags, lam)
 
 
-def _w_boundaries(P, xs):
-    """w_boundary of each element of xs, all of one degree, in order.
+def _mask_int(mask) -> int:
+    return sum(f << j for j, f in enumerate(mask))
 
-    Elements are grouped by skeleton within each run of one tree shape,
-    and the groups are dropped when the run ends.  A skeleton with one
-    labeling goes to w_boundary; one with several is differentiated once
-    over _SymbolicOperad and instantiated per labeling.  When no valence
-    has two labels, every skeleton has one labeling."""
-    if all(len(P.basis(v)) <= 1 for v in range(1, xs[0].arity + 1)):
-        for x in xs:
-            yield w_boundary(P, x)
-        return
-    sym = _SymbolicOperad(P)
-    run: list = []
-    block = None
-    for x in xs:
-        if x.node is None:
-            yield from _run_boundaries(P, sym, run)
-            run = []
-            yield w_boundary(P, x)
+
+def _parents(tree) -> list:
+    """The parent of each vertex of a planar tree in preorder, -1 at the root."""
+    out: list = []
+    _parent_walk(tree, -1, out)
+    return out
+
+
+def _parent_walk(t, up: int, out: list) -> None:
+    v = len(out)
+    out.append(up)
+    for c in t.children:
+        if c.children is not None:
+            _parent_walk(c, v, out)
+
+
+def _cube_word(order, parent, mask: int, E: int) -> list:
+    """The sign word of a tree whose vertices, named by their preorder
+    index v in a tree with E edges, are listed in its own preorder with
+    their parents: per marked-edge component in discovery order, letter
+    v - 1 for each marked edge above a vertex v, then letter E + v for
+    each vertex v.  The same word as _word, on integer letters."""
+    comp: dict = {}
+    comps = []
+    for v in order:
+        u = parent[v]
+        if u >= 0 and mask >> (v - 1) & 1:
+            c = comp[u]
+            c[0].append(v - 1)
+        else:
+            c = ([], [])
+            comps.append(c)
+        c[1].append(E + v)
+        comp[v] = c
+    word: list = []
+    for es, vs in comps:
+        word += es
+        word += vs
+    return word
+
+
+def _odd_sign(word: list, pars, E: int) -> int:
+    """The sign of the order of the odd letters of a word against the
+    order of their integer names.  Two words on the same odd letters have
+    the Koszul sign koszul(a, b) = _odd_sign(a) * _odd_sign(b)."""
+    return perms.sign([k for k in word if k < E or pars[k - E]])
+
+
+def _cube(parent, pars, M: int, E: int, words: dict) -> tuple:
+    """The signs of one marking of a tree with vertex parities pars: the
+    prefix sign of each vertex letter in the word, and per marked edge e
+    the triple (e, unmark sign, contraction sign before the canonical
+    sort).  words caches (word, sign) per (parities, marking)."""
+    w0, s0 = _signed_word(parent, pars, M, E, words)
+    prefix = [1] * (E + 1)
+    odd = 0
+    for k in w0:
+        if k >= E:
+            prefix[k - E] = -1 if odd & 1 else 1
+            odd += pars[k - E]
+        else:
+            odd += 1
+    marked = []
+    for e in range(E):
+        if not M >> e & 1:
             continue
-        key: list = []
-        shape: list = []
-        _flatten(P, x.node, key, shape)
-        shape = tuple(shape)
-        if shape != block:
-            yield from _run_boundaries(P, sym, run)
-            run = []
-            block = shape
-        run.append((x, tuple(key)))
-    yield from _run_boundaries(P, sym, run)
+        w1, s1 = _signed_word(parent, pars, M ^ (1 << e), E, words)
+        # move the edge letter to the front of w0, then reorder to w1
+        u = s0 * s1 * (-1 if bin(M & ((1 << e) - 1)).count("1") & 1 else 1)
+        c, p = e + 1, parent[e + 1]
+        if pars[c]:
+            # move the odd child letter next to its parent's, then merge them
+            between = w1[w1.index(E + p) + 1 : w1.index(E + c)]
+            move = -1 if sum(1 for k in between if k < E or pars[k - E]) & 1 else 1
+            merged = pars[p] ^ 1
+            mid = [k for k in w1 if k != E + c and (k < E or (merged if k == E + p else pars[k - E]))]
+            contract = move * perms.sign(mid)
+        else:
+            contract = s1
+        marked.append((e, u, -u * contract))
+    return prefix, marked
 
 
-def _run_boundaries(P, sym, run):
-    """The boundaries of one run of (element, skeleton code) pairs, in order."""
-    count: dict = {}
-    for _, key in run:
-        count[key] = count.get(key, 0) + 1
+def _signed_word(parent, pars, M: int, E: int, words: dict) -> tuple:
+    """The word of marking M of a tree with its _odd_sign, cached in words."""
+    got = words.get((pars, M))
+    if got is None:
+        w = _cube_word(range(E + 1), parent, M, E)
+        got = words[(pars, M)] = (w, _odd_sign(w, pars, E))
+    return got
+
+
+def _contraction_templates(P, fams, tree, lam, pars) -> list:
+    """The contraction of each edge of tree, routed by lam, with vertex
+    parities pars, canonically sorted over formal labels.  A template
+    holds the target's block (or None), tree notation and routing, its formal
+    labels, and its vertices in preorder with their parents and parities,
+    each vertex named by its index in tree; the merged vertex keeps its
+    parent's index.  Nothing here depends on the marking or the labels."""
+    E = tree.edge_count
+    formal = [("x", par, v) for v, par in enumerate(pars)]
+    skel = tag(build_node(tree, formal, [0] * E, lam), lambda n, label: label[1])
+    vid = {nd[0]: v for v, nd in enumerate(vertices(skel))}
+    sym = _SymbolicOperad()
+    out = []
+    for parent, slot, child in edges(skel):
+        p = vid[parent[0]]
+        merged = list(pars)
+        merged[p] ^= pars[vid[child[0]]]
+        (label,) = sym.compose(len(parent[3]), slot, parent[1], len(child[3]), child[1])
+        t2 = _contract_tree(skel, parent, slot, label, merged[p])
+        if P.symmetric:
+            _, t2 = canon(sym.signed_act, t2)
+        order: list = []
+        up = [-1] * (E + 1)
+        labels: list = []
+        lvs: list = []
+        text: list = []
+        _template_walk(t2, -1, vid, order, up, labels, lvs, text)
+        notation = "".join(text)
+        out.append((fams.block_of.get(notation), notation, tuple(lvs), labels, order, up, merged))
+    return out
+
+
+def _template_walk(nd, parent: int, vid: dict, order, up, labels, lvs, text) -> None:
+    """Append a tagged tree's vertices in preorder to order, their labels
+    to labels, its leaves to lvs and its tree notation to text, and set
+    up[v] to the parent of vertex v."""
+    v = vid[nd[0]]
+    order.append(v)
+    up[v] = parent
+    labels.append(nd[1])
+    text.append("(")
+    for k, it in enumerate(nd[3]):
+        if k:
+            text.append(" ")
+        if it[0] == "leaf":
+            lvs.append(it[1])
+            text.append("|")
+        else:
+            _template_walk(it[3], v, vid, order, up, labels, lvs, text)
+    text.append(")")
+
+
+def _face(template, unmark: int, rest: int, contract: int, E: int) -> tuple:
+    """One marked edge's entry (unmark sign, unmarked mask, contraction
+    sign, target mask) for the marking rest of the other edges."""
+    _, _, _, _, order, up, merged = template
+    sign = contract * _odd_sign(_cube_word(order, up, rest, E), merged, E)
+    target = 0
+    for k in range(1, len(order)):
+        target |= ((rest >> (order[k] - 1)) & 1) << (k - 1)
+    return unmark, rest, sign, target
+
+
+def _contraction_targets(P, fams, template, labels, memo) -> list:
+    """The (coefficient, target key without mask) terms of a template
+    for one labeling."""
+    b, notation, lam, exprs, _, _, _ = template
+    values = [
+        ((labels[x[2]], 1),) if x[0] == "x" else _evaluate(P, x, labels, memo).items()
+        for x in exprs
+    ]
+    out = []
+    for combo in itertools.product(*values):
+        coeff = 1
+        for _, k in combo:
+            coeff *= k
+        out.append((coeff, fams.fid(b, notation, tuple(z for z, _ in combo), lam) << fams.width))
+    return out
+
+
+def _label_boundaries(P, fams, b, labels, vals, lam) -> list:
+    """The (vertex, coefficient, target key without mask) terms of the
+    label boundaries of one labeling and routing."""
+    notation = fams.notations[b]
+    out = []
+    for v, (val, name) in enumerate(zip(vals, labels)):
+        for z, c in P.d(val, name).items():
+            if c:
+                relabeled = labels[:v] + (z,) + labels[v + 1 :]
+                out.append((v, c, fams.fid(b, notation, relabeled, lam) << fams.width))
+    return out
+
+
+def _block_columns(P, fams, b, index, entries, misses) -> None:
+    """Write the boundary column of every element of block b, in basis
+    order, into entries[degree], the (row, column) entries of the
+    differential.  A nonzero term outside the basis of the degree below
+    goes to misses, the first per degree, as (degree, column, key).
+    Templates and sign caches live for this block only."""
+    tree, lams, choices, masks = fams.blocks[b]
+    E = tree.edge_count
+    R = len(lams)
+    base = fams.base[b]
+    vals = tree.valences()
+    parent = _parents(tree)
+    ints = [_mask_int(mask) for mask in masks]
+    has_d = any(P.d(v, nm) for v in set(vals) for nm in P.names(v))
+    words: dict = {}
+    cubes: dict = {}
     templates: dict = {}
-    for x, key in run:
-        if count[key] == 1:
-            yield w_boundary(P, x)
-            continue
-        template = templates.get(key)
-        if template is None:
-            ids = itertools.count()
-            sk = map_labels(x.node, lambda lab, val: ("x", P.degree_of(val, lab) & 1, next(ids)))
-            bd = w_boundary(sym, TreeElement(x.arity, sk, x.degree))
-            template = [(c, y.node, node_labels(y.node)) for y, c in bd.items()]
-            templates[key] = template
-        yield _instantiate(P, template, node_labels(x.node), x.arity, x.degree - 1)
+    faces: dict = {}
+    for li, (labels, deg) in enumerate(choices):
+        pars = tuple(P.degree_of(v, name) & 1 for v, name in zip(vals, labels))
+        memo: dict = {}
+        targets: dict = {}
+        boundaries: dict = {}
+        for M in ints:
+            d = deg + bin(M).count("1")
+            here = index[d]
+            below = index.get(d - 1, {})
+            data = entries[d]
+            cube = cubes.get((pars, M))
+            if cube is None:
+                cube = cubes[(pars, M)] = _cube(parent, pars, M, E, words)
+            prefix, marked = cube
+            for ri in range(R):
+                own = (base + li * R + ri) << fams.width
+                face = faces.get((pars, ri, M))
+                if face is None:
+                    ts = templates.get((pars, ri))
+                    if ts is None and marked:
+                        ts = templates[(pars, ri)] = _contraction_templates(P, fams, tree, lams[ri], pars)
+                    face = [(e,) + _face(ts[e], u, M ^ (1 << e), contract, E) for e, u, contract in marked]
+                    faces[(pars, ri, M)] = face
+                col: dict = {}
+                if has_d:
+                    terms = boundaries.get(ri)
+                    if terms is None:
+                        terms = boundaries[ri] = _label_boundaries(P, fams, b, labels, vals, lams[ri])
+                    for v, c, tb in terms:
+                        key = tb | M
+                        col[key] = col.get(key, 0) + prefix[v] * c
+                for e, u, rest, sign, target in face:
+                    key = own | rest
+                    col[key] = col.get(key, 0) + u
+                    terms = targets.get((ri, e))
+                    if terms is None:
+                        terms = targets[(ri, e)] = _contraction_targets(
+                            P, fams, templates[(pars, ri)][e], labels, memo
+                        )
+                    for c, tb in terms:
+                        key = tb | target
+                        col[key] = col.get(key, 0) + sign * c
+                j = here[own | M]
+                for key, c in col.items():
+                    if c:
+                        i = below.get(key)
+                        if i is None:
+                            misses.setdefault(d, (d, j, key))
+                        else:
+                            data[(i, j)] = c
 
 
-def _assemble_w(P, elems, arity, edge_cap, construction) -> ChainComplex:
-    C = assemble_complex(
-        elems,
-        lambda xs: _w_boundaries(P, xs),
-        lambda x, y: f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}",
-    )
+def _assemble_w(P, elems, blocks, arity, edge_cap, construction) -> ChainComplex:
+    """The complex spanned by elems: an optional unit followed by the
+    flattening of blocks."""
+    basis, mats = _cube_differentials(P, elems, blocks)
+    C = ChainComplex(ZZ, basis, mats, check=True)
     C.meta = {
         "arity": arity,
         "edge_cap": edge_cap,
@@ -879,21 +1117,67 @@ def _assemble_w(P, elems, arity, edge_cap, construction) -> ChainComplex:
     return C
 
 
+def _cube_differentials(P, elems, blocks) -> tuple[dict, dict]:
+    """The basis by degree and the differentials of the span of elems,
+    an optional unit followed by the flattening of blocks; the elements
+    are indexed by their integer keys, which are dropped on return."""
+    fams = _Families(blocks)
+    by_deg: dict[int, list] = {}
+    keys: dict[int, list] = {}
+    it = iter(elems)
+    if elems and elems[0].node is None:
+        by_deg[0] = [next(it)]
+    for b, (_, lams, choices, masks) in enumerate(blocks):
+        R = len(lams)
+        ints = [_mask_int(mask) for mask in masks]
+        for li, (_, deg) in enumerate(choices):
+            fid = fams.base[b] + li * R
+            for M in ints:
+                d = deg + bin(M).count("1")
+                row = by_deg.setdefault(d, [])
+                ks = keys.setdefault(d, [])
+                for ri in range(R):
+                    ks.append((fid + ri) << fams.width | M)
+                    row.append(next(it))
+    # each key maps to its element's position in its degree, after the
+    # unit.  The positions, which the entries keep, are made in one run
+    # after the keys rather than between them, so that dropping the keys
+    # on return frees whole pools of the small-object allocator
+    index = {}
+    for d, row in by_deg.items():
+        ks = keys.pop(d, [])
+        index[d] = dict(zip(ks, range(len(row) - len(ks), len(row))))
+    entries: dict[int, dict] = {k: {} for k in by_deg}
+    misses: dict = {}
+    for b in range(len(blocks)):
+        _block_columns(P, fams, b, index, entries, misses)
+    if misses:
+        d, j, key = misses[min(misses)]
+        x = by_deg[d][j]
+        y = TreeElement(x.arity, fams.node(key), d - 1)
+        raise RuntimeError(f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}")
+    basis = {k: tuple(v) for k, v in sorted(by_deg.items())}
+    mats = {k: SparseMat(len(basis.get(k - 1, ())), len(v), entries[k]) for k, v in basis.items()}
+    return basis, mats
+
+
 def w_pseudo(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder complex on the pseudo operad in one arity."""
     elems = enumerate_w_basis(P, arity, edge_cap)
-    return _assemble_w(P, elems, arity, edge_cap, "w_pseudo")
+    return _assemble_w(P, elems, _w_blocks(P, arity, edge_cap), arity, edge_cap, "w_pseudo")
 
 
 def w_reduced(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder on the reduced operad: the pseudo cylinder plus the
     unit summand in arities 0 and 1."""
     elems: list[TreeElement] = []
+    blocks: list = []
     if arity <= 1:
         elems.append(TreeElement(arity, None, 0))
     if arity >= 1:
         elems.extend(enumerate_w_basis(P, arity, edge_cap))
-    return _assemble_w(P, tuple(elems), arity, edge_cap, "w_reduced")
+        blocks = _w_blocks(P, arity, edge_cap)
+    return _assemble_w(P, tuple(elems), blocks, arity, edge_cap, "w_reduced")
 
 
 def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
@@ -904,7 +1188,7 @@ def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComp
         for x in enumerate_w_basis(P, arity, edge_cap)
         if not any(node_lengths(x.node))
     )
-    return _assemble_w(P, elems, arity, edge_cap, "free")
+    return _assemble_w(P, elems, _w_blocks(P, arity, edge_cap, (0,)), arity, edge_cap, "free")
 
 
 def _evaluate_free(P, x: TreeElement) -> dict:

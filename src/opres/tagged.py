@@ -17,6 +17,8 @@ The chain-level constructions share one graded element class
 (TreeElement) and one enumerator (labeled_trees): the cylinder, the bar
 and the cobar differ only in their label source, the degree shift of a
 vertex, what a label costs against the cap, and which edge flags occur.
+The enumerator flattens one block per tree shape (label_blocks), which
+the cylinder's assembler also walks.
 The nodes of one enumeration share their equal subtrees and items, so
 nothing may rely on node identity: nodes are compared by value.
 
@@ -254,24 +256,44 @@ def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tu
     """The trees of one arity labeled by the label source Q, every vertex
     shifted by shift, every edge flagged from flags, whose labels cost at
     most cap in total; in shape, label, flag and routing order.  A flag
-    adds itself to the degree.  Depth-first over label choices: every
-    remaining vertex costs at least one unit of the cap, so dead branches
-    prune early."""
+    adds itself to the degree.  This is the flattening of label_blocks."""
+    return block_elements(arity, label_blocks(Q, arity, cap, shift, cost, flags))
+
+
+def label_blocks(Q, arity: int, cap: int | None, shift: int, cost, flags) -> list:
+    """The blocks of labeled_trees, one per tree shape in order: (tree,
+    routings, choices, masks), where choices holds the (labels, degree)
+    pairs of the labelings within the cap and masks the tuples of edge
+    flags.  Depth-first over label choices: every remaining vertex costs
+    at least one unit of the cap, so dead branches prune early."""
     if arity < 1 or (cap is not None and cap < 1):
-        return ()
+        return []
     max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
     min_val = 1 if Q.basis(1) else 2
     pools: dict[int, tuple] = {}
-    table: dict = {}
+    # one list of flag tuples per edge count, shared by its blocks
+    masks: dict[int, list] = {}
     out = []
     for tree, lams in shapes(arity, max_edges, min_val, Q.symmetric):
-        masks = list(itertools.product(flags, repeat=tree.edge_count))
         vals = tree.valences()
         for v in vals:
             if v not in pools:
                 pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
         choices: list = []
         _choose_labels([pools[v] for v in vals], cap, 0, 0, [], choices)
+        E = tree.edge_count
+        if E not in masks:
+            masks[E] = list(itertools.product(flags, repeat=E))
+        out.append((tree, lams, choices, masks[E]))
+    return out
+
+
+def block_elements(arity: int, blocks) -> tuple:
+    """The elements of the blocks, in block, label, flag and routing order;
+    equal subtrees and items become one object."""
+    table: dict = {}
+    out = []
+    for tree, lams, choices, masks in blocks:
         for chosen, deg in choices:
             for mask in masks:
                 d = deg + sum(mask)

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +31,10 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
-from opres.tagged import TreeElement, node_tree
+from opres.tagged import TreeElement, build_node, node_tree
+from opres.trees import build_tree
 
+ROOT = Path(__file__).resolve().parent.parent
 AS_NS = builtin_chain_operad("as_ns")
 ASS = builtin_chain_operad("ass_sym")
 COM = builtin_chain_operad("com")
@@ -489,7 +493,7 @@ def test_boundary_lands_in_basis_span():
 
 
 @pytest.mark.parametrize(
-    "which, n, cap, templated",
+    "which, n, cap, shared",
     [
         ("ass_sym", 4, None, True),
         ("com", 5, None, False),
@@ -498,35 +502,85 @@ def test_boundary_lands_in_basis_span():
         ("endv_ns", 2, 1, True),
         ("endv_sym", 2, 2, True),
         ("endv_ns", 2, 2, True),
+        ("endv_sym", 3, 1, True),
+        ("endv_ns", 3, 1, True),
+        ("unary", 2, 0, False),
+        ("unary", 2, 1, False),
+        ("unary", 2, 2, False),
+        ("unary/w_reduced", 1, 2, False),
+        ("endv_sym/free", 2, 2, False),
+        ("ass_sym/free", 4, None, False),
     ],
 )
-def test_templated_boundaries_match_w_boundary(monkeypatch, which, n, cap, templated):
-    # the assembly differentiates each skeleton once and instantiates it per
-    # labeling; every column must equal the per-element reference
+def test_templated_boundaries_match_w_boundary(monkeypatch, which, n, cap, shared):
+    # the assembler differentiates each cube once, from contraction templates
+    # shared across markings and, when labelings share parities, across
+    # labelings; every column it emits must equal the per-element reference
+    name, _, build = which.partition("/")
     P = {
         "ass_sym": ASS,
         "com": COM,
         "as_ns": AS_NS,
         "endv_sym": endv(3, True),
         "endv_ns": endv(3, False),
-    }[which]
-    by_deg = {}
-    for x in enumerate_w_basis(P, n, cap):
-        by_deg.setdefault(x.degree, []).append(x)
-    calls = []
+        "unary": unary_ns(),
+    }[name]
+    built = []
 
-    def counted(Q, x):
-        calls.append(x)
-        return w_boundary(Q, x)
+    def counted(*args):
+        out = real(*args)
+        built.extend(out)
+        return out
 
-    monkeypatch.setattr(chain_operads, "w_boundary", counted)
-    total = 0
-    for xs in by_deg.values():
-        got = list(chain_operads._w_boundaries(P, xs))
-        assert got == [w_boundary(P, x) for x in xs]
-        total += len(xs)
-    # with one label per valence every skeleton has one labeling
-    assert (len(calls) < total) == templated
+    real = chain_operads._contraction_templates
+    monkeypatch.setattr(chain_operads, "_contraction_templates", counted)
+    C = {"": w_pseudo, "w_reduced": w_reduced, "free": free_operad_complex}[build](P, n, cap)
+    monkeypatch.undo()
+    faces = 0
+    contracted = set()
+    for k in C.degrees():
+        below = C.basis_of(k - 1)
+        for j, x in enumerate(C.basis_of(k)):
+            assert {below[i]: c for i, c in C.diff(k).column(j).items()} == w_boundary(P, x)
+            if x.node is not None:
+                text, flags, labels, leaves = chain_operads.node_view(x.node)
+                marked = [e for e, f in enumerate(flags) if f]
+                faces += len(marked)
+                contracted.update((text, tuple(labels), tuple(leaves), e) for e in marked)
+    # one template per contracted edge of a tree, routing and parity
+    # pattern: fewer than the (labeling, routing, edge) triples exactly when
+    # some labelings share their parities, and fewer than the contraction
+    # faces whenever a face can share its template, across labelings or
+    # across markings; only trees of at most one edge with one label per
+    # valence (the unary table with caps 0 and 1, the free span) cannot
+    assert len(built) <= len(contracted) <= faces
+    assert (len(built) < len(contracted)) == shared
+    assert (len(built) < faces) == (shared or len(contracted) < faces)
+
+
+def _misgraded(target):
+    """A planar table where m o1 m is the target name: a name of the wrong
+    degree, or one outside the basis.  Built in Python, it skips the JSON
+    reader's checks."""
+    basis = {2: (("m", 0),), 3: (("p", 0), ("q", 1))}
+    compose = {("m", 0, "m"): {target: 1}, ("m", 1, "m"): {"p": 1}}
+    return TableChainOperad(False, basis, {}, compose, name="misgraded")
+
+
+@pytest.mark.parametrize("target", ["q", "r"])
+def test_boundary_leaving_the_basis_names_both_elements(target):
+    x = TreeElement(3, build_node(build_tree("((| |) |)"), ["m", "m"], [1], [0, 1, 2]), 1)
+    y = TreeElement(3, build_node(build_tree("(| | |)"), [target], [], [0, 1, 2]), 0)
+    with pytest.raises(RuntimeError) as err:
+        w_pseudo(_misgraded(target), 3)
+    assert str(err.value) == f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}"
+
+
+@pytest.mark.parametrize("symmetric, path", [(False, "endv3_ns.json"), (True, "endv3_sym.json")])
+def test_committed_endv_tables(symmetric, path):
+    # scripts/report_digests.py pins the reports of these graded tables
+    data = json.loads((ROOT / "scripts" / "data" / path).read_text())
+    assert data == json.loads(json.dumps(table_of(endv(3, symmetric))))
 
 
 # ---------------------------------------------------------- serialization
