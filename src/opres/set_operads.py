@@ -914,38 +914,43 @@ class GodementTower:
 
 
 def godement_simplicial_check(tower: GodementTower, max_level: int, max_arity: int) -> list[str]:
-    """Elementwise simplicial identities for the cotriple tower."""
+    """Elementwise simplicial identities for the cotriple tower.  The
+    faces and degeneracies of each element are worked out once and read
+    by every identity; nothing is held across elements."""
     bad: list[str] = []
     for k in range(max_level + 1):
         for n in range(1, max_arity + 1):
             for x in tower.elements(k, n):
+                # level 0's only face is the augmentation, which the
+                # identities below never read
+                dx = [tower.face(k, i, x) for i in range(k + 1)] if k else []
+                sx = [tower.degeneracy(k, j, x) for j in range(k + 1)]
                 if k >= 2:
                     for j in range(k + 1):
                         for i in range(j):
-                            lhs = tower.face(k - 1, i, tower.face(k, j, x))
-                            rhs = tower.face(k - 1, j - 1, tower.face(k, i, x))
+                            lhs = tower.face(k - 1, i, dx[j])
+                            rhs = tower.face(k - 1, j - 1, dx[i])
                             if lhs != rhs:
                                 bad.append(f"dd identity fails at level {k}, pair ({i},{j}), arity {n}")
                 for j in range(k + 1):
                     for i in range(j + 1):
-                        lhs = tower.degeneracy(k + 1, i, tower.degeneracy(k, j, x))
-                        rhs = tower.degeneracy(k + 1, j + 1, tower.degeneracy(k, i, x))
+                        lhs = tower.degeneracy(k + 1, i, sx[j])
+                        rhs = tower.degeneracy(k + 1, j + 1, sx[i])
                         if lhs != rhs:
                             bad.append(f"ss identity fails at level {k}, pair ({i},{j}), arity {n}")
                 for j in range(k + 1):
-                    sx = tower.degeneracy(k, j, x)
                     for i in range(k + 2):
-                        out = tower.face(k + 1, i, sx)
+                        out = tower.face(k + 1, i, sx[j])
                         if i == j or i == j + 1:
                             expect = x
                         elif i < j:
-                            expect = tower.degeneracy(k - 1, j - 1, tower.face(k, i, x))
+                            expect = tower.degeneracy(k - 1, j - 1, dx[i])
                         else:
-                            expect = tower.degeneracy(k - 1, j, tower.face(k, i - 1, x))
+                            expect = tower.degeneracy(k - 1, j, dx[i - 1])
                         if out != expect:
                             bad.append(f"ds identity fails at level {k}, pair ({i},{j}), arity {n}")
                 if k == 1:
-                    if w_eval(tower.P, tower.face(1, 1, x)) != tower.face(0, 0, tower.face(1, 0, x)):
+                    if w_eval(tower.P, dx[1]) != tower.face(0, 0, dx[0]):
                         bad.append(f"augmentation coequalizer fails at arity {n}")
     return bad
 

@@ -162,6 +162,89 @@ def test_wrong_degree_value_reported():
     assert any("not one degree down" in msg for msg in check_twisting(TwistingCochain(C, vals)))
 
 
+def _check_twisting_unpruned(tau):
+    """check_twisting before it skipped the elements tau cannot reach:
+    the identity evaluated on every bar element."""
+    C = tau.cooperad
+    P = C.operad
+    bad = []
+    for k in range(1, C.max_arity + 1):
+        deg_of = {nm: d for nm, d in P.basis(k)}
+        for x in C.elements(k):
+            for nm in tau.value(x):
+                if deg_of.get(nm) != x.degree - 1:
+                    bad.append(
+                        f"arity {k} degree {x.degree}: value {nm} is not one degree down"
+                    )
+        for x in C.elements(k):
+            lhs = {}
+            for nm, c in tau.value(x).items():
+                for z, c2 in P.d(k, nm).items():
+                    lhs[z] = lhs.get(z, 0) + c * c2
+            for y, c in C.d(k, x).items():
+                for z, c2 in tau.value(y).items():
+                    lhs[z] = lhs.get(z, 0) + c * c2
+            rhs = {}
+            for sgn, up, i, low, lam2 in C.splits(x):
+                tk = -1 if up.degree & 1 else 1
+                for p, cp in tau.value(up).items():
+                    for q, cq in tau.value(low).items():
+                        for z, c3 in P.compose(up.arity, i, p, low.arity, q).items():
+                            for w, c4 in P.act(k, z, lam2).items():
+                                rhs[w] = rhs.get(w, 0) + sgn * tk * cp * cq * c3 * c4
+            lhs = {z: c for z, c in lhs.items() if c}
+            rhs = {z: c for z, c in rhs.items() if c}
+            if lhs != rhs:
+                bad.append(
+                    f"arity {k} degree {x.degree}: boundary and cup square differ"
+                )
+    return bad
+
+
+def _cochains(C):
+    """The counit, the zero cochain, the counit scaled by 2, and the
+    counit plus a value on one two-vertex element of arity 3."""
+    counit = bar_counit(C).values
+    x = next(x for x in C.elements(3) if len(x.labels()) == 2)
+    return {
+        "counit": counit,
+        "zero": {},
+        "scaled": {y: {nm: 2 * c for nm, c in v.items()} for y, v in counit.items()},
+        "reach2": {**counit, x: {C.operad.basis(3)[0][0]: 1}},
+    }
+
+
+@pytest.mark.parametrize(
+    "P, arity, cap, reach2",
+    [
+        (AS_NS, 4, None, 4),
+        (ASS, 4, None, 19),
+        # endv(3)'s table stops at arity 3; the cap keeps its unary
+        # vertices finite and still leaves three-vertex trees to skip
+        (endv(3, False), 3, 3, 18),
+        (endv(3, True), 3, 3, 20),
+    ],
+    ids=["as_ns", "ass_sym", "endv-planar", "endv-sym"],
+)
+def test_pruned_twisting_check_matches_unpruned(P, arity, cap, reach2):
+    C = bar(P, arity, cap)
+    for name, vals in _cochains(C).items():
+        tau = TwistingCochain(C, vals)
+        got = check_twisting(tau)
+        assert got == _check_twisting_unpruned(tau), name
+        assert bool(got) == (name in ("scaled", "reach2")), name
+        if name == "reach2":
+            assert len(got) == reach2
+            if arity == 4:
+                # a value on two vertices reaches the three-vertex trees
+                assert "arity 4 degree 3: boundary and cup square differ" in got
+
+
+def test_counit_twisting_reach():
+    assert check_twisting(bar_counit(bar(COM, 6))) == []
+    assert check_twisting(bar_counit(bar(AS_NS, 7))) == []
+
+
 # -- cobar --------------------------------------------------------------------
 
 

@@ -765,6 +765,33 @@ def test_godement_simplicial_identities():
     assert godement_simplicial_check(GodementTower(ASS), 2, 3) == []
 
 
+@pytest.mark.parametrize(
+    "method, level, index, expect",
+    [
+        ("degeneracy", 1, 0, ("ss identity fails", "ds identity fails")),
+        ("face", 2, 1, ("dd identity fails", "ds identity fails")),
+    ],
+)
+def test_godement_simplicial_check_catches_a_wrong_map(monkeypatch, method, level, index, expect):
+    # one map wrong at one level and index: the identities that read it
+    # must fail, so none of them compares an element with itself
+    tower = GodementTower(ASS)
+    right = getattr(GodementTower, method)
+    # a face lowers the level by one, a degeneracy raises it
+    other = tower.elements(level + (1 if method == "degeneracy" else -1), 3)
+
+    def wrong(self, k, i, x):
+        y = right(self, k, i, x)
+        if (k, i) != (level, index) or y.arity != 3:
+            return y
+        return next(z for z in other if z != y)
+
+    monkeypatch.setattr(GodementTower, method, wrong)
+    bad = godement_simplicial_check(tower, 2, 3)
+    for kind in expect:
+        assert any(msg.startswith(kind) for msg in bad), kind
+
+
 def test_godement_augmentation_lands_in_base():
     tower = GodementTower(ASS)
     for x in tower.elements(2, 3):
