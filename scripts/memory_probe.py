@@ -35,8 +35,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from opres.chain_core import complex_to_json
-    from opres.chain_operads import builtin_chain_operad, enumerate_w_basis, w_reduced
-    from opres.cli import _chain_label
+    from opres.chain_operads import builtin_chain_operad, enumerate_w_basis, w_basis_labels, w_reduced
 
     P = builtin_chain_operad(args.operad)
     print(f"{args.operad} arity {args.arity}, traced MB")
@@ -53,7 +52,7 @@ def main(argv: list[str]) -> int:
     del basis
     C = w_reduced(P, args.arity)
     report("assemble")
-    data = complex_to_json(C, label_str=_chain_label)
+    data = complex_to_json(C, labels=w_basis_labels(P, args.arity))
     report("complex_to_json")
     text = json.dumps({"complex": data}, sort_keys=True, separators=(",", ":"))
     report("report")

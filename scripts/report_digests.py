@@ -57,6 +57,10 @@ COMMANDS = (
     "chainw build --operad scripts/data/endv3_sym.json --arity 3 --cap 1",
     "chainw homology --operad scripts/data/endv3_ns.json --arity 2 --cap 2",
     "chainw homology --operad scripts/data/endv3_sym.json --arity 2 --cap 2",
+    # the unit summand, alone (arity 0) and under a unary table whose
+    # edge cap reaches 11-vertex trees, past every builtin's
+    "chainw build --operad scripts/data/unary_ns.json --arity 1 --cap 10 --unsafe",
+    "chainw build --operad as_ns --arity 0",
 )
 
 

@@ -163,8 +163,17 @@ class CooperadComplex:
 
     def elements(self, k: int) -> tuple:
         if k not in self._elements:
-            self._elements[k] = labeled_trees(self.operad, k, self.vertex_cap, 1, lambda name: 1, (0,))
+            self._elements[k] = self.elements_within(k, None)
         return self._elements[k]
+
+    def elements_within(self, k: int, vertices: int | None) -> tuple:
+        """The elements of arity k with at most vertices vertices (no
+        bound for None), in the order of elements(k), enumerated afresh:
+        each vertex costs one unit of the cap."""
+        cap = self.vertex_cap
+        if vertices is not None and (cap is None or vertices < cap):
+            cap = vertices
+        return labeled_trees(self.operad, k, cap, 1, lambda name: 1, (0,))
 
     def basis(self, k: int) -> tuple:
         return tuple((x, x.degree) for x in self.elements(k))
@@ -262,9 +271,8 @@ def bar_counit(C: CooperadComplex) -> TwistingCochain:
     """Projection onto the single-vertex trees."""
     vals = {}
     for k in range(1, C.max_arity + 1):
-        for x in C.elements(k):
-            if _vertex_count(x) == 1:
-                vals[x] = {x.node[0]: 1}
+        for x in C.elements_within(k, 1):
+            vals[x] = {x.node[0]: 1}
     return TwistingCochain(C, vals)
 
 
@@ -278,8 +286,9 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
     upper and a lower factor shares x's vertices between the two, at
     least one each.  So when x has more than max(m + 1, 2m) vertices,
     tau(x), tau(dx) and the cup square at x all vanish and the identity
-    holds at x; those x are skipped.  The degree check still runs over
-    every element."""
+    holds at x; those x are never enumerated.  Neither are they read by
+    the degree check, since tau has no value there (m is at most the
+    reach)."""
     C = tau.cooperad
     P = C.operad
     m = max((_vertex_count(x) for x in tau.values), default=0)
@@ -287,15 +296,14 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
     bad: list[str] = []
     for k in range(1, C.max_arity + 1):
         deg_of = {nm: d for nm, d in P.basis(k)}
-        for x in C.elements(k):
+        within = C.elements_within(k, reach)
+        for x in within:
             for nm in tau.value(x):
                 if deg_of.get(nm) != x.degree - 1:
                     bad.append(
                         f"arity {k} degree {x.degree}: value {nm} is not one degree down"
                     )
-        for x in C.elements(k):
-            if _vertex_count(x) > reach:
-                continue
+        for x in within:
             lhs: dict = {}
             for nm, c in tau.value(x).items():
                 for z, c2 in P.d(k, nm).items():

@@ -716,10 +716,17 @@ def json_reader(what: str):
     return wrap
 
 
-def complex_to_json(C: ChainComplex, label_str=str) -> dict:
-    basis = {
-        str(k): [label_str(lab) for lab in C.basis_of(k)] for k in C.degrees()
-    }
+def complex_to_json(C: ChainComplex, label_str=str, labels=None) -> dict:
+    """The JSON payload of a complex.  Each basis label is label_str of
+    the element, unless labels holds every degree's label texts in basis
+    order."""
+    if labels is None:
+        labels = {k: [label_str(lab) for lab in C.basis_of(k)] for k in C.degrees()}
+    basis = {}
+    for k in C.degrees():
+        if len(labels[k]) != C.dim(k):
+            raise ValueError(f"{len(labels[k])} labels for {C.dim(k)} basis elements in degree {k}")
+        basis[str(k)] = labels[k]
     d = {}
     for k in sorted(C.d):
         d[str(k)] = [(i, j, C.ring.show(v)) for i, j, v in C.d[k].entries()]

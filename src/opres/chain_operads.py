@@ -13,8 +13,8 @@ Unmarked edges are silent: they carry the degree-0 interval cell that
 grafting produces.  The basis elements and their enumeration are the
 tagged module's TreeElement and labeled_trees, shared with bar/cobar:
 edge flags run over 0 and 1 and each vertex costs one unit of the cap.
-The assembler walks the same blocks (label_blocks) that the enumeration
-flattens.
+The assembler and the report labels walk the same blocks (label_blocks)
+that the enumeration flattens, in the one order of block_walk.
 
 Signs are mechanical.  Every basis element linearizes to a word: for
 each component of the tree under marked edges, in discovery order, the
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 
 from . import perms
 from .chain_core import (
@@ -60,6 +61,7 @@ from .tagged import (
     ROUTING_CACHE,
     TreeElement,
     block_elements,
+    block_walk,
     build_node,
     canon,
     edges,
@@ -558,9 +560,13 @@ def chain_interval() -> ChainInterval:
 # tagged module; an edge flag of 1 marks the edge.
 
 
+def _unit_json() -> dict:
+    return {"tree": "|", "gamma_edges": [], "labels": {}, "leaf_coset": [0]}
+
+
 def basis_to_json(x: TreeElement) -> dict:
     if x.node is None:
-        return {"tree": "|", "gamma_edges": [], "labels": {}, "leaf_coset": [0]}
+        return _unit_json()
     text, flags, labels, leaves = node_view(x.node)
     return {
         "tree": text,
@@ -568,6 +574,48 @@ def basis_to_json(x: TreeElement) -> dict:
         "labels": {str(i): nm for i, nm in enumerate(labels)},
         "leaf_coset": leaves,
     }
+
+
+def w_basis_labels(P, arity: int, edge_cap: int | None = None) -> dict[int, list]:
+    """The basis of w_reduced(P, arity, edge_cap) as report labels: per
+    degree, in basis order, the JSON text of each element's basis_to_json
+    with sorted keys, as json.dumps writes it.
+
+    No element is built or walked.  Each fragment is encoded once from
+    the enumeration blocks: the tree notation per block, the leaf coset
+    per routing and the edge list per flag tuple of a shared list, and
+    the labels object per labeling.  An element's text is the
+    concatenation of its fragments around the sorted keys gamma_edges,
+    labels, leaf_coset and tree."""
+    enc = json.JSONEncoder(sort_keys=True)
+    out: dict[int, list] = {}
+    if arity <= 1:
+        out[0] = [enc.encode(_unit_json())]
+    blocks = _w_blocks(P, arity, edge_cap) if arity >= 1 else []
+    # per block: the text before the labels per flag tuple, the text from
+    # the labels to the leaf coset per labeling, and the rest per routing
+    gammas: dict = {}
+    cosets: dict = {}
+    heads, middles, tails = [], [], []
+    for tree, lams, choices, masks in blocks:
+        if id(masks) not in gammas:
+            gammas[id(masks)] = [
+                '{"gamma_edges": ' + enc.encode([i for i, f in enumerate(mask) if f]) + ', "labels": '
+                for mask in masks
+            ]
+        if id(lams) not in cosets:
+            cosets[id(lams)] = [enc.encode(lam) for lam in lams]
+        heads.append(gammas[id(masks)])
+        middles.append([
+            enc.encode({str(i): nm for i, nm in enumerate(labels)}) + ', "leaf_coset": '
+            for labels, _ in choices
+        ])
+        rest = ', "tree": ' + enc.encode(tree.notation()) + "}"
+        tails.append([coset + rest for coset in cosets[id(lams)]])
+    for b, li, mi, d in block_walk(blocks):
+        head = heads[b][mi] + middles[b][li]
+        out.setdefault(d, []).extend([head + tail for tail in tails[b]])
+    return out
 
 
 def _word(nd) -> list:
@@ -1122,23 +1170,23 @@ def _cube_differentials(P, elems, blocks) -> tuple[dict, dict]:
     an optional unit followed by the flattening of blocks; the elements
     are indexed by their integer keys, which are dropped on return."""
     fams = _Families(blocks)
+    width = fams.width
     by_deg: dict[int, list] = {}
     keys: dict[int, list] = {}
     it = iter(elems)
     if elems and elems[0].node is None:
         by_deg[0] = [next(it)]
-    for b, (_, lams, choices, masks) in enumerate(blocks):
+    ints: dict = {}
+    for _, _, _, masks in blocks:
+        if id(masks) not in ints:
+            ints[id(masks)] = [_mask_int(mask) for mask in masks]
+    for b, li, mi, d in block_walk(blocks):
+        _, lams, _, masks = blocks[b]
         R = len(lams)
-        ints = [_mask_int(mask) for mask in masks]
-        for li, (_, deg) in enumerate(choices):
-            fid = fams.base[b] + li * R
-            for M in ints:
-                d = deg + bin(M).count("1")
-                row = by_deg.setdefault(d, [])
-                ks = keys.setdefault(d, [])
-                for ri in range(R):
-                    ks.append((fid + ri) << fams.width | M)
-                    row.append(next(it))
+        # the keys of the routings: family ids fid, fid + 1, ... over one mask
+        key = (fams.base[b] + li * R) << width | ints[id(masks)][mi]
+        keys.setdefault(d, []).extend(range(key, key + (R << width), 1 << width))
+        by_deg.setdefault(d, []).extend(itertools.islice(it, R))
     # each key maps to its element's position in its degree, after the
     # unit.  The positions, which the entries keep, are made in one run
     # after the keys rather than between them, so that dropping the keys

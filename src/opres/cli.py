@@ -38,10 +38,10 @@ from .chain_core import (
     ring_from_name,
 )
 from .chain_operads import (
-    basis_to_json,
     builtin_chain_operad,
     load_chain_operad,
     verify_w_construction,
+    w_basis_labels,
     w_reduced,
 )
 from .segments import (
@@ -265,18 +265,10 @@ def _h_godement_compare(a):
     return ("verified" if ok else "failed"), payload
 
 
-# one encoder for every basis label, with json.dumps's defaults otherwise
-_LABEL_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _chain_label(x) -> str:
-    return _LABEL_ENCODER.encode(basis_to_json(x))
-
-
 def _h_chainw_build(a):
     P = _load_chain_operad(a.operad)
     C = change_ring(w_reduced(P, a.arity, a.cap), ring_from_name(a.ring))
-    data = complex_to_json(C, label_str=_chain_label)
+    data = complex_to_json(C, labels=w_basis_labels(P, a.arity, a.cap))
     dims = {str(k): C.dim(k) for k in sorted(C.degrees())}
     print("dims " + " ".join(f"{k}:{v}" for k, v in dims.items()))
     return "verified", {"arity": a.arity, "dims": dims, "complex": data}

@@ -17,8 +17,9 @@ The chain-level constructions share one graded element class
 (TreeElement) and one enumerator (labeled_trees): the cylinder, the bar
 and the cobar differ only in their label source, the degree shift of a
 vertex, what a label costs against the cap, and which edge flags occur.
-The enumerator flattens one block per tree shape (label_blocks), which
-the cylinder's assembler also walks.
+The enumerator flattens one block per tree shape (label_blocks) in the
+order of block_walk, which the cylinder's assembler and its report
+labels also walk.
 The nodes of one enumeration share their equal subtrees and items, so
 nothing may rely on node identity: nodes are compared by value.
 
@@ -288,18 +289,33 @@ def label_blocks(Q, arity: int, cap: int | None, shift: int, cost, flags) -> lis
     return out
 
 
+def block_walk(blocks):
+    """The order of the elements of blocks, defined once for every reader:
+    (b, li, mi, degree) for block b, labeling li and flag tuple mi, in
+    block, label and flag order, each standing for the block's routings
+    in order.  A flag adds itself to the degree."""
+    weights: dict = {}
+    for b, (_, _, choices, masks) in enumerate(blocks):
+        # the blocks of one edge count share their list of flag tuples
+        w = weights.get(id(masks))
+        if w is None:
+            w = weights[id(masks)] = [sum(mask) for mask in masks]
+        for li, (_, deg) in enumerate(choices):
+            for mi, f in enumerate(w):
+                yield b, li, mi, deg + f
+
+
 def block_elements(arity: int, blocks) -> tuple:
-    """The elements of the blocks, in block, label, flag and routing order;
-    equal subtrees and items become one object."""
+    """The elements of the blocks, in the order of block_walk; equal
+    subtrees and items become one object."""
     table: dict = {}
     out = []
-    for tree, lams, choices, masks in blocks:
-        for chosen, deg in choices:
-            for mask in masks:
-                d = deg + sum(mask)
-                for lam in lams:
-                    node = _assemble(tree, iter(chosen), iter(mask), iter(lam), table)
-                    out.append(TreeElement(arity, node, d))
+    for b, li, mi, d in block_walk(blocks):
+        tree, lams, choices, masks = blocks[b]
+        chosen, mask = choices[li][0], masks[mi]
+        for lam in lams:
+            node = _assemble(tree, iter(chosen), iter(mask), iter(lam), table)
+            out.append(TreeElement(arity, node, d))
     return tuple(out)
 
 

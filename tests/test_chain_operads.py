@@ -24,6 +24,7 @@ from opres.chain_operads import (
     verify_w_construction,
     w_act_basis,
     w_augmentation,
+    w_basis_labels,
     w_boundary,
     w_compose_basis,
     w_operad_composition,
@@ -583,7 +584,58 @@ def test_committed_endv_tables(symmetric, path):
     assert data == json.loads(json.dumps(table_of(endv(3, symmetric))))
 
 
+def test_committed_unary_table():
+    # scripts/report_digests.py pins the report of this table at edge cap 10
+    data = json.loads((ROOT / "scripts" / "data" / "unary_ns.json").read_text())
+    assert data == json.loads(json.dumps(table_of(unary_ns())))
+
+
 # ---------------------------------------------------------- serialization
+
+
+def _escaping_table():
+    """A planar table whose names hold a quote, a backslash and a
+    non-ASCII letter, which the JSON encoder escapes."""
+    basis = {2: (('m"', 0),), 3: (("p\\é", 0),)}
+    compose = {('m"', 0, 'm"'): {"p\\é": 1}, ('m"', 1, 'm"'): {"p\\é": 1}}
+    return TableChainOperad(False, basis, {}, compose, name="escaping")
+
+
+@pytest.mark.parametrize(
+    "name, arity, cap",
+    [
+        ("as_ns", 6, None),
+        ("ass_sym", 4, None),
+        ("com", 5, None),
+        ("endv_ns", 3, 1),
+        ("endv_sym", 3, 1),
+        ("unary", 1, 10),
+        ("as_ns", 0, None),
+        ("as_ns", 1, None),
+        ("escaping", 3, None),
+    ],
+)
+def test_w_basis_labels_encode_basis_to_json(name, arity, cap):
+    P = {
+        "as_ns": lambda: AS_NS,
+        "ass_sym": lambda: ASS,
+        "com": lambda: COM,
+        "endv_ns": lambda: endv(3, False),
+        "endv_sym": lambda: endv(3, True),
+        "unary": unary_ns,
+        "escaping": _escaping_table,
+    }[name]()
+    enc = json.JSONEncoder(sort_keys=True)
+    C = w_reduced(P, arity, cap)
+    labels = w_basis_labels(P, arity, cap)
+    assert sorted(labels) == C.degrees()
+    for k in C.degrees():
+        assert labels[k] == [enc.encode(basis_to_json(x)) for x in C.basis_of(k)]
+    if name == "unary":
+        assert max(len(x.labels()) for x in C.basis_of(C.degrees()[-1])) == 11
+    if name == "escaping":
+        assert r'"0": "m\"", "1": "m\""' in labels[1][0]
+        assert r'"0": "p\\\u00e9"' in labels[0][-1]
 
 
 def test_basis_to_json_shapes():

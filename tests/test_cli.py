@@ -75,6 +75,28 @@ def test_chainw_build_example(tmp_path):
     assert report["payload"]["dims"] == {"0": 11, "1": 15, "2": 5}
 
 
+def test_chainw_build_walks_no_element(monkeypatch, tmp_path):
+    # the report labels come from the enumeration blocks, not the elements
+    from opres import chain_operads, tagged
+
+    calls = []
+
+    def counting(real):
+        def wrapped(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapped
+
+    for module in (chain_operads, tagged):
+        monkeypatch.setattr(module, "node_view", counting(tagged.node_view))
+    monkeypatch.setattr(chain_operads, "basis_to_json", counting(chain_operads.basis_to_json))
+    for argv in (["--operad", "ass_sym", "--arity", "4"], ["--operad", "as_ns", "--arity", "1"]):
+        rc, report, _ = run_json(["chainw", "build"] + argv, tmp_path)
+        assert rc == 0 and report["payload"]["complex"]["basis"]["0"]
+    assert calls == []
+
+
 def test_arity_ceiling():
     rc, out, err = run(["chainw", "build", "--operad", "as_ns", "--arity", "99"])
     assert rc == 2
