@@ -61,6 +61,10 @@ COMMANDS = (
     # edge cap reaches 11-vertex trees, past every builtin's
     "chainw build --operad scripts/data/unary_ns.json --arity 1 --cap 10 --unsafe",
     "chainw build --operad as_ns --arity 0",
+    # homology with five or more nonzero differentials, where clearing
+    # drops columns from every differential below the top one
+    "chainw homology --operad as_ns --arity 7",
+    "chainw homology --operad com --arity 6 --ring F2",
 )
 
 

@@ -503,12 +503,12 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for k in degs:
         if W.dim(k) == 0 or W.dim(k - 1) == 0:
             continue
-        A = W.diff(k)
-        B = CB.diff(k)
+        A = W.diff(k).columns()
+        B = CB.diff(k).columns()
         ys = W.basis_of(k - 1)
         for j, x in enumerate(W.basis_of(k)):
-            cola = A.column(j)
-            colb = dict(B.column(CB.index(k, phi[x])))
+            cola = A[j]
+            colb = B[CB.index(k, phi[x])]
             ta = {CB.index(k - 1, phi[ys[r]]): v for r, v in cola.items()}
             if set(ta) != set(colb):
                 return fail(f"differential support differs at {_w_key(x)}")
@@ -525,11 +525,11 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for k in degs:
         if W.dim(k) == 0:
             continue
-        gm = gamma.mat(k)
-        cm = counit.mat(k)
+        gm = gamma.mat(k).columns()
+        cm = counit.mat(k).columns()
         for j, x in enumerate(W.basis_of(k)):
-            colg = gm.column(j)
-            colc = dict(cm.column(CB.index(k, phi[x])))
+            colg = gm[j]
+            colc = cm[CB.index(k, phi[x])]
             if set(colg) != set(colc):
                 return fail(f"augmentation support differs at {_w_key(x)}")
             ratios = set()

@@ -7,15 +7,22 @@ whose columns are images of the degree-k basis vectors.
 
 Homology and field ranks go through one sparse eliminator (``eliminate``)
 for Z, Q and Fp.  It pivots only on units (+-1 over Z, any nonzero over a
-field), in Markowitz order, and eliminates each differential once.  Over
-Z, unit pivots leave the invariant factors unchanged; the columns left
-without a unit form a residual block, and only that block goes to the
-dense Smith normal form, which re-multiplies U*A*V and compares with its
-own diagonal on every call.  Every elimination is certified the same way:
-its logged column operations U, one multiplier each, must give A = M*U
-exactly, U unit triangular and M triangular with units on the pivots.  A
-failed check raises SelfCheckError, so a wrong result can never be
-silently consumed downstream.
+field), in Markowitz order.  Over Z, unit pivots leave the invariant
+factors unchanged; the columns left without a unit form a residual block,
+and only that block goes to the dense Smith normal form, which
+re-multiplies U*A*V and compares with its own diagonal on every call.
+``homology`` eliminates each differential once, from the top degree down,
+and clears first: it drops from d[k] the columns that are pivot rows of
+d[k+1] (Chen and Kerber, "Persistent homology computation with a twist",
+2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).  That is
+exact over Z too, and rests on d^2 = 0, which every complex either records
+as verified or has checked before homology.  Every elimination is
+certified the same way: the eliminator keeps its working columns as M and
+logs its column operations as U, one multiplier each, and each kept
+column of A, read from A's own entries, must equal M*U exactly, with U
+unit triangular and M triangular with units on the pivots.  A failed
+check raises SelfCheckError, so a wrong result can never be silently
+consumed downstream.
 """
 from __future__ import annotations
 
@@ -156,6 +163,14 @@ class SparseMat:
 
     def column(self, j: int) -> dict[int, object]:
         return {i: v for (i, jj), v in self.data.items() if jj == j}
+
+    def columns(self) -> list[dict[int, object]]:
+        """Every column as a dict row -> entry, in one pass over the
+        entries; column(j) scans them all for one column."""
+        out = [{} for _ in range(self.cols)]
+        for (i, j), v in self.data.items():
+            out[j][i] = v
+        return out
 
     def equals(self, other: "SparseMat", ring: Ring) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -467,56 +482,79 @@ def rank_over_field(A: list[list], ring: Ring) -> int:
 
 @dataclass
 class Elimination:
-    """Record of one sparse elimination of A: A = M*U.
+    """Record of one sparse elimination of A: A = M*U on its kept columns.
 
-    Each column operation subtracts f times a pivot column j, which never
-    changes once chosen, from a column c not pivoted yet; U[j, c] = f logs
-    it, so U is unit upper triangular once the pivot columns are put first
-    in pivot order.  M holds the pivot columns as they stood when chosen, and
-    the residual columns.  Pivot t sits at (pivots[t]) with a unit entry;
-    pivot row r_s is zero in pivot columns chosen after s and in every
-    residual column, so M is block triangular with unit diagonal.  U is
-    unimodular, so the invariant factors of A are those of M: the ones of
-    the residual block plus one 1 per pivot.  ``check`` verifies all of
-    this exactly and raises SelfCheckError otherwise.
+    The columns in ``cleared`` are dropped before the elimination (see
+    ``homology``); every other column is kept.  Each column operation
+    subtracts f times a pivot column j, which never changes once chosen,
+    from a kept column c not pivoted yet; ops[c][j] = f logs it as the
+    entry U[j, c] of a matrix U with ones on its diagonal, which is unit
+    upper triangular once the pivot columns are put first in pivot order.
+    reduced[c] is column c of M as a dict row -> entry: a pivot column as
+    it stood when chosen, or a residual column.  Pivot t sits at
+    (pivots[t]) with a unit entry; pivot row r_s is zero in pivot columns
+    chosen after s and in every residual column, so M is block triangular
+    with unit diagonal.  U is unimodular, so the invariant factors of the
+    kept columns of A are those of M: the ones of the residual block plus
+    one 1 per pivot.  ``check`` verifies all of this exactly, column by
+    column against the entries of A itself, and raises SelfCheckError
+    otherwise.
     """
 
     ring: Ring
     source: SparseMat  # A
-    ops: SparseMat  # U
-    reduced: SparseMat  # M
+    reduced: list  # M, one dict row -> entry per column
+    ops: list  # U, one dict pivot column -> multiplier per column
     pivots: list  # (row, col) in pivot order
+    cleared: frozenset  # columns of A dropped before the elimination
 
     def check(self) -> None:
         def fail(what):
             raise SelfCheckError(f"elimination certificate failed: {what}")
 
-        ring, n = self.ring, self.ops.cols
-        if not self.reduced.mul(self.ops, ring).equals(self.source, ring):
-            fail("M*U != A")
+        ring, M, U, n = self.ring, self.reduced, self.ops, self.source.cols
+        if len(M) != n or len(U) != n:
+            fail(f"M and U have {len(M)} and {len(U)} columns, A has {n}")
         order = {j: t for t, (_, j) in enumerate(self.pivots)}
         prow = {r: t for t, (r, _) in enumerate(self.pivots)}
         if len(order) != len(self.pivots) or len(prow) != len(self.pivots):
             fail("a row or column pivoted twice")
-        # U: unit upper triangular, pivot columns first in pivot order
-        diag = 0
-        for (i, j), v in self.ops.data.items():
-            if order.get(i, n + i) > order.get(j, n + j) or (i == j and v != 1):
-                fail(f"U[{i},{j}] = {v}")
-            diag += i == j
-        if diag != n:
-            fail("U has a zero on its diagonal")
+        # U: unit upper triangular, pivot columns first in pivot order; its
+        # diagonal is implicit, so a logged U[c, c] is out of place too
+        for c, col in enumerate(U):
+            here = order.get(c, n + c)
+            for j, f in col.items():
+                if order.get(j, n + j) >= here:
+                    fail(f"U[{j},{c}] = {f}")
+        # M*U = A on every kept column, read from A's own entries; a
+        # cleared column is empty in M and U
+        p = ring.p if ring.tag == "Fp" else 0
+        for c, want in enumerate(self.source.columns()):
+            if c in self.cleared:
+                if M[c] or U[c] or c in order:
+                    fail(f"cleared column {c} was eliminated")
+                continue
+            acc = dict(M[c])
+            for j, f in U[c].items():
+                for i, v in M[j].items():
+                    acc[i] = acc.get(i, 0) + f * v
+            for i, v in want.items():
+                acc[i] = acc.get(i, 0) - v
+            if any(v % p if p else v for v in acc.values()):
+                fail("M*U != A")
         # M: units on the pivots; a pivot row is clear of later pivot
         # columns and of the residual, which is empty over a field
         for r, j in self.pivots:
-            if not _is_unit(ring, self.reduced.data.get((r, j), 0)):
+            if not _is_unit(ring, M[j].get(r, 0)):
                 fail(f"pivot M[{r},{j}] is no unit")
-        for (i, j), v in self.reduced.data.items():
-            t, s = order.get(j), prow.get(i)
-            if t is None and ring.tag != "Z":
-                fail(f"M[{i},{j}] = {v} left over a field")
-            if s is not None and (t is None or s < t):
-                fail(f"M[{i},{j}] = {v} above a pivot")
+        for j, col in enumerate(M):
+            t = order.get(j)
+            for i, v in col.items():
+                s = prow.get(i)
+                if t is None and ring.tag != "Z":
+                    fail(f"M[{i},{j}] = {v} left over a field")
+                if s is not None and (t is None or s < t):
+                    fail(f"M[{i},{j}] = {v} above a pivot")
 
     def residual(self) -> list[list[int]]:
         """The dense block of M outside the pivot rows and columns, with its
@@ -524,8 +562,8 @@ class Elimination:
         pcols = {j for _, j in self.pivots}
         prows = {r for r, _ in self.pivots}
         entries = [
-            (i, j, v) for (i, j), v in self.reduced.data.items()
-            if j not in pcols and i not in prows
+            (i, j, v) for j, col in enumerate(self.reduced) if j not in pcols
+            for i, v in col.items() if i not in prows
         ]
         rows = {i: a for a, i in enumerate(sorted({i for i, _, _ in entries}))}
         cols = {j: b for b, j in enumerate(sorted({j for _, j, _ in entries}))}
@@ -535,8 +573,9 @@ class Elimination:
         return out
 
     def invariant_factors(self) -> list[int]:
-        """Nonzero invariant factors of A in a divisibility chain; over a
-        field the residual is empty and every factor is 1."""
+        """Nonzero invariant factors of the kept columns of A in a
+        divisibility chain; over a field the residual is empty and every
+        factor is 1."""
         block = self.residual()
         return [1] * len(self.pivots) + (invariant_factors(block) if block else [])
 
@@ -548,25 +587,30 @@ def _is_unit(ring: Ring, v) -> bool:
     return v in (1, -1) if ring.tag == "Z" else v != 0
 
 
-def eliminate(A: SparseMat, ring: Ring) -> Elimination:
-    """Sparse elimination of A by unit pivots and column operations.
+def eliminate(A: SparseMat, ring: Ring, cleared=()) -> Elimination:
+    """Sparse elimination of A by unit pivots and column operations, with
+    the columns in cleared dropped first.
 
     Columns are taken in Markowitz order (fewest nonzeros first, through a
     lazy heap); within a column the pivot is the unit entry whose row has
     fewest nonzeros.  Over a field every nonzero is a unit; over Z only
     +-1 is, and a column with none waits until an update changes it, so
-    what is never pivoted is the residual block.  The record is returned
-    unchecked; see Elimination.check.
+    what is never pivoted is the residual block.  The working columns
+    become M and the logged multipliers U; the record is returned
+    unchecked, see Elimination.check.
     """
     p = ring.p if ring.tag == "Fp" else 0
+    cleared = frozenset(cleared)
     cols: list[dict] = [{} for _ in range(A.cols)]
     on_row: list[set] = [set() for _ in range(A.rows)]
     for (i, j), v in A.data.items():
+        if j in cleared:
+            continue
         v = ring.normalize(v)
         if v:
             cols[j][i] = v
             on_row[i].add(j)
-    ops = {(j, j): 1 for j in range(A.cols)}
+    ops: list[dict] = [{} for _ in range(A.cols)]
     done = [False] * A.cols
     pivots = []
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
@@ -610,17 +654,15 @@ def eliminate(A: SparseMat, ring: Ring) -> Elimination:
                 elif i in target:
                     del target[i]
                     on_row[i].discard(c)
-            ops[(j, c)] = f
+            ops[c][j] = f
             heapq.heappush(heap, (len(target), c))
-    reduced = SparseMat(A.rows, A.cols, {
-        (i, j): v for j, col in enumerate(cols) for i, v in col.items()
-    })
-    return Elimination(ring, A, SparseMat(A.cols, A.cols, ops), reduced, pivots)
+    return Elimination(ring, A, cols, ops, pivots, cleared)
 
 
-def certified_elimination(A: SparseMat, ring: Ring) -> Elimination:
-    """eliminate(A, ring), after its record passed Elimination.check."""
-    E = eliminate(A, ring)
+def certified_elimination(A: SparseMat, ring: Ring, cleared=()) -> Elimination:
+    """eliminate(A, ring, cleared), after its record passed
+    Elimination.check."""
+    E = eliminate(A, ring, cleared)
     E.check()
     return E
 
@@ -646,6 +688,21 @@ class HomologyReport:
 
 
 def homology(C: ChainComplex) -> HomologyReport:
+    """Free ranks and torsion of C in every degree, each differential
+    eliminated once, from the top degree down, with clearing.
+
+    Clearing drops from d[k] every column that is a pivot row of d[k+1]'s
+    elimination (Chen and Kerber, "Persistent homology computation with a
+    twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and
+    compress", 2014).  It is exact over Z, not only over fields: d[k+1] =
+    M*U with U unimodular, so d^2 = 0 gives d[k]*M = 0, and since M is unit
+    triangular on its pivot block, each dropped column is an integer
+    combination of the kept ones; the column lattice of d[k], and with it
+    every invariant factor, is unchanged.  Clearing therefore rests on
+    d^2 = 0: C.d_squared_verified records that it was checked, and
+    otherwise it is checked here, and a failure raises ValueError.  Each
+    elimination is certified column by column against the kept columns of
+    its differential (see Elimination.check)."""
     if not C.d_squared_verified:
         report = verify_d_squared(C)
         if report:
@@ -654,11 +711,13 @@ def homology(C: ChainComplex) -> HomologyReport:
     degs = C.degrees()
     if not degs:
         return HomologyReport(ring.name(), {})
-    # each differential is eliminated once; over Z its invariant factors
-    # give both its rank (outgoing) and the torsion it leaves (incoming)
-    factors = {}
-    for k, mat in C.d.items():
-        factors[k] = certified_elimination(mat, ring).invariant_factors()
+    # over Z the invariant factors of d[k] give both its rank (outgoing)
+    # and the torsion it leaves (incoming)
+    factors, cleared = {}, {}
+    for k in sorted(C.d, reverse=True):
+        E = certified_elimination(C.d[k], ring, cleared.pop(k, ()))
+        factors[k] = E.invariant_factors()
+        cleared[k - 1] = [r for r, _ in E.pivots]
     out = {}
     for k in range(min(degs), max(degs) + 1):
         dim = C.dim(k)

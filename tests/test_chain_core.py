@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -165,6 +166,74 @@ def test_homology_over_fields():
     CQ = two_term(QQ, 2)
     HQ = homology(CQ)
     assert HQ.nonzero_degrees() == []
+
+
+# invariant-factor chains of the prescribed torsion
+TORSION = [(), (2,), (3,), (6,), (2, 2), (2, 6), (3, 6), (6, 6)]
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n integer matrix P and its inverse Q, as
+    dense rows, from row additions and row swaps."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Q = [row[:] for row in P]
+    for _ in range(3 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            continue
+        if rng.random() < 0.3:
+            P[a], P[b] = P[b], P[a]
+            for row in Q:
+                row[a], row[b] = row[b], row[a]
+        else:
+            f = rng.choice((-2, -1, 1, 2))
+            P[a] = [x + f * y for x, y in zip(P[a], P[b])]
+            for row in Q:
+                row[b] -= f * row[a]
+    return P, Q
+
+
+def _dense_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@given(st.integers(3, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_homology_of_conjugated_normal_forms(top, data):
+    # C_k = F_k + S_k + T_k: F_k free homology of rank free[k], S_k mapped
+    # by d[k] onto multiples of T_{k-1} by its units and torsion chain, so
+    # H_k = Z^free[k] + the torsion of d[k+1]; then every degree changes
+    # basis by a random unimodular matrix
+    free = [data.draw(st.integers(0, 2)) for _ in range(top + 1)]
+    factors = {}
+    for k in range(1, top + 1):
+        chain = data.draw(st.sampled_from(TORSION))
+        factors[k] = [1] * data.draw(st.integers(0 if chain else 1, 2)) + list(chain)
+    rng = data.draw(st.randoms(use_true_random=False))
+    src = [len(factors.get(k, ())) for k in range(top + 1)]
+    tgt = [len(factors.get(k + 1, ())) for k in range(top + 1)]
+    dims = [free[k] + src[k] + tgt[k] for k in range(top + 1)]
+    change = [_unimodular(rng, n) for n in dims]
+    d = {}
+    for k in range(1, top + 1):
+        D = [[0] * dims[k] for _ in range(dims[k - 1])]
+        for t, f in enumerate(factors[k]):
+            D[free[k - 1] + src[k - 1] + t][free[k] + t] = f
+        d[k] = sparse(_dense_mul(_dense_mul(change[k - 1][1], D), change[k][0]))
+        assert d[k].data
+    basis = {k: tuple(f"e{k}_{i}" for i in range(n)) for k, n in enumerate(dims)}
+    C = ChainComplex(ZZ, basis, d)
+    degrees = [k for k in range(top + 1) if dims[k]]
+    torsion = {k: tuple(f for f in factors.get(k + 1, ()) if f != 1) for k in degrees}
+    assert homology(C).by_degree == {k: (free[k], torsion[k]) for k in degrees}
+    assert homology(change_ring(C, QQ)).by_degree == {k: (free[k], ()) for k in degrees}
+    for p in (2, 3):
+        betti = {
+            k: free[k] + sum(f % p == 0 for f in factors.get(k, []) + factors.get(k + 1, []))
+            for k in degrees
+        }
+        H = homology(change_ring(C, Ring("Fp", p)))
+        assert H.by_degree == {k: (betti[k], ()) for k in degrees}
 
 
 def test_homology_rejects_bad_complex():
@@ -379,8 +448,9 @@ def test_elimination_certificate_catches_corruption():
     for ring in (ZZ, QQ, Ring("Fp", 5)):
         E = eliminate(A, ring)
         E.check()
-        (key, v), *_ = E.ops.data.items()
-        E.ops.data[key] = ring.normalize(v + 1)
+        c = next(c for c, col in enumerate(E.ops) if col)
+        (j, v), *_ = E.ops[c].items()
+        E.ops[c][j] = ring.normalize(v + 1)
         with pytest.raises(ArithmeticError):
             E.check()
     E = eliminate(A, ZZ)
@@ -397,16 +467,15 @@ def test_elimination_certificate_checks_every_multiplier():
         [2, 1, 1, 1, 0],
     ])
     for ring in (ZZ, QQ, Ring("Fp", 5)):
-        off = [k for k in eliminate(A, ring).ops.data if k[0] != k[1]]
+        off = [(j, c) for c, col in enumerate(eliminate(A, ring).ops) for j in col]
         assert len(off) >= 3
-        for key in off:
+        for j, c in off:
             E = eliminate(A, ring)
-            E.ops.data[key] = ring.normalize(E.ops.data[key] + 1)
+            E.ops[c][j] = ring.normalize(E.ops[c][j] + 1)
             with pytest.raises(SelfCheckError, match="M\\*U != A"):
                 E.check()
             E = eliminate(A, ring)
-            j, c = key
-            E.ops.data[(c, j)] = E.ops.data.pop(key)
+            E.ops[j][c] = E.ops[c].pop(j)
             with pytest.raises(SelfCheckError):
                 E.check()
 
@@ -418,9 +487,37 @@ def test_elimination_certificate_rejects_multiplier_below_diagonal():
     for ring in (ZZ, QQ, Ring("Fp", 5)):
         E = eliminate(A, ring)
         E.check()
-        assert not E.reduced.column(3)
-        E.ops.data[(3, E.pivots[0][1])] = ring.normalize(1)
+        assert not E.reduced[3]
+        E.ops[E.pivots[0][1]][3] = ring.normalize(1)
         with pytest.raises(SelfCheckError, match="U\\[3,"):
+            E.check()
+
+
+def test_elimination_certificate_reads_the_source():
+    # an eliminator whose working copy lost an entry of A leaves a record
+    # that agrees with itself, but not with A
+    A = sparse([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    for ring in (ZZ, QQ, Ring("Fp", 5)):
+        for key in A.data:
+            lossy = SparseMat(A.rows, A.cols, dict(A.data))
+            del lossy.data[key]
+            eliminate(lossy, ring).check()
+            E = dataclasses.replace(eliminate(lossy, ring), source=A)
+            with pytest.raises(SelfCheckError, match="M\\*U != A"):
+                E.check()
+
+
+def test_elimination_clears_columns():
+    # the third column is the sum of the first two: dropping it keeps
+    # every invariant factor, and the certificate holds it empty
+    A = sparse([[1, 0, 1], [0, 2, 2], [1, 1, 2]])
+    for ring in (ZZ, QQ, Ring("Fp", 2)):
+        full = certified_elimination(A, ring).invariant_factors()
+        E = certified_elimination(A, ring, {2})
+        assert E.invariant_factors() == full
+        assert not E.reduced[2] and not E.ops[2]
+        E.reduced[2][0] = ring.normalize(1)
+        with pytest.raises(SelfCheckError, match="cleared column 2"):
             E.check()
 
 

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opres import chain_operads, perms
-from opres.chain_core import ZZ, ChainMap, homology, mat_from_columns, verify_chain_map
+from opres.chain_core import (
+    ZZ,
+    ChainMap,
+    Ring,
+    certified_elimination,
+    change_ring,
+    homology,
+    mat_from_columns,
+    verify_chain_map,
+)
 from opres.chain_operads import (
     ChainInterval,
     TableChainOperad,
@@ -238,6 +247,38 @@ def test_cylinder_homology_reach(name, n, rank0):
     assert rep.nonzero_degrees() == [0]
     assert rep.free_rank(0) == rank0
     assert rep.torsion(0) == ()
+
+
+def _uncleared_homology(C):
+    """The homology table of C assembled from each differential's own
+    invariant factors, every column kept."""
+    factors = {k: certified_elimination(m, C.ring).invariant_factors() for k, m in C.d.items()}
+    out = {}
+    for k in C.degrees():
+        incoming = factors.get(k + 1, ())
+        rank = C.dim(k) - len(factors.get(k, ())) - len(incoming)
+        out[k] = (rank, tuple(f for f in incoming if f != 1))
+    return out
+
+
+@pytest.mark.parametrize("name, top", [("as_ns", 6), ("ass_sym", 4), ("com", 5)])
+def test_clearing_matches_uncleared_elimination(name, top):
+    P = builtin_chain_operad(name)
+    for n in range(top + 1):
+        C = w_reduced(P, n)
+        for ring in (ZZ, Ring("Fp", 2)):
+            D = change_ring(C, ring)
+            assert homology(D).by_degree == _uncleared_homology(D)
+
+
+@pytest.mark.parametrize("P, arity, cap", [
+    (endv(3, False), 2, 2), (endv(3, True), 2, 2), (unary_ns(), 1, 10),
+], ids=["endv-planar", "endv-sym", "unary"])
+def test_clearing_matches_uncleared_elimination_on_tables(P, arity, cap):
+    C = w_reduced(P, arity, cap)
+    for ring in (ZZ, Ring("Fp", 2)):
+        D = change_ring(C, ring)
+        assert homology(D).by_degree == _uncleared_homology(D)
 
 
 def test_meta_records_construction():

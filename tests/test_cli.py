@@ -603,10 +603,11 @@ def test_failed_certificate_exits_1(monkeypatch):
 
     honest = chain_core.eliminate
 
-    def corrupted(A, ring):
-        E = honest(A, ring)
-        (key, v), *_ = E.reduced.data.items()
-        E.reduced.data[key] = v + 1
+    def corrupted(*args):
+        E = honest(*args)
+        col = next(col for col in E.reduced if col)
+        (i, v), *_ = col.items()
+        col[i] = v + 1
         return E
 
     monkeypatch.setattr(chain_core, "eliminate", corrupted)
