@@ -8,14 +8,15 @@ with opres imported from the checkout holding this script, and prints
 one line per stage: the traced memory held after it and the stage's
 own peak, in MB.  The stages are
 
-- enumerate: the basis alone (enumerate_w_basis), dropped afterwards;
-- assemble: w_reduced, which enumerates the basis again and assembles
-  the differentials with the d^2 check;
-- complex_to_json: the report payload, with the CLI's basis labels;
+- assemble: w_reduced, which derives the enumeration blocks once, keys
+  the basis by integers without building an element, and assembles the
+  differentials with the d^2 check;
+- complex_to_json: the report payload, with the basis labels rendered
+  from the blocks the complex was built from;
 - report: the report string, serialized as ``--json`` writes it.
 
-From assemble on, each stage keeps what the ones before it built, as
-the CLI does.  tracemalloc counts Python's own allocations only, and it
+Each stage keeps what the ones before it built, as the CLI does; no
+stage builds a basis element.  tracemalloc counts Python's own allocations only, and it
 slows the build several times over.  Standard library only.
 """
 
@@ -35,7 +36,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from opres.chain_core import complex_to_json
-    from opres.chain_operads import builtin_chain_operad, enumerate_w_basis, w_basis_labels, w_reduced
+    from opres.chain_operads import builtin_chain_operad, w_basis_labels, w_reduced
 
     P = builtin_chain_operad(args.operad)
     print(f"{args.operad} arity {args.arity}, traced MB")
@@ -47,12 +48,9 @@ def main(argv: list[str]) -> int:
         print(f"{stage:<16} {current / 1e6:>8.1f} {peak / 1e6:>8.1f}", flush=True)
         tracemalloc.reset_peak()
 
-    basis = enumerate_w_basis(P, args.arity)
-    report("enumerate")
-    del basis
     C = w_reduced(P, args.arity)
     report("assemble")
-    data = complex_to_json(C, labels=w_basis_labels(P, args.arity))
+    data = complex_to_json(C, labels=w_basis_labels(C))
     report("complex_to_json")
     text = json.dumps({"complex": data}, sort_keys=True, separators=(",", ":"))
     report("report")

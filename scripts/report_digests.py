@@ -65,6 +65,9 @@ COMMANDS = (
     # drops columns from every differential below the top one
     "chainw homology --operad as_ns --arity 7",
     "chainw homology --operad com --arity 6 --ring F2",
+    # a capped symmetric build, and a ring change over a keyed basis
+    "chainw build --operad com --arity 5 --cap 2",
+    "chainw homology --operad ass_sym --arity 5 --ring Q",
 )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -204,20 +205,52 @@ class VerificationError(ValueError):
     built; the message is the witness."""
 
 
+class KeyedDegree(Sequence):
+    """One degree of a basis whose labels are named by integer keys and
+    built only when read.
+
+    Its length, and the number of distinct keys among its cells, are
+    known without building a label.  The first read of any label calls
+    source.decoded(), which builds the labels of every degree at once and
+    returns them as a dict degree -> tuple; the source keeps them."""
+
+    __slots__ = ("source", "degree", "cells", "distinct")
+
+    def __init__(self, source, degree: int, cells: int, distinct: int):
+        self.source = source
+        self.degree = degree
+        self.cells = cells
+        self.distinct = distinct
+
+    def __len__(self) -> int:
+        return self.cells
+
+    def __getitem__(self, i):
+        return self.source.decoded()[self.degree][i]
+
+    def __iter__(self):
+        return iter(self.source.decoded()[self.degree])
+
+
 class ChainComplex:
     """Chain complex with chosen bases; d[k]: degree k -> degree k-1.
 
-    basis maps each degree to its tuple of distinct labels.  d squares to
-    zero; this is checked at construction unless deferred, a failure
-    raises VerificationError, and ``d_squared_verified`` records whether
-    the check ran.
+    basis maps each degree to its sequence of distinct labels: a tuple
+    (any other iterable is copied into one), or a KeyedDegree, which is
+    kept as it is and never iterated here, so that its labels are built
+    only if a caller reads them.  The duplicate check compares a keyed
+    degree's distinct keys with its cells.  d squares to zero; this is
+    checked at construction unless deferred, a failure raises
+    VerificationError, and ``d_squared_verified`` records whether the
+    check ran.
     """
 
     def __init__(self, ring: Ring, basis: dict, d: dict, check: bool = True):
         self.ring = ring
-        self.basis = {k: tuple(v) for k, v in basis.items()}
+        self.basis = {k: v if isinstance(v, (tuple, KeyedDegree)) else tuple(v) for k, v in basis.items()}
         for k, labels in self.basis.items():
-            if len(set(labels)) != len(labels):
+            distinct = labels.distinct if isinstance(labels, KeyedDegree) else len(set(labels))
+            if distinct != len(labels):
                 raise ValueError(f"duplicate labels in degree {k}")
         self.d: dict[int, SparseMat] = {}
         for k, mat in d.items():
@@ -241,7 +274,7 @@ class ChainComplex:
     def degrees(self) -> list[int]:
         return sorted(k for k, labels in self.basis.items() if labels)
 
-    def basis_of(self, degree: int) -> tuple:
+    def basis_of(self, degree: int) -> Sequence:
         return self.basis.get(degree, ())
 
     def index(self, degree: int, label) -> int:

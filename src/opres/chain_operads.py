@@ -16,6 +16,12 @@ edge flags run over 0 and 1 and each vertex costs one unit of the cap.
 The assembler and the report labels walk the same blocks (label_blocks)
 that the enumeration flattens, in the one order of block_walk.
 
+A built complex holds its basis as those blocks and integer keys: each
+degree is a KeyedDegree that knows its size, and the number of distinct
+keys that name its cells, without a TreeElement.  The elements are
+decoded from the blocks, every degree in one block_elements pass, only
+when something reads them; the build, the report and homology do not.
+
 Signs are mechanical.  Every basis element linearizes to a word: for
 each component of the tree under marked edges, in discovery order, the
 marked-edge letters (degree 1) followed by the vertex labels.  Any
@@ -48,6 +54,7 @@ from .chain_core import (
     ZZ,
     ChainComplex,
     ChainMap,
+    KeyedDegree,
     SparseMat,
     VerificationError,
     compose_chain_maps,
@@ -576,22 +583,26 @@ def basis_to_json(x: TreeElement) -> dict:
     }
 
 
-def w_basis_labels(P, arity: int, edge_cap: int | None = None) -> dict[int, list]:
-    """The basis of w_reduced(P, arity, edge_cap) as report labels: per
-    degree, in basis order, the JSON text of each element's basis_to_json
-    with sorted keys, as json.dumps writes it.
+def w_basis_labels(C: ChainComplex) -> dict[int, list]:
+    """The basis of a cylinder complex C, as w_reduced, w_pseudo or
+    free_operad_complex built it, as report labels: per degree, in basis
+    order, the JSON text of each element's basis_to_json with sorted
+    keys, as json.dumps writes it.
 
     No element is built or walked.  Each fragment is encoded once from
-    the enumeration blocks: the tree notation per block, the leaf coset
+    the blocks C was built from: the tree notation per block, the leaf coset
     per routing and the edge list per flag tuple of a shared list, and
     the labels object per labeling.  An element's text is the
     concatenation of its fragments around the sorted keys gamma_edges,
     labels, leaf_coset and tree."""
     enc = json.JSONEncoder(sort_keys=True)
     out: dict[int, list] = {}
-    if arity <= 1:
+    if not C.basis:
+        return out
+    cells = next(iter(C.basis.values())).source
+    if cells.unit:
         out[0] = [enc.encode(_unit_json())]
-    blocks = _w_blocks(P, arity, edge_cap) if arity >= 1 else []
+    blocks = cells.blocks
     # per block: the text before the labels per flag tuple, the text from
     # the labels to the leaf coset per labeling, and the rest per routing
     gammas: dict = {}
@@ -1085,7 +1096,7 @@ def _block_columns(P, fams, b, index, entries, misses) -> None:
     """Write the boundary column of every element of block b, in basis
     order, into entries[degree], the (row, column) entries of the
     differential.  A nonzero term outside the basis of the degree below
-    goes to misses, the first per degree, as (degree, column, key).
+    goes to misses, the first per degree, as (degree, column key, key).
     Templates and sign caches live for this block only."""
     tree, lams, choices, masks = fams.blocks[b]
     E = tree.edge_count
@@ -1146,15 +1157,34 @@ def _block_columns(P, fams, b, index, entries, misses) -> None:
                     if c:
                         i = below.get(key)
                         if i is None:
-                            misses.setdefault(d, (d, j, key))
+                            misses.setdefault(d, (d, own | M, key))
                         else:
                             data[(i, j)] = c
 
 
-def _assemble_w(P, elems, blocks, arity, edge_cap, construction) -> ChainComplex:
-    """The complex spanned by elems: an optional unit followed by the
-    flattening of blocks."""
-    basis, mats = _cube_differentials(P, elems, blocks)
+class _Cells:
+    """The basis of one cylinder build: an optional unit, then the
+    flattening of blocks.  decoded() builds the TreeElements of every
+    degree in one block_elements pass on its first call and keeps them."""
+
+    def __init__(self, arity: int, unit: bool, blocks: list):
+        self.arity = arity
+        self.unit = unit
+        self.blocks = blocks
+        self._decoded: dict | None = None
+
+    def decoded(self) -> dict:
+        if self._decoded is None:
+            by_deg: dict[int, list] = {0: [TreeElement(self.arity, None, 0)]} if self.unit else {}
+            for x in block_elements(self.arity, self.blocks):
+                by_deg.setdefault(x.degree, []).append(x)
+            self._decoded = {k: tuple(v) for k, v in by_deg.items()}
+        return self._decoded
+
+
+def _assemble_w(P, arity, edge_cap, blocks, unit, construction) -> ChainComplex:
+    """The complex on an optional unit followed by the flattening of blocks."""
+    basis, mats = _cube_differentials(P, arity, blocks, unit)
     C = ChainComplex(ZZ, basis, mats, check=True)
     C.meta = {
         "arity": arity,
@@ -1165,17 +1195,30 @@ def _assemble_w(P, elems, blocks, arity, edge_cap, construction) -> ChainComplex
     return C
 
 
-def _cube_differentials(P, elems, blocks) -> tuple[dict, dict]:
-    """The basis by degree and the differentials of the span of elems,
-    an optional unit followed by the flattening of blocks; the elements
-    are indexed by their integer keys, which are dropped on return."""
+def _keyed_basis(cells: _Cells, keys: dict) -> tuple[dict, dict]:
+    """The index and the basis of the degrees whose element keys, in basis
+    order after the unit, are keys[degree].  The index maps each key to
+    its position; each degree of the basis is a KeyedDegree of cells, with
+    as many distinct keys as its index holds."""
+    if cells.unit:
+        keys.setdefault(0, [])
+    index = {}
+    basis = {}
+    for d in sorted(keys):
+        ks = keys.pop(d)
+        lead = 1 if cells.unit and d == 0 else 0
+        index[d] = dict(zip(ks, range(lead, lead + len(ks))))
+        basis[d] = KeyedDegree(cells, d, lead + len(ks), lead + len(index[d]))
+    return index, basis
+
+
+def _cube_differentials(P, arity: int, blocks: list, unit: bool) -> tuple[dict, dict]:
+    """The keyed basis by degree and the differentials of the span of an
+    optional unit followed by the flattening of blocks.  The elements are
+    indexed by their integer keys, which are dropped on return."""
     fams = _Families(blocks)
     width = fams.width
-    by_deg: dict[int, list] = {}
     keys: dict[int, list] = {}
-    it = iter(elems)
-    if elems and elems[0].node is None:
-        by_deg[0] = [next(it)]
     ints: dict = {}
     for _, _, _, masks in blocks:
         if id(masks) not in ints:
@@ -1186,57 +1229,40 @@ def _cube_differentials(P, elems, blocks) -> tuple[dict, dict]:
         # the keys of the routings: family ids fid, fid + 1, ... over one mask
         key = (fams.base[b] + li * R) << width | ints[id(masks)][mi]
         keys.setdefault(d, []).extend(range(key, key + (R << width), 1 << width))
-        by_deg.setdefault(d, []).extend(itertools.islice(it, R))
     # each key maps to its element's position in its degree, after the
     # unit.  The positions, which the entries keep, are made in one run
     # after the keys rather than between them, so that dropping the keys
     # on return frees whole pools of the small-object allocator
-    index = {}
-    for d, row in by_deg.items():
-        ks = keys.pop(d, [])
-        index[d] = dict(zip(ks, range(len(row) - len(ks), len(row))))
-    entries: dict[int, dict] = {k: {} for k in by_deg}
+    index, basis = _keyed_basis(_Cells(arity, unit, blocks), keys)
+    entries: dict[int, dict] = {k: {} for k in basis}
     misses: dict = {}
     for b in range(len(blocks)):
         _block_columns(P, fams, b, index, entries, misses)
     if misses:
-        d, j, key = misses[min(misses)]
-        x = by_deg[d][j]
-        y = TreeElement(x.arity, fams.node(key), d - 1)
+        d, src, key = misses[min(misses)]
+        x = TreeElement(arity, fams.node(src), d)
+        y = TreeElement(arity, fams.node(key), d - 1)
         raise RuntimeError(f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}")
-    basis = {k: tuple(v) for k, v in sorted(by_deg.items())}
     mats = {k: SparseMat(len(basis.get(k - 1, ())), len(v), entries[k]) for k, v in basis.items()}
     return basis, mats
 
 
 def w_pseudo(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder complex on the pseudo operad in one arity."""
-    elems = enumerate_w_basis(P, arity, edge_cap)
-    return _assemble_w(P, elems, _w_blocks(P, arity, edge_cap), arity, edge_cap, "w_pseudo")
+    return _assemble_w(P, arity, edge_cap, _w_blocks(P, arity, edge_cap), False, "w_pseudo")
 
 
 def w_reduced(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The cylinder on the reduced operad: the pseudo cylinder plus the
     unit summand in arities 0 and 1."""
-    elems: list[TreeElement] = []
-    blocks: list = []
-    if arity <= 1:
-        elems.append(TreeElement(arity, None, 0))
-    if arity >= 1:
-        elems.extend(enumerate_w_basis(P, arity, edge_cap))
-        blocks = _w_blocks(P, arity, edge_cap)
-    return _assemble_w(P, tuple(elems), blocks, arity, edge_cap, "w_reduced")
+    blocks = _w_blocks(P, arity, edge_cap) if arity >= 1 else []
+    return _assemble_w(P, arity, edge_cap, blocks, arity <= 1, "w_reduced")
 
 
 def free_operad_complex(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
     """The span of the unmarked basis elements; the differential is the
     label part alone, so this is a subcomplex of the cylinder."""
-    elems = tuple(
-        x
-        for x in enumerate_w_basis(P, arity, edge_cap)
-        if not any(node_lengths(x.node))
-    )
-    return _assemble_w(P, elems, _w_blocks(P, arity, edge_cap, (0,)), arity, edge_cap, "free")
+    return _assemble_w(P, arity, edge_cap, _w_blocks(P, arity, edge_cap, (0,)), False, "free")
 
 
 def _evaluate_free(P, x: TreeElement) -> dict:

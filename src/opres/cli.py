@@ -268,7 +268,7 @@ def _h_godement_compare(a):
 def _h_chainw_build(a):
     P = _load_chain_operad(a.operad)
     C = change_ring(w_reduced(P, a.arity, a.cap), ring_from_name(a.ring))
-    data = complex_to_json(C, labels=w_basis_labels(P, a.arity, a.cap))
+    data = complex_to_json(C, labels=w_basis_labels(C))
     dims = {str(k): C.dim(k) for k in sorted(C.degrees())}
     print("dims " + " ".join(f"{k}:{v}" for k, v in dims.items()))
     return "verified", {"arity": a.arity, "dims": dims, "complex": data}

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from opres import chain_operads, perms
 from opres.chain_core import (
+    QQ,
     ZZ,
+    ChainComplex,
     ChainMap,
+    KeyedDegree,
     Ring,
     certified_elimination,
     change_ring,
@@ -41,7 +44,7 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
-from opres.tagged import TreeElement, build_node, node_tree
+from opres.tagged import TreeElement, build_node, node_lengths, node_tree
 from opres.trees import build_tree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -668,7 +671,7 @@ def test_w_basis_labels_encode_basis_to_json(name, arity, cap):
     }[name]()
     enc = json.JSONEncoder(sort_keys=True)
     C = w_reduced(P, arity, cap)
-    labels = w_basis_labels(P, arity, cap)
+    labels = w_basis_labels(C)
     assert sorted(labels) == C.degrees()
     for k in C.degrees():
         assert labels[k] == [enc.encode(basis_to_json(x)) for x in C.basis_of(k)]
@@ -677,6 +680,71 @@ def test_w_basis_labels_encode_basis_to_json(name, arity, cap):
     if name == "escaping":
         assert r'"0": "m\"", "1": "m\""' in labels[1][0]
         assert r'"0": "p\\\u00e9"' in labels[0][-1]
+
+
+def _committed_table(name):
+    return load_chain_operad(json.loads((ROOT / "scripts" / "data" / name).read_text()))
+
+
+@pytest.mark.parametrize(
+    "name, arities, cap",
+    [
+        ("as_ns", range(7), None),
+        ("ass_sym", range(5), None),
+        ("com", range(6), None),
+        ("endv3_ns.json", (0, 1, 2, 3), 1),
+        ("endv3_sym.json", (0, 1, 2, 3), 1),
+        ("endv3_ns.json", (2,), 2),
+        ("endv3_sym.json", (2,), 2),
+        ("unary_ns.json", (0, 1, 2), 3),
+    ],
+)
+def test_keyed_basis_decodes_to_the_enumeration(name, arities, cap):
+    # each degree of a built complex is integer keys until read; read, it
+    # is the enumeration, element for element and in order: with the unit
+    # first for w_reduced in arities 0 and 1, and the unmarked elements
+    # alone for the free complex
+    P = _committed_table(name) if name.endswith(".json") else builtin_chain_operad(name)
+    for n in arities:
+        full = enumerate_w_basis(P, n, cap)
+        unit = (TreeElement(n, None, 0),) if n <= 1 else ()
+        cases = [
+            (w_reduced, unit + full),
+            (w_pseudo, full),
+            (free_operad_complex, tuple(x for x in full if not any(node_lengths(x.node)))),
+        ]
+        for build, elems in cases:
+            C = build(P, n, cap)
+            want: dict = {}
+            for x in elems:
+                want.setdefault(x.degree, []).append(x)
+            assert all(isinstance(C.basis[k], KeyedDegree) and C.basis[k].source._decoded is None for k in C.basis)
+            assert {k: C.dim(k) for k in C.degrees()} == {k: len(v) for k, v in want.items()}
+            for k, xs in want.items():
+                got = tuple(C.basis_of(k))
+                assert got == tuple(xs)
+                assert len(set(got)) == len(got)
+                assert all(C.index(k, x) == j for j, x in enumerate(got))
+
+
+def test_keyed_degree_with_equal_keys_fails_the_duplicate_check():
+    # the check reads the keys: nothing is decoded (these blocks are empty)
+    cells = chain_operads._Cells(2, False, [])
+    index, basis = chain_operads._keyed_basis(cells, {0: [5, 5], 1: [6]})
+    assert (basis[0].cells, basis[0].distinct, index[0]) == (2, 1, {5: 1})
+    with pytest.raises(ValueError, match="duplicate labels in degree 0"):
+        ChainComplex(ZZ, basis, {}, check=False)
+    _, basis = chain_operads._keyed_basis(cells, {0: [5, 7], 1: [6]})
+    C = ChainComplex(ZZ, basis, {}, check=False)
+    assert C.dim(0) == 2 and cells._decoded is None
+
+
+@pytest.mark.parametrize("ring", [QQ, Ring("Fp", 2), Ring("Fp", 3)])
+def test_change_ring_keeps_the_keyed_basis(ring):
+    C = w_reduced(ASS, 4)
+    image = change_ring(C, ring)
+    assert all(image.basis[k] is C.basis[k] for k in C.basis)
+    assert image.degrees() == C.degrees() and image.basis[0].source._decoded is None
 
 
 def test_basis_to_json_shapes():

@@ -97,6 +97,46 @@ def test_chainw_build_walks_no_element(monkeypatch, tmp_path):
     assert calls == []
 
 
+def test_cylinder_commands_build_no_basis_element(monkeypatch, tmp_path):
+    # build, homology and the d^2 check read the basis by its integer keys
+    # only: no TreeElement is constructed and no block is decoded, and
+    # each command derives the enumeration blocks once
+    from opres import chain_operads, tagged
+
+    calls = []
+    real_init = tagged.TreeElement.__post_init__
+    real_decode = tagged.block_elements
+    real_blocks = chain_operads.label_blocks
+
+    def counted_init(self):
+        calls.append("TreeElement")
+        real_init(self)
+
+    def counted_decode(*args):
+        calls.append("block_elements")
+        return real_decode(*args)
+
+    def counted_blocks(*args):
+        calls.append("label_blocks")
+        return real_blocks(*args)
+
+    monkeypatch.setattr(tagged.TreeElement, "__post_init__", counted_init)
+    for module in (chain_operads, tagged):
+        monkeypatch.setattr(module, "block_elements", counted_decode)
+    monkeypatch.setattr(chain_operads, "label_blocks", counted_blocks)
+    for argv in (
+        ["chainw", "build", "--operad", "ass_sym", "--arity", "4"],
+        ["chainw", "homology", "--operad", "as_ns", "--arity", "5", "--ring", "Q"],
+        ["chainw", "verify", "--check", "d2", "--operad", "com", "--arity", "4"],
+    ):
+        rc, report, _ = run_json(argv, tmp_path)
+        assert rc == 0 and report["status"] == "verified"
+        assert calls == ["label_blocks"]
+        calls.clear()
+    tagged.TreeElement(2, None, 0)
+    assert calls == ["TreeElement"]
+
+
 def test_arity_ceiling():
     rc, out, err = run(["chainw", "build", "--operad", "as_ns", "--arity", "99"])
     assert rc == 2
