@@ -62,7 +62,7 @@ from .chain_core import (
     mat_from_columns,
     verify_chain_map,
 )
-from .set_operads import AssOperad, InfiniteEnumerationError
+from .set_operads import AssOperad, ComOperad, InfiniteEnumerationError
 from .tagged import (
     PAIR_CACHE,
     ROUTING_CACHE,
@@ -100,10 +100,13 @@ class PseudoChainOperad:
     act(n, x, sigma).  The linear maps return dicts name -> integer
     coefficient.  Basis names must be globally unique across arities.
     Arity 0 is empty by decree; the cylinder construction needs that.
+    unit names an arity-1 unit when the source declares one; the
+    cylinder's sources declare none.
     """
 
     symmetric: bool = True
     name: str = "operad"
+    unit: str | None = None
 
     def basis(self, n: int) -> tuple:
         raise NotImplementedError
@@ -175,67 +178,55 @@ class _NonsymAssociative(PseudoChainOperad):
         return {f"a{n + m - 1}": 1}
 
 
-class _SymAssociative(PseudoChainOperad):
-    """Permutation words in degree 0 for each arity from two up.
+class LinearizedOperad(PseudoChainOperad):
+    """A set operad P presented in degree 0, the free abelian group on it.
 
-    Composition substitutes a block, the action relabels the letters;
-    both reuse the word arithmetic of the set-level operad."""
+    The basis of arity n >= 1 is P's elements, named by name_of (P's own
+    names by default); compose and act return the name of P's result with
+    coefficient 1.  The cylinder's builtins take the reduced view, which
+    drops P's unit from arity 1.  With keep_unit the view keeps it and
+    names it in unit, so the validator checks the unit laws, and a
+    composite that lands on the unit stays in the basis."""
 
-    symmetric = True
-    name = "ass_sym"
+    def __init__(self, P, name: str = "operad", keep_unit: bool = False, name_of=None):
+        self.P = P
+        self.symmetric = P.symmetric
+        self.name = name
+        self.name_of = name_of or P.name_of
+        self.unit = self.name_of(1, P.unit) if keep_unit else None
+        # arity -> (basis, element of each name)
+        self._arities: dict[int, tuple] = {}
 
-    def __init__(self):
-        self._words = AssOperad()
-        self._tables: dict[int, dict[str, tuple]] = {}
-
-    def _arity_words(self, n: int) -> dict[str, tuple]:
-        tab = self._tables.get(n)
-        if tab is None:
-            tab = {
-                self._words.name_of(n, w): w
-                for w in itertools.permutations(range(n))
-            }
-            self._tables[n] = tab
-        return tab
-
-    def basis(self, n):
-        return tuple((nm, 0) for nm in self._arity_words(n)) if n >= 2 else ()
-
-    def compose(self, n, i, x, m, y):
-        wx = self._arity_words(n)[x]
-        wy = self._arity_words(m)[y]
-        wz = self._words.compose(n, i, wx, m, wy)
-        return {self._words.name_of(n + m - 1, wz): 1}
-
-    def act(self, n, x, sigma):
-        wx = self._arity_words(n)[x]
-        return {self._words.name_of(n, self._words.act(n, wx, tuple(sigma))): 1}
-
-
-class _TrivialCommutative(PseudoChainOperad):
-    """Rank one in degree 0 in each arity from two up, trivial actions."""
-
-    symmetric = True
-    name = "com"
+    def _arity(self, n: int) -> tuple:
+        got = self._arities.get(n)
+        if got is None:
+            P, keep = self.P, n > 1 or self.unit is not None
+            elems = P.elements(n) if n >= 1 else ()
+            named = {self.name_of(n, x): x for x in elems if keep or x != P.unit}
+            got = self._arities[n] = (tuple((nm, 0) for nm in named), named)
+        return got
 
     def basis(self, n):
-        return ((f"c{n}", 0),) if n >= 2 else ()
+        return self._arity(n)[0]
 
     def compose(self, n, i, x, m, y):
-        return {f"c{n + m - 1}": 1}
+        z = self.P.compose(n, i, self._arity(n)[1][x], m, self._arity(m)[1][y])
+        return {self.name_of(n + m - 1, z): 1}
 
     def act(self, n, x, sigma):
-        return {x: 1}
+        return {self.name_of(n, self.P.act(n, self._arity(n)[1][x], tuple(sigma))): 1}
 
 
 def builtin_chain_operad(name: str) -> PseudoChainOperad:
-    """A builtin by name; its basis is nonempty in every arity from two up."""
+    """A builtin by name; its basis is nonempty in every arity from two up.
+    ass_sym and com are the reduced linearizations of the set-level ass
+    and com; as_ns has no set-level twin."""
     if name == "as_ns":
         return _NonsymAssociative()
     if name == "ass_sym":
-        return _SymAssociative()
+        return LinearizedOperad(AssOperad(), "ass_sym")
     if name == "com":
-        return _TrivialCommutative()
+        return LinearizedOperad(ComOperad(), "com", name_of=lambda n, x: f"c{n}")
     raise ValueError(f"unknown chain operad {name!r}")
 
 
@@ -388,13 +379,25 @@ def _lin_act(P, n: int, xs: dict, sigma) -> dict:
 
 
 def validate_chain_operad(P, arity_bound: int) -> list[str]:
-    """Exhaustive axiom check up to the arity bound: boundary squares to
-    zero, compositions are chain maps, nested and disjoint associativity
-    with the transposition sign, and for symmetric operads the action
-    and equivariance laws."""
+    """Exhaustive axiom check up to the arity bound: the unit laws when P
+    declares a unit, boundary squares to zero, compositions are chain
+    maps, nested and disjoint associativity with the transposition sign,
+    and for symmetric operads the action and equivariance laws.  A set
+    operad is checked through its LinearizedOperad with keep_unit."""
     bad: list[str] = []
     if P.basis(0):
         bad.append("arity 0 must vanish for a pseudo chain operad")
+    e = P.unit
+    if e is not None:
+        if (e, 0) not in P.basis(1) or P.d(1, e):
+            return bad + [f"unit {e!r} is not a degree-0 cycle of arity 1"]
+        for n in range(1, arity_bound + 1):
+            for x in P.names(n):
+                for i in range(n):
+                    if P.compose(n, i, x, 1, e) != {x: 1}:
+                        bad.append(f"right unit law fails on {x} at slot {i + 1}")
+                if P.compose(1, 0, e, n, x) != {x: 1}:
+                    bad.append(f"left unit law fails on {x}")
     seen: dict[str, int] = {}
     for n in range(1, arity_bound + 1):
         for nm, deg in P.basis(n):
@@ -1459,6 +1462,21 @@ def verify_w_construction(P, arity: int, edge_cap: int | None = None) -> list[st
     return msgs
 
 
+def _in_basis(fams: _Families, arity: int, z: TreeElement) -> bool:
+    """Whether z is a basis element of the blocks of fams, whose arity is
+    given: its family is one of theirs, its edge flags are 0 or 1, and its
+    degree is its labeling's plus its marked edges."""
+    if z.node is None or z.arity != arity:
+        return False
+    notation, flags, labels, lam = node_view(z.node)
+    labels = tuple(labels)
+    b = fams.block_of.get(notation)
+    if b is None or fams.fid(b, notation, labels, tuple(lam)) >= fams.count:
+        return False
+    labeling = fams.blocks[b][2][fams.label_index[labels]]
+    return set(flags) <= {0, 1} and z.degree == labeling[1] + sum(flags)
+
+
 def check_composition_maps(P, n: int, m: int, edge_cap: int | None = None) -> list[str]:
     """Checks on the grafting maps, one basis pair and slot at a time: the
     composite is a basis element of the target, whose cap leaves room for
@@ -1467,10 +1485,10 @@ def check_composition_maps(P, n: int, m: int, edge_cap: int | None = None) -> li
     into operad composition; and the action laws hold with signs."""
     msgs: list[str] = []
     table = w_operad_composition(P, n, m, edge_cap)
-    xs = enumerate_w_basis(P, n, edge_cap)
-    ys = enumerate_w_basis(P, m, edge_cap)
+    xs = list(dict.fromkeys(x for x, _, _ in table))
+    ys = list(dict.fromkeys(y for _, _, y in table))
     cap_t = None if edge_cap is None else 2 * edge_cap + 1
-    target = set(enumerate_w_basis(P, n + m - 1, cap_t))
+    target = _Families(_w_blocks(P, n + m - 1, cap_t))
     bd = {x: w_boundary(P, x) for x in xs + ys}
     ev = {x: {} if any(node_lengths(x.node)) else _evaluate_free(P, x) for x in xs + ys}
 
@@ -1478,7 +1496,7 @@ def check_composition_maps(P, n: int, m: int, edge_cap: int | None = None) -> li
         msgs.append(f"slot {i + 1}, pair {basis_to_json(x)} o {basis_to_json(y)}: {what}")
 
     for (x, i, y), (c, z) in table.items():
-        if z not in target:
+        if not _in_basis(target, n + m - 1, z):
             fail(i, x, y, f"composite {basis_to_json(z)} is outside the basis")
         rhs: dict = {}
         for x2, a in bd[x].items():

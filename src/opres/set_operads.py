@@ -209,77 +209,6 @@ def get_builtin_operad(name: str):
     raise ValueError(f"unknown builtin operad {name!r}")
 
 
-def validate_operad(P, arity_bound: int) -> list[str]:
-    """Exhaustive axiom check up to the arity bound: unit laws, nested and
-    disjoint associativity, right action laws, and both equivariance laws."""
-    bad: list[str] = []
-    rng = range(1, arity_bound + 1)
-    e = P.unit
-    if e not in P.elements(1):
-        return ["unit is not an arity-1 element"]
-    for n in rng:
-        for x in P.elements(n):
-            for i in range(n):
-                if P.compose(n, i, x, 1, e) != x:
-                    bad.append(f"right unit law fails at arity {n}, slot {i}")
-            if P.compose(1, 0, e, n, x) != x:
-                bad.append(f"left unit law fails at arity {n}")
-            if P.act(n, x, perms.identity(n)) != x:
-                bad.append(f"identity action fails at arity {n}")
-    for n in rng:
-        if n > 4:
-            continue
-        for x in P.elements(n):
-            for s in perms.all_perms(n):
-                for t in perms.all_perms(n):
-                    if P.act(n, P.act(n, x, s), t) != P.act(n, x, perms.perm_then(s, t)):
-                        bad.append(f"action composition fails at arity {n}")
-    for n in rng:
-        for m in rng:
-            for l in rng:
-                if n + m + l - 2 > arity_bound:
-                    continue
-                for x in P.elements(n):
-                    for y in P.elements(m):
-                        for z in P.elements(l):
-                            for i in range(n):
-                                for j in range(m):
-                                    lhs = P.compose(n + m - 1, i + j, P.compose(n, i, x, m, y), l, z)
-                                    rhs = P.compose(n, i, x, m + l - 1, P.compose(m, j, y, l, z))
-                                    if lhs != rhs:
-                                        bad.append(
-                                            f"nested associativity fails at arities ({n},{m},{l}) slots ({i},{j})"
-                                        )
-                                for j2 in range(i + 1, n):
-                                    lhs = P.compose(n + m - 1, j2 + m - 1, P.compose(n, i, x, m, y), l, z)
-                                    rhs = P.compose(n + l - 1, i, P.compose(n, j2, x, l, z), m, y)
-                                    if lhs != rhs:
-                                        bad.append(
-                                            f"disjoint associativity fails at arities ({n},{m},{l}) slots ({i},{j2})"
-                                        )
-    for n in rng:
-        if n > 3:
-            continue
-        for m in rng:
-            if n + m - 1 > arity_bound or m > 3:
-                continue
-            for x in P.elements(n):
-                for y in P.elements(m):
-                    for s in perms.all_perms(n):
-                        for j in range(n):
-                            lhs = P.compose(n, s[j], P.act(n, x, s), m, y)
-                            rhs = P.act(n + m - 1, P.compose(n, j, x, m, y), perms.blow(s, j, m))
-                            if lhs != rhs:
-                                bad.append(f"outer equivariance fails at arities ({n},{m})")
-                    for rho in perms.all_perms(m):
-                        for i in range(n):
-                            lhs = P.compose(n, i, x, m, P.act(m, y, rho))
-                            rhs = P.act(n + m - 1, P.compose(n, i, x, m, y), perms.embed(rho, i, n))
-                            if lhs != rhs:
-                                bad.append(f"inner equivariance fails at arities ({n},{m})")
-    return bad
-
-
 # -- decorated tree elements --------------------------------------------------
 #
 # nodes are the plain nodes of the tagged module, each edge flag a length

@@ -21,6 +21,7 @@ from opres.chain_core import (
 )
 from opres.chain_operads import (
     ChainInterval,
+    LinearizedOperad,
     TableChainOperad,
     basis_to_json,
     builtin_chain_operad,
@@ -43,7 +44,7 @@ from opres.chain_operads import (
     w_pseudo,
     w_reduced,
 )
-from opres.set_operads import InfiniteEnumerationError
+from opres.set_operads import AssOperad, InfiniteEnumerationError
 from opres.tagged import TreeElement, build_node, node_lengths, node_tree
 from opres.trees import build_tree
 
@@ -187,6 +188,20 @@ def test_builtin_degrees_are_zero():
         for n in range(2, 5):
             assert all(deg == 0 for _, deg in P.basis(n))
     assert AS_NS.basis(1) == () and AS_NS.basis(0) == ()
+
+
+def test_builtins_linearize_the_set_operads():
+    # the reduced views drop the unit, the only set-level element of arity 1
+    assert ASS.basis(1) == () and COM.basis(1) == ()
+    assert ASS.names(3) == ("123", "132", "213", "231", "312", "321")
+    assert COM.names(4) == ("c4",)
+    assert ASS.compose(2, 0, "12", 2, "21") == {"213": 1}
+    assert ASS.signed_act(3, "123", (2, 0, 1)) == ("312", 1)
+    assert COM.compose(2, 1, "c2", 3, "c3") == {"c4": 1}
+    assert ASS.unit is None and COM.unit is None
+    kept = LinearizedOperad(AssOperad(), keep_unit=True)
+    assert kept.unit == "1" and kept.basis(1) == (("1", 0),)
+    assert validate_chain_operad(kept, 4) == []
 
 
 # --------------------------------------------------------- cylinder ranks

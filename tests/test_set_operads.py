@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import opres.set_operads as so
 from opres import perms
+from opres.chain_operads import LinearizedOperad, validate_chain_operad
 from opres.segments import (
     FiniteSegment,
     SegmentMap,
@@ -41,7 +42,6 @@ from opres.set_operads import (
     random_raw_instance,
     reachable_normal_forms,
     rewrite_steps,
-    validate_operad,
     w_act,
     w_compose,
     w_diamond_compare,
@@ -54,6 +54,11 @@ from opres.trees import PlanarTree, corolla, enumerate_planar, iso_classes
 ASS = AssOperad()
 COM = ComOperad()
 L = PlanarTree(None)
+
+
+def validate_set_operad(P, arity_bound, name_of=None):
+    """The one validator on the degree-0 view of P that keeps the unit."""
+    return validate_chain_operad(LinearizedOperad(P, keep_unit=True, name_of=name_of), arity_bound)
 
 
 def element_from_data(P, tree, labels, lengths, leaves):
@@ -185,11 +190,12 @@ def test_canon_constant_on_swap_neighbors():
 
 
 def test_ass_axioms():
-    assert validate_operad(ASS, 4) == []
+    assert validate_set_operad(ASS, 4) == []
 
 
 def test_com_axioms():
-    assert validate_operad(COM, 4) == []
+    # every arity names its one element "*", so the view names them apart
+    assert validate_set_operad(COM, 4, lambda n, x: f"c{n}") == []
 
 
 def test_ass_word_semantics():
@@ -205,7 +211,7 @@ def test_ass_word_semantics():
 def test_json_round_trip():
     data = operad_to_json(ASS, 3)
     Q = operad_from_json(data)
-    assert validate_operad(Q, 3) == []
+    assert validate_set_operad(Q, 3) == []
     for n in range(1, 4):
         assert Q.elements(n) == tuple(ASS.name_of(n, x) for x in ASS.elements(n))
     assert Q.compose(2, 0, "12", 2, "21") == ASS.name_of(3, ASS.compose(2, 0, (0, 1), 2, (1, 0)))
@@ -215,7 +221,40 @@ def test_table_operad_detects_corruption():
     data = operad_to_json(ASS, 3)
     data["compose"]["12 o1 12"] = "321"
     Q = operad_from_json(data)
-    assert validate_operad(Q, 3) != []
+    assert validate_set_operad(Q, 3) != []
+
+
+def z3_table(a_o_a):
+    """Arity 1 is {e, a, b} with unit e and a o1 a = a_o_a; the other
+    products are those of Z/3."""
+    compose = {("a", 0, "a"): a_o_a, ("a", 0, "b"): "e", ("b", 0, "a"): "e", ("b", 0, "b"): "a"}
+    return TableOperad({1: ["e", "a", "b"]}, "e", compose, {})
+
+
+def test_group_in_arity_one_validates():
+    # a o1 b lands on the unit, which the view that keeps it has as a basis element
+    assert validate_set_operad(z3_table("b"), 3) == []
+
+
+def test_broken_group_fails_associativity():
+    msgs = validate_set_operad(z3_table("a"), 3)
+    # (a o1 a) o1 b = a o1 b = e, but a o1 (a o1 b) = a o1 e = a
+    assert "nested associativity fails at (a,a,b) slots (0,0)" in msgs
+
+
+class LeftUnitReverses(AssOperad):
+    """Words, except that the unit composed on the left reverses the word."""
+
+    def compose(self, n, i, x, m, y):
+        if n == 1:
+            return tuple(reversed(y))
+        return super().compose(n, i, x, m, y)
+
+
+def test_failing_left_unit_law_is_reported():
+    msgs = validate_set_operad(LeftUnitReverses(), 3)
+    assert "left unit law fails on 21" in msgs
+    assert not any(m.startswith("right unit law") for m in msgs)
 
 
 def test_table_operad_rejects_duplicate_names():
@@ -640,15 +679,15 @@ def test_reachable_normal_forms_singleton():
 
 
 def test_w_operad_axioms_chain2():
-    assert validate_operad(WSetOperad(chain_segment(2), ASS), 3) == []
+    assert validate_set_operad(WSetOperad(chain_segment(2), ASS), 3) == []
 
 
 def test_w_operad_axioms_diamond():
-    assert validate_operad(WSetOperad(diamond(chain_segment(1)), ASS), 3) == []
+    assert validate_set_operad(WSetOperad(diamond(chain_segment(1)), ASS), 3) == []
 
 
 def test_free_pointed_operad_axioms():
-    assert validate_operad(FreePointedOperad(ASS), 3) == []
+    assert validate_set_operad(FreePointedOperad(ASS), 3) == []
 
 
 def test_compose_unit_shortcuts():
