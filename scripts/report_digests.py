@@ -68,6 +68,8 @@ COMMANDS = (
     # a capped symmetric build, and a ring change over a keyed basis
     "chainw build --operad com --arity 5 --cap 2",
     "chainw homology --operad ass_sym --arity 5 --ring Q",
+    # rational entries rendered in a build report
+    "chainw build --operad com --arity 4 --ring Q",
 )
 
 

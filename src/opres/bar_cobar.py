@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms
-from .chain_core import ZZ, ChainComplex, ChainMap, assemble_complex, mat_from_columns
+from .chain_core import ChainComplex, ChainMap, SparseMat, assemble_complex
 from .chain_operads import w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
@@ -413,7 +413,7 @@ def cobar_bar_counit(P, CB: ChainComplex) -> ChainMap:
         cols = []
         for X in CB.basis_of(k):
             cols.append({D.index(k, nm): c for nm, c in _counit_value(P, X).items()})
-        mats[k] = mat_from_columns(D.dim(k), cols, ZZ)
+        mats[k] = SparseMat(D.dim(k), len(cols), cols)
     return ChainMap(CB, D, 0, mats)
 
 
@@ -503,8 +503,8 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for k in degs:
         if W.dim(k) == 0 or W.dim(k - 1) == 0:
             continue
-        A = W.diff(k).columns()
-        B = CB.diff(k).columns()
+        A = W.diff(k).data
+        B = CB.diff(k).data
         ys = W.basis_of(k - 1)
         for j, x in enumerate(W.basis_of(k)):
             cola = A[j]
@@ -525,8 +525,8 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for k in degs:
         if W.dim(k) == 0:
             continue
-        gm = gamma.mat(k).columns()
-        cm = counit.mat(k).columns()
+        gm = gamma.mat(k).data
+        cm = counit.mat(k).data
         for j, x in enumerate(W.basis_of(k)):
             colg = gm[j]
             colc = cm[CB.index(k, phi[x])]

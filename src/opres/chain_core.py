@@ -1,9 +1,10 @@
 """Exact linear algebra for chain complexes over Z, Q, and prime fields.
 
 Graded modules carry explicit ordered bases; differentials are sparse
-matrices with exact entries (python int, Fraction, or int mod p).  The
-differential d[k] maps degree k to degree k - 1 and is stored as a matrix
-whose columns are images of the degree-k basis vectors.
+matrices with exact entries (python int, Fraction where Q needs one, or
+int mod p).  The differential d[k] maps degree k to degree k - 1 and is
+stored by columns, one dict row -> entry per degree-k basis vector, the
+way it is built and the way the eliminator reads it.
 
 Homology and field ranks go through one sparse eliminator (``eliminate``)
 for Z, Q and Fp.  It pivots only on units (+-1 over Z, any nonzero over a
@@ -52,7 +53,8 @@ class Ring:
         if self.tag == "Z":
             return int(v)
         if self.tag == "Q":
-            return Fraction(v)
+            # an integer stays an int, which is exact and cheaper
+            return v if type(v) is int else Fraction(v)
         return int(v) % self.p
 
     def zero(self):
@@ -97,104 +99,85 @@ def ring_from_name(name: str) -> Ring:
 
 
 class SparseMat:
-    """Sparse matrix over a ring; data maps (row, col) to a nonzero entry."""
+    """Sparse matrix over a ring, stored by columns: data[j] maps row to
+    the nonzero entry of column j."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: dict | None = None):
+    def __init__(self, rows: int, cols: int, data: list | None = None):
+        if data is None:
+            data = [{} for _ in range(cols)]
+        elif len(data) != cols:
+            raise ValueError(f"{len(data)} columns given for {cols}")
         self.rows = rows
         self.cols = cols
-        self.data = data or {}
+        self.data = data
 
     def add_entry(self, ring: Ring, i: int, j: int, v) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        new = ring.add(self.data.get((i, j), ring.zero()), v)
+        col = self.data[j]
+        new = ring.add(col.get(i, ring.zero()), v)
         if ring.is_zero(new):
-            self.data.pop((i, j), None)
+            col.pop(i, None)
         else:
-            self.data[(i, j)] = new
+            col[i] = new
 
     def mul(self, other: "SparseMat", ring: Ring) -> "SparseMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: dict[int, list] = {}
-        for (i, k), v in self.data.items():
-            by_row.setdefault(i, []).append((k, v))
-        out = SparseMat(self.rows, other.cols)
-        by_k: dict[int, list] = {}
-        for (k, j), w in other.data.items():
-            by_k.setdefault(k, []).append((j, w))
-        zero = ring.zero()
         # integer products need no normalizing; Q and Fp entries do
         norm = None if ring.tag == "Z" else ring.normalize
-        for i, row in by_row.items():
-            acc: dict[int, object] = {}
-            for k, v in row:
-                for j, w in by_k.get(k, ()):
-                    acc[j] = acc.get(j, zero) + v * w
-            for j, val in acc.items():
-                if norm is not None:
-                    val = norm(val)
-                if val != zero:
-                    out.data[(i, j)] = val
-        return out
+        left = self.data
+        out = []
+        for col in other.data:
+            acc: dict = {}
+            for k, w in col.items():
+                for i, v in left[k].items():
+                    acc[i] = acc.get(i, 0) + v * w
+            if norm is not None:
+                acc = {i: norm(v) for i, v in acc.items()}
+            out.append({i: v for i, v in acc.items() if v})
+        return SparseMat(self.rows, other.cols, out)
 
     def add(self, other: "SparseMat", ring: Ring) -> "SparseMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        out = SparseMat(self.rows, self.cols, dict(self.data))
-        for (i, j), v in other.data.items():
-            out.add_entry(ring, i, j, v)
+        out = SparseMat(self.rows, self.cols, [dict(col) for col in self.data])
+        for j, col in enumerate(other.data):
+            for i, v in col.items():
+                out.add_entry(ring, i, j, v)
         return out
 
     def scale(self, c, ring: Ring) -> "SparseMat":
-        out = SparseMat(self.rows, self.cols)
-        for (i, j), v in self.data.items():
-            w = ring.mul(v, c)
-            if not ring.is_zero(w):
-                out.data[(i, j)] = w
-        return out
+        out = []
+        for col in self.data:
+            scaled = {i: ring.mul(v, c) for i, v in col.items()}
+            out.append({i: w for i, w in scaled.items() if not ring.is_zero(w)})
+        return SparseMat(self.rows, self.cols, out)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not any(self.data)
 
     def entries(self) -> list[tuple[int, int, object]]:
-        return [(i, j, v) for (i, j), v in sorted(self.data.items())]
+        """The nonzero entries as (row, column, entry), row-major."""
+        return sorted((i, j, v) for j, col in enumerate(self.data) for i, v in col.items())
 
     def column(self, j: int) -> dict[int, object]:
-        return {i: v for (i, jj), v in self.data.items() if jj == j}
-
-    def columns(self) -> list[dict[int, object]]:
-        """Every column as a dict row -> entry, in one pass over the
-        entries; column(j) scans them all for one column."""
-        out = [{} for _ in range(self.cols)]
-        for (i, j), v in self.data.items():
-            out[j][i] = v
-        return out
+        return dict(self.data[j])
 
     def equals(self, other: "SparseMat", ring: Ring) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        keys = set(self.data) | set(other.data)
-        zero = ring.zero()
+        norm = ring.normalize
         return all(
-            ring.normalize(self.data.get(k, zero)) == ring.normalize(other.data.get(k, zero))
-            for k in keys
+            norm(a.get(i, 0)) == norm(b.get(i, 0))
+            for a, b in zip(self.data, other.data)
+            for i in a.keys() | b.keys()
         )
 
     def __repr__(self):  # pragma: no cover
-        return f"SparseMat({self.rows}x{self.cols}, {len(self.data)} entries)"
-
-
-def mat_from_columns(rows: int, columns: list[dict[int, object]], ring: Ring) -> SparseMat:
-    out = SparseMat(rows, len(columns))
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            v = ring.normalize(v)
-            if not ring.is_zero(v):
-                out.data[(i, j)] = v
-    return out
+        return f"SparseMat({self.rows}x{self.cols}, {sum(map(len, self.data))} entries)"
 
 
 # -- complexes ----------------------------------------------------------------
@@ -259,7 +242,7 @@ class ChainComplex:
                 raise ValueError(
                     f"d[{k}] has shape {(mat.rows, mat.cols)}, expected {expect}"
                 )
-            if mat.data:
+            if not mat.is_zero():
                 self.d[k] = mat
         self._index_cache: dict[int, dict] = {}
         self.d_squared_verified = bool(check)
@@ -316,16 +299,19 @@ def assemble_complex(elems, boundaries, left_basis) -> ChainComplex:
                 i = below.get(y)
                 if i is None:
                     raise RuntimeError(left_basis(x, y))
-                col[i] = c
+                if c:
+                    col[i] = c
             cols.append(col)
-        mats[k] = mat_from_columns(len(below), cols, ZZ)
+        mats[k] = SparseMat(len(below), len(cols), cols)
     return ChainComplex(ZZ, basis, mats, check=True)
 
 
 def verify_d_squared(C: ChainComplex) -> list[str]:
     bad = []
     for k in list(C.d):
-        prod = C.diff(k - 1).mul(C.diff(k), C.ring)
+        if k - 1 not in C.d:
+            continue  # d[k-1] is zero
+        prod = C.d[k - 1].mul(C.d[k], C.ring)
         if not prod.is_zero():
             i, j, v = prod.entries()[0]
             bad.append(f"(d[{k - 1}] d[{k}])[{i},{j}] = {C.ring.show(v)}")
@@ -504,9 +490,8 @@ def invariant_factors(A: list[list[int]]) -> list[int]:
 def rank_over_field(A: list[list], ring: Ring) -> int:
     """Rank over Q or Fp by certified sparse elimination (Z ranks via Q)."""
     field = QQ if ring.tag == "Z" else ring
-    mat = SparseMat(len(A), len(A[0]) if A else 0, {
-        (i, j): v for i, row in enumerate(A) for j, v in enumerate(row) if v
-    })
+    n = len(A[0]) if A else 0
+    mat = SparseMat(len(A), n, [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(n)])
     return certified_elimination(mat, field).rank()
 
 
@@ -562,7 +547,7 @@ class Elimination:
         # M*U = A on every kept column, read from A's own entries; a
         # cleared column is empty in M and U
         p = ring.p if ring.tag == "Fp" else 0
-        for c, want in enumerate(self.source.columns()):
+        for c, want in enumerate(self.source.data):
             if c in self.cleared:
                 if M[c] or U[c] or c in order:
                     fail(f"cleared column {c} was eliminated")
@@ -636,13 +621,15 @@ def eliminate(A: SparseMat, ring: Ring, cleared=()) -> Elimination:
     cleared = frozenset(cleared)
     cols: list[dict] = [{} for _ in range(A.cols)]
     on_row: list[set] = [set() for _ in range(A.rows)]
-    for (i, j), v in A.data.items():
+    for j, col in enumerate(A.data):
         if j in cleared:
             continue
-        v = ring.normalize(v)
-        if v:
-            cols[j][i] = v
-            on_row[i].add(j)
+        out = cols[j]
+        for i, v in col.items():
+            v = ring.normalize(v)
+            if v:
+                out[i] = v
+                on_row[i].add(j)
     ops: list[dict] = [{} for _ in range(A.cols)]
     done = [False] * A.cols
     pivots = []
@@ -667,8 +654,8 @@ def eliminate(A: SparseMat, ring: Ring, cleared=()) -> Elimination:
             on_row[i].discard(j)
         if p:
             inv = pow(col[r], -1, p)
-        elif ring.tag == "Z":
-            inv = col[r]  # a unit is its own inverse
+        elif col[r] in (1, -1):
+            inv = col[r]  # +-1 is its own inverse, over Z and over Q
         else:
             inv = 1 / Fraction(col[r])
         for c in list(on_row[r]):
@@ -772,14 +759,17 @@ def change_ring(C: ChainComplex, ring: Ring) -> ChainComplex:
         return C
     d = {}
     for k, mat in C.d.items():
-        out = SparseMat(mat.rows, mat.cols)
-        for key, v in mat.data.items():
-            if ring.tag != "Q" and v.denominator != 1:
-                raise ValueError(f"entry {v} of d[{k}] is not an integer")
-            v = ring.normalize(v)
-            if v:
-                out.data[key] = v
-        d[k] = out
+        cols = []
+        for col in mat.data:
+            out = {}
+            for i, v in col.items():
+                if ring.tag != "Q" and v.denominator != 1:
+                    raise ValueError(f"entry {v} of d[{k}] is not an integer")
+                v = ring.normalize(v)
+                if v:
+                    out[i] = v
+            cols.append(out)
+        d[k] = SparseMat(mat.rows, mat.cols, cols)
     image = ChainComplex(ring, C.basis, d, check=False)
     image.d_squared_verified = C.d_squared_verified
     return image

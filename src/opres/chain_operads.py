@@ -59,7 +59,6 @@ from .chain_core import (
     VerificationError,
     compose_chain_maps,
     json_reader,
-    mat_from_columns,
     verify_chain_map,
 )
 from .set_operads import AssOperad, ComOperad, InfiniteEnumerationError
@@ -161,7 +160,7 @@ class PseudoChainOperad:
             cols = []
             for nm in row:
                 cols.append({idx[t]: c for t, c in self.d(n, nm).items() if c})
-            mats[k] = mat_from_columns(len(below), cols, ZZ)
+            mats[k] = SparseMat(len(below), len(cols), cols)
         return ChainComplex(ZZ, basis, mats, check=True)
 
 
@@ -555,7 +554,7 @@ class ChainInterval:
         return 0 if x == "g" else 1
 
     def complex(self) -> ChainComplex:
-        d1 = mat_from_columns(2, [{0: -1, 1: 1}], ZZ)
+        d1 = SparseMat(2, 1, [{0: -1, 1: 1}])
         return ChainComplex(ZZ, {0: ("g0", "g1"), 1: ("g",)}, {1: d1}, check=True)
 
 
@@ -1095,12 +1094,12 @@ def _label_boundaries(P, fams, b, labels, vals, lam) -> list:
     return out
 
 
-def _block_columns(P, fams, b, index, entries, misses) -> None:
-    """Write the boundary column of every element of block b, in basis
-    order, into entries[degree], the (row, column) entries of the
-    differential.  A nonzero term outside the basis of the degree below
-    goes to misses, the first per degree, as (degree, column key, key).
-    Templates and sign caches live for this block only."""
+def _block_columns(P, fams, b, index, columns, misses) -> None:
+    """Write the boundary column of every element of block b, as a dict
+    row -> entry, into columns[degree] at the element's position.  A
+    nonzero term outside the basis of the degree below goes to misses,
+    the first per degree, as (degree, column key, key).  Templates and
+    sign caches live for this block only."""
     tree, lams, choices, masks = fams.blocks[b]
     E = tree.edge_count
     R = len(lams)
@@ -1122,7 +1121,7 @@ def _block_columns(P, fams, b, index, entries, misses) -> None:
             d = deg + bin(M).count("1")
             here = index[d]
             below = index.get(d - 1, {})
-            data = entries[d]
+            data = columns[d]
             cube = cubes.get((pars, M))
             if cube is None:
                 cube = cubes[(pars, M)] = _cube(parent, pars, M, E, words)
@@ -1155,14 +1154,15 @@ def _block_columns(P, fams, b, index, entries, misses) -> None:
                     for c, tb in terms:
                         key = tb | target
                         col[key] = col.get(key, 0) + sign * c
-                j = here[own | M]
+                out = {}
                 for key, c in col.items():
                     if c:
                         i = below.get(key)
                         if i is None:
                             misses.setdefault(d, (d, own | M, key))
                         else:
-                            data[(i, j)] = c
+                            out[i] = c
+                data[here[own | M]] = out
 
 
 class _Cells:
@@ -1237,16 +1237,18 @@ def _cube_differentials(P, arity: int, blocks: list, unit: bool) -> tuple[dict, 
     # after the keys rather than between them, so that dropping the keys
     # on return frees whole pools of the small-object allocator
     index, basis = _keyed_basis(_Cells(arity, unit, blocks), keys)
-    entries: dict[int, dict] = {k: {} for k in basis}
+    columns: dict[int, list] = {k: [None] * len(v) for k, v in basis.items()}
     misses: dict = {}
     for b in range(len(blocks)):
-        _block_columns(P, fams, b, index, entries, misses)
+        _block_columns(P, fams, b, index, columns, misses)
     if misses:
         d, src, key = misses[min(misses)]
         x = TreeElement(arity, fams.node(src), d)
         y = TreeElement(arity, fams.node(key), d - 1)
         raise RuntimeError(f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}")
-    mats = {k: SparseMat(len(basis.get(k - 1, ())), len(v), entries[k]) for k, v in basis.items()}
+    if unit:
+        columns[0][0] = {}  # the unit is a cycle
+    mats = {k: SparseMat(len(basis.get(k - 1, ())), len(v), columns[k]) for k, v in basis.items()}
     return basis, mats
 
 
@@ -1298,7 +1300,7 @@ def w_augmentation(P, W: ChainComplex) -> ChainMap:
                 cols.append({D.index(k, nm): c for nm, c in vals.items()})
             else:
                 cols.append({})
-        mats[k] = mat_from_columns(D.dim(k), cols, ZZ)
+        mats[k] = SparseMat(D.dim(k), len(cols), cols)
     return ChainMap(W, D, 0, mats)
 
 
@@ -1308,7 +1310,7 @@ def delta_embedding(P, W: ChainComplex) -> ChainMap:
     mats = {}
     for k in F.degrees():
         cols = [{W.index(k, x): 1} for x in F.basis_of(k)]
-        mats[k] = mat_from_columns(W.dim(k), cols, ZZ)
+        mats[k] = SparseMat(W.dim(k), len(cols), cols)
     return ChainMap(F, W, 0, mats)
 
 
@@ -1322,7 +1324,7 @@ def free_counit(P, F: ChainComplex) -> ChainMap:
         for x in F.basis_of(k):
             vals = _evaluate_free(P, x)
             cols.append({D.index(k, nm): c for nm, c in vals.items()})
-        mats[k] = mat_from_columns(D.dim(k), cols, ZZ)
+        mats[k] = SparseMat(D.dim(k), len(cols), cols)
     return ChainMap(F, D, 0, mats)
 
 

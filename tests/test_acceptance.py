@@ -16,8 +16,8 @@ from opres.bar_cobar import bar, bar_counit, check_twisting, compare_w_barcobar
 from opres.chain_core import (
     ZZ,
     ChainComplex,
+    SparseMat,
     homology,
-    mat_from_columns,
     smith_normal_form,
     verify_d_squared,
 )
@@ -191,7 +191,7 @@ def test_criterion_09_homology_engine():
             ok = False
             notes.append(f"factorization mismatch on {A}")
     doubling = ChainComplex(ZZ, {0: ("a",), 1: ("b",)},
-                            {1: mat_from_columns(1, [{0: 2}], ZZ)})
+                            {1: SparseMat(1, 1, [{0: 2}])})
     rep = homology(doubling)
     if rep.by_degree.get(0) != (0, (2,)) or rep.free_rank(1) or rep.torsion(1):
         ok = False

@@ -1,5 +1,6 @@
 """Bar and cobar expansions, twisting cochains, and the cylinder comparison."""
 
+import gc
 import itertools
 import json
 import math
@@ -20,13 +21,14 @@ from opres.bar_cobar import (
     _w_key,
     _w_to_cobar,
 )
-from opres.chain_core import homology, verify_chain_map
+from opres.chain_core import QQ, Ring, change_ring, homology, verify_chain_map
 from opres.chain_operads import (
     TableChainOperad,
     builtin_chain_operad,
     enumerate_w_basis,
     w_augmentation,
     w_pseudo,
+    w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
 from opres.tagged import build_node, node_leaves, shapes
@@ -288,6 +290,18 @@ def test_cobar_of_trivial_cooperad_is_empty():
     assert dims(C.piece(2)) == {}
     assert dims(cobar(C, 2)) == {}
     assert dims(cobar(C, 3)) == {}
+
+
+def test_built_differentials_are_untracked():
+    # columns of ints hold no reference cycle, so the cyclic collector
+    # never walks them, over Z and after a change to Q or F2
+    W = w_reduced(COM, 5)
+    X = cobar(bar(ASS, 4), 4)
+    for C in (W, change_ring(W, QQ), change_ring(W, Ring("Fp", 2)), X):
+        assert C.d
+        for k, mat in C.d.items():
+            assert len(mat.data) == mat.cols
+            assert not any(gc.is_tracked(mat.data[j]) for j in range(mat.cols)), k
 
 
 def test_cobar_meta():

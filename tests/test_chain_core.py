@@ -23,7 +23,6 @@ from opres.chain_core import (
     eliminate,
     homology,
     invariant_factors,
-    mat_from_columns,
     rank_over_field,
     ring_from_name,
     smith_normal_form,
@@ -35,7 +34,7 @@ from opres.tagged import koszul
 
 def two_term(ring, entry):
     """0 -> R -> R -> 0 with the differential given by one entry."""
-    mat = SparseMat(1, 1, {(0, 0): ring.normalize(entry)} if entry else {})
+    mat = SparseMat(1, 1, [{0: ring.normalize(entry)} if entry else {}])
     return ChainComplex(ring, {0: ("a",), 1: ("b",)}, {1: mat})
 
 
@@ -44,13 +43,13 @@ def identity_map(C):
     mats = {}
     for k in C.degrees():
         n = C.dim(k)
-        mats[k] = SparseMat(n, n, {(i, i): 1 for i in range(n)})
+        mats[k] = SparseMat(n, n, [{i: 1} for i in range(n)])
     return ChainMap(C, C, 0, mats)
 
 
 def interval_complex(ring=ZZ):
     # two degree-0 generators, one degree-1 generator, d(g) = g1 - g0
-    mat = SparseMat(2, 1, {(0, 0): ring.normalize(-1), (1, 0): ring.normalize(1)})
+    mat = SparseMat(2, 1, [{0: ring.normalize(-1), 1: ring.normalize(1)}])
     return ChainComplex(ring, {0: ("g0", "g1"), 1: ("g",)}, {1: mat})
 
 
@@ -81,15 +80,62 @@ def test_ring_arithmetic():
 
 
 def test_sparse_mul():
-    A = SparseMat(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
-    B = SparseMat(2, 1, {(0, 0): 5, (1, 0): -1})
+    A = SparseMat(2, 2, [{0: 1}, {0: 2, 1: 3}])
+    B = SparseMat(2, 1, [{0: 5, 1: -1}])
     C = A.mul(B, ZZ)
     assert C.entries() == [(0, 0, 3), (1, 0, -3)]
 
 
+RINGS = (ZZ, QQ, Ring("Fp", 5))
+
+
+@st.composite
+def dense_matrix(draw, ring, rows, cols):
+    """A rows x cols list of rows of small normalized entries, so that
+    products cancel often, with one row and one column forced to zero
+    when the shape has any."""
+    entry = st.integers(-2, 2)
+    if ring == QQ:
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=4))
+    A = [[ring.normalize(draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols:
+        A[draw(st.integers(0, rows - 1))] = [ring.zero()] * cols
+        c = draw(st.integers(0, cols - 1))
+        for row in A:
+            row[c] = ring.zero()
+    return A
+
+
+def dense_entries(A):
+    return [(i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+
+
+@given(st.sampled_from(RINGS), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_against_dense(ring, m, k, n, data):
+    A = data.draw(dense_matrix(ring, m, k))
+    B = data.draw(dense_matrix(ring, k, n))
+    A2 = data.draw(st.one_of(st.just(A), dense_matrix(ring, m, k)))
+    c = ring.normalize(data.draw(st.integers(-2, 2)))
+    S, T, S2 = sparse(A, k), sparse(B, n), sparse(A2, k)
+    assert S.entries() == dense_entries(A)
+    assert S.is_zero() == (not dense_entries(A))
+    # ranges, not zip(*B), so that a 0-row B keeps its n columns
+    prod = [
+        [ring.normalize(sum(A[i][t] * B[t][j] for t in range(k))) for j in range(n)]
+        for i in range(m)
+    ]
+    assert S.mul(T, ring).entries() == dense_entries(prod)
+    total = [[ring.add(a, b) for a, b in zip(r, r2)] for r, r2 in zip(A, A2)]
+    assert S.add(S2, ring).entries() == dense_entries(total)
+    assert S.scale(c, ring).entries() == dense_entries([[ring.mul(a, c) for a in r] for r in A])
+    assert S.equals(S2, ring) == (A == A2)
+    assert S.mul(T, ring).is_zero() == (not dense_entries(prod))
+
+
 def test_sparse_add_cancels():
-    A = SparseMat(1, 1, {(0, 0): 2})
-    B = SparseMat(1, 1, {(0, 0): -2})
+    A = SparseMat(1, 1, [{0: 2}])
+    B = SparseMat(1, 1, [{0: -2}])
     assert A.add(B, ZZ).is_zero()
 
 
@@ -101,10 +147,14 @@ def test_sparse_shape_checks():
         A.add_entry(ZZ, 5, 0, 1)
 
 
-def test_mat_from_columns():
-    M = mat_from_columns(2, [{0: 1}, {1: -1}, {}], ZZ)
+def test_sparse_column_storage():
+    M = SparseMat(2, 3, [{0: 1}, {1: -1}, {}])
     assert M.rows == 2 and M.cols == 3
-    assert M.data == {(0, 0): 1, (1, 1): -1}
+    assert M.entries() == [(0, 0, 1), (1, 1, -1)]
+    assert M.column(1) == {1: -1} and M.column(2) == {}
+    assert SparseMat(2, 3).data == [{}, {}, {}]
+    with pytest.raises(ValueError):
+        SparseMat(2, 3, [{0: 1}])
 
 
 # -- complexes ---------------------------------------------------------------
@@ -112,15 +162,15 @@ def test_mat_from_columns():
 
 def test_d_squared_checked_eagerly():
     # d1 = id, d2 = id gives d1 d2 = id != 0
-    d1 = SparseMat(1, 1, {(0, 0): 1})
-    d2 = SparseMat(1, 1, {(0, 0): 1})
+    d1 = SparseMat(1, 1, [{0: 1}])
+    d2 = SparseMat(1, 1, [{0: 1}])
     with pytest.raises(VerificationError, match=r"^d\^2 != 0: \(d\[1\] d\[2\]\)\[0,0\] = 1$"):
         ChainComplex(ZZ, {0: ("a",), 1: ("b",), 2: ("c",)}, {1: d1, 2: d2})
 
 
 def test_d_squared_deferred():
-    d1 = SparseMat(1, 1, {(0, 0): 1})
-    d2 = SparseMat(1, 1, {(0, 0): 1})
+    d1 = SparseMat(1, 1, [{0: 1}])
+    d2 = SparseMat(1, 1, [{0: 1}])
     C = ChainComplex(ZZ, {0: ("a",), 1: ("b",), 2: ("c",)}, {1: d1, 2: d2}, check=False)
     assert verify_d_squared(C)
 
@@ -220,7 +270,7 @@ def test_homology_of_conjugated_normal_forms(top, data):
         for t, f in enumerate(factors[k]):
             D[free[k - 1] + src[k - 1] + t][free[k] + t] = f
         d[k] = sparse(_dense_mul(_dense_mul(change[k - 1][1], D), change[k][0]))
-        assert d[k].data
+        assert not d[k].is_zero()
     basis = {k: tuple(f"e{k}_{i}" for i in range(n)) for k, n in enumerate(dims)}
     C = ChainComplex(ZZ, basis, d)
     degrees = [k for k in range(top + 1) if dims[k]]
@@ -237,8 +287,8 @@ def test_homology_of_conjugated_normal_forms(top, data):
 
 
 def test_homology_rejects_bad_complex():
-    d1 = SparseMat(1, 1, {(0, 0): 1})
-    d2 = SparseMat(1, 1, {(0, 0): 1})
+    d1 = SparseMat(1, 1, [{0: 1}])
+    d2 = SparseMat(1, 1, [{0: 1}])
     C = ChainComplex(ZZ, {0: ("a",), 1: ("b",), 2: ("c",)}, {1: d1, 2: d2}, check=False)
     with pytest.raises(ValueError):
         homology(C)
@@ -282,7 +332,7 @@ def test_identity_chain_map_verifies():
 def test_chain_map_corrupted_entry():
     C = interval_complex()
     f = identity_map(C)
-    f.mats[1] = SparseMat(1, 1, {(0, 0): 2})
+    f.mats[1] = SparseMat(1, 1, [{0: 2}])
     report = verify_chain_map(f)
     assert report and "degree" in report[0]
 
@@ -291,16 +341,16 @@ def test_chain_map_offset_sign():
     # a degree -1 map must anticommute: d f = -f d; sending g -> q and
     # swapping the endpoint generators achieves exactly that
     C = interval_complex()
-    D = ChainComplex(ZZ, {-1: ("p0", "p1"), 0: ("q",)}, {0: SparseMat(2, 1, {(0, 0): -1, (1, 0): 1})})
+    D = ChainComplex(ZZ, {-1: ("p0", "p1"), 0: ("q",)}, {0: SparseMat(2, 1, [{0: -1, 1: 1}])})
     f = ChainMap(C, D, -1, {
-        0: SparseMat(2, 2, {(1, 0): 1, (0, 1): 1}),
-        1: SparseMat(1, 1, {(0, 0): 1}),
+        0: SparseMat(2, 2, [{1: 1}, {0: 1}]),
+        1: SparseMat(1, 1, [{0: 1}]),
     })
     assert verify_chain_map(f) == []
     # without the swap the sign breaks
     g = ChainMap(C, D, -1, {
-        0: SparseMat(2, 2, {(0, 0): 1, (1, 1): 1}),
-        1: SparseMat(1, 1, {(0, 0): 1}),
+        0: SparseMat(2, 2, [{0: 1}, {1: 1}]),
+        1: SparseMat(1, 1, [{0: 1}]),
     })
     assert verify_chain_map(g)
 
@@ -401,8 +451,11 @@ def test_homology_z_vs_q_rank_agreement():
             if rng.random() < 0.7
         }
         basis = {0: tuple(f"x{i}" for i in range(rows)), 1: tuple(f"y{j}" for j in range(cols))}
-        mz = SparseMat(rows, cols, {k: v for k, v in entries.items() if v})
-        mq = SparseMat(rows, cols, {k: Fraction(v) for k, v in entries.items() if v})
+        mz, mq = SparseMat(rows, cols), SparseMat(rows, cols)
+        for (i, j), v in entries.items():
+            if v:
+                mz.data[j][i] = v
+                mq.data[j][i] = Fraction(v)
         hz = homology(ChainComplex(ZZ, basis, {1: mz}))
         hq = homology(ChainComplex(QQ, basis, {1: mq}))
         for k in (0, 1):
@@ -412,10 +465,12 @@ def test_homology_z_vs_q_rank_agreement():
 # -- sparse elimination ----------------------------------------------------------------
 
 
-def sparse(A):
-    return SparseMat(len(A), len(A[0]), {
-        (i, j): v for i, row in enumerate(A) for j, v in enumerate(row) if v
-    })
+def sparse(A, cols=None):
+    """A as a SparseMat; cols gives the width of a matrix without rows."""
+    cols = len(A[0]) if cols is None else cols
+    return SparseMat(len(A), cols, [
+        {i: row[j] for i, row in enumerate(A) if row[j]} for j in range(cols)
+    ])
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
@@ -498,9 +553,9 @@ def test_elimination_certificate_reads_the_source():
     # that agrees with itself, but not with A
     A = sparse([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     for ring in (ZZ, QQ, Ring("Fp", 5)):
-        for key in A.data:
-            lossy = SparseMat(A.rows, A.cols, dict(A.data))
-            del lossy.data[key]
+        for j, i in [(j, i) for j, col in enumerate(A.data) for i in col]:
+            lossy = SparseMat(A.rows, A.cols, [dict(col) for col in A.data])
+            del lossy.data[j][i]
             eliminate(lossy, ring).check()
             E = dataclasses.replace(eliminate(lossy, ring), source=A)
             with pytest.raises(SelfCheckError, match="M\\*U != A"):
@@ -528,14 +583,14 @@ def test_elimination_zero_and_empty():
 
 
 def test_change_ring_maps_integer_entries():
-    mat = SparseMat(2, 2, {(0, 0): 2, (1, 0): 3, (1, 1): -1})
+    mat = SparseMat(2, 2, [{0: 2, 1: 3}, {1: -1}])
     C = ChainComplex(ZZ, {0: ("a", "b"), 1: ("x", "y")}, {1: mat})
     assert change_ring(C, ZZ) is C
     C2 = change_ring(C, Ring("Fp", 2))
     assert C2.ring == Ring("Fp", 2)
-    assert C2.diff(1).data == {(1, 0): 1, (1, 1): 1}
+    assert C2.diff(1).data == [{1: 1}, {1: 1}]
     assert C2.basis_of(0) == ("a", "b")
-    assert change_ring(C, QQ).diff(1).data[(0, 0)] == Fraction(2)
+    assert change_ring(C, QQ).diff(1).data[0][0] == Fraction(2)
     # an entry that vanishes mod p takes its differential with it
     C3 = change_ring(two_term(ZZ, 3), Ring("Fp", 3))
     assert C3.d == {}
@@ -558,13 +613,13 @@ def test_complex_json_roundtrip():
     assert data["d"]["1"] == [(0, 0, "-1"), (1, 0, "1")]
     back = complex_from_json(data)
     assert back.dim(0) == 2 and back.dim(1) == 1
-    assert back.diff(1).data[(0, 0)] == -1
+    assert back.diff(1).data[0][0] == -1
     H = homology(back)
     assert H.free_rank(0) == 1
 
 
 def test_complex_json_rational():
-    mat = SparseMat(1, 1, {(0, 0): Fraction(1, 2)})
+    mat = SparseMat(1, 1, [{0: Fraction(1, 2)}])
     C = ChainComplex(QQ, {0: ("a",), 1: ("b",)}, {1: mat})
     back = complex_from_json(complex_to_json(C))
-    assert back.diff(1).data[(0, 0)] == Fraction(1, 2)
+    assert back.diff(1).data[0][0] == Fraction(1, 2)

@@ -13,10 +13,10 @@ from opres.chain_core import (
     ChainMap,
     KeyedDegree,
     Ring,
+    SparseMat,
     certified_elimination,
     change_ring,
     homology,
-    mat_from_columns,
     verify_chain_map,
 )
 from opres.chain_operads import (
@@ -62,7 +62,7 @@ def truncation_inclusion(P, arity, small_cap, big_cap):
     """The inclusion of the smaller edge-cap cylinder into the larger."""
     small, big = w_pseudo(P, arity, small_cap), w_pseudo(P, arity, big_cap)
     mats = {
-        k: mat_from_columns(big.dim(k), [{big.index(k, x): 1} for x in small.basis_of(k)], ZZ)
+        k: SparseMat(big.dim(k), small.dim(k), [{big.index(k, x): 1} for x in small.basis_of(k)])
         for k in small.degrees()
     }
     return ChainMap(small, big, 0, mats)
