@@ -239,6 +239,12 @@ W_UNIT = WSetElement(1, None)
 
 
 def _label_key(P, valence: int, label):
+    """The index of label in P.elements(valence), looked up in P's rank
+    table when P keeps one and found by a scan otherwise; ValueError when
+    the label is not an element of that valence."""
+    rank = getattr(P, "rank", None)
+    if rank is not None:
+        return rank(valence, label)
     return P.elements(valence).index(label)
 
 
@@ -269,7 +275,7 @@ def _canon(P, node) -> tuple:
             keys.append((shape, it[1], decorated))
     k = len(items)
     sigma = tuple(sorted(range(k), key=keys.__getitem__))
-    if sigma != perms.identity(k):
+    if sigma != tuple(range(k)):
         new_items = [new_items[j] for j in sigma]
         keys = [keys[j] for j in sigma]
         label = P.act(k, label, perms.invert(sigma))
@@ -559,7 +565,8 @@ def element_sort_key(P, e: WSetElement):
 
 
 class WSetOperad:
-    """The weighted-tree operad over a segment; element lists cached."""
+    """The weighted-tree operad over a segment; element lists cached, each
+    with the table of its elements' positions."""
 
     symmetric = True
 
@@ -568,11 +575,23 @@ class WSetOperad:
         self.P = P
         self.vertex_cap = vertex_cap
         self._cache: dict[int, tuple] = {}
+        self._ranks: dict[int, dict] = {}
 
     def elements(self, n: int):
         if n not in self._cache:
-            self._cache[n] = tuple(enumerate_w_elements(self.P, self.H, n, self.vertex_cap))
+            elems = tuple(enumerate_w_elements(self.P, self.H, n, self.vertex_cap))
+            self._cache[n] = elems
+            self._ranks[n] = {x: r for r, x in enumerate(elems)}
         return self._cache[n]
+
+    def rank(self, n: int, x) -> int:
+        """The index of x in elements(n); ValueError when it is not there."""
+        if n not in self._ranks:
+            self.elements(n)
+        r = self._ranks[n].get(x)
+        if r is None:
+            raise ValueError(f"{x!r} is not an element of arity {n}")
+        return r
 
     @property
     def unit(self):
@@ -604,6 +623,9 @@ class _NoComposeWrapper:
 
     def act(self, n, x, sigma):
         return self.K.act(n, x, sigma)
+
+    def rank(self, n: int, x) -> int:
+        return _label_key(self.K, n, x)
 
     def compose(self, n, i, x, m, y):
         raise RuntimeError("free construction must not compose collection labels")
@@ -803,9 +825,10 @@ class GodementTower:
 
     def wrap(self, k: int, lab, valence: int) -> WSetElement:
         """One-vertex level-k tree labeled by a level-(k-1) element (a
-        base element when k = 0)."""
-        node = (lab, tuple(("leaf", g) for g in range(valence)))
-        return WSetElement(valence, canon_node(self.level(k).P, node))
+        base element when k = 0).  The corolla is already canonical: its
+        leaf keys ((0,), 0, g) are distinct and sort in input order, so
+        canon_node would neither move a child nor twist the label."""
+        return WSetElement(valence, (lab, tuple(("leaf", g) for g in range(valence))))
 
     def _relabel(self, x: WSetElement, target_level: FreePointedOperad, fn) -> WSetElement:
         """Apply fn(label, valence) to every outer-tree label, then
@@ -891,6 +914,8 @@ def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
     lengths i and i + 1), degeneracies with the same index reversal, and
     the augmentation."""
     P, W = tower.P, tower.flat_level(k)
+    faces = [delta1_face(k, k - i) for i in range(k + 1)] if k >= 1 else []
+    degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
     flat: dict[WSetElement, WSetElement] = {}  # each level-k element, flattened once
     for n in range(1, max_arity + 1):
@@ -920,15 +945,14 @@ def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
     for n in range(1, max_arity + 1):
         for x in tower.elements(k, n):
             fx = flat[x]
-            if k >= 1:
-                for i in range(k + 1):
-                    lhs = tower.flatten(k - 1, tower.face(k, i, x))
-                    rhs = w_segment_apply(P, delta1_face(k, k - i), fx)
-                    if lhs != rhs:
-                        return _fail(report, f"face {i} mismatch at level {k}, arity {n}")
-            for i in range(k + 1):
+            for i, face in enumerate(faces):
+                lhs = tower.flatten(k - 1, tower.face(k, i, x))
+                rhs = w_segment_apply(P, face, fx)
+                if lhs != rhs:
+                    return _fail(report, f"face {i} mismatch at level {k}, arity {n}")
+            for i, degeneracy in enumerate(degeneracies):
                 lhs = tower.flatten(k + 1, tower.degeneracy(k, i, x))
-                rhs = w_segment_apply(P, delta1_degeneracy(k, k - i), fx)
+                rhs = w_segment_apply(P, degeneracy, fx)
                 if lhs != rhs:
                     return _fail(report, f"degeneracy {i} mismatch at level {k}, arity {n}")
             if tower.augment(k, x) != w_eval(P, fx):

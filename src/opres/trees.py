@@ -15,7 +15,7 @@ that convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 
@@ -23,22 +23,24 @@ from functools import cached_property, lru_cache
 class PlanarTree:
     # children is None for the unit tree; a tuple (possibly empty) for a vertex.
     children: tuple["PlanarTree", ...] | None = None
+    # leaves and vertices, counted once from the children's counts; plain
+    # attributes, outside equality, hashing and repr
+    arity: int = field(init=False, compare=False, repr=False)
+    vertex_count: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        arity, vertex_count = 1, 0
+        if self.children is not None:
+            arity, vertex_count = 0, 1
+            for c in self.children:
+                arity += c.arity
+                vertex_count += c.vertex_count
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "vertex_count", vertex_count)
 
     @property
     def is_unit(self) -> bool:
         return self.children is None
-
-    @cached_property
-    def arity(self) -> int:
-        if self.children is None:
-            return 1
-        return sum(c.arity for c in self.children)
-
-    @cached_property
-    def vertex_count(self) -> int:
-        if self.children is None:
-            return 0
-        return 1 + sum(c.vertex_count for c in self.children)
 
     @property
     def edge_count(self) -> int:

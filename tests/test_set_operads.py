@@ -566,6 +566,74 @@ def test_built_elements_hold_canonical_nodes():
             assert w_act(P, w_act(P, e, sigma), perms.invert(sigma)) == e
 
 
+def _rank_universes():
+    # the label sources that keep rank tables: tower levels 0 and 1 and the
+    # diamond comparator's operads (over the interval and its diamond, cap 4)
+    tower = GodementTower(ASS)
+    H = chain_segment(1)
+    yield "tower0", tower.level(0)
+    yield "tower1", tower.level(1)
+    yield "interval", WSetOperad(H, ASS, 4)
+    yield "diamond", WSetOperad(diamond(H), ASS, 4)
+
+
+@pytest.mark.parametrize("name", ["tower0", "tower1", "interval", "diamond"])
+def test_rank_lookup_equals_list_position(name):
+    K = dict(_rank_universes())[name]
+    wrapper = so._NoComposeWrapper(K)
+    for n in range(5):
+        elems = K.elements(n)
+        # the elements are distinct, so each one's position is its index
+        # in the list; a fresh equal copy is found by value, not identity
+        assert len(set(elems)) == len(elems)
+        fresh = [WSetElement(x.arity, x.node) for x in elems]
+        assert [K.rank(n, x) for x in fresh] == list(range(len(elems)))
+        assert [wrapper.rank(n, x) for x in fresh] == list(range(len(elems)))
+        assert [so._label_key(K, n, x) for x in elems] == list(range(len(elems)))
+
+
+def test_rank_lookup_falls_back_to_the_base_list():
+    for P in (ASS, COM):
+        wrapper = so._NoComposeWrapper(P)
+        for n in range(1, 5):
+            elems = P.elements(n)
+            assert [wrapper.rank(n, x) for x in elems] == list(range(len(elems)))
+
+
+def test_rank_lookup_rejects_a_label_outside_the_list():
+    H = chain_segment(1)
+    W = WSetOperad(H, ASS, 2)
+    inside = W.elements(3)[0]
+    # an element of another arity, and one above the vertex cap
+    over_cap = next(x for x in WSetOperad(H, ASS).elements(4) if x.vertex_count() > 2)
+    for n, x in [(2, inside), (4, over_cap), (3, W_UNIT)]:
+        with pytest.raises(ValueError):
+            W.rank(n, x)
+        with pytest.raises(ValueError):
+            so._NoComposeWrapper(W).rank(n, x)
+    # a child vertex of valence 4 labeled by an element of arity 3
+    tower = GodementTower(ASS)
+    child = (inside, tuple(("leaf", g) for g in range(4)))
+    with pytest.raises(ValueError):
+        canon_node(tower.level(1).P, (tower.elements(0, 2)[0], (("edge", 1, child), ("leaf", 4))))
+    with pytest.raises(ValueError):
+        so._NoComposeWrapper(ASS).rank(2, (0, 1, 2))
+
+
+@pytest.mark.parametrize("P", [ASS, COM], ids=["ass", "com"])
+def test_wrap_builds_canonical_corollas(P):
+    # wrap skips canon_node: a corolla with its leaves in input order is
+    # its own canonical form, at every level and for every label below
+    tower = GodementTower(P)
+    for k in range(3):
+        for n in range(1, 5):
+            labels = P.elements(n) if k == 0 else tower.elements(k - 1, n)
+            for lab in labels:
+                w = tower.wrap(k, lab, n)
+                assert w.arity == n
+                assert canon_node(tower.level(k).P, w.node) == w.node
+
+
 # -- rewriting ----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -105,6 +106,30 @@ def test_arity_additive():
     assert t.arity == 5
     assert t.vertex_count == 3
     assert t.edge_count == 2
+
+
+def recount(t):
+    """(leaves, vertices) of t by walking it."""
+    if t.children is None:
+        return 1, 0
+    leaves, vertices = 0, 1
+    for c in t.children:
+        a, v = recount(c)
+        leaves += a
+        vertices += v
+    return leaves, vertices
+
+
+def test_sizes_are_plain_attributes_outside_equality():
+    trees = [UNIT, build_tree("()"), build_tree("(() (| ()) |)")]
+    for n in range(7):
+        trees += enumerate_planar(n, None, 2) if n >= 2 else enumerate_planar(n, 2)
+    for t in trees:
+        assert (t.arity, t.vertex_count) == recount(t)
+        twin = build_tree(t.notation())  # built afresh, the unit tree aside
+        assert twin == t and hash(twin) == hash(t)
+        assert repr(t) == f"PlanarTree[{t.notation()}]"
+    assert [f.name for f in dataclasses.fields(PlanarTree) if f.compare] == ["children"]
 
 
 def edge_pairs(t):
