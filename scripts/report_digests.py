@@ -11,7 +11,8 @@ graded tables under scripts/data/ resolve there.  One line
 command exits nonzero, raises, or writes no report.  Running the script
 once on each of two checkouts and diffing the output shows whether a
 change kept every report byte-identical; scripts/report_digests.txt
-holds the expected output, and CI diffs a fresh run against it.
+holds the expected output, and CI diffs a fresh run against it.  A
+command is split into arguments as a POSIX shell would (shlex).
 Standard library only.
 """
 
@@ -19,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shlex
 import sys
 import tempfile
 
@@ -70,6 +72,9 @@ COMMANDS = (
     "chainw homology --operad ass_sym --arity 5 --ring Q",
     # rational entries rendered in a build report
     "chainw build --operad com --arity 4 --ring Q",
+    # the tree census and one automorphism group
+    "trees classes --arity 5 --min-valence 2",
+    'trees aut --tree "((| |) (| |))"',
 )
 
 
@@ -79,7 +84,7 @@ def run(main, command: str, path: str) -> str | None:
         os.remove(path)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(command.split() + ["--json", path])
+            code = main(shlex.split(command) + ["--json", path])
     except SystemExit as exc:
         code = exc.code
     except Exception as exc:  # a crash is a failed command, reported below

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms
-from .chain_core import ChainComplex, ChainMap, SparseMat, assemble_complex
+from .chain_core import ChainComplex, ChainMap, assemble_complex, evaluation_map, graded
 from .chain_operads import w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
@@ -183,11 +183,7 @@ class CooperadComplex:
 
     def piece(self, k: int) -> ChainComplex:
         if k not in self._pieces:
-            C = assemble_complex(
-                self.elements(k),
-                lambda xs: [self.d(k, x) for x in xs],
-                lambda x, y: "boundary left the basis in the bar expansion",
-            )
+            C = assemble_complex(graded(self.basis(k)), lambda x: self.d(k, x))
             C.meta = {
                 "arity": k,
                 "vertex_cap": self.vertex_cap,
@@ -263,10 +259,6 @@ class TwistingCochain:
         return self.values.get(x, {})
 
 
-def _vertex_count(x: TreeElement) -> int:
-    return len(x.labels())
-
-
 def bar_counit(C: CooperadComplex) -> TwistingCochain:
     """Projection onto the single-vertex trees."""
     vals = {}
@@ -291,7 +283,7 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
     reach)."""
     C = tau.cooperad
     P = C.operad
-    m = max((_vertex_count(x) for x in tau.values), default=0)
+    m = max((x.vertex_count() for x in tau.values), default=0)
     reach = max(m + 1, 2 * m)
     bad: list[str] = []
     for k in range(1, C.max_arity + 1):
@@ -364,11 +356,8 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
         raise ValueError("capped cooperad cannot support an uncapped expansion")
     if cap is not None and C.vertex_cap is not None and C.vertex_cap < cap:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
-    X = assemble_complex(
-        labeled_trees(C, arity, cap, -1, lambda label: label.tree().vertex_count, (0,)),
-        lambda xs: [_tree_d(C, x, _splittings) for x in xs],
-        lambda x, y: "boundary left the basis in the cobar expansion",
-    )
+    elems = labeled_trees(C, arity, cap, -1, lambda label: label.tree().vertex_count, (0,))
+    X = assemble_complex(graded((x, x.degree) for x in elems), lambda x: _tree_d(C, x, _splittings))
     X.meta = {
         "arity": arity,
         "cap": cap,
@@ -407,14 +396,7 @@ def _counit_value(P, X: TreeElement) -> dict:
 
 def cobar_bar_counit(P, CB: ChainComplex) -> ChainMap:
     """The chain map from the cobar-of-bar piece onto the operad piece."""
-    D = P.complex(CB.meta["arity"])
-    mats = {}
-    for k in CB.degrees():
-        cols = []
-        for X in CB.basis_of(k):
-            cols.append({D.index(k, nm): c for nm, c in _counit_value(P, X).items()})
-        mats[k] = SparseMat(D.dim(k), len(cols), cols)
-    return ChainMap(CB, D, 0, mats)
+    return evaluation_map(CB, P.complex(CB.meta["arity"]), lambda X: _counit_value(P, X))
 
 
 # -- comparison with the cylinder --------------------------------------------

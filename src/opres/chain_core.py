@@ -63,9 +63,6 @@ class Ring:
     def add(self, a, b):
         return self.normalize(a + b)
 
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
     def is_zero(self, a) -> bool:
         return self.normalize(a) == self.zero()
 
@@ -139,22 +136,6 @@ class SparseMat:
                 acc = {i: norm(v) for i, v in acc.items()}
             out.append({i: v for i, v in acc.items() if v})
         return SparseMat(self.rows, other.cols, out)
-
-    def add(self, other: "SparseMat", ring: Ring) -> "SparseMat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        out = SparseMat(self.rows, self.cols, [dict(col) for col in self.data])
-        for j, col in enumerate(other.data):
-            for i, v in col.items():
-                out.add_entry(ring, i, j, v)
-        return out
-
-    def scale(self, c, ring: Ring) -> "SparseMat":
-        out = []
-        for col in self.data:
-            scaled = {i: ring.mul(v, c) for i, v in col.items()}
-            out.append({i: w for i, w in scaled.items() if not ring.is_zero(w)})
-        return SparseMat(self.rows, self.cols, out)
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -260,12 +241,16 @@ class ChainComplex:
     def basis_of(self, degree: int) -> Sequence:
         return self.basis.get(degree, ())
 
-    def index(self, degree: int, label) -> int:
+    def positions(self, degree: int) -> dict:
+        """Each label of the degree's basis -> its position, built once."""
         cache = self._index_cache.get(degree)
         if cache is None:
             cache = {lab: i for i, lab in enumerate(self.basis_of(degree))}
             self._index_cache[degree] = cache
-        return cache[label]
+        return cache
+
+    def index(self, degree: int, label) -> int:
+        return self.positions(degree)[label]
 
     def diff(self, degree: int) -> SparseMat:
         mat = self.d.get(degree)
@@ -277,32 +262,41 @@ class ChainComplex:
         return sum(self.dim(k) for k in self.degrees())
 
 
-def assemble_complex(elems, boundaries, left_basis) -> ChainComplex:
-    """The integer complex spanned by elems, graded by their ``degree``.
+def linear_columns(xs, value, rows: dict, target: str) -> SparseMat:
+    """The matrix with one column per element x of xs: value(x), a dict
+    label -> coefficient, with each label at its position in rows.  Every
+    complex and chain map built from per-element values is assembled here.
+    A label outside rows raises RuntimeError naming x, the label, and
+    target, which describes the basis that rows index."""
+    cols = []
+    for x in xs:
+        col = {}
+        for y, c in value(x).items():
+            i = rows.get(y)
+            if i is None:
+                raise RuntimeError(f"{x!r} reaches {y!r}, which is outside the basis of {target}")
+            if c:
+                col[i] = c
+        cols.append(col)
+    return SparseMat(len(rows), len(cols), cols)
 
-    boundaries(xs) yields, for the elements xs of one degree in order,
-    their boundaries as dicts element -> integer coefficient; left_basis(x,
-    y) is the error text when the boundary of x reaches a y outside the
-    basis."""
+
+def graded(pairs) -> dict:
+    """The labels of (label, degree) pairs as a basis by degree: one tuple
+    per degree, in the order given, degrees ascending."""
     by_deg: dict[int, list] = {}
-    for x in elems:
-        by_deg.setdefault(x.degree, []).append(x)
-    basis = {k: tuple(v) for k, v in sorted(by_deg.items())}
-    index = {k: {x: i for i, x in enumerate(v)} for k, v in basis.items()}
-    mats = {}
-    for k, xs in basis.items():
-        below = index.get(k - 1, {})
-        cols = []
-        for x, bd in zip(xs, boundaries(xs)):
-            col = {}
-            for y, c in bd.items():
-                i = below.get(y)
-                if i is None:
-                    raise RuntimeError(left_basis(x, y))
-                if c:
-                    col[i] = c
-            cols.append(col)
-        mats[k] = SparseMat(len(below), len(cols), cols)
+    for x, k in pairs:
+        by_deg.setdefault(k, []).append(x)
+    return {k: tuple(v) for k, v in sorted(by_deg.items())}
+
+
+def assemble_complex(basis: dict, boundary) -> ChainComplex:
+    """The integer complex on basis, a dict degree -> tuple of labels, with
+    boundary(x) the boundary of x as a dict label -> integer coefficient."""
+    mats = {
+        k: linear_columns(xs, boundary, {y: i for i, y in enumerate(basis.get(k - 1, ()))}, f"degree {k - 1}")
+        for k, xs in basis.items()
+    }
     return ChainComplex(ZZ, basis, mats, check=True)
 
 
@@ -335,7 +329,20 @@ class ChainMap:
         return m
 
 
+def evaluation_map(source: ChainComplex, target: ChainComplex, value) -> ChainMap:
+    """The degree-0 map sending each basis element x of source to value(x),
+    a dict target label -> coefficient."""
+    mats = {
+        k: linear_columns(source.basis_of(k), value, target.positions(k), f"degree {k} of the target")
+        for k in source.degrees()
+    }
+    return ChainMap(source, target, 0, mats)
+
+
 def verify_chain_map(f: ChainMap) -> list[str]:
+    """Per degree k, d f_k against (-1)^r f_{k-1} d compared column by
+    column; a difference is reported at its first entry in row-major
+    order."""
     bad = []
     ring = f.source.ring
     if f.target.ring != ring:
@@ -349,10 +356,15 @@ def verify_chain_map(f: ChainMap) -> list[str]:
             bad.append(f"degree {k}: shape {(m.rows, m.cols)} != {expect}")
             continue
         left = f.target.diff(k + f.offset).mul(m, ring)
-        right = f.mat(k - 1).mul(f.source.diff(k), ring).scale(sign, ring)
-        if not left.equals(right, ring):
-            diffm = left.add(right.scale(ring.normalize(-1), ring), ring)
-            i, j, v = diffm.entries()[0]
+        right = f.mat(k - 1).mul(f.source.diff(k), ring)
+        first = None
+        for j, (a, b) in enumerate(zip(left.data, right.data)):
+            for i in a.keys() | b.keys():
+                v = ring.normalize(a.get(i, 0) - sign * b.get(i, 0))
+                if v and (first is None or (i, j) < first[:2]):
+                    first = (i, j, v)
+        if first is not None:
+            i, j, v = first
             bad.append(f"degree {k}: violation at ({i},{j}) = {ring.show(v)}")
     return bad
 

@@ -57,7 +57,10 @@ from .chain_core import (
     KeyedDegree,
     SparseMat,
     VerificationError,
+    assemble_complex,
     compose_chain_maps,
+    evaluation_map,
+    graded,
     json_reader,
     verify_chain_map,
 )
@@ -149,19 +152,7 @@ class PseudoChainOperad:
 
     def complex(self, n: int) -> ChainComplex:
         """The arity-n piece as a chain complex over the integers."""
-        by_deg: dict[int, list[str]] = {}
-        for nm, deg in self.basis(n):
-            by_deg.setdefault(deg, []).append(nm)
-        basis = {k: tuple(v) for k, v in sorted(by_deg.items())}
-        mats = {}
-        for k, row in basis.items():
-            below = basis.get(k - 1, ())
-            idx = {nm: i for i, nm in enumerate(below)}
-            cols = []
-            for nm in row:
-                cols.append({idx[t]: c for t, c in self.d(n, nm).items() if c})
-            mats[k] = SparseMat(len(below), len(cols), cols)
-        return ChainComplex(ZZ, basis, mats, check=True)
+        return assemble_complex(graded(self.basis(n)), lambda nm: self.d(n, nm))
 
 
 class _NonsymAssociative(PseudoChainOperad):
@@ -1290,42 +1281,22 @@ def _evaluate_free(P, x: TreeElement) -> dict:
 def w_augmentation(P, W: ChainComplex) -> ChainMap:
     """The chain map from the cylinder onto the operad piece: kill every
     element with a marked edge, compose the labels of the rest."""
-    D = P.complex(W.meta["arity"])
-    mats = {}
-    for k in W.degrees():
-        cols = []
-        for x in W.basis_of(k):
-            if x.node is not None and not any(node_lengths(x.node)):
-                vals = _evaluate_free(P, x)
-                cols.append({D.index(k, nm): c for nm, c in vals.items()})
-            else:
-                cols.append({})
-        mats[k] = SparseMat(D.dim(k), len(cols), cols)
-    return ChainMap(W, D, 0, mats)
+    return evaluation_map(
+        W,
+        P.complex(W.meta["arity"]),
+        lambda x: {} if x.node is None or any(node_lengths(x.node)) else _evaluate_free(P, x),
+    )
 
 
 def delta_embedding(P, W: ChainComplex) -> ChainMap:
     """The inclusion of the unmarked span into the cylinder."""
     F = free_operad_complex(P, W.meta["arity"], W.meta["edge_cap"])
-    mats = {}
-    for k in F.degrees():
-        cols = [{W.index(k, x): 1} for x in F.basis_of(k)]
-        mats[k] = SparseMat(W.dim(k), len(cols), cols)
-    return ChainMap(F, W, 0, mats)
+    return evaluation_map(F, W, lambda x: {x: 1})
 
 
 def free_counit(P, F: ChainComplex) -> ChainMap:
     """Label composition on the unmarked span, as a chain map."""
-    arity = F.meta["arity"]
-    D = P.complex(arity)
-    mats = {}
-    for k in F.degrees():
-        cols = []
-        for x in F.basis_of(k):
-            vals = _evaluate_free(P, x)
-            cols.append({D.index(k, nm): c for nm, c in vals.items()})
-        mats[k] = SparseMat(D.dim(k), len(cols), cols)
-    return ChainMap(F, D, 0, mats)
+    return evaluation_map(F, P.complex(F.meta["arity"]), lambda x: _evaluate_free(P, x))
 
 
 # -- operad structure on the cylinder ----------------------------------------

@@ -44,6 +44,7 @@ from .segments import (
     diamond_collapse,
 )
 from .tagged import (
+    TreeElement,
     build_node,
     cut,
     map_labels,
@@ -212,27 +213,13 @@ def get_builtin_operad(name: str):
 # -- decorated tree elements --------------------------------------------------
 #
 # nodes are the plain nodes of the tagged module, each edge flag a length
-# index into the segment
+# index into the segment.  An element is a tagged.TreeElement of degree 0
+# whose node is canonical (the output of canon_node), or None for the unit,
+# so equal elements are equal tuples and acting by the identity
+# permutation may return the element itself.
 
 
-@dataclass(frozen=True)
-class WSetElement:
-    """An element of a weighted-tree construction.  Every element the
-    library builds holds a canonical node (the output of canon_node), so
-    equal elements are equal tuples and acting by the identity permutation
-    may return the element itself."""
-
-    arity: int
-    node: tuple | None  # None encodes the unit element (bare leaf tree)
-
-    def is_unit(self) -> bool:
-        return self.node is None
-
-    def vertex_count(self) -> int:
-        return 0 if self.node is None else len(node_labels(self.node))
-
-
-W_UNIT = WSetElement(1, None)
+W_UNIT = TreeElement(1, None, 0)
 
 
 # canonical forms ----------------------------------------------------------
@@ -311,7 +298,7 @@ def canon_node(P, node) -> tuple:
 
     One bottom-up pass computes each subtree's key once.  When the sort
     leaves the children in place the label is kept as it is: the action
-    is unital, and a label that is itself a WSetElement already holds a
+    is unital, and a label that is itself a TreeElement already holds a
     canonical node (every element the library builds does, and canon_node
     is idempotent), so twisting it by the identity would give it back."""
     return _canon(P, node)[0]
@@ -387,24 +374,24 @@ def normalize_state(P, H: FiniteSegment, state) -> tuple:
         state = steps[0][1]
 
 
-def _normal_element(P, H: FiniteSegment, arity: int, node) -> WSetElement:
+def _normal_element(P, H: FiniteSegment, arity: int, node) -> TreeElement:
     """Rewrite a raw node to normal form and canonicalize it."""
     state = normalize_state(P, H, ("node", node))
     if state[0] == "unit":
         return W_UNIT
-    return WSetElement(arity, canon_node(P, state[1]))
+    return TreeElement(arity, canon_node(P, state[1]), 0)
 
 
 # operations on elements -------------------------------------------------------
 
 
-def w_act(P, elem: WSetElement, sigma) -> WSetElement:
+def w_act(P, elem: TreeElement, sigma) -> TreeElement:
     if elem.node is None or sigma == perms.identity(elem.arity):
         return elem
-    return WSetElement(elem.arity, canon_node(P, map_leaves(elem.node, sigma)))
+    return TreeElement(elem.arity, canon_node(P, map_leaves(elem.node, sigma)), 0)
 
 
-def w_compose(P, H: FiniteSegment, x: WSetElement, i: int, y: WSetElement) -> WSetElement:
+def w_compose(P, H: FiniteSegment, x: TreeElement, i: int, y: TreeElement) -> TreeElement:
     """Grafting composition; the new edge carries the absorbing length."""
     n, m = x.arity, y.arity
     if not (0 <= i < n):
@@ -455,14 +442,14 @@ def _eval_planar(Q, nd) -> tuple:
     return val, n_val
 
 
-def w_eval(P, elem: WSetElement):
+def w_eval(P, elem: TreeElement):
     """Augmentation: forget lengths, compose the labels, route inputs."""
     if elem.node is None:
         return P.unit
     return _eval_raw(P, elem.node)
 
 
-def w_segment_apply(P, f: SegmentMap, elem: WSetElement) -> WSetElement:
+def w_segment_apply(P, f: SegmentMap, elem: TreeElement) -> TreeElement:
     """Relabel edge lengths along a segment map, then renormalize."""
     if elem.node is None:
         return elem
@@ -481,7 +468,7 @@ def _relength(node, table) -> tuple:
     return (label, tuple(out))
 
 
-def element_to_json(P, elem: WSetElement) -> dict:
+def element_to_json(P, elem: TreeElement) -> dict:
     if elem.node is None:
         return {"tree": "|", "lengths": [], "labels": [], "leaves": [0]}
     t = node_tree(elem.node)
@@ -517,7 +504,7 @@ def _eligible_labels(K, valence: int):
     return K.elements(valence)
 
 
-def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None = None) -> list[WSetElement]:
+def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None = None) -> list[TreeElement]:
     """All normal forms of one arity, optionally capped by vertex count.
     Uncapped enumeration requires empty arity 0 and nothing but the unit
     in arity 1, otherwise every arity is infinite.
@@ -535,7 +522,7 @@ def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None
     min_val = 0 if nullary else (1 if extra_unary else 2)
     max_edges = None if vertex_cap is None else max(vertex_cap - 1, 0)
     lengths_pool = [ln for ln in range(H.size) if ln != H.zero]
-    keys: dict[WSetElement, tuple] = {W_UNIT: (0,)} if arity == 1 else {}
+    keys: dict[TreeElement, tuple] = {W_UNIT: (0,)} if arity == 1 else {}
     for T, lams in shapes(arity, max_edges, min_val, True):
         if vertex_cap is not None and T.vertex_count > vertex_cap:
             continue
@@ -546,7 +533,7 @@ def enumerate_w_elements(P, H: FiniteSegment, arity: int, vertex_cap: int | None
             for lens in itertools.product(lengths_pool, repeat=T.edge_count):
                 for lam in lams:
                     node, item_keys = _canon(P, build_node(T, labels, lens, lam))
-                    keys[WSetElement(arity, node)] = _sort_key(P, node, item_keys)
+                    keys[TreeElement(arity, node, 0)] = _sort_key(P, node, item_keys)
     return sorted(keys, key=keys.__getitem__)
 
 
@@ -556,7 +543,7 @@ def _sort_key(P, node, item_keys: tuple) -> tuple:
     return (1, len(node_labels(node))) + _subtree_key(P, node, item_keys)
 
 
-def element_sort_key(P, e: WSetElement):
+def element_sort_key(P, e: TreeElement):
     """The order the reports list elements in: the unit first, then by
     vertex count, bare shape and decorations."""
     if e.node is None:
@@ -684,7 +671,7 @@ def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
     return report
 
 
-def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe: WSetOperad) -> WSetElement:
+def unflatten_diamond(P, H: FiniteSegment, elem: TreeElement, label_universe: WSetOperad) -> TreeElement:
     """Cut every edge carrying the adjoined top length of diamond(H); the
     pieces become vertex labels of an outer tree, i.e. an element of the
     free pointed operad on the H-construction.  label_universe is the
@@ -693,19 +680,19 @@ def unflatten_diamond(P, H: FiniteSegment, elem: WSetElement, label_universe: WS
     if elem.node is None:
         return W_UNIT
     wrapper = _NoComposeWrapper(label_universe)
-    return WSetElement(elem.arity, canon_node(wrapper, _top_pieces(P, elem.node, top)))
+    return TreeElement(elem.arity, canon_node(wrapper, _top_pieces(P, elem.node, top)), 0)
 
 
 def _top_pieces(P, node, top) -> tuple:
     """The outer tree whose labels are the pieces of node between the
     edges of length top."""
     piece, hanging = cut(node, lambda ln: None if ln == top else ln)
-    label = WSetElement(len(hanging), canon_node(P, piece))
+    label = TreeElement(len(hanging), canon_node(P, piece), 0)
     items = (it if it[0] == "leaf" else ("edge", 1, _top_pieces(P, it[2], top)) for it in hanging)
     return (label, tuple(items))
 
 
-def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:
+def flatten_diamond(P, H: FiniteSegment, elem: TreeElement) -> TreeElement:
     """Inverse of unflatten_diamond: compose the label trees in the
     construction over diamond(H), whose grafting gives the outer edges
     the adjoined top length."""
@@ -714,7 +701,7 @@ def flatten_diamond(P, H: FiniteSegment, elem: WSetElement) -> WSetElement:
     return _eval_raw(WSetOperad(diamond(H), P), elem.node)
 
 
-def _total_label_vertices(e: WSetElement) -> int:
+def _total_label_vertices(e: TreeElement) -> int:
     if e.node is None:
         return 0
     return sum(lab.vertex_count() for lab in node_labels(e.node))
@@ -732,7 +719,7 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
     collapse = diamond_collapse(H)
 
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    unflat: dict[WSetElement, WSetElement] = {}  # each element of WD, unflattened once
+    unflat: dict[TreeElement, TreeElement] = {}  # each element of WD, unflattened once
     for n in range(1, arity + 1):
         lhs = WD.elements(n)
         report["sizes"][n] = len(lhs)
@@ -751,7 +738,7 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
             return _fail(report, f"arity {n}: {missing} free elements unmatched, {extra} images unexpected")
         for x in lhs:
             via_segment = w_segment_apply(P, collapse, x)
-            if x.is_unit():
+            if x.node is None:
                 via_counit = W_UNIT
             else:
                 via_counit = _eval_raw(WH, unflat[x].node)
@@ -800,7 +787,7 @@ class GodementTower:
     def elements(self, k: int, n: int):
         return self.level(k).elements(n)
 
-    def face(self, k: int, i: int, x: WSetElement):
+    def face(self, k: int, i: int, x: TreeElement):
         """Face i at level k evaluates one layer: the outermost for i = k,
         deeper layers by relabeling; for k = 0 this is the evaluation in
         the base operad (the augmentation)."""
@@ -809,12 +796,12 @@ class GodementTower:
         if k == 0:
             return w_eval(self.P, x)
         if i == k:
-            if x.is_unit():
+            if x.node is None:
                 return W_UNIT
             return _eval_raw(self.level(k - 1), x.node)
         return self._relabel(x, self.level(k - 1), lambda lab, val: self.face(k - 1, i, lab))
 
-    def degeneracy(self, k: int, i: int, x: WSetElement) -> WSetElement:
+    def degeneracy(self, k: int, i: int, x: TreeElement) -> TreeElement:
         """Degeneracy i at level k wraps the labels of one layer into
         one-vertex trees (the unit of the adjunction)."""
         if not (0 <= i <= k):
@@ -823,14 +810,14 @@ class GodementTower:
             return self._relabel(x, self.level(k + 1), lambda lab, val: self.wrap(k, lab, val))
         return self._relabel(x, self.level(k + 1), lambda lab, val: self.degeneracy(k - 1, i, lab))
 
-    def wrap(self, k: int, lab, valence: int) -> WSetElement:
+    def wrap(self, k: int, lab, valence: int) -> TreeElement:
         """One-vertex level-k tree labeled by a level-(k-1) element (a
         base element when k = 0).  The corolla is already canonical: its
         leaf keys ((0,), 0, g) are distinct and sort in input order, so
         canon_node would neither move a child nor twist the label."""
-        return WSetElement(valence, (lab, tuple(("leaf", g) for g in range(valence))))
+        return TreeElement(valence, (lab, tuple(("leaf", g) for g in range(valence))), 0)
 
-    def _relabel(self, x: WSetElement, target_level: FreePointedOperad, fn) -> WSetElement:
+    def _relabel(self, x: TreeElement, target_level: FreePointedOperad, fn) -> TreeElement:
         """Apply fn(label, valence) to every outer-tree label, then
         renormalize in the target level (a face can in principle turn a
         label into the unit below, which must then be deleted)."""
@@ -838,7 +825,7 @@ class GodementTower:
             return W_UNIT
         return _normal_element(target_level.P, target_level.H, x.arity, map_labels(x.node, fn))
 
-    def augment(self, k: int, x: WSetElement):
+    def augment(self, k: int, x: TreeElement):
         """The composite of zeroth faces all the way into the base."""
         for level in range(k, 0, -1):
             x = self.face(level, 0, x)
@@ -851,7 +838,7 @@ class GodementTower:
             self._flat_levels[k] = WSetOperad(delta1_level(k), self.P)
         return self._flat_levels[k]
 
-    def flatten(self, k: int, x: WSetElement) -> WSetElement:
+    def flatten(self, k: int, x: TreeElement) -> TreeElement:
         """A level-k element as a weighted tree over the segment of monotone
         maps [k] -> [1]: the outermost layer's edges take the top length,
         deeper layers keep their (index-shared) lengths."""
@@ -917,7 +904,7 @@ def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
     faces = [delta1_face(k, k - i) for i in range(k + 1)] if k >= 1 else []
     degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    flat: dict[WSetElement, WSetElement] = {}  # each level-k element, flattened once
+    flat: dict[TreeElement, TreeElement] = {}  # each level-k element, flattened once
     for n in range(1, max_arity + 1):
         g_elems = tower.elements(k, n)
         w_elems = W.elements(n)
@@ -1024,7 +1011,7 @@ def reachable_normal_forms(P, H: FiniteSegment, state):
             if cur[0] == "unit":
                 normals.add(W_UNIT)
             else:
-                normals.add(WSetElement(len(node_leaves(cur[1])), canon_node(P, cur[1])))
+                normals.add(TreeElement(len(node_leaves(cur[1])), canon_node(P, cur[1]), 0))
             continue
         for _, nxt in steps:
             if nxt not in seen:
@@ -1064,7 +1051,7 @@ def confluence_experiment(P, H: FiniteSegment, count: int, seed: int, max_arity:
                 if cur[0] == "unit":
                     normals.add(W_UNIT)
                 else:
-                    normals.add(WSetElement(len(node_leaves(cur[1])), canon_node(P, cur[1])))
+                    normals.add(TreeElement(len(node_leaves(cur[1])), canon_node(P, cur[1]), 0))
         if len(normals) != 1:
             failures.append(
                 {

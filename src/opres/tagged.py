@@ -13,8 +13,9 @@ edges (cut), and chooses the tree shapes and leaf routings each
 construction enumerates (shapes), for all four constructions, set-level
 stumps included.
 
-The chain-level constructions share one graded element class
-(TreeElement) and one enumerator (labeled_trees): the cylinder, the bar
+All four constructions share one graded element class (TreeElement),
+whose set-level elements sit in degree 0.  The chain-level ones share
+one enumerator (labeled_trees) too: the cylinder, the bar
 and the cobar differ only in their label source, the degree shift of a
 vertex, what a label costs against the cap, and which edge flags occur.
 The enumerator flattens one block per tree shape (label_blocks) in the
@@ -226,8 +227,8 @@ def shapes(arity: int, max_edges: int | None, min_valence: int, symmetric: bool)
 
 @dataclass(frozen=True)
 class TreeElement:
-    """One basis element of a chain-level tree construction: a canonical
-    plain node (None for the cylinder's unit), its arity and its degree.
+    """One element of a tree construction: a canonical plain node (None
+    for the unit), its arity and its degree, which is 0 at set level.
     The hash is computed once, on construction: a tuple does not cache
     its own, and every element is hashed as a dictionary key at least
     once."""
@@ -251,6 +252,9 @@ class TreeElement:
 
     def labels(self) -> tuple:
         return node_labels(self.node)
+
+    def vertex_count(self) -> int:
+        return 0 if self.node is None else len(node_labels(self.node))
 
 
 def labeled_trees(Q, arity: int, cap: int | None, shift: int, cost, flags) -> tuple:

@@ -1,5 +1,6 @@
 """Bar and cobar expansions, twisting cochains, and the cylinder comparison."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -446,6 +447,147 @@ def test_compare_detects_rank_mismatch(monkeypatch):
     rep = compare_w_barcobar(unary_ns(), 2, 1)
     assert rep["witness"].startswith("rank mismatch in degree ")
     assert rep == {"bijection": [], "rescaling": {}, "status": "fail", "witness": rep["witness"]}
+
+
+# arity 2: m; arity 3: p, q; m o1 m = p + q and m o2 m = 0.  An operad up
+# to arity 3 whose augmentation has a column with two entries, and whose
+# cylinder in arity 3 has a component without an augmentation: the tree
+# m o2 m and its marking
+SPLIT = TableChainOperad(
+    False, {2: (("m", 0),), 3: (("p", 0), ("q", 0))}, {}, {("m", 0, "m"): {"p": 1, "q": 1}, ("m", 1, "m"): {}}
+)
+
+
+def _components(W, forced):
+    """Each basis element (degree, index) of W -> whether its component of
+    the graph of W's differential holds an element of forced."""
+    root = {}
+
+    def find(a):
+        while root.setdefault(a, a) != a:
+            a = root[a]
+        return a
+
+    for k in W.degrees():
+        for j, col in enumerate(W.diff(k).data):
+            for r in col:
+                root[find((k, j))] = find((k - 1, r))
+    voting = {find(a) for a in forced}
+    return {(k, j): find((k, j)) in voting for k in W.degrees() for j in range(W.dim(k))}
+
+
+@pytest.mark.parametrize("P,n", [(AS_NS, 4), (ASS, 3), (SPLIT, 3)], ids=["as_ns", "ass_sym", "split"])
+def test_compare_negated_counit_flips_voting_components(monkeypatch, P, n):
+    """With the counit negated the two sides still match: the rescaling
+    of every component that has an augmentation vote flips, and the
+    others keep theirs."""
+    before = compare_w_barcobar(P, n)
+    honest = bar_cobar.cobar_bar_counit
+
+    def negated(P, CB):
+        f = honest(P, CB)
+        for m in f.mats.values():
+            m.data = [{i: -v for i, v in col.items()} for col in m.data]
+        return f
+
+    monkeypatch.setattr(bar_cobar, "cobar_bar_counit", negated)
+    after = compare_w_barcobar(P, n)
+    assert before["status"] == after["status"] == "iso"
+    assert after["bijection"] == before["bijection"]
+    W = w_pseudo(P, n)
+    gamma = w_augmentation(P, W)
+    voting = _components(W, {(k, j) for k in W.degrees() for j, col in enumerate(gamma.mat(k).data) if col})
+    flips = {
+        (k, j): after["rescaling"][_w_key(x)] == -before["rescaling"][_w_key(x)]
+        for k in W.degrees() for j, x in enumerate(W.basis_of(k))
+    }
+    assert flips == voting
+    assert any(voting.values()) and (P is not SPLIT or not all(voting.values()))
+
+
+def _edited(monkeypatch, name, edit):
+    """Let edit change each result of bar_cobar.<name> in place."""
+    honest = getattr(bar_cobar, name)
+
+    def edited(*args):
+        out = honest(*args)
+        edit(out)
+        return out
+
+    monkeypatch.setattr(bar_cobar, name, edited)
+
+
+def _edit_entry(mats, degree, change):
+    """Replace the first entry of the first nonempty column of
+    mats[degree] by change(entry), or drop it for None; returns the
+    column's index."""
+    j = next(j for j, col in enumerate(mats[degree].data) if col)
+    col = mats[degree].data[j]
+    r = next(iter(col))
+    v = change(col.pop(r))
+    if v is not None:
+        col[r] = v
+    return j
+
+
+@pytest.mark.parametrize(
+    "change,witness",
+    [(lambda v: None, "differential support differs at "), (lambda v: 2 * v, "differential magnitude differs at ")],
+    ids=["support", "magnitude"],
+)
+def test_compare_rejects_perturbed_differential(monkeypatch, change, witness):
+    cols = []
+
+    _edited(monkeypatch, "w_pseudo", lambda W: cols.append(W.basis_of(1)[_edit_entry(W.d, 1, change)]))
+    rep = compare_w_barcobar(AS_NS, 3)
+    assert rep == {"bijection": [], "rescaling": {}, "status": "fail", "witness": witness + _w_key(cols[0])}
+
+
+def test_compare_rejects_a_sign_flip_on_a_cycle(monkeypatch):
+    # every entry of d[2] lies on a square x -> y -> z <- y' <- x, since
+    # d^2 = 0 with unit entries; one flipped sign leaves no rescaling
+    _edited(monkeypatch, "w_pseudo", lambda W: _edit_entry(W.d, 2, lambda v: -v))
+    rep = compare_w_barcobar(AS_NS, 4)
+    assert rep["status"] == "fail" and rep["bijection"] == [] and rep["rescaling"] == {}
+    assert rep["witness"].startswith("no diagonal rescaling: cycle conflict at ")
+
+
+@pytest.mark.parametrize(
+    "P,change,witness",
+    [
+        (AS_NS, lambda v: None, "augmentation support differs at "),
+        (AS_NS, lambda v: 2 * v, "augmentation magnitude differs at "),
+        (SPLIT, lambda v: -v, "augmentation rows conflict at "),
+    ],
+    ids=["support", "magnitude", "rows"],
+)
+def test_compare_rejects_perturbed_augmentation(monkeypatch, P, change, witness):
+    # SPLIT's first nonempty augmentation column, m o1 m -> p + q, is the
+    # one with two entries
+    cols = []
+
+    _edited(
+        monkeypatch, "w_augmentation", lambda f: cols.append(f.source.basis_of(0)[_edit_entry(f.mats, 0, change)])
+    )
+    rep = compare_w_barcobar(P, 3)
+    assert rep == {"bijection": [], "rescaling": {}, "status": "fail", "witness": witness + _w_key(cols[0])}
+
+
+def test_compare_rejects_conflicting_augmentation_votes(monkeypatch):
+    # as_ns in arity 3 is one component, and every degree-0 element votes
+    _edited(monkeypatch, "w_augmentation", lambda f: _edit_entry(f.mats, 0, lambda v: -v))
+    rep = compare_w_barcobar(AS_NS, 3)
+    assert rep["witness"] == "augmentation constraints conflict inside one component"
+
+
+def test_compare_rejects_an_image_outside_the_basis(monkeypatch):
+    honest = bar_cobar._w_to_cobar
+    monkeypatch.setattr(
+        bar_cobar, "_w_to_cobar", lambda P, C, x: dataclasses.replace(honest(P, C, x), degree=x.degree + 1)
+    )
+    rep = compare_w_barcobar(AS_NS, 3)
+    first = w_pseudo(AS_NS, 3).basis_of(0)[0]
+    assert rep["witness"] == f"image of {_w_key(first)} is not a basis element"
 
 
 # -- basis order ----------------------------------------------------------------

@@ -389,6 +389,139 @@ def test_endv_validates():
     assert validate_chain_operad(endv(3, True), 3) == []
 
 
+# ------------------------------------------------------- validator failures
+#
+# Each table breaks one axiom.  Some are built past the table loader,
+# which rejects their shapes before the validator could see them.
+
+
+class _WithArityZero(TableChainOperad):
+    def basis(self, n):
+        return (("z", 0),) if n == 0 else super().basis(n)
+
+
+class _NameInTwoArities(chain_operads.PseudoChainOperad):
+    symmetric = False
+
+    def basis(self, n):
+        return (("x", 0),) if n in (1, 2) else ()
+
+    def compose(self, n, i, x, m, y):
+        return {"x": 1}
+
+
+class _IdentityNegates(TableChainOperad):
+    def act(self, n, x, sigma):
+        return {x: -1} if tuple(sigma) == perms.identity(n) else super().act(n, x, sigma)
+
+
+def _with_unit(P, unit):
+    P.unit = unit
+    return P
+
+
+def _binary_and_ternary_signs(c2, c3):
+    """c2 o_i c2 = c3, with c2 acted on by the character c2 of S_2 and
+    c3 by the sign of S_3 when c3 is -1, trivially otherwise."""
+    acts = {("c2", (1, 0)): {"c2": c2}}
+    acts.update({("c3", s): {"c3": perms.sign(s) if c3 < 0 else 1} for s in perms.all_perms(3)[1:]})
+    return TableChainOperad(True, {2: [("c2", 0)], 3: [("c3", 0)]}, {}, {("c2", i, "c2"): {"c3": 1} for i in (0, 1)}, acts)
+
+
+VALIDATOR_FAILURES = {
+    "arity-0": (_WithArityZero(False, {2: [("m", 0)]}), 2, ["arity 0 must vanish for a pseudo chain operad"]),
+    "unit-degree": (
+        _with_unit(TableChainOperad(False, {1: [("e", 1)]}), "e"),
+        2,
+        ["unit 'e' is not a degree-0 cycle of arity 1"],
+    ),
+    "right-unit": (
+        _with_unit(
+            TableChainOperad(
+                False,
+                {1: [("e", 0)], 2: [("m", 0)]},
+                {},
+                {("e", 0, "e"): {"e": 1}, ("e", 0, "m"): {"m": 1}, ("m", 0, "e"): {"m": 1}, ("m", 1, "e"): {}},
+            ),
+            "e",
+        ),
+        2,
+        ["right unit law fails on m at slot 2"],
+    ),
+    "name-reused": (_NameInTwoArities(), 2, ["basis name 'x' reused across arities"]),
+    "d-target": (TableChainOperad(False, {2: [("a", 0), ("b", 1)]}, {"b": {"z": 1}}), 2, ["d(b) has a bad target 'z'"]),
+    "d-squared": (
+        TableChainOperad(False, {2: [("a", 0), ("b", 1), ("c", 2)]}, {"b": {"a": 1}, "c": {"b": 1}}),
+        2,
+        ["d^2 fails on c"],
+    ),
+    "composite-degree": (
+        TableChainOperad(
+            False, {2: [("m", 0)], 3: [("p", 0), ("q", 1)]}, {}, {("m", 0, "m"): {"q": 1}, ("m", 1, "m"): {"p": 1}}
+        ),
+        3,
+        ["m o1 m hits 'q' off degree"],
+    ),
+    # d n = m, and every composite with n is 0, so d is no derivation
+    "composite-chain-map": (
+        TableChainOperad(
+            False,
+            {2: [("m", 0), ("n", 1)], 3: [("p", 0)]},
+            {"n": {"m": 1}},
+            {("m", 0, "m"): {"p": 1}, ("m", 1, "m"): {"p": 1}}
+            | {(x, i, y): {} for x, y in (("m", "n"), ("n", "m"), ("n", "n")) for i in (0, 1)},
+        ),
+        3,
+        [f"composition {x} o{i} {y} is not a chain map" for x, y in (("m", "n"), ("n", "m")) for i in (1, 2)],
+    ),
+    # a_n o_i a_m = (-1)^(i(m-1)) a_(n+m-1): the suspension's signs on
+    # labels of degree 0 keep nested associativity and break disjoint
+    "disjoint-associativity": (
+        TableChainOperad(
+            False,
+            {n: [(f"a{n}", 0)] for n in (2, 3, 4)},
+            {},
+            {
+                (f"a{n}", i, f"a{m}"): {f"a{n + m - 1}": (-1) ** (i * (m - 1))}
+                for n in (2, 3) for m in (2, 3) if n + m <= 5 for i in range(n)
+            },
+        ),
+        4,
+        ["disjoint associativity fails at (a2,a2,a2) slots (0,1)"],
+    ),
+    "identity-action": (
+        _IdentityNegates(True, {2: [("c", 0)]}, {}, {}, {("c", (1, 0)): {"c": 1}}),
+        2,
+        ["identity action fails on c"] + ["action composition fails on c"] * 4,
+    ),
+    "action-chain-map": (
+        TableChainOperad(True, {2: [("c", 0), ("e", 1)]}, {"e": {"c": 1}}, {}, {("c", (1, 0)): {"c": 1}, ("e", (1, 0)): {"e": -1}}),
+        2,
+        ["action of (1, 0) on e is not a chain map"],
+    ),
+    "action-composition": (
+        TableChainOperad(True, {2: [("12", 0), ("21", 0)]}, {}, {}, {("12", (1, 0)): {"21": 1}, ("21", (1, 0)): {"21": 1}}),
+        2,
+        ["action composition fails on 12"],
+    ),
+    # S_2 and S_3 both by their sign: the block swap in S_3 is even
+    "outer-equivariance": (_binary_and_ternary_signs(-1, -1), 3, ["outer equivariance fails on (c2,c2)"] * 2),
+    # S_3 by its sign alone: a transposition inside a block is odd
+    "inner-equivariance": (_binary_and_ternary_signs(1, -1), 3, ["inner equivariance fails on (c2,c2)"] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATOR_FAILURES))
+def test_validator_names_the_broken_axiom(case):
+    P, bound, msgs = VALIDATOR_FAILURES[case]
+    assert validate_chain_operad(P, bound) == msgs
+
+
+def test_validator_accepts_the_trivial_actions():
+    # the control for the two equivariance cases
+    assert validate_chain_operad(_binary_and_ternary_signs(1, 1), 3) == []
+
+
 def test_endv_cylinders_build():
     # every sign path at once: graded labels, marked edges, actions
     E = endv(3, False)

@@ -66,6 +66,30 @@ def test_trees_enum_example(tmp_path):
     assert report["payload"]["count"] == 11
 
 
+def test_trees_classes_example(tmp_path):
+    rc, report, _ = run_json(
+        ["trees", "classes", "--arity", "5", "--min-valence", "2"], tmp_path
+    )
+    assert rc == 0
+    assert report["status"] == "verified"
+    classes = report["payload"]["classes"]
+    assert report["payload"]["count"] == len(classes) == 12
+    # the classes split the 45 planar trees, and the 236 non-planar trees
+    # with labelled leaves into orbits of size 5!/|Aut|
+    assert sum(c["planar_count"] for c in classes) == 45
+    assert sum(120 // c["aut_order"] for c in classes) == 236
+
+
+def test_trees_aut_example(tmp_path):
+    rc, report, _ = run_json(["trees", "aut", "--tree", "((| |) (| |))"], tmp_path)
+    assert rc == 0
+    assert report["status"] == "verified"
+    payload = report["payload"]
+    assert payload["tree"] == "((| |) (| |))"
+    assert payload["order"] == 8
+    assert [g["leaf_perm"] for g in payload["generators"]] == [[2, 3, 0, 1], [1, 0, 2, 3], [0, 1, 3, 2]]
+
+
 def test_chainw_build_example(tmp_path):
     rc, report, _ = run_json(
         ["chainw", "build", "--operad", "as_ns", "--arity", "4", "--ring", "Z"],

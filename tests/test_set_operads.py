@@ -25,7 +25,6 @@ from opres.set_operads import (
     GodementTower,
     InfiniteEnumerationError,
     TableOperad,
-    WSetElement,
     WSetOperad,
     W_UNIT,
     build_node,
@@ -48,7 +47,7 @@ from opres.set_operads import (
     w_eval,
     w_segment_apply,
 )
-from opres.tagged import map_leaves
+from opres.tagged import TreeElement, map_leaves
 from opres.trees import PlanarTree, corolla, enumerate_planar, iso_classes
 
 ASS = AssOperad()
@@ -63,7 +62,7 @@ def validate_set_operad(P, arity_bound, name_of=None):
 
 def element_from_data(P, tree, labels, lengths, leaves):
     """The canonical element of a presentation, without rewriting."""
-    return WSetElement(tree.arity, canon_node(P, build_node(tree, labels, lengths, leaves)))
+    return TreeElement(tree.arity, canon_node(P, build_node(tree, labels, lengths, leaves)), 0)
 
 
 def _normalize(P, H, tree, labels, lengths, leaves):
@@ -369,7 +368,7 @@ def ref_enumerate(P, H, arity, vertex_cap):
             for lens in itertools.product(lengths_pool, repeat=T.edge_count):
                 for leaves in itertools.permutations(range(arity)):
                     node = build_node(T, labels, lens, leaves)
-                    out.add(WSetElement(arity, canon_node(P, node)))
+                    out.add(TreeElement(arity, canon_node(P, node), 0))
     return sorted(out, key=lambda e: element_sort_key(P, e))
 
 
@@ -489,7 +488,7 @@ class _RefCollection:
             return self.K.act(n, x, sigma)
         if x.node is None:
             return x
-        return WSetElement(x.arity, ref_canon(self.inner, map_leaves(x.node, sigma)))
+        return TreeElement(x.arity, ref_canon(self.inner, map_leaves(x.node, sigma)), 0)
 
 
 TOWER = GodementTower(ASS)
@@ -534,7 +533,7 @@ def test_canon_matches_multipass_reference(which, seed):
     P, ref, node = random_oracle_case(random.Random(seed), which)
     c = canon_node(P, node)
     assert c == ref_canon(ref, node)
-    assert so.element_sort_key(P, WSetElement(len(node_leaves(c)), c)) == ref_sort_key(ref, c)
+    assert so.element_sort_key(P, TreeElement(len(node_leaves(c)), c, 0)) == ref_sort_key(ref, c)
 
 
 def _invariant_families():
@@ -586,7 +585,7 @@ def test_rank_lookup_equals_list_position(name):
         # the elements are distinct, so each one's position is its index
         # in the list; a fresh equal copy is found by value, not identity
         assert len(set(elems)) == len(elems)
-        fresh = [WSetElement(x.arity, x.node) for x in elems]
+        fresh = [TreeElement(x.arity, x.node, 0) for x in elems]
         assert [K.rank(n, x) for x in fresh] == list(range(len(elems)))
         assert [wrapper.rank(n, x) for x in fresh] == list(range(len(elems)))
         assert [so._label_key(K, n, x) for x in elems] == list(range(len(elems)))
