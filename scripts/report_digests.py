@@ -75,6 +75,13 @@ COMMANDS = (
     # the tree census and one automorphism group
     "trees classes --arity 5 --min-valence 2",
     'trees aut --tree "((| |) (| |))"',
+    # the templated bar and cobar differentials: labels of odd parity
+    # under an edge cap, and the arity-5 comparisons and twisting check
+    "barcobar compare-w --operad scripts/data/endv3_sym.json --arity 3 --cap 1",
+    "barcobar compare-w --operad scripts/data/endv3_ns.json --arity 3 --cap 1",
+    "barcobar compare-w --operad com --arity 5",
+    "barcobar verify-twisting --operad ass_sym --arity 5",
+    "barcobar compare-w --operad ass_sym --arity 5",
 )
 
 

@@ -14,6 +14,14 @@ the splittings differ.  The element class and the enumerator are the
 tagged module's TreeElement and labeled_trees, which the cylinder of
 chain_operads shares.
 
+Both differentials are instantiated from templates, as the cylinder's
+cube assembler is: the structure terms of an element (its contractions
+at the bar level, its splittings at the cobar level) and the splittings
+of a bar label depend only on the element's family, its tree, leaf
+routing and label parities, so each is computed once per family over
+formal labels and instantiated per labeling.  The per-element _tree_d
+and _splits stay as the references the tests compare against.
+
 The composite resolves the operad; this module also matches it against
 the cylinder resolution of chain_operads by an explicit basis bijection
 and a diagonal sign rescaling, so the two sign disciplines never have to
@@ -24,21 +32,26 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms
-from .chain_core import ChainComplex, ChainMap, assemble_complex, evaluation_map, graded
-from .chain_operads import w_augmentation, w_pseudo
+from .chain_core import ZZ, ChainComplex, ChainMap, SparseMat, assemble_complex, evaluation_map, graded
+from .chain_operads import _evaluate, _SymbolicOperad, w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
     TreeElement,
+    block_elements,
+    block_walk,
+    build_node,
     canon,
     cut,
     edges,
     fresh_uid,
     graft_replace,
     koszul,
+    label_blocks,
     labeled_trees,
     leaves,
     map_labels,
     map_leaves,
+    node_labels,
     node_leaves,
     node_view,
     replace_item,
@@ -76,7 +89,8 @@ def _canon(Q, node):
 def _tree_d(Q, x: TreeElement, terms) -> dict:
     """The shifted boundary of each label, prefix counted exclusively,
     plus the structure terms(Q, nd, w0) yields as (plain node,
-    coefficient) pairs; every result canonicalized."""
+    coefficient) pairs; every result canonicalized.  The per-element
+    reference for the templated differentials of both levels."""
     nd = tag(x.node, _parity(Q))
 
     def label_terms():
@@ -113,6 +127,78 @@ def _merge(P, nd, w0, parent, slot, child, shift: int):
         yield nd2, move * c * koszul(mid, _t_word(nd2))
 
 
+# -- templates ---------------------------------------------------------------
+#
+# A family is a tree shape, a leaf routing and the parities of its labels.
+# The canonical sort reads shapes and leaves and never a label, and every
+# sign but a label's own reads parities only, so the structure terms of
+# both differentials (a contraction at the bar level, a splitting at the
+# cobar level) and the splittings of a bar label are computed once per
+# family over formal labels, those of chain_operads._SymbolicOperad, and
+# instantiated per labeling.  Templates live for one CooperadComplex or
+# one cobar call.
+
+
+class _Formal(_SymbolicOperad):
+    """The formal labels as a label source: a formal label's degree is
+    the parity it carries."""
+
+    def __init__(self, symmetric: bool):
+        self.symmetric = symmetric
+
+    def degree_of(self, k, label) -> int:
+        return label[1]
+
+
+def _fill(node, labels) -> tuple:
+    """node with its labels replaced by labels, in preorder."""
+    it = iter(labels)
+    return map_labels(node, lambda label, valence: next(it))
+
+
+def _instances(P, exprs, labels, memo):
+    """The (coefficient, names) pairs that the formal labels exprs take
+    when vertex v is labeled labels[v]: the expansion of the product of
+    their values."""
+    values = [((labels[e[2]], 1),) if e[0] == "x" else _evaluate(P, e, labels, memo).items() for e in exprs]
+    for combo in itertools.product(*values):
+        c = 1
+        for _, k in combo:
+            c *= k
+        yield c, tuple(z for z, _ in combo)
+
+
+def _slots(exprs) -> list:
+    """Formal labels that are vertex labels, each twisted at most once by
+    the canonical sort, as (vertex, arity, permutation) triples; arity
+    and permutation are None for a label left as it is."""
+    return [(e[2], None, None) if e[0] == "x" else (e[3][2], e[2], e[4]) for e in exprs]
+
+
+def _relabel(act, slots, labels) -> tuple:
+    """The sign and the labels that slots take when vertex v is labeled
+    labels[v]; act(arity, label, permutation) -> (label, sign)."""
+    sign = 1
+    names = []
+    for v, n, sigma in slots:
+        y = labels[v]
+        if sigma is not None:
+            y, s = act(n, y, sigma)
+            sign *= s
+        names.append(y)
+    return sign, tuple(names)
+
+
+def _prefix_signs(pars) -> list:
+    """The sign of the odd letters before each letter of a word whose
+    letters have the parities pars."""
+    out, s = [], 1
+    for p in pars:
+        out.append(s)
+        s = -s if p & 1 else s
+    return out
+
+
 # -- the inner level ---------------------------------------------------------
 
 
@@ -141,10 +227,61 @@ def _mk_bar(P, node) -> TreeElement:
     return TreeElement(len(node_leaves(node)), node, _bar_degree(P, node))
 
 
+def _split_nodes(Q, node) -> list:
+    """Quadratic cocomposition of a plain node, upper factor first: one
+    term per edge, (sign, upper, slot, lower, routing) with both factors
+    canonical plain nodes and the routing the leaf tuple of the standard
+    two-vertex composite rebuilding the node."""
+    nd = tag(node, _parity(Q))
+    w0 = _t_word(nd)
+    out = []
+    for parent, slot, child in edges(nd):
+        block = {u for u, _ in _t_word(child)}
+        last = max(i for i, (u, _) in enumerate(w0) if u in block)
+        block_par = sum(p for u, p in w0 if u in block) & 1
+        tail_par = sum(p for _, p in w0[last + 1 :]) & 1
+        ksign = -1 if (block_par and tail_par) else 1
+        S = sorted(leaves(child))
+        sl, lower = _canon(Q, map_leaves(untag(child), {v: j for j, v in enumerate(S)}))
+        upper_t = replace_item(nd, parent, slot, ("leaf", S[0]))
+        U = sorted(leaves(upper_t))
+        su, upper = _canon(Q, map_leaves(untag(upper_t), {v: j for j, v in enumerate(U)}))
+        i = U.index(S[0])
+        out.append((ksign * sl * su, upper, i, lower, tuple(U[:i] + S + U[i + 1 :])))
+    return out
+
+
+def _splits(P, x: TreeElement) -> list:
+    """The per-element reference for CooperadComplex.splits."""
+    return [(s, _mk_bar(P, up), i, _mk_bar(P, low), lam2) for s, up, i, low, lam2 in _split_nodes(P, x.node)]
+
+
+def _bar_family(P, node, pars) -> tuple:
+    """The template of the family of a bar tree whose labels have the
+    parities pars: the prefix sign of each vertex letter; per contraction
+    (sign, canonical formal node, its formal labels in preorder); per
+    split (sign, upper node, its labels as _slots, slot, lower node, its
+    labels as _slots, routing, arity of the lower factor)."""
+    F = _Formal(P.symmetric)
+    formal = _fill(node, [("x", p, v) for v, p in enumerate(pars)])
+    nd = tag(formal, _parity(F))
+    contractions = []
+    for node2, c in _contractions(F, nd, _t_word(nd)):
+        sign, rep = _canon(F, node2)
+        contractions.append((c * sign, rep, node_labels(rep)))
+    splits = []
+    for sign, upper, slot, lower, lam2 in _split_nodes(F, formal):
+        up, low = _slots(node_labels(upper)), _slots(node_labels(lower))
+        splits.append((sign, upper, up, slot, lower, low, lam2, len(node_leaves(lower))))
+    return _prefix_signs([p + 1 for p in pars]), contractions, splits
+
+
 class CooperadComplex:
     """Tree expansion of the bar transform: per arity a chain complex,
     plus the cocomposition structure the cobar side consumes.  It is a
-    label source like the operad it expands."""
+    label source like the operad it expands.  The differential and the
+    splittings of an element are instantiated from the template of its
+    family, built on first use and kept by this expansion."""
 
     def __init__(self, P, max_arity: int, vertex_cap: int | None = None):
         if P.basis(0):
@@ -160,6 +297,8 @@ class CooperadComplex:
         self.vertex_cap = vertex_cap
         self._elements: dict[int, tuple] = {}
         self._pieces: dict[int, ChainComplex] = {}
+        # (tree notation, leaves) -> (valences, {label parities: template})
+        self._families: dict[tuple, tuple] = {}
 
     def elements(self, k: int) -> tuple:
         if k not in self._elements:
@@ -193,9 +332,38 @@ class CooperadComplex:
             self._pieces[k] = C
         return self._pieces[k]
 
+    def _family(self, x: TreeElement) -> tuple:
+        """The template of x's family, and x's labels, their valences and
+        their degrees, in preorder."""
+        P = self.operad
+        text, _, labels, lvs = node_view(x.node)
+        shape = self._families.get((text, tuple(lvs)))
+        if shape is None:
+            shape = self._families[(text, tuple(lvs))] = (x.tree().valences(), {})
+        vals, templates = shape
+        degs = [P.degree_of(v, name) for v, name in zip(vals, labels)]
+        pars = tuple(d & 1 for d in degs)
+        template = templates.get(pars)
+        if template is None:
+            template = templates[pars] = _bar_family(P, x.node, pars)
+        return template, tuple(labels), vals, degs
+
     def d(self, k: int, x: TreeElement) -> dict:
         """Inner differential plus one contraction per edge."""
-        return _tree_d(self.operad, x, _contractions)
+        P = self.operad
+        (prefix, contractions, _), labels, vals, _ = self._family(x)
+        acc: dict[TreeElement, int] = {}
+        for v, (val, name) in enumerate(zip(vals, labels)):
+            for z, c in P.d(val, name).items():
+                # a relabeled canonical tree is canonical
+                y = TreeElement(x.arity, _fill(x.node, labels[:v] + (z,) + labels[v + 1 :]), x.degree - 1)
+                acc[y] = acc.get(y, 0) - prefix[v] * c
+        memo: dict = {}
+        for sign, rep, exprs in contractions:
+            for c, names in _instances(P, exprs, labels, memo):
+                y = TreeElement(x.arity, _fill(rep, names), x.degree - 1)
+                acc[y] = acc.get(y, 0) + sign * c
+        return {y: c for y, c in acc.items() if c}
 
     def signed_act(self, k: int, x: TreeElement, sigma) -> tuple:
         """Right action on a bar element: reroute the leaves, recanonize."""
@@ -214,28 +382,19 @@ class CooperadComplex:
         routing is the leaf tuple of the standard two-vertex composite
         rebuilding the original element."""
         P = self.operad
-        nd = tag(x.node, _parity(P))
-        w0 = _t_word(nd)
+        (_, _, splits), labels, _, degs = self._family(x)
         out = []
-        for parent, slot, child in edges(nd):
-            block = {u for u, _ in _t_word(child)}
-            last = max(i for i, (u, _) in enumerate(w0) if u in block)
-            block_par = sum(p for u, p in w0 if u in block) & 1
-            tail_par = sum(p for _, p in w0[last + 1 :]) & 1
-            ksign = -1 if (block_par and tail_par) else 1
-            S = sorted(leaves(child))
-            lower_raw = map_leaves(untag(child), {v: j for j, v in enumerate(S)})
-            sl, lower_node = _canon(P, lower_raw)
-            low = _mk_bar(P, lower_node)
-            upper_t = replace_item(nd, parent, slot, ("leaf", S[0]))
-            U = sorted(leaves(upper_t))
-            su, upper_node = _canon(
-                P, map_leaves(untag(upper_t), {v: j for j, v in enumerate(U)})
-            )
-            up = _mk_bar(P, upper_node)
-            i = U.index(S[0])
-            lam2 = tuple(U[:i] + S + U[i + 1 :])
-            out.append((ksign * sl * su, up, i, low, lam2))
+        for sign, upper, upper_slots, slot, lower, lower_slots, lam2, m in splits:
+            cu, up = _relabel(P.signed_act, upper_slots, labels)
+            cl, low = _relabel(P.signed_act, lower_slots, labels)
+            low_deg = sum(degs[v] + 1 for v, _, _ in lower_slots)
+            out.append((
+                sign * cu * cl,
+                TreeElement(x.arity - m + 1, _fill(upper, up), x.degree - low_deg),
+                slot,
+                TreeElement(m, _fill(lower, low), low_deg),
+                lam2,
+            ))
         return out
 
 
@@ -323,25 +482,66 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
 # -- the outer level ---------------------------------------------------------
 
 
+def _split_at(nd, w0, vertex, split) -> tuple:
+    """Split a vertex of nd, whose word is w0: split is (upper, upper
+    degree, slot, lower, lower degree, lower arity, routing).  The upper
+    factor takes the vertex, and the lower one grafts above it at slot,
+    over the vertex's items routed by the routing.  Returns the plain
+    node and its sign, prefix not counted."""
+    up, up_deg, slot, low, low_deg, m, lam2 = split
+    uid, _, _, items = vertex
+    i = next(j for j, (u, _) in enumerate(w0) if u == uid)
+    low_uid = fresh_uid()
+    low_par = (low_deg + 1) & 1
+    up_par = (up_deg + 1) & 1
+    routed = tuple(items[g] for g in lam2)
+    lower = ("edge", fresh_uid(), 0, (low_uid, low, low_par, routed[slot : slot + m]))
+    upper_items = routed[:slot] + (lower,) + routed[slot + m :]
+    nd2 = graft_replace(nd, uid, (uid, up, up_par, upper_items))
+    natural = w0[:i] + [(uid, up_par), (low_uid, low_par)] + w0[i + 1 :]
+    tk = -1 if up_deg & 1 else 1
+    return untag(nd2), tk * koszul(natural, _t_word(nd2))
+
+
 def _splittings(C, nd, w0):
     """One term per splitting of each label: the upper factor takes the
     vertex and the lower factor grafts above it, prefix counted
     exclusively."""
     s = 1
-    for i, (uid, label, par, items) in enumerate(vertices(nd)):
-        for sgn, up, slot, low, lam2 in C.splits(label):
-            m = low.arity
-            low_uid = fresh_uid()
-            low_par = (low.degree + 1) & 1
-            up_par = (up.degree + 1) & 1
-            routed = tuple(items[g] for g in lam2)
-            lower = ("edge", fresh_uid(), 0, (low_uid, low, low_par, routed[slot : slot + m]))
-            upper_items = routed[:slot] + (lower,) + routed[slot + m :]
-            nd2 = graft_replace(nd, uid, (uid, up, up_par, upper_items))
-            natural = w0[:i] + [(uid, up_par), (low_uid, low_par)] + w0[i + 1 :]
-            tk = -1 if up.degree & 1 else 1
-            yield untag(nd2), s * sgn * tk * koszul(natural, _t_word(nd2))
-        s = -s if par else s
+    for vertex in vertices(nd):
+        for sgn, up, slot, low, lam2 in C.splits(vertex[1]):
+            node, c = _split_at(nd, w0, vertex, (up, up.degree, slot, low, low.degree, low.arity, lam2))
+            yield node, s * sgn * c
+        s = -s if vertex[2] else s
+
+
+def _split_template(F, tree, lam, pars, v, shape, where) -> tuple:
+    """The splitting of vertex v of the outer tree tree, routed by lam,
+    whose labels have the degree parities pars, by a split of shape
+    (upper arity, slot, routing, upper parity), over formal labels: label
+    u is formal label u, and the upper and lower factors are V and V + 1
+    for V vertices.  Returns (sign, block, routing index, slots) with
+    the prefix counted.  Block and routing index locate the canonical
+    result through where, (notation -> block, per block routing ->
+    index), and are None outside it; slots are its labels in preorder,
+    as _slots gives them."""
+    up_arity, slot, lam2, up_par = shape
+    V = len(pars)
+    formal = build_node(tree, [("x", p, u) for u, p in enumerate(pars)], [0] * tree.edge_count, lam)
+    nd = tag(formal, _parity(F))
+    w0 = _t_word(nd)
+    vertex = vertices(nd)[v]
+    low_par = pars[v] ^ up_par
+    m = len(vertex[3]) - up_arity + 1
+    split = (("x", up_par, V), up_par, slot, ("x", low_par, V + 1), low_par, m, lam2)
+    node, c = _split_at(nd, w0, vertex, split)
+    sign, rep = _canon(F, node)
+    text, _, exprs, lvs = node_view(rep)
+    block_of, routings = where
+    b = block_of.get(text)
+    ri = None if b is None else routings[b].get(tuple(lvs))
+    prefix = _prefix_signs([p + 1 for p in pars])[v]
+    return prefix * c * sign, b, ri, _slots(exprs)
 
 
 def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
@@ -356,8 +556,10 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
         raise ValueError("capped cooperad cannot support an uncapped expansion")
     if cap is not None and C.vertex_cap is not None and C.vertex_cap < cap:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
-    elems = labeled_trees(C, arity, cap, -1, lambda label: label.tree().vertex_count, (0,))
-    X = assemble_complex(graded((x, x.degree) for x in elems), lambda x: _tree_d(C, x, _splittings))
+    # labeled_trees, kept by block
+    blocks = label_blocks(C, arity, cap, -1, lambda label: label.vertex_count(), (0,))
+    basis = graded((x, x.degree) for x in block_elements(arity, blocks))
+    X = ChainComplex(ZZ, basis, _cobar_differentials(C, blocks, basis), check=True)
     X.meta = {
         "arity": arity,
         "cap": cap,
@@ -365,6 +567,71 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
         "construction": "cobar",
     }
     return X
+
+
+def _cobar_differentials(C, blocks: list, basis: dict) -> dict:
+    """The cobar differential on basis, the flattening of blocks, degree
+    by degree.  An element is named by (block, routing index, labels).
+    A label term only relabels one vertex, so it stays canonical; a split
+    term is instantiated from the template of its outer family (block,
+    routing, label parities), vertex and split shape.  The bar boundary
+    and splittings of each label, the twists of the labels, and the
+    templates are computed once in this call."""
+    where = (
+        {tree.notation(): b for b, (tree, _, _, _) in enumerate(blocks)},
+        [{lam: ri for ri, lam in enumerate(lams)} for _, lams, _, _ in blocks],
+    )
+    index: dict[int, dict] = {}
+    for b, li, _, d in block_walk(blocks):
+        here = index.setdefault(d, {})
+        labels = blocks[b][2][li][0]
+        for ri in range(len(blocks[b][1])):
+            here[(b, ri, labels)] = len(here)
+    F = _Formal(C.symmetric)
+    bar_d: dict = {}
+    bar_splits: dict = {}
+    acts: dict = {}
+    templates: dict = {}
+
+    def act(n, y, sigma):
+        got = acts.get((y, sigma))
+        if got is None:
+            got = acts[(y, sigma)] = C.signed_act(n, y, sigma)
+        return got
+
+    columns: dict[int, list] = {d: [] for d in index}
+    for b, li, _, d in block_walk(blocks):
+        tree, lams, choices, _ = blocks[b]
+        labels = choices[li][0]
+        below = index.get(d - 1, {})
+        pars = tuple(x.degree & 1 for x in labels)
+        prefix = _prefix_signs([p + 1 for p in pars])
+        for x in labels:
+            if x not in bar_d:
+                bar_d[x] = C.d(x.arity, x)
+                bar_splits[x] = C.splits(x)
+        for ri, lam in enumerate(lams):
+            terms = []
+            for v, x in enumerate(labels):
+                for y, c in bar_d[x].items():
+                    terms.append(((b, ri, labels[:v] + (y,) + labels[v + 1 :]), -prefix[v] * c))
+                for sgn, up, slot, low, lam2 in bar_splits[x]:
+                    key = (b, ri, pars, v, (up.arity, slot, lam2, up.degree & 1))
+                    t = templates.get(key)
+                    if t is None:
+                        t = templates[key] = _split_template(F, tree, lam, pars, v, key[4], where)
+                    sign, b2, ri2, slots = t
+                    s, names = _relabel(act, slots, labels + (up, low))
+                    terms.append(((b2, ri2, names), sign * sgn * s))
+            col: dict = {}
+            for key, c in terms:
+                r = below.get(key)
+                if r is None:
+                    x = basis[d][index[d][(b, ri, labels)]]
+                    raise RuntimeError(f"the cobar differential of {x!r} leaves the basis of degree {d - 1}")
+                col[r] = col.get(r, 0) + c
+            columns[d].append({r: c for r, c in col.items() if c})
+    return {d: SparseMat(len(basis.get(d - 1, ())), len(cols), cols) for d, cols in columns.items()}
 
 
 # -- the counit down to the operad -------------------------------------------
@@ -388,7 +655,7 @@ def _flat_eval(P, flat, n: int) -> dict:
 
 def _counit_value(P, X: TreeElement) -> dict:
     """Project every label to its single vertex, then compose."""
-    if any(label.tree().edge_count for label in X.labels()):
+    if any(label.vertex_count() > 1 for label in X.labels()):
         return {}
     flat = map_labels(X.node, lambda lab, val: lab.labels()[0])
     return _flat_eval(P, flat, X.arity)
@@ -427,19 +694,24 @@ def _cobar_node_key(nd) -> str:
     return "<" + _bar_key(label) + " : " + " ".join(parts) + ">"
 
 
-def _w_to_cobar(P, C: CooperadComplex, x) -> TreeElement:
+def _w_to_cobar(P, C: CooperadComplex, x, labels: dict | None = None) -> TreeElement:
     """Read a cylinder element as a tree of trees: marked components
     become bar labels, unmarked edges become outer edges.  Unsigned;
-    the rescaling search owns all signs."""
-    _, onode = _canon(C, _marked_components(P, x.node))
+    the rescaling search owns all signs.  labels keeps the bar label of
+    each marked component met, so a caller reading many elements reads
+    each distinct component once."""
+    _, onode = _canon(C, _marked_components(P, x.node, {} if labels is None else labels))
     return TreeElement(x.arity, onode, x.degree)
 
 
-def _marked_components(P, flat) -> tuple:
+def _marked_components(P, flat, labels: dict) -> tuple:
     inner, hanging = cut(flat, lambda f: 0 if f else None)
-    _, rep = _canon(P, inner)
-    items = (it if it[0] == "leaf" else ("edge", 0, _marked_components(P, it[2])) for it in hanging)
-    return (_mk_bar(P, rep), tuple(items))
+    label = labels.get(inner)
+    if label is None:
+        _, rep = _canon(P, inner)
+        label = labels[inner] = _mk_bar(P, rep)
+    items = (it if it[0] == "leaf" else ("edge", 0, _marked_components(P, it[2], labels)) for it in hanging)
+    return (label, tuple(items))
 
 
 def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
@@ -465,20 +737,22 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for k in degs:
         if W.dim(k) != CB.dim(k):
             return fail(f"rank mismatch in degree {k}: {W.dim(k)} vs {CB.dim(k)}")
+    # each cylinder element -> the position of its image in its degree
     phi = {}
     bij = []
+    components: dict = {}
     for k in degs:
         seen = set()
+        here = CB.positions(k)
         for x in W.basis_of(k):
-            y = _w_to_cobar(P, C, x)
-            try:
-                CB.index(k, y)
-            except KeyError:
+            y = _w_to_cobar(P, C, x, components)
+            i = here.get(y)
+            if i is None:
                 return fail(f"image of {_w_key(x)} is not a basis element")
-            if y in seen:
+            if i in seen:
                 return fail(f"two degree {k} elements share the image {_cobar_key(y)}")
-            seen.add(y)
-            phi[x] = y
+            seen.add(i)
+            phi[x] = i
             bij.append([_w_key(x), _cobar_key(y)])
 
     cons = []
@@ -490,15 +764,15 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
         ys = W.basis_of(k - 1)
         for j, x in enumerate(W.basis_of(k)):
             cola = A[j]
-            colb = B[CB.index(k, phi[x])]
-            ta = {CB.index(k - 1, phi[ys[r]]): v for r, v in cola.items()}
+            colb = B[phi[x]]
+            ta = {phi[ys[r]]: v for r, v in cola.items()}
             if set(ta) != set(colb):
                 return fail(f"differential support differs at {_w_key(x)}")
             for r, v in ta.items():
                 if abs(v) != abs(colb[r]):
                     return fail(f"differential magnitude differs at {_w_key(x)}")
             for r, v in cola.items():
-                req = 1 if (v > 0) == (colb[CB.index(k - 1, phi[ys[r]])] > 0) else -1
+                req = 1 if (v > 0) == (colb[phi[ys[r]]] > 0) else -1
                 cons.append((x, ys[r], req))
 
     gamma = w_augmentation(P, W)
@@ -511,7 +785,7 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
         cm = counit.mat(k).data
         for j, x in enumerate(W.basis_of(k)):
             colg = gm[j]
-            colc = cm[CB.index(k, phi[x])]
+            colc = cm[phi[x]]
             if set(colg) != set(colc):
                 return fail(f"augmentation support differs at {_w_key(x)}")
             ratios = set()
@@ -559,5 +833,6 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for x, v in forced.items():
         if eps[x] != v:
             return fail("augmentation incompatible with the rescaling")
-    rescaling = {_w_key(x): eps[x] for x in nodes}
+    # bij lists the cylinder elements in the order of nodes
+    rescaling = {key: eps[x] for x, (key, _) in zip(nodes, bij)}
     return {"bijection": bij, "rescaling": rescaling, "status": "iso", "witness": None}

@@ -483,7 +483,7 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
                         if _lin_act(P, n, xs, t) != P.act(
                             n, x, perms.perm_then(s, t)
                         ):
-                            bad.append(f"action composition fails on {x}")
+                            bad.append(f"action composition fails on {x} under {s} then {t}")
         for n in rng:
             if n > 3:
                 continue
@@ -503,7 +503,7 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
                                     perms.blow(s, j, m),
                                 )
                                 if lhs != rhs:
-                                    bad.append(f"outer equivariance fails on ({x},{y})")
+                                    bad.append(f"outer equivariance fails on ({x},{y}) at slot {j + 1} under {s}")
                         for rho in perms.all_perms(m):
                             for i in range(n):
                                 lhs = _lin_compose(
@@ -515,7 +515,7 @@ def validate_chain_operad(P, arity_bound: int) -> list[str]:
                                     perms.embed(rho, i, n),
                                 )
                                 if lhs != rhs:
-                                    bad.append(f"inner equivariance fails on ({x},{y})")
+                                    bad.append(f"inner equivariance fails on ({x},{y}) at slot {i + 1} under {rho}")
     return bad
 
 

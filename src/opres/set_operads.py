@@ -72,6 +72,23 @@ class AssOperad:
     def elements(self, n: int) -> tuple:
         return tuple(itertools.permutations(range(n))) if n >= 1 else ()
 
+    def rank(self, n: int, x) -> int:
+        """The index of x in elements(n), without building them: its
+        Lehmer code read in the factorial base, since permutations come
+        in lexicographic order.  ValueError when x is not a permutation
+        of range(n)."""
+        if not isinstance(x, tuple) or len(x) != n or n < 1:
+            raise ValueError(f"{x!r} is not an element of arity {n}")
+        rest = list(range(n))
+        r = 0
+        for t in x:
+            if t not in rest:
+                raise ValueError(f"{x!r} is not an element of arity {n}")
+            i = rest.index(t)
+            r = r * len(rest) + i
+            del rest[i]
+        return r
+
     @property
     def unit(self):
         return (0,)

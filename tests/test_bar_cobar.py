@@ -32,7 +32,7 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
-from opres.tagged import build_node, node_leaves, shapes
+from opres.tagged import build_node, node_leaves, node_tree, node_view, shapes
 from test_chain_operads import endv, unary_ns
 
 AS_NS = builtin_chain_operad("as_ns")
@@ -322,6 +322,100 @@ def test_cobar_deterministic_rebuild():
         assert a.diff(k).equals(b.diff(k), a.ring)
 
 
+# -- templates ----------------------------------------------------------------
+
+
+def _bar_family_key(P, node, pars=None):
+    """A bar tree's family: tree notation, leaves and label parities."""
+    text, _, labels, leaves = node_view(node)
+    if pars is None:
+        vals = node_tree(node).valences()
+        pars = tuple(P.degree_of(v, nm) & 1 for v, nm in zip(vals, labels))
+    return text, tuple(leaves), pars
+
+
+@pytest.mark.parametrize(
+    "P,n,cap,shared",
+    [
+        (ASS, 4, None, True),
+        (COM, 5, None, False),
+        (AS_NS, 5, None, False),
+        # vertex cap 2: the comparator's edge cap 1
+        (endv(3, False), 3, 2, True),
+        (endv(3, True), 3, 2, True),
+        (unary_ns(), 2, 3, False),
+    ],
+    ids=["ass_sym", "com", "as_ns", "endv-planar", "endv-sym", "unary-cap3"],
+)
+def test_templated_bar_and_cobar_match_references(monkeypatch, P, n, cap, shared):
+    """The bar differential and splittings are instantiated from one
+    template per bar family, and the cobar's split terms from one
+    template per outer family, vertex and split shape.  Every column and
+    every split equals the per-element reference, and each template is
+    built once; templates are shared across labelings exactly when some
+    labelings of one tree and routing share their parities."""
+    bar_built, cobar_built = [], []
+    real_family, real_split = bar_cobar._bar_family, bar_cobar._split_template
+
+    def family(P, node, pars):
+        bar_built.append(_bar_family_key(P, node, pars))
+        return real_family(P, node, pars)
+
+    def split(F, tree, lam, pars, v, shape, where):
+        cobar_built.append((tree.notation(), tuple(lam), pars, v, shape))
+        return real_split(F, tree, lam, pars, v, shape, where)
+
+    monkeypatch.setattr(bar_cobar, "_bar_family", family)
+    monkeypatch.setattr(bar_cobar, "_split_template", split)
+    C = bar(P, n, cap)
+    families = set()
+    elements = 0
+    for k in range(1, n + 1):
+        B = C.piece(k)
+        for d in B.degrees():
+            below = B.basis_of(d - 1)
+            for j, x in enumerate(B.basis_of(d)):
+                got = {below[i]: c for i, c in B.diff(d).column(j).items()}
+                assert got == bar_cobar._tree_d(P, x, bar_cobar._contractions), x
+                assert C.splits(x) == bar_cobar._splits(P, x), x
+                families.add(_bar_family_key(P, x.node))
+                elements += 1
+    assert sorted(bar_built) == sorted(families)
+    assert (len(families) < elements) == shared
+    for k in range(1, n + 1):
+        cobar_built.clear()
+        X = cobar(C, k, cap)
+        keys = set()
+        terms = 0
+        for d in X.degrees():
+            below = X.basis_of(d - 1)
+            for j, x in enumerate(X.basis_of(d)):
+                got = {below[i]: c for i, c in X.diff(d).column(j).items()}
+                assert got == bar_cobar._tree_d(C, x, bar_cobar._splittings), x
+                labels = x.labels()
+                pars = tuple(y.degree & 1 for y in labels)
+                for v, y in enumerate(labels):
+                    for _, up, slot, _, lam2 in C.splits(y):
+                        shape = (up.arity, slot, lam2, up.degree & 1)
+                        keys.add((x.tree().notation(), tuple(node_leaves(x.node)), pars, v, shape))
+                        terms += 1
+        assert sorted(cobar_built) == sorted(keys)
+        if shared and k == n:
+            assert len(keys) < terms
+
+
+def test_cobar_rejects_a_boundary_outside_the_basis(monkeypatch):
+    # a cooperad whose boundary leaves its own basis: every bar label of
+    # as_ns with an edge has a contraction, here moved up five degrees
+    C = bar(AS_NS, 3)
+    honest = C.d
+    monkeypatch.setattr(
+        C, "d", lambda k, x: {dataclasses.replace(y, degree=y.degree + 5): c for y, c in honest(k, x).items()}
+    )
+    with pytest.raises(RuntimeError, match="^the cobar differential of .* leaves the basis of degree "):
+        cobar(C, 3)
+
+
 # -- the counit chain map -----------------------------------------------------
 
 
@@ -583,7 +677,9 @@ def test_compare_rejects_conflicting_augmentation_votes(monkeypatch):
 def test_compare_rejects_an_image_outside_the_basis(monkeypatch):
     honest = bar_cobar._w_to_cobar
     monkeypatch.setattr(
-        bar_cobar, "_w_to_cobar", lambda P, C, x: dataclasses.replace(honest(P, C, x), degree=x.degree + 1)
+        bar_cobar,
+        "_w_to_cobar",
+        lambda P, C, x, *memo: dataclasses.replace(honest(P, C, x, *memo), degree=x.degree + 1),
     )
     rep = compare_w_barcobar(AS_NS, 3)
     first = w_pseudo(AS_NS, 3).basis_of(0)[0]

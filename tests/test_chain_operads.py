@@ -492,7 +492,8 @@ VALIDATOR_FAILURES = {
     "identity-action": (
         _IdentityNegates(True, {2: [("c", 0)]}, {}, {}, {("c", (1, 0)): {"c": 1}}),
         2,
-        ["identity action fails on c"] + ["action composition fails on c"] * 4,
+        ["identity action fails on c"]
+        + [f"action composition fails on c under {s} then {t}" for s in ((0, 1), (1, 0)) for t in ((0, 1), (1, 0))],
     ),
     "action-chain-map": (
         TableChainOperad(True, {2: [("c", 0), ("e", 1)]}, {"e": {"c": 1}}, {}, {("c", (1, 0)): {"c": 1}, ("e", (1, 0)): {"e": -1}}),
@@ -502,19 +503,30 @@ VALIDATOR_FAILURES = {
     "action-composition": (
         TableChainOperad(True, {2: [("12", 0), ("21", 0)]}, {}, {}, {("12", (1, 0)): {"21": 1}, ("21", (1, 0)): {"21": 1}}),
         2,
-        ["action composition fails on 12"],
+        ["action composition fails on 12 under (1, 0) then (1, 0)"],
     ),
     # S_2 and S_3 both by their sign: the block swap in S_3 is even
-    "outer-equivariance": (_binary_and_ternary_signs(-1, -1), 3, ["outer equivariance fails on (c2,c2)"] * 2),
+    "outer-equivariance": (
+        _binary_and_ternary_signs(-1, -1),
+        3,
+        [f"outer equivariance fails on (c2,c2) at slot {j} under (1, 0)" for j in (1, 2)],
+    ),
     # S_3 by its sign alone: a transposition inside a block is odd
-    "inner-equivariance": (_binary_and_ternary_signs(1, -1), 3, ["inner equivariance fails on (c2,c2)"] * 2),
+    "inner-equivariance": (
+        _binary_and_ternary_signs(1, -1),
+        3,
+        [f"inner equivariance fails on (c2,c2) at slot {i} under (1, 0)" for i in (1, 2)],
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATOR_FAILURES))
 def test_validator_names_the_broken_axiom(case):
     P, bound, msgs = VALIDATOR_FAILURES[case]
-    assert validate_chain_operad(P, bound) == msgs
+    got = validate_chain_operad(P, bound)
+    assert got == msgs
+    # each message says where its axiom broke, so none repeats
+    assert len(set(got)) == len(got)
 
 
 def test_validator_accepts_the_trivial_actions():

@@ -242,8 +242,8 @@ def test_barcobar_compare_failure_payload(monkeypatch, tmp_path):
     honest = bar_cobar._w_to_cobar
     first = {}
 
-    def merged(P, C, x):
-        y = honest(P, C, x)
+    def merged(P, C, x, *memo):
+        y = honest(P, C, x, *memo)
         return first.setdefault(x.degree, y) if x.degree == 0 else y
 
     monkeypatch.setattr(bar_cobar, "_w_to_cobar", merged)

@@ -207,6 +207,19 @@ def test_ass_word_semantics():
     assert ASS.act(2, (0, 1), (1, 0)) == (1, 0)
 
 
+def test_ass_rank_is_the_index_in_elements():
+    for n in range(1, 7):
+        elems = ASS.elements(n)
+        assert [ASS.rank(n, x) for x in elems] == [elems.index(x) for x in elems]
+    # not permutations of range(n): wrong arity, a repeat, a letter out of
+    # range, a list, a string, and the empty arity
+    for n, x in [(3, (0, 1)), (3, (0, 1, 1)), (3, (0, 1, 3)), (3, [0, 1, 2]), (2, "01"), (0, ())]:
+        with pytest.raises(ValueError):
+            ASS.elements(n).index(x)
+        with pytest.raises(ValueError):
+            ASS.rank(n, x)
+
+
 def test_json_round_trip():
     data = operad_to_json(ASS, 3)
     Q = operad_from_json(data)
