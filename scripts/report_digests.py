@@ -82,6 +82,10 @@ COMMANDS = (
     "barcobar compare-w --operad com --arity 5",
     "barcobar verify-twisting --operad ass_sym --arity 5",
     "barcobar compare-w --operad ass_sym --arity 5",
+    # cobar complexes printed in full from graded and unary labels
+    "barcobar build --operad scripts/data/endv3_sym.json --arity 3 --cap 2 --which cobar",
+    "barcobar build --operad scripts/data/endv3_ns.json --arity 3 --cap 2 --which both",
+    "barcobar build --operad scripts/data/unary_ns.json --arity 2 --cap 3 --which cobar",
 )
 
 

@@ -19,8 +19,12 @@ cube assembler is: the structure terms of an element (its contractions
 at the bar level, its splittings at the cobar level) and the splittings
 of a bar label depend only on the element's family, its tree, leaf
 routing and label parities, so each is computed once per family over
-formal labels and instantiated per labeling.  The per-element _tree_d
-and _splits stay as the references the tests compare against.
+formal labels, those of chain_operads._SymbolicOperad, and instantiated
+per labeling.  The cobar is assembled by the cylinder's keyed
+assembler, chain_operads._keyed_complex: its basis is integer family
+keys and decoded only when read, and this module supplies only the
+column filler.  The per-element _tree_d and _splits stay as the
+references the tests compare against.
 
 The composite resolves the operad; this module also matches it against
 the cylinder resolution of chain_operads by an explicit basis bijection
@@ -28,17 +32,16 @@ and a diagonal sign rescaling, so the two sign disciplines never have to
 agree literally, only up to signs.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import perms
-from .chain_core import ZZ, ChainComplex, ChainMap, SparseMat, assemble_complex, evaluation_map, graded
-from .chain_operads import _evaluate, _SymbolicOperad, w_augmentation, w_pseudo
+from .chain_core import ChainComplex, ChainMap, assemble_complex, evaluation_map, graded
+from .chain_operads import _instances, _keyed_column, _keyed_complex, _SymbolicOperad, w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
     TreeElement,
-    block_elements,
-    block_walk,
     build_node,
     canon,
     cut,
@@ -139,33 +142,10 @@ def _merge(P, nd, w0, parent, slot, child, shift: int):
 # one cobar call.
 
 
-class _Formal(_SymbolicOperad):
-    """The formal labels as a label source: a formal label's degree is
-    the parity it carries."""
-
-    def __init__(self, symmetric: bool):
-        self.symmetric = symmetric
-
-    def degree_of(self, k, label) -> int:
-        return label[1]
-
-
 def _fill(node, labels) -> tuple:
     """node with its labels replaced by labels, in preorder."""
     it = iter(labels)
     return map_labels(node, lambda label, valence: next(it))
-
-
-def _instances(P, exprs, labels, memo):
-    """The (coefficient, names) pairs that the formal labels exprs take
-    when vertex v is labeled labels[v]: the expansion of the product of
-    their values."""
-    values = [((labels[e[2]], 1),) if e[0] == "x" else _evaluate(P, e, labels, memo).items() for e in exprs]
-    for combo in itertools.product(*values):
-        c = 1
-        for _, k in combo:
-            c *= k
-        yield c, tuple(z for z, _ in combo)
 
 
 def _slots(exprs) -> list:
@@ -262,7 +242,7 @@ def _bar_family(P, node, pars) -> tuple:
     (sign, canonical formal node, its formal labels in preorder); per
     split (sign, upper node, its labels as _slots, slot, lower node, its
     labels as _slots, routing, arity of the lower factor)."""
-    F = _Formal(P.symmetric)
+    F = _SymbolicOperad(P.symmetric)
     formal = _fill(node, [("x", p, v) for v, p in enumerate(pars)])
     nd = tag(formal, _parity(F))
     contractions = []
@@ -515,15 +495,14 @@ def _splittings(C, nd, w0):
         s = -s if vertex[2] else s
 
 
-def _split_template(F, tree, lam, pars, v, shape, where) -> tuple:
+def _split_template(F, tree, lam, pars, v, shape, fams) -> tuple:
     """The splitting of vertex v of the outer tree tree, routed by lam,
     whose labels have the degree parities pars, by a split of shape
     (upper arity, slot, routing, upper parity), over formal labels: label
     u is formal label u, and the upper and lower factors are V and V + 1
-    for V vertices.  Returns (sign, block, routing index, slots) with
-    the prefix counted.  Block and routing index locate the canonical
-    result through where, (notation -> block, per block routing ->
-    index), and are None outside it; slots are its labels in preorder,
+    for V vertices.  Returns (sign, block, notation, routing, slots) with
+    the prefix counted: the canonical result's block in fams (None
+    outside it), tree notation and routing, and its labels in preorder,
     as _slots gives them."""
     up_arity, slot, lam2, up_par = shape
     V = len(pars)
@@ -537,11 +516,8 @@ def _split_template(F, tree, lam, pars, v, shape, where) -> tuple:
     node, c = _split_at(nd, w0, vertex, split)
     sign, rep = _canon(F, node)
     text, _, exprs, lvs = node_view(rep)
-    block_of, routings = where
-    b = block_of.get(text)
-    ri = None if b is None else routings[b].get(tuple(lvs))
     prefix = _prefix_signs([p + 1 for p in pars])[v]
-    return prefix * c * sign, b, ri, _slots(exprs)
+    return prefix * c * sign, fams.block_of.get(text), text, tuple(lvs), _slots(exprs)
 
 
 def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
@@ -556,10 +532,13 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
         raise ValueError("capped cooperad cannot support an uncapped expansion")
     if cap is not None and C.vertex_cap is not None and C.vertex_cap < cap:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
+
+    def left(x, y):
+        return f"the cobar differential of {x!r} leaves the basis of degree {x.degree - 1}"
+
     # labeled_trees, kept by block
     blocks = label_blocks(C, arity, cap, -1, lambda label: label.vertex_count(), (0,))
-    basis = graded((x, x.degree) for x in block_elements(arity, blocks))
-    X = ChainComplex(ZZ, basis, _cobar_differentials(C, blocks, basis), check=True)
+    X = _keyed_complex(arity, blocks, False, _cobar_columns(C), left)
     X.meta = {
         "arity": arity,
         "cap": cap,
@@ -569,69 +548,45 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
     return X
 
 
-def _cobar_differentials(C, blocks: list, basis: dict) -> dict:
-    """The cobar differential on basis, the flattening of blocks, degree
-    by degree.  An element is named by (block, routing index, labels).
-    A label term only relabels one vertex, so it stays canonical; a split
-    term is instantiated from the template of its outer family (block,
-    routing, label parities), vertex and split shape.  The bar boundary
-    and splittings of each label, the twists of the labels, and the
-    templates are computed once in this call."""
-    where = (
-        {tree.notation(): b for b, (tree, _, _, _) in enumerate(blocks)},
-        [{lam: ri for ri, lam in enumerate(lams)} for _, lams, _, _ in blocks],
-    )
-    index: dict[int, dict] = {}
-    for b, li, _, d in block_walk(blocks):
-        here = index.setdefault(d, {})
-        labels = blocks[b][2][li][0]
-        for ri in range(len(blocks[b][1])):
-            here[(b, ri, labels)] = len(here)
-    F = _Formal(C.symmetric)
-    bar_d: dict = {}
-    bar_splits: dict = {}
-    acts: dict = {}
-    templates: dict = {}
+def _cobar_columns(C):
+    """The column filler of the cobar differential.  A label term only
+    relabels one vertex, so it stays canonical; a split term is
+    instantiated from the template of its outer family (block, routing,
+    label parities), vertex and split shape.  The bar boundary and
+    splittings of each label and the twists of the labels are computed
+    once per filler, the templates once per block."""
+    F = _SymbolicOperad(C.symmetric)
+    bar_d, splits, act = (functools.lru_cache(maxsize=None)(f) for f in (C.d, C.splits, C.signed_act))
 
-    def act(n, y, sigma):
-        got = acts.get((y, sigma))
-        if got is None:
-            got = acts[(y, sigma)] = C.signed_act(n, y, sigma)
-        return got
+    def fill(fams, b, index, columns, misses):
+        tree, lams, choices, _ = fams.blocks[b]
+        R = len(lams)
+        notation = fams.notations[b]
+        templates: dict = {}
+        for li, (labels, d) in enumerate(choices):
+            here = index[d]
+            below = index.get(d - 1, {})
+            pars = tuple(x.degree & 1 for x in labels)
+            prefix = _prefix_signs([p + 1 for p in pars])
+            for ri, lam in enumerate(lams):
+                own = (fams.base[b] + li * R + ri) << fams.width
+                col: dict = {}
+                for v, x in enumerate(labels):
+                    for y, c in bar_d(x.arity, x).items():
+                        key = fams.fid(b, notation, labels[:v] + (y,) + labels[v + 1 :], lam) << fams.width
+                        col[key] = col.get(key, 0) - prefix[v] * c
+                    for sgn, up, slot, low, lam2 in splits(x):
+                        shape = (up.arity, slot, lam2, up.degree & 1)
+                        t = templates.get((ri, pars, v, shape))
+                        if t is None:
+                            t = templates[(ri, pars, v, shape)] = _split_template(F, tree, lam, pars, v, shape, fams)
+                        sign, b2, text, lvs, slots = t
+                        s, names = _relabel(act, slots, labels + (up, low))
+                        key = fams.fid(b2, text, names, lvs) << fams.width
+                        col[key] = col.get(key, 0) + sign * sgn * s
+                columns[d][here[own]] = _keyed_column(col, below, misses, d, own)
 
-    columns: dict[int, list] = {d: [] for d in index}
-    for b, li, _, d in block_walk(blocks):
-        tree, lams, choices, _ = blocks[b]
-        labels = choices[li][0]
-        below = index.get(d - 1, {})
-        pars = tuple(x.degree & 1 for x in labels)
-        prefix = _prefix_signs([p + 1 for p in pars])
-        for x in labels:
-            if x not in bar_d:
-                bar_d[x] = C.d(x.arity, x)
-                bar_splits[x] = C.splits(x)
-        for ri, lam in enumerate(lams):
-            terms = []
-            for v, x in enumerate(labels):
-                for y, c in bar_d[x].items():
-                    terms.append(((b, ri, labels[:v] + (y,) + labels[v + 1 :]), -prefix[v] * c))
-                for sgn, up, slot, low, lam2 in bar_splits[x]:
-                    key = (b, ri, pars, v, (up.arity, slot, lam2, up.degree & 1))
-                    t = templates.get(key)
-                    if t is None:
-                        t = templates[key] = _split_template(F, tree, lam, pars, v, key[4], where)
-                    sign, b2, ri2, slots = t
-                    s, names = _relabel(act, slots, labels + (up, low))
-                    terms.append(((b2, ri2, names), sign * sgn * s))
-            col: dict = {}
-            for key, c in terms:
-                r = below.get(key)
-                if r is None:
-                    x = basis[d][index[d][(b, ri, labels)]]
-                    raise RuntimeError(f"the cobar differential of {x!r} leaves the basis of degree {d - 1}")
-                col[r] = col.get(r, 0) + c
-            columns[d].append({r: c for r, c in col.items() if c})
-    return {d: SparseMat(len(basis.get(d - 1, ())), len(cols), cols) for d, cols in columns.items()}
+    return fill
 
 
 # -- the counit down to the operad -------------------------------------------

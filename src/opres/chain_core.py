@@ -810,6 +810,25 @@ def json_reader(what: str):
     return wrap
 
 
+def table_key(key: str, op: str, arity) -> tuple:
+    """The parts of an operad table key: "x oi y" (op "o") as (x, i - 1, y)
+    and "x * s" (op "*") as (x, sigma), sigma the 0-based permutation s.
+    A key without three parts, a slot outside 1..arity(key, x), or an s
+    that does not permute 1..arity(key, x) raises ValueError naming it."""
+    parts = key.split(" ")
+    if len(parts) != 3 or not parts[1].startswith(op) or (op == "*" and parts[1] != "*"):
+        raise ValueError(f"bad {'composition' if op == 'o' else 'action'} key {key!r}")
+    x, mid, y = parts
+    n = arity(key, x)
+    if op == "o":
+        if mid[1:] not in map(str, range(1, n + 1)):
+            raise ValueError(f"composition key {key!r} names a slot outside 1..{n}")
+        return x, int(mid[1:]) - 1, y
+    if sorted(y.split(",")) != sorted(map(str, range(1, n + 1))):
+        raise ValueError(f"action key {key!r} does not permute 1..{n}")
+    return x, tuple(int(e) - 1 for e in y.split(","))
+
+
 def complex_to_json(C: ChainComplex, label_str=str, labels=None) -> dict:
     """The JSON payload of a complex.  Each basis label is label_str of
     the element, unless labels holds every degree's label texts in basis

@@ -21,6 +21,10 @@ degree is a KeyedDegree that knows its size, and the number of distinct
 keys that name its cells, without a TreeElement.  The elements are
 decoded from the blocks, every degree in one block_elements pass, only
 when something reads them; the build, the report and homology do not.
+One keyed assembler, _keyed_complex, builds this basis and the
+differentials for the cylinder and for the cobar of bar_cobar alike;
+each construction supplies a column filler per block and its own
+message for a boundary that leaves the basis.
 
 Signs are mechanical.  Every basis element linearizes to a word: for
 each component of the tree under marked edges, in discovery order, the
@@ -46,6 +50,7 @@ that the assembled columns are tested against.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 
@@ -62,6 +67,7 @@ from .chain_core import (
     evaluation_map,
     graded,
     json_reader,
+    table_key,
     verify_chain_map,
 )
 from .set_operads import AssOperad, ComOperad, InfiniteEnumerationError
@@ -282,8 +288,8 @@ def load_chain_operad(data: dict) -> TableChainOperad:
     Keys: "arities" mapping arity to [name, degree] pairs, optional "d",
     "compose" keyed "x o1 y" (slots 1-based), "actions" keyed "x * 2,1",
     the flag "symmetric" and a "name"; other keys are ignored.  A row that
-    names an element outside the basis, or a term of the wrong arity or
-    degree, raises ValueError."""
+    names an element outside the basis, a term of the wrong arity or
+    degree, or a key that table_key refuses raises ValueError."""
     basis = {
         int(k): [(str(nm), int(deg)) for nm, deg in v]
         for k, v in data["arities"].items()
@@ -294,6 +300,9 @@ def load_chain_operad(data: dict) -> TableChainOperad:
         if x not in where:
             raise ValueError(f"row {key!r} names {x!r}, which is outside the basis")
         return where[x]
+
+    def arity_of(key, x):
+        return find(key, x)[0]
 
     def terms(key, row, arity, degree):
         out = {str(t): int(c) for t, c in row.items()}
@@ -310,17 +319,12 @@ def load_chain_operad(data: dict) -> TableChainOperad:
         d_table[x] = terms(x, row, n, a - 1)
     compose_table = {}
     for key, row in data.get("compose", {}).items():
-        x, mid, y = key.split(" ")
-        if not mid.startswith("o"):
-            raise ValueError(f"bad composition key {key!r}")
+        x, i, y = table_key(key, "o", arity_of)
         (n, a), (m, b) = find(key, x), find(key, y)
-        compose_table[(x, int(mid[1:]) - 1, y)] = terms(key, row, n + m - 1, a + b)
+        compose_table[(x, i, y)] = terms(key, row, n + m - 1, a + b)
     action_table = {}
     for key, row in data.get("actions", {}).items():
-        x, star, sig = key.split(" ")
-        if star != "*":
-            raise ValueError(f"bad action key {key!r}")
-        sigma = tuple(int(s) - 1 for s in sig.split(","))
+        x, sigma = table_key(key, "*", arity_of)
         action_table[(x, sigma)] = terms(key, row, *find(key, x))
     return TableChainOperad(
         data.get("symmetric", True),
@@ -799,7 +803,14 @@ class _SymbolicOperad:
     label of vertex v, ("o", par, n, i, e, m, f) a composition and
     ("s", par, n, e, sigma) an action.  Contracting an edge over them
     records the compositions and label twists of the contraction face for
-    every labeling at once."""
+    every labeling at once.  As a label source, a formal label's degree
+    is the parity it carries."""
+
+    def __init__(self, symmetric: bool):
+        self.symmetric = symmetric
+
+    def degree_of(self, n, label) -> int:
+        return label[1]
 
     def compose(self, n, i, x, m, y):
         return {("o", x[1] ^ y[1], n, i, x, m, y): 1}
@@ -829,22 +840,34 @@ def _evaluate(P, e, labels, memo) -> dict:
     return got
 
 
+def _instances(P, exprs, labels, memo):
+    """The (coefficient, names) pairs that the formal labels exprs take
+    when vertex v is labeled labels[v]: the expansion of the product of
+    their values."""
+    values = [((labels[e[2]], 1),) if e[0] == "x" else _evaluate(P, e, labels, memo).items() for e in exprs]
+    for combo in itertools.product(*values):
+        c = 1
+        for _, k in combo:
+            c *= k
+        yield c, tuple(z for z, _ in combo)
+
+
 class _Families:
     """Integer ids of the families of a basis, block by block: the family
     of labeling li and routing ri in block b is base[b] + li * R + ri, with
     R the block's routing count.  A family outside the basis, reached by a
     boundary that leaves it, gets the next free id.
 
-    A block's labelings depend only on its valences, which its labels
-    determine because basis names are unique across arities, so one index
-    of labels serves every block; a lookup still checks the block."""
+    The blocks of one valence sequence share their list of labelings, and
+    those of one planar shape their list of routings, so each list is
+    indexed once."""
 
     def __init__(self, blocks):
         self.blocks = blocks
         self.block_of: dict[str, int] = {}
         self.notations: list[str] = []
         self.base: list[int] = []
-        self.label_index: dict[tuple, int] = {}
+        self.label_index: list[dict] = []
         self.routing_index: list[dict] = []
         shared: dict[int, dict] = {}
         count = width = 0
@@ -852,11 +875,11 @@ class _Families:
             self.notations.append(tree.notation())
             self.block_of[self.notations[-1]] = b
             self.base.append(count)
-            for li, (chosen, _) in enumerate(choices):
-                self.label_index.setdefault(chosen, li)
-            # the planar shapes share one routing list
+            if id(choices) not in shared:
+                shared[id(choices)] = {labels: li for li, (labels, _) in enumerate(choices)}
             if id(lams) not in shared:
                 shared[id(lams)] = {lam: ri for ri, lam in enumerate(lams)}
+            self.label_index.append(shared[id(choices)])
             self.routing_index.append(shared[id(lams)])
             count += len(choices) * len(lams)
             width = max(width, tree.edge_count)
@@ -869,11 +892,10 @@ class _Families:
         """The id of a family, where b is the block of its tree, given by
         its notation, or None."""
         if b is not None:
-            li = self.label_index.get(labels)
+            li = self.label_index[b].get(labels)
             ri = self.routing_index[b].get(lam)
-            _, lams, choices, _ = self.blocks[b]
-            if li is not None and ri is not None and li < len(choices) and choices[li][0] == labels:
-                return self.base[b] + li * len(lams) + ri
+            if li is not None and ri is not None:
+                return self.base[b] + li * len(self.blocks[b][1]) + ri
         key = (notation, labels, lam)
         got = self.outside.get(key)
         if got is None:
@@ -1001,9 +1023,9 @@ def _contraction_templates(P, fams, tree, lam, pars) -> list:
     parent's index.  Nothing here depends on the marking or the labels."""
     E = tree.edge_count
     formal = [("x", par, v) for v, par in enumerate(pars)]
-    skel = tag(build_node(tree, formal, [0] * E, lam), lambda n, label: label[1])
+    sym = _SymbolicOperad(P.symmetric)
+    skel = tag(build_node(tree, formal, [0] * E, lam), sym.degree_of)
     vid = {nd[0]: v for v, nd in enumerate(vertices(skel))}
-    sym = _SymbolicOperad()
     out = []
     for parent, slot, child in edges(skel):
         p = vid[parent[0]]
@@ -1059,17 +1081,7 @@ def _contraction_targets(P, fams, template, labels, memo) -> list:
     """The (coefficient, target key without mask) terms of a template
     for one labeling."""
     b, notation, lam, exprs, _, _, _ = template
-    values = [
-        ((labels[x[2]], 1),) if x[0] == "x" else _evaluate(P, x, labels, memo).items()
-        for x in exprs
-    ]
-    out = []
-    for combo in itertools.product(*values):
-        coeff = 1
-        for _, k in combo:
-            coeff *= k
-        out.append((coeff, fams.fid(b, notation, tuple(z for z, _ in combo), lam) << fams.width))
-    return out
+    return [(c, fams.fid(b, notation, names, lam) << fams.width) for c, names in _instances(P, exprs, labels, memo)]
 
 
 def _label_boundaries(P, fams, b, labels, vals, lam) -> list:
@@ -1085,12 +1097,27 @@ def _label_boundaries(P, fams, b, labels, vals, lam) -> list:
     return out
 
 
+def _keyed_column(col: dict, below: dict, misses: dict, d: int, src: int) -> dict:
+    """The column col, a dict key -> entry of the element with key src in
+    degree d, as a dict row -> entry against the index below of degree
+    d - 1.  The first nonzero entry whose key is outside below goes to
+    misses[d] as (d, src, key)."""
+    out = {}
+    for key, c in col.items():
+        if c:
+            i = below.get(key)
+            if i is None:
+                misses.setdefault(d, (d, src, key))
+            else:
+                out[i] = c
+    return out
+
+
 def _block_columns(P, fams, b, index, columns, misses) -> None:
-    """Write the boundary column of every element of block b, as a dict
-    row -> entry, into columns[degree] at the element's position.  A
-    nonzero term outside the basis of the degree below goes to misses,
-    the first per degree, as (degree, column key, key).  Templates and
-    sign caches live for this block only."""
+    """The column filler of the cylinder: write the boundary column of
+    every element of block b into columns[degree] at the element's
+    position, through _keyed_column.  Templates and sign caches live for
+    this block only."""
     tree, lams, choices, masks = fams.blocks[b]
     E = tree.edge_count
     R = len(lams)
@@ -1145,19 +1172,11 @@ def _block_columns(P, fams, b, index, columns, misses) -> None:
                     for c, tb in terms:
                         key = tb | target
                         col[key] = col.get(key, 0) + sign * c
-                out = {}
-                for key, c in col.items():
-                    if c:
-                        i = below.get(key)
-                        if i is None:
-                            misses.setdefault(d, (d, own | M, key))
-                        else:
-                            out[i] = c
-                data[here[own | M]] = out
+                data[here[own | M]] = _keyed_column(col, below, misses, d, own | M)
 
 
 class _Cells:
-    """The basis of one cylinder build: an optional unit, then the
+    """The basis of one keyed build: an optional unit, then the
     flattening of blocks.  decoded() builds the TreeElements of every
     degree in one block_elements pass on its first call and keeps them."""
 
@@ -1177,9 +1196,12 @@ class _Cells:
 
 
 def _assemble_w(P, arity, edge_cap, blocks, unit, construction) -> ChainComplex:
-    """The complex on an optional unit followed by the flattening of blocks."""
-    basis, mats = _cube_differentials(P, arity, blocks, unit)
-    C = ChainComplex(ZZ, basis, mats, check=True)
+    """The cylinder on an optional unit followed by the flattening of blocks."""
+
+    def left(x, y):
+        return f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}"
+
+    C = _keyed_complex(arity, blocks, unit, functools.partial(_block_columns, P), left)
     C.meta = {
         "arity": arity,
         "edge_cap": edge_cap,
@@ -1206,10 +1228,13 @@ def _keyed_basis(cells: _Cells, keys: dict) -> tuple[dict, dict]:
     return index, basis
 
 
-def _cube_differentials(P, arity: int, blocks: list, unit: bool) -> tuple[dict, dict]:
-    """The keyed basis by degree and the differentials of the span of an
-    optional unit followed by the flattening of blocks.  The elements are
-    indexed by their integer keys, which are dropped on return."""
+def _keyed_complex(arity: int, blocks: list, unit: bool, fill, left) -> ChainComplex:
+    """The complex on an optional unit, a cycle, followed by the
+    flattening of blocks, on a keyed basis.  For each block b,
+    fill(fams, b, index, columns, misses) writes the column of each of its
+    elements into columns[degree] at its position, through _keyed_column.
+    The first miss in the lowest degree raises RuntimeError(left(x, y))
+    for the element x and the term y outside the basis."""
     fams = _Families(blocks)
     width = fams.width
     keys: dict[int, list] = {}
@@ -1231,16 +1256,14 @@ def _cube_differentials(P, arity: int, blocks: list, unit: bool) -> tuple[dict, 
     columns: dict[int, list] = {k: [None] * len(v) for k, v in basis.items()}
     misses: dict = {}
     for b in range(len(blocks)):
-        _block_columns(P, fams, b, index, columns, misses)
+        fill(fams, b, index, columns, misses)
     if misses:
         d, src, key = misses[min(misses)]
-        x = TreeElement(arity, fams.node(src), d)
-        y = TreeElement(arity, fams.node(key), d - 1)
-        raise RuntimeError(f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}")
+        raise RuntimeError(left(TreeElement(arity, fams.node(src), d), TreeElement(arity, fams.node(key), d - 1)))
     if unit:
-        columns[0][0] = {}  # the unit is a cycle
+        columns[0][0] = {}
     mats = {k: SparseMat(len(basis.get(k - 1, ())), len(v), columns[k]) for k, v in basis.items()}
-    return basis, mats
+    return ChainComplex(ZZ, basis, mats, check=True)
 
 
 def w_pseudo(P, arity: int, edge_cap: int | None = None) -> ChainComplex:
@@ -1446,7 +1469,7 @@ def _in_basis(fams: _Families, arity: int, z: TreeElement) -> bool:
     b = fams.block_of.get(notation)
     if b is None or fams.fid(b, notation, labels, tuple(lam)) >= fams.count:
         return False
-    labeling = fams.blocks[b][2][fams.label_index[labels]]
+    labeling = fams.blocks[b][2][fams.label_index[b][labels]]
     return set(flags) <= {0, 1} and z.degree == labeling[1] + sum(flags)
 
 

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from . import perms
-from .chain_core import json_reader
+from .chain_core import json_reader, table_key
 from .segments import (
     FiniteSegment,
     SegmentMap,
@@ -203,17 +203,11 @@ def operad_from_json(data: dict) -> TableOperad:
 
     compose_table = {}
     for key, result in data.get("compose", {}).items():
-        x, mid, y = key.split(" ")
-        if not mid.startswith("o"):
-            raise ValueError(f"bad composition key {key!r}")
-        arity = find(key, x) + find(key, y) - 1
-        compose_table[(x, int(mid[1:]) - 1, y)] = result_of(key, result, arity)
+        x, i, y = table_key(key, "o", find)
+        compose_table[(x, i, y)] = result_of(key, result, find(key, x) + find(key, y) - 1)
     action_table = {}
     for key, result in data.get("actions", {}).items():
-        x, star, sig = key.split(" ")
-        if star != "*":
-            raise ValueError(f"bad action key {key!r}")
-        sigma = tuple(int(s) - 1 for s in sig.split(","))
+        x, sigma = table_key(key, "*", find)
         action_table[(x, sigma)] = result_of(key, result, find(key, x))
     return TableOperad(elements, data["unit"], compose_table, action_table)
 

@@ -19,8 +19,8 @@ one enumerator (labeled_trees) too: the cylinder, the bar
 and the cobar differ only in their label source, the degree shift of a
 vertex, what a label costs against the cap, and which edge flags occur.
 The enumerator flattens one block per tree shape (label_blocks) in the
-order of block_walk, which the cylinder's assembler and its report
-labels also walk.
+order of block_walk, which the keyed assembler of the cylinder and the
+cobar, and the cylinder's report labels, also walk.
 The nodes of one enumeration share their equal subtrees and items, so
 nothing may rely on node identity: nodes are compared by value.
 
@@ -276,20 +276,23 @@ def label_blocks(Q, arity: int, cap: int | None, shift: int, cost, flags) -> lis
     max_edges = cap - 1 if cap is not None else max(arity - 2, 0)
     min_val = 1 if Q.basis(1) else 2
     pools: dict[int, tuple] = {}
-    # one list of flag tuples per edge count, shared by its blocks
+    # one list of labelings per valence sequence and one of flag tuples
+    # per edge count, each shared by its blocks
+    labelings: dict[tuple, list] = {}
     masks: dict[int, list] = {}
     out = []
     for tree, lams in shapes(arity, max_edges, min_val, Q.symmetric):
-        vals = tree.valences()
-        for v in vals:
-            if v not in pools:
-                pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
-        choices: list = []
-        _choose_labels([pools[v] for v in vals], cap, 0, 0, [], choices)
+        vals = tuple(tree.valences())
+        if vals not in labelings:
+            for v in vals:
+                if v not in pools:
+                    pools[v] = tuple((lb, deg + shift, cost(lb)) for lb, deg in Q.basis(v))
+            labelings[vals] = []
+            _choose_labels([pools[v] for v in vals], cap, 0, 0, [], labelings[vals])
         E = tree.edge_count
         if E not in masks:
             masks[E] = list(itertools.product(flags, repeat=E))
-        out.append((tree, lams, choices, masks[E]))
+        out.append((tree, lams, labelings[vals], masks[E]))
     return out
 
 

@@ -22,7 +22,7 @@ from opres.bar_cobar import (
     _w_key,
     _w_to_cobar,
 )
-from opres.chain_core import QQ, Ring, change_ring, homology, verify_chain_map
+from opres.chain_core import QQ, KeyedDegree, Ring, change_ring, homology, verify_chain_map
 from opres.chain_operads import (
     TableChainOperad,
     builtin_chain_operad,
@@ -32,8 +32,8 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import InfiniteEnumerationError
-from opres.tagged import build_node, node_leaves, node_tree, node_view, shapes
-from test_chain_operads import endv, unary_ns
+from opres.tagged import build_node, labeled_trees, node_leaves, node_tree, node_view, shapes
+from test_chain_operads import _committed_table, endv, unary_ns
 
 AS_NS = builtin_chain_operad("as_ns")
 ASS = builtin_chain_operad("ass_sym")
@@ -315,8 +315,8 @@ def test_cobar_meta():
 def test_cobar_deterministic_rebuild():
     a = cobar(bar(ASS, 3), 3)
     b = cobar(bar(ASS, 3), 3)
-    assert {k: a.basis_of(k) for k in a.degrees()} == {
-        k: b.basis_of(k) for k in b.degrees()
+    assert {k: tuple(a.basis_of(k)) for k in a.degrees()} == {
+        k: tuple(b.basis_of(k)) for k in b.degrees()
     }
     for k in a.degrees():
         assert a.diff(k).equals(b.diff(k), a.ring)
@@ -414,6 +414,44 @@ def test_cobar_rejects_a_boundary_outside_the_basis(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="^the cobar differential of .* leaves the basis of degree "):
         cobar(C, 3)
+
+
+def test_cobar_rejects_a_split_outside_the_basis(monkeypatch):
+    # every bar label of as_ns with an edge splits; here each lower
+    # factor is moved up five degrees
+    C = bar(AS_NS, 3)
+    honest = C.splits
+    monkeypatch.setattr(C, "splits", lambda x: [
+        (s, up, i, dataclasses.replace(low, degree=low.degree + 5), lam2) for s, up, i, low, lam2 in honest(x)
+    ])
+    with pytest.raises(RuntimeError, match="^the cobar differential of .* leaves the basis of degree "):
+        cobar(C, 3)
+
+
+@pytest.mark.parametrize(
+    "P,n,cap",
+    [
+        (ASS, 4, None),
+        (COM, 4, None),
+        (_committed_table("endv3_ns.json"), 3, 2),
+        (_committed_table("endv3_sym.json"), 3, 2),
+        (_committed_table("unary_ns.json"), 2, 3),
+    ],
+    ids=["ass_sym", "com", "endv3_ns", "endv3_sym", "unary_ns"],
+)
+def test_cobar_keyed_basis_decodes_to_the_enumeration(P, n, cap):
+    # each degree of a built cobar is integer keys until read; read, it is
+    # the enumeration of trees of bar labels, element for element and in
+    # order
+    C = bar(P, n, cap)
+    X = cobar(C, n, cap)
+    assert all(isinstance(X.basis[k], KeyedDegree) and X.basis[k].source._decoded is None for k in X.basis)
+    want: dict = {}
+    for x in labeled_trees(C, n, cap, -1, lambda label: label.vertex_count(), (0,)):
+        want.setdefault(x.degree, []).append(x)
+    assert {k: X.dim(k) for k in X.degrees()} == {k: len(v) for k, v in want.items()}
+    for k, xs in want.items():
+        assert tuple(X.basis_of(k)) == tuple(xs)
 
 
 # -- the counit chain map -----------------------------------------------------

@@ -580,6 +580,13 @@ MALFORMED_ROWS = [
     ("actions", "m * 2,1", {"t": 1}),
     # a key outside the basis
     ("compose", "zzz o1 m", {"t": 1}),
+    # a slot outside 1..2, an action that does not permute 1..2, and a
+    # key without three parts
+    ("compose", "m o3 m", {"t": 1}),
+    ("compose", "m o0 m", {"t": 1}),
+    ("actions", "m * 1,1", {"m": 1}),
+    ("actions", "m * 1,2,3", {"m": 1}),
+    ("compose", "m o1", {"t": 1}),
 ]
 
 
@@ -613,6 +620,11 @@ def test_malformed_chain_table_exits_2(tmp_path, command, section, key, row):
     ("compose", "m o1 m", "m"),
     ("actions", "m * 2,1", "t"),
     ("compose", "zzz o1 m", "t"),
+    ("compose", "m o3 m", "t"),
+    ("compose", "m o0 m", "t"),
+    ("actions", "m * 1,1", "m"),
+    ("actions", "m * 1,2,3", "m"),
+    ("compose", "m o1", "t"),
 ])
 def test_malformed_set_table_exits_2(tmp_path, section, key, result):
     table = {
