@@ -86,6 +86,11 @@ COMMANDS = (
     "barcobar build --operad scripts/data/endv3_sym.json --arity 3 --cap 2 --which cobar",
     "barcobar build --operad scripts/data/endv3_ns.json --arity 3 --cap 2 --which both",
     "barcobar build --operad scripts/data/unary_ns.json --arity 2 --cap 3 --which cobar",
+    # a capped free comparison, a com tower level against W over delta1:1,
+    # and the diamond of a three-element chain
+    "setw compare-free --operad com --arity 5 --cap 3",
+    "godement compare-w --operad com --level 1 --arity 4",
+    "setw diamond-compare --operad com --arity 4 --cap 4 --segment chain:2",
 )
 
 

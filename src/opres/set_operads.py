@@ -454,7 +454,9 @@ def _eval_planar(Q, nd) -> tuple:
 
 
 def w_eval(P, elem: TreeElement):
-    """Augmentation: forget lengths, compose the labels, route inputs."""
+    """Augmentation: forget lengths, compose the labels in P, route
+    inputs.  With P a weighted construction this evaluates an outer tree
+    whose labels are P's elements."""
     if elem.node is None:
         return P.unit
     return _eval_raw(P, elem.node)
@@ -651,6 +653,43 @@ def _fail(report: dict, witness: str) -> dict:
     return report
 
 
+def _iso_witness(sizes: dict, images: dict, A, B, phi, target, arity: int, fits=None) -> str | None:
+    """Check that phi maps the operad A isomorphically onto B up to an
+    arity, and return the first witness against it, or None.  In each
+    arity the elements of A and target(n), the elements of B that phi
+    must hit, are enumerated first; then each element x of A is mapped
+    once, into images[x], and phi must be one-to-one and onto.  Every
+    composable pair of A within the arity (that fits, when given) must
+    compose to an element already mapped, whose image is the composite
+    in B of the images."""
+    for n in range(1, arity + 1):
+        elems = A.elements(n)
+        expected = set(target(n))
+        sizes[n] = len(elems)
+        seen = set()
+        for x in elems:
+            y = images[x] = phi(x)
+            if y in seen:
+                return f"map not one-to-one at arity {n}"
+            seen.add(y)
+        if seen != expected:
+            missing, extra = len(expected - seen), len(seen - expected)
+            return f"map not onto at arity {n}: {missing} target elements unmatched, {extra} images unexpected"
+    for n1 in range(1, arity + 1):
+        for n2 in range(1, arity + 2 - n1):
+            for x in A.elements(n1):
+                for y in A.elements(n2):
+                    if fits is not None and not fits(x, y):
+                        continue
+                    for i in range(n1):
+                        xy = images.get(A.compose(n1, i, x, n2, y))
+                        if xy is None:
+                            return f"composite outside the enumeration at arities ({n1},{n2}) slot {i}"
+                        if xy != B.compose(n1, i, images[x], n2, images[y]):
+                            return f"composition mismatch at arities ({n1},{n2}) slot {i}"
+    return None
+
+
 def compare_free(P, arity: int, vertex_cap: int | None = None) -> dict:
     """The construction over the two-element chain against the free
     pointed operad on the underlying collection: the element sets agree,
@@ -703,15 +742,6 @@ def _top_pieces(P, node, top) -> tuple:
     return (label, tuple(items))
 
 
-def flatten_diamond(P, H: FiniteSegment, elem: TreeElement) -> TreeElement:
-    """Inverse of unflatten_diamond: compose the label trees in the
-    construction over diamond(H), whose grafting gives the outer edges
-    the adjoined top length."""
-    if elem.node is None:
-        return W_UNIT
-    return _eval_raw(WSetOperad(diamond(H), P), elem.node)
-
-
 def _total_label_vertices(e: TreeElement) -> int:
     if e.node is None:
         return 0
@@ -722,56 +752,28 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
     """Compare the construction over diamond(H) with the free pointed
     operad on the H-construction.  Vertex counts correspond exactly under
     the flattening (each outer label contributes its own vertices), so a
-    single shared cap bounds both sides."""
-    D = diamond(H)
-    WD = WSetOperad(D, P, vertex_cap)
+    single shared cap bounds both sides.  Evaluating an outer tree in the
+    construction over diamond(H), whose grafting gives the outer edges the
+    adjoined top length, inverts the unflattening."""
+    WD = WSetOperad(diamond(H), P, vertex_cap)
     WH = WSetOperad(H, P, vertex_cap)
     outer = FreePointedOperad(WH, vertex_cap)
     collapse = diamond_collapse(H)
-
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    unflat: dict[TreeElement, TreeElement] = {}  # each element of WD, unflattened once
+    unflat: dict[TreeElement, TreeElement] = {}
+    witness = _iso_witness(
+        report["sizes"], unflat, WD, outer, lambda x: unflatten_diamond(P, H, x, WH),
+        lambda n: [e for e in outer.elements(n) if _total_label_vertices(e) <= vertex_cap], arity,
+        fits=lambda x, y: x.vertex_count() + y.vertex_count() <= vertex_cap,
+    )
+    if witness:
+        return _fail(report, witness)
     for n in range(1, arity + 1):
-        lhs = WD.elements(n)
-        report["sizes"][n] = len(lhs)
-        rhs = [e for e in outer.elements(n) if _total_label_vertices(e) <= vertex_cap]
-        image = set()
-        for x in lhs:
-            u = unflat[x] = unflatten_diamond(P, H, x, WH)
-            if u in image:
-                return _fail(report, f"unflattening not injective at arity {n}")
-            image.add(u)
-            if flatten_diamond(P, H, u) != x:
+        for x in WD.elements(n):
+            if w_eval(WD, unflat[x]) != x:
                 return _fail(report, f"round trip fails at arity {n}: {element_to_json(P, x)}")
-        if image != set(rhs):
-            missing = len(set(rhs) - image)
-            extra = len(image - set(rhs))
-            return _fail(report, f"arity {n}: {missing} free elements unmatched, {extra} images unexpected")
-        for x in lhs:
-            via_segment = w_segment_apply(P, collapse, x)
-            if x.node is None:
-                via_counit = W_UNIT
-            else:
-                via_counit = _eval_raw(WH, unflat[x].node)
-            if via_segment != via_counit:
+            if w_segment_apply(P, collapse, x) != w_eval(WH, unflat[x]):
                 return _fail(report, f"collapse square fails at arity {n}: {element_to_json(P, x)}")
-    for n1 in range(1, arity + 1):
-        for n2 in range(1, arity + 1):
-            if n1 + n2 - 1 > arity:
-                continue
-            for x in WD.elements(n1):
-                for y in WD.elements(n2):
-                    if x.vertex_count() + y.vertex_count() > vertex_cap:
-                        continue
-                    for i in range(n1):
-                        # the composite is within the cap and the arity,
-                        # so the first loop unflattened it already
-                        lhs_c = unflat.get(w_compose(P, D, x, i, y))
-                        if lhs_c is None:
-                            return _fail(report, f"composite outside the enumeration at arities ({n1},{n2}) slot {i}")
-                        rhs_c = outer.compose(n1, i, unflat[x], n2, unflat[y])
-                        if lhs_c != rhs_c:
-                            return _fail(report, f"grafting mismatch at arities ({n1},{n2}) slot {i}")
     return report
 
 
@@ -807,9 +809,7 @@ class GodementTower:
         if k == 0:
             return w_eval(self.P, x)
         if i == k:
-            if x.node is None:
-                return W_UNIT
-            return _eval_raw(self.level(k - 1), x.node)
+            return w_eval(self.level(k - 1), x)
         return self._relabel(x, self.level(k - 1), lambda lab, val: self.face(k - 1, i, lab))
 
     def degeneracy(self, k: int, i: int, x: TreeElement) -> TreeElement:
@@ -915,31 +915,11 @@ def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
     faces = [delta1_face(k, k - i) for i in range(k + 1)] if k >= 1 else []
     degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    flat: dict[TreeElement, TreeElement] = {}  # each level-k element, flattened once
-    for n in range(1, max_arity + 1):
-        g_elems = tower.elements(k, n)
-        w_elems = W.elements(n)
-        report["sizes"][n] = len(w_elems)
-        flats = [tower.flatten(k, x) for x in g_elems]
-        flat.update(zip(g_elems, flats))
-        if len(set(flats)) != len(flats):
-            return _fail(report, f"flattening not injective at arity {n}")
-        if set(flats) != set(w_elems):
-            return _fail(report, f"flattening not onto at arity {n}: {len(g_elems)} vs {len(w_elems)}")
-    for n1 in range(1, max_arity + 1):
-        for n2 in range(1, max_arity + 1):
-            if n1 + n2 - 1 > max_arity:
-                continue
-            for x in tower.elements(k, n1):
-                for y in tower.elements(k, n2):
-                    for i in range(n1):
-                        # the composite is within the arity, so the first
-                        # loop flattened it already
-                        lhs = flat.get(tower.level(k).compose(n1, i, x, n2, y))
-                        if lhs is None:
-                            return _fail(report, f"composite outside the enumeration at arities ({n1},{n2}) slot {i}")
-                        if lhs != w_compose(P, W.H, flat[x], i, flat[y]):
-                            return _fail(report, f"composition mismatch at arities ({n1},{n2}) slot {i}")
+    flat: dict[TreeElement, TreeElement] = {}
+    witness = _iso_witness(report["sizes"], flat, tower.level(k), W, lambda x: tower.flatten(k, x),
+                           W.elements, max_arity)
+    if witness:
+        return _fail(report, witness)
     for n in range(1, max_arity + 1):
         for x in tower.elements(k, n):
             fx = flat[x]
@@ -1036,34 +1016,15 @@ def reachable_normal_forms(P, H: FiniteSegment, state):
 def confluence_experiment(P, H: FiniteSegment, count: int, seed: int, max_arity: int = 4,
                           extra_vertices: int = 3) -> dict:
     """Randomized confluence check: every rewrite order of every sampled
-    instance reaches the same canonical normal form.  Falls back to fifty
-    random maximal rewrite sequences when a state space exceeds STATE_CAP."""
+    instance reaches the same canonical normal form.  An instance whose
+    state space exceeds STATE_CAP is a failure, with normal_forms None."""
     rng = random.Random(seed)
     failures = []
-    sampled_fallbacks = 0
     for trial in range(count):
         arity = rng.randint(1, max_arity)
         tree, labels, lengths, leaves = random_raw_instance(rng, P, H, arity, extra_vertices)
-        node = build_node(tree, labels, lengths, leaves)
-        if node is None:
-            continue
-        state = ("node", node)
-        normals = reachable_normal_forms(P, H, state)
-        if normals is None:
-            sampled_fallbacks += 1
-            normals = set()
-            for _ in range(50):
-                cur = state
-                while True:
-                    steps = rewrite_steps(P, H, cur)
-                    if not steps:
-                        break
-                    cur = rng.choice(steps)[1]
-                if cur[0] == "unit":
-                    normals.add(W_UNIT)
-                else:
-                    normals.add(TreeElement(len(node_leaves(cur[1])), canon_node(P, cur[1]), 0))
-        if len(normals) != 1:
+        normals = reachable_normal_forms(P, H, ("node", build_node(tree, labels, lengths, leaves)))
+        if normals is None or len(normals) != 1:
             failures.append(
                 {
                     "trial": trial,
@@ -1071,12 +1032,11 @@ def confluence_experiment(P, H: FiniteSegment, count: int, seed: int, max_arity:
                     "labels": [str(lab) for lab in labels],
                     "lengths": list(lengths),
                     "leaves": list(leaves),
-                    "normal_forms": len(normals),
+                    "normal_forms": None if normals is None else len(normals),
                 }
             )
     return {
         "instances": count,
         "failures": failures,
-        "sampled_fallbacks": sampled_fallbacks,
         "status": "confluent" if not failures else "fail",
     }

@@ -47,7 +47,7 @@ from opres.set_operads import (
     w_eval,
     w_segment_apply,
 )
-from opres.tagged import TreeElement, map_leaves
+from opres.tagged import TreeElement, map_labels, map_leaves
 from opres.trees import PlanarTree, corolla, enumerate_planar, iso_classes
 
 ASS = AssOperad()
@@ -745,6 +745,17 @@ def test_all_orders_confluent_smoke():
     assert rep["status"] == "confluent"
 
 
+def test_confluence_past_the_state_cap_fails(monkeypatch):
+    # an instance whose state space is not explored whole is a failure,
+    # not a sample
+    monkeypatch.setattr(so, "STATE_CAP", 1)
+    rep = confluence_experiment(ASS, chain_segment(2), 40, seed=5, extra_vertices=4)
+    assert set(rep) == {"instances", "failures", "status"}
+    assert rep["status"] == "fail"
+    assert rep["failures"]
+    assert all(f["normal_forms"] is None for f in rep["failures"])
+
+
 def test_reachable_normal_forms_singleton():
     rng = random.Random(12)
     H = chain_segment(2)
@@ -797,6 +808,21 @@ def test_eval_is_operad_map():
     for x in enumerate_w_elements(ASS, H, 3):
         for sigma in perms.all_perms(3):
             assert w_eval(ASS, w_act(ASS, x, sigma)) == ASS.act(3, w_eval(ASS, x), sigma)
+
+
+@pytest.mark.parametrize("P", [ASS, COM], ids=["ass", "com"])
+@pytest.mark.parametrize("H", [chain_segment(2), diamond(chain_segment(1))], ids=["chain2", "diamond"])
+def test_eval_is_operad_map_through_an_internal_edge(P, H):
+    # grafting into a two-vertex tree plugs the graft in under its
+    # internal edge as often as at the root
+    W = WSetOperad(H, P)
+    xs = [x for x in W.elements(3) if x.vertex_count() == 2]
+    assert xs
+    for x in xs:
+        for y in W.elements(2):
+            for i in range(3):
+                lhs = w_eval(P, W.compose(3, i, x, 2, y))
+                assert lhs == P.compose(3, i, w_eval(P, x), 2, w_eval(P, y))
 
 
 def test_segment_apply_is_functorial_and_operadic():
@@ -861,6 +887,23 @@ class _FatUnaryCollection:
         return x
 
 
+def test_compare_free_witnesses(monkeypatch):
+    W = WSetOperad(chain_segment(1), ASS)
+    right = FreePointedOperad.elements
+    monkeypatch.setattr(FreePointedOperad, "elements", lambda self, n: tuple(reversed(right(self, n))))
+    assert compare_free(ASS, 3)["witness"] == "element lists differ at arity 2"
+    monkeypatch.undo()
+    # the fold sends every element to the unit
+    monkeypatch.setattr(so, "w_segment_apply", lambda P, f, x: W_UNIT)
+    expect = f"counit mismatch at arity 2: {element_to_json(ASS, W.elements(2)[0])}"
+    assert compare_free(ASS, 3)["witness"] == expect
+    monkeypatch.undo()
+    monkeypatch.setattr(FreePointedOperad, "compose", lambda self, n, i, x, m, y: W_UNIT)
+    rep = compare_free(ASS, 3)
+    assert rep["status"] == "fail"
+    assert rep["witness"] == "composition mismatch at arities (1,2) slot 0"
+
+
 def test_unary_chains_need_cap():
     F = FreePointedOperad(_FatUnaryCollection())
     with pytest.raises(InfiniteEnumerationError):
@@ -889,6 +932,7 @@ def test_godement_simplicial_identities():
     [
         ("degeneracy", 1, 0, ("ss identity fails", "ds identity fails")),
         ("face", 2, 1, ("dd identity fails", "ds identity fails")),
+        ("face", 1, 1, ("augmentation coequalizer fails at arity 3", "ds identity fails")),
     ],
 )
 def test_godement_simplicial_check_catches_a_wrong_map(monkeypatch, method, level, index, expect):
@@ -927,6 +971,50 @@ def test_compare_godement_w():
         assert rep["sizes"][2] == 2
 
 
+def _wrong_for(cls, method, fault):
+    """cls.method with its result replaced by fault(args, right result)
+    where fault does not return None."""
+    right = getattr(cls, method)
+
+    def wrong(self, *args):
+        y = right(self, *args)
+        z = fault(args, y)
+        return y if z is None else z
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "method, fault, witness",
+    [
+        # every arity-2 element flattens to the unit
+        ("flatten", lambda a, y: W_UNIT if a[0] == 1 and a[1].arity == 2 else None,
+         "map not one-to-one at arity 2"),
+        # one arity-2 element flattens outside the target
+        ("flatten", lambda a, y, first=GodementTower(ASS).elements(1, 2)[0]:
+         W_UNIT if a[0] == 1 and a[1] == first else None,
+         "map not onto at arity 2: 1 target elements unmatched, 1 images unexpected"),
+        ("face", lambda a, y: W_UNIT if a[:2] == (1, 0) and a[2].arity == 2 else None,
+         "face 0 mismatch at level 1, arity 2"),
+        ("degeneracy", lambda a, y: W_UNIT if a[:2] == (1, 1) and a[2].arity == 2 else None,
+         "degeneracy 1 mismatch at level 1, arity 2"),
+        ("augment", lambda a, y: ASS.unit, "augmentation mismatch at level 1, arity 2"),
+    ],
+)
+def test_compare_godement_w_witnesses(monkeypatch, method, fault, witness):
+    monkeypatch.setattr(GodementTower, method, _wrong_for(GodementTower, method, fault))
+    rep = compare_godement_w(GodementTower(ASS), 1, 3)
+    assert rep["status"] == "fail"
+    assert rep["witness"] == witness
+
+
+def test_compare_godement_w_composition_mismatch(monkeypatch):
+    # the tower composes every pair to the unit, which is enumerated
+    monkeypatch.setattr(FreePointedOperad, "compose", lambda self, n, i, x, m, y: W_UNIT)
+    rep = compare_godement_w(GodementTower(ASS), 1, 3)
+    assert rep["witness"] == "composition mismatch at arities (1,2) slot 0"
+
+
 def test_compare_godement_w_composite_outside(monkeypatch):
     # a composite missing from the table of flattenings fails loudly
     tower = GodementTower(ASS)
@@ -950,6 +1038,64 @@ def test_diamond_compare_point_reduces_to_free():
     rep = w_diamond_compare(chain_segment(0), ASS, 3, 4)
     assert rep["status"] == "iso", rep["witness"]
     assert rep["sizes"] == {1: 1, 2: 2, 3: 18}
+
+
+def _twist_binary_labels(P, u, universe):
+    """An automorphism of the free pointed operad on universe: every
+    arity-2 label acted on by the transposition."""
+    if u.node is None:
+        return u
+    node = map_labels(u.node, lambda lab, val: w_act(P, lab, (1, 0)) if val == 2 else lab)
+    return TreeElement(u.arity, canon_node(so._NoComposeWrapper(universe), node), 0)
+
+
+def _first_arity_2(P, H):
+    return WSetOperad(diamond(H), P, 4).elements(2)[0]
+
+
+@pytest.mark.parametrize(
+    "fault, witness",
+    [
+        (lambda u, x, W: W_UNIT if x.arity == 2 else None, "map not one-to-one at arity 2"),
+        (lambda u, x, W, first=_first_arity_2(ASS, chain_segment(1)): W_UNIT if x == first else None,
+         "map not onto at arity 2: 1 target elements unmatched, 1 images unexpected"),
+        # a bijection that respects grafting but is not the inverse of evaluation
+        (lambda u, x, W: _twist_binary_labels(ASS, u, W),
+         f"round trip fails at arity 2: {element_to_json(ASS, _first_arity_2(ASS, chain_segment(1)))}"),
+    ],
+    ids=["not-one-to-one", "not-onto", "round-trip"],
+)
+def test_diamond_compare_unflattening_witnesses(monkeypatch, fault, witness):
+    right = so.unflatten_diamond
+
+    def wrong(P, H, x, universe):
+        u = right(P, H, x, universe)
+        z = fault(u, x, universe)
+        return u if z is None else z
+
+    monkeypatch.setattr(so, "unflatten_diamond", wrong)
+    rep = w_diamond_compare(chain_segment(1), ASS, 3, 4)
+    assert rep["status"] == "fail"
+    assert rep["witness"] == witness
+
+
+def test_diamond_compare_composition_witnesses(monkeypatch):
+    # a composite outside the capped enumeration, then a wrong grafting
+    # on the free side
+    monkeypatch.setattr(WSetOperad, "compose", lambda self, n, i, x, m, y: WSetOperad(self.H, ASS, 4).elements(4)[0])
+    rep = w_diamond_compare(chain_segment(1), ASS, 3, 4)
+    assert rep["witness"] == "composite outside the enumeration at arities (1,1) slot 0"
+    monkeypatch.undo()
+    monkeypatch.setattr(FreePointedOperad, "compose", lambda self, n, i, x, m, y: W_UNIT)
+    rep = w_diamond_compare(chain_segment(1), ASS, 3, 4)
+    assert rep["witness"] == "composition mismatch at arities (1,2) slot 0"
+
+
+def test_diamond_compare_collapse_witness(monkeypatch):
+    monkeypatch.setattr(so, "w_segment_apply", lambda P, f, x: W_UNIT)
+    rep = w_diamond_compare(chain_segment(1), ASS, 3, 4)
+    x = _first_arity_2(ASS, chain_segment(1))
+    assert rep["witness"] == f"collapse square fails at arity 2: {element_to_json(ASS, x)}"
 
 
 def test_diamond_collapse_is_surjective():
