@@ -91,6 +91,10 @@ COMMANDS = (
     "setw compare-free --operad com --arity 5 --cap 3",
     "godement compare-w --operad com --level 1 --arity 4",
     "setw diamond-compare --operad com --arity 4 --cap 4 --segment chain:2",
+    # graded cylinders at edge cap 2, whose blocks share vertex skeletons
+    # across labelings of different parities
+    "chainw build --operad scripts/data/endv3_ns.json --arity 3 --cap 2",
+    "chainw build --operad scripts/data/endv3_sym.json --arity 3 --cap 2",
 )
 
 

@@ -328,10 +328,11 @@ class CooperadComplex:
             template = templates[pars] = _bar_family(P, x.node, pars)
         return template, tuple(labels), vals, degs
 
-    def d(self, k: int, x: TreeElement) -> dict:
-        """Inner differential plus one contraction per edge."""
+    def d(self, k: int, x: TreeElement, family: tuple | None = None) -> dict:
+        """Inner differential plus one contraction per edge.  family is
+        _family(x) when the caller has it already."""
         P = self.operad
-        (prefix, contractions, _), labels, vals, _ = self._family(x)
+        (prefix, contractions, _), labels, vals, _ = family or self._family(x)
         acc: dict[TreeElement, int] = {}
         for v, (val, name) in enumerate(zip(vals, labels)):
             for z, c in P.d(val, name).items():
@@ -355,14 +356,15 @@ class CooperadComplex:
         s, node = _canon(self.operad, map_leaves(x.node, sigma))
         return TreeElement(k, node, x.degree), s
 
-    def splits(self, x: TreeElement) -> list:
+    def splits(self, x: TreeElement, family: tuple | None = None) -> list:
         """Quadratic cocomposition, upper factor first.
 
         One term per edge: (sign, upper, slot, lower, routing) where the
         routing is the leaf tuple of the standard two-vertex composite
-        rebuilding the original element."""
+        rebuilding the original element.  family is _family(x) when the
+        caller has it already."""
         P = self.operad
-        (_, _, splits), labels, _, degs = self._family(x)
+        (_, _, splits), labels, _, degs = family or self._family(x)
         out = []
         for sign, upper, upper_slots, slot, lower, lower_slots, lam2, m in splits:
             cu, up = _relabel(P.signed_act, upper_slots, labels)
@@ -435,15 +437,17 @@ def check_twisting(tau: TwistingCochain) -> list[str]:
                         f"arity {k} degree {x.degree}: value {nm} is not one degree down"
                     )
         for x in within:
+            # one family lookup serves the differential and the splits of x
+            family = C._family(x)
             lhs: dict = {}
             for nm, c in tau.value(x).items():
                 for z, c2 in P.d(k, nm).items():
                     lhs[z] = lhs.get(z, 0) + c * c2
-            for y, c in C.d(k, x).items():
+            for y, c in C.d(k, x, family).items():
                 for z, c2 in tau.value(y).items():
                     lhs[z] = lhs.get(z, 0) + c * c2
             rhs: dict = {}
-            for sgn, up, i, low, lam2 in C.splits(x):
+            for sgn, up, i, low, lam2 in C.splits(x, family):
                 tk = -1 if up.degree & 1 else 1
                 for p, cp in tau.value(up).items():
                     for q, cq in tau.value(low).items():

@@ -39,11 +39,15 @@ routing) spans the cube of its edge markings, and the contraction face
 of a marked edge depends on the family and the edge alone: the
 canonical sort orders children by bare shape and leaf tuple and never
 looks at a label or a flag.  So each tree, routing and parity pattern
-gets one contraction template per edge, built over formal labels; each
-marking gets its Koszul signs once, on integer sign words; each labeling
-evaluates the templates' formal labels once, through P's compose and
-act; and every column is filled by looking up integer (family, marking)
-keys in the degree below.  w_boundary stays the per-element definition
+gets one contraction template per edge, built over formal labels.  The
+Koszul signs of a marking never look at the leaves, the routing or the
+labels beyond their parities, so each build keeps one sign table keyed
+by vertex skeleton, the preorder parent array of a tree's vertices, and
+computes them on integer sign words once per vertex skeleton and
+parities, for every block of that skeleton.  Each labeling evaluates the
+templates' formal labels once, through P's compose and act; and every
+column is filled by looking up integer (family, marking) keys in the
+degree below.  w_boundary stays the per-element definition
 that the assembled columns are tested against.
 """
 
@@ -794,8 +798,9 @@ def w_boundary(P, x: TreeElement) -> dict:
 # vertex j + 1 in preorder.  It differentiates each cube once: the
 # contraction of an edge, sorted into canonical form over formal labels,
 # is one template per tree, routing and vertex parities; the Koszul signs
-# of a marking are computed once per tree and parities on integer words;
-# and each labeling evaluates the formal labels of a template once.
+# of a marking are computed on integer words once per vertex skeleton and
+# parities, in a sign table that every block of one build reads; and each
+# labeling evaluates the formal labels of a template once.
 
 
 class _SymbolicOperad:
@@ -970,12 +975,16 @@ def _odd_sign(word: list, pars, E: int) -> int:
     return perms.sign([k for k in word if k < E or pars[k - E]])
 
 
-def _cube(parent, pars, M: int, E: int, words: dict) -> tuple:
-    """The signs of one marking of a tree with vertex parities pars: the
+def _cube(skel: tuple, pars, M: int, words: dict) -> tuple:
+    """The signs of marking M of a tree with vertex skeleton skel (the
+    parent of each vertex in preorder) and vertex parities pars: the
     prefix sign of each vertex letter in the word, and per marked edge e
     the triple (e, unmark sign, contraction sign before the canonical
-    sort).  words caches (word, sign) per (parities, marking)."""
-    w0, s0 = _signed_word(parent, pars, M, E, words)
+    sort).  A function of (skeleton, parities, marking) alone, so a build
+    computes it once per vertex skeleton and parities; words caches
+    _signed_word for the skeleton."""
+    E = len(skel) - 1
+    w0, s0 = _signed_word(skel, pars, M, words)
     prefix = [1] * (E + 1)
     odd = 0
     for k in w0:
@@ -988,10 +997,10 @@ def _cube(parent, pars, M: int, E: int, words: dict) -> tuple:
     for e in range(E):
         if not M >> e & 1:
             continue
-        w1, s1 = _signed_word(parent, pars, M ^ (1 << e), E, words)
+        w1, s1 = _signed_word(skel, pars, M ^ (1 << e), words)
         # move the edge letter to the front of w0, then reorder to w1
         u = s0 * s1 * (-1 if bin(M & ((1 << e) - 1)).count("1") & 1 else 1)
-        c, p = e + 1, parent[e + 1]
+        c, p = e + 1, skel[e + 1]
         if pars[c]:
             # move the odd child letter next to its parent's, then merge them
             between = w1[w1.index(E + p) + 1 : w1.index(E + c)]
@@ -1002,15 +1011,18 @@ def _cube(parent, pars, M: int, E: int, words: dict) -> tuple:
         else:
             contract = s1
         marked.append((e, u, -u * contract))
-    return prefix, marked
+    return tuple(prefix), tuple(marked)
 
 
-def _signed_word(parent, pars, M: int, E: int, words: dict) -> tuple:
-    """The word of marking M of a tree with its _odd_sign, cached in words."""
+def _signed_word(skel: tuple, pars, M: int, words: dict) -> tuple:
+    """The word of marking M of a tree with vertex skeleton skel, with its
+    _odd_sign for vertex parities pars, cached in words per (parities,
+    marking): once per vertex skeleton and parities in a build."""
     got = words.get((pars, M))
     if got is None:
-        w = _cube_word(range(E + 1), parent, M, E)
-        got = words[(pars, M)] = (w, _odd_sign(w, pars, E))
+        E = len(skel) - 1
+        w = _cube_word(range(E + 1), skel, M, E)
+        got = words[(pars, M)] = (tuple(w), _odd_sign(w, pars, E))
     return got
 
 
@@ -1042,7 +1054,7 @@ def _contraction_templates(P, fams, tree, lam, pars) -> list:
         text: list = []
         _template_walk(t2, -1, vid, order, up, labels, lvs, text)
         notation = "".join(text)
-        out.append((fams.block_of.get(notation), notation, tuple(lvs), labels, order, up, merged))
+        out.append((fams.block_of.get(notation), notation, tuple(lvs), labels, tuple(order), tuple(up), tuple(merged)))
     return out
 
 
@@ -1066,15 +1078,21 @@ def _template_walk(nd, parent: int, vid: dict, order, up, labels, lvs, text) -> 
     text.append(")")
 
 
-def _face(template, unmark: int, rest: int, contract: int, E: int) -> tuple:
-    """One marked edge's entry (unmark sign, unmarked mask, contraction
-    sign, target mask) for the marking rest of the other edges."""
-    _, _, _, _, order, up, merged = template
-    sign = contract * _odd_sign(_cube_word(order, up, rest, E), merged, E)
-    target = 0
-    for k in range(1, len(order)):
-        target |= ((rest >> (order[k] - 1)) & 1) << (k - 1)
-    return unmark, rest, sign, target
+def _face(template, cache: dict, e: int, unmark: int, rest: int, contract: int) -> tuple:
+    """One marked edge's entry (edge, unmark sign, unmarked mask,
+    contraction sign, target mask) for the marking rest of the other
+    edges.  The odd sign of the contracted word and the target mask are
+    pure functions of the template's (order, up, merged) and rest; cache
+    holds them per rest for that (order, up, merged)."""
+    got = cache.get(rest)
+    if got is None:
+        _, _, _, _, order, up, merged = template
+        E = len(up) - 1
+        target = 0
+        for k in range(1, len(order)):
+            target |= ((rest >> (order[k] - 1)) & 1) << (k - 1)
+        got = cache[rest] = (_odd_sign(_cube_word(order, up, rest, E), merged, E), target)
+    return e, unmark, rest, contract * got[0], got[1]
 
 
 def _contraction_targets(P, fams, template, labels, memo) -> list:
@@ -1113,21 +1131,34 @@ def _keyed_column(col: dict, below: dict, misses: dict, d: int, src: int) -> dic
     return out
 
 
-def _block_columns(P, fams, b, index, columns, misses) -> None:
+class _SignTable:
+    """The Koszul signs of one build, which all its blocks read: a sign
+    reads the vertex skeleton, the parities and the marking, never the
+    leaves, the routing or the labels.  skeletons maps a skeleton to its
+    caches of _signed_word and _cube per (parities, marking); faces maps
+    a template's (order, up, merged), the contracted tree's skeleton and
+    parities, to _face's cache per marking."""
+
+    __slots__ = ("skeletons", "faces")
+
+    def __init__(self):
+        self.skeletons: dict = {}
+        self.faces: dict = {}
+
+
+def _block_columns(P, signs, fams, b, index, columns, misses) -> None:
     """The column filler of the cylinder: write the boundary column of
     every element of block b into columns[degree] at the element's
-    position, through _keyed_column.  Templates and sign caches live for
-    this block only."""
+    position, through _keyed_column.  Templates live for this block
+    only; the signs come from the build's _SignTable signs."""
     tree, lams, choices, masks = fams.blocks[b]
-    E = tree.edge_count
     R = len(lams)
     base = fams.base[b]
     vals = tree.valences()
-    parent = _parents(tree)
+    skel = tuple(_parents(tree))
+    words, cubes = signs.skeletons.setdefault(skel, ({}, {}))
     ints = [_mask_int(mask) for mask in masks]
     has_d = any(P.d(v, nm) for v in set(vals) for nm in P.names(v))
-    words: dict = {}
-    cubes: dict = {}
     templates: dict = {}
     faces: dict = {}
     for li, (labels, deg) in enumerate(choices):
@@ -1142,7 +1173,7 @@ def _block_columns(P, fams, b, index, columns, misses) -> None:
             data = columns[d]
             cube = cubes.get((pars, M))
             if cube is None:
-                cube = cubes[(pars, M)] = _cube(parent, pars, M, E, words)
+                cube = cubes[(pars, M)] = _cube(skel, pars, M, words)
             prefix, marked = cube
             for ri in range(R):
                 own = (base + li * R + ri) << fams.width
@@ -1150,8 +1181,13 @@ def _block_columns(P, fams, b, index, columns, misses) -> None:
                 if face is None:
                     ts = templates.get((pars, ri))
                     if ts is None and marked:
-                        ts = templates[(pars, ri)] = _contraction_templates(P, fams, tree, lams[ri], pars)
-                    face = [(e,) + _face(ts[e], u, M ^ (1 << e), contract, E) for e, u, contract in marked]
+                        # each template with its face signs, which every
+                        # template with the same (order, up, merged) shares
+                        ts = templates[(pars, ri)] = [
+                            (t, signs.faces.setdefault(t[4:], {}))
+                            for t in _contraction_templates(P, fams, tree, lams[ri], pars)
+                        ]
+                    face = [_face(*ts[e], e, u, M ^ (1 << e), contract) for e, u, contract in marked]
                     faces[(pars, ri, M)] = face
                 col: dict = {}
                 if has_d:
@@ -1167,7 +1203,7 @@ def _block_columns(P, fams, b, index, columns, misses) -> None:
                     terms = targets.get((ri, e))
                     if terms is None:
                         terms = targets[(ri, e)] = _contraction_targets(
-                            P, fams, templates[(pars, ri)][e], labels, memo
+                            P, fams, templates[(pars, ri)][e][0], labels, memo
                         )
                     for c, tb in terms:
                         key = tb | target
@@ -1196,12 +1232,13 @@ class _Cells:
 
 
 def _assemble_w(P, arity, edge_cap, blocks, unit, construction) -> ChainComplex:
-    """The cylinder on an optional unit followed by the flattening of blocks."""
+    """The cylinder on an optional unit followed by the flattening of
+    blocks.  Its blocks share one sign table, dropped with the build."""
 
     def left(x, y):
         return f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}"
 
-    C = _keyed_complex(arity, blocks, unit, functools.partial(_block_columns, P), left)
+    C = _keyed_complex(arity, blocks, unit, functools.partial(_block_columns, P, _SignTable()), left)
     C.meta = {
         "arity": arity,
         "edge_cap": edge_cap,

@@ -142,6 +142,21 @@ def test_counit_twisting_graded():
         assert check_twisting(bar_counit(bar(endv(3, sym), 3, 2))) == []
 
 
+def test_twisting_check_finds_each_family_once(monkeypatch):
+    # the differential and the splits of an element read one family lookup
+    seen = []
+
+    def counted(self, x):
+        seen.append(x)
+        return real(self, x)
+
+    real = bar_cobar.CooperadComplex._family
+    monkeypatch.setattr(bar_cobar.CooperadComplex, "_family", counted)
+    assert check_twisting(bar_counit(bar(ASS, 4))) == []
+    monkeypatch.undo()
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_zero_cochain_is_twisting():
     # both sides of the equation vanish identically
     assert check_twisting(TwistingCochain(bar(AS_NS, 3), {})) == []

@@ -709,6 +709,9 @@ def test_boundary_lands_in_basis_span():
         ("endv_ns", 2, 2, True),
         ("endv_sym", 3, 1, True),
         ("endv_ns", 3, 1, True),
+        ("endv_sym", 3, 2, True),
+        ("endv_ns", 3, 2, True),
+        ("endv_ns", 1, 3, True),
         ("unary", 2, 0, False),
         ("unary", 2, 1, False),
         ("unary", 2, 2, False),
@@ -761,6 +764,35 @@ def test_templated_boundaries_match_w_boundary(monkeypatch, which, n, cap, share
     assert len(built) <= len(contracted) <= faces
     assert (len(built) < len(contracted)) == shared
     assert (len(built) < faces) == (shared or len(contracted) < faces)
+
+
+def test_cube_signs_once_per_skeleton_parities_and_marking(monkeypatch):
+    # the sign table of a build is keyed by vertex skeleton: every as_ns
+    # block has one labeling, so its cube signs are shared only across
+    # blocks, by trees whose leaves and routings differ
+    calls = []
+
+    def counted(skel, pars, M, words):
+        calls.append((skel, pars, M))
+        return real(skel, pars, M, words)
+
+    real = chain_operads._cube
+    monkeypatch.setattr(chain_operads, "_cube", counted)
+    C = w_reduced(AS_NS, 6)
+    monkeypatch.undo()
+    cells = set()
+    blocks = set()
+    for k in C.degrees():
+        for x in C.basis_of(k):
+            if x.node is not None:
+                text, flags, labels, _ = chain_operads.node_view(x.node)
+                tree = x.tree()
+                pars = tuple(AS_NS.degree_of(v, nm) & 1 for v, nm in zip(tree.valences(), labels))
+                cells.add((tuple(chain_operads._parents(tree)), pars, chain_operads._mask_int(flags)))
+                blocks.add(text)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == cells
+    assert len({skel for skel, _, _ in cells}) < len(blocks)
 
 
 def _misgraded(target):
