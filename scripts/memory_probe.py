@@ -16,11 +16,16 @@ own peak, in MB.  The stages are
 - report: the report string, serialized as ``--json`` writes it.
 
 Each stage keeps what the ones before it built, as the CLI does; no
-stage builds a basis element.  tracemalloc counts Python's own allocations only, and it
-slows the build several times over.  Standard library only.
+stage builds a basis element.  The held figure is read after
+``gc.collect()``, which empties CPython's free lists: freed tuples parked
+there are still traced, so without it a stage that only makes more
+short-lived tuples would read as memory held.  tracemalloc counts
+Python's own allocations only, and it slows the build several times
+over.  Standard library only.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -44,6 +49,7 @@ def main(argv: list[str]) -> int:
     tracemalloc.start()
 
     def report(stage: str) -> None:
+        gc.collect()
         current, peak = tracemalloc.get_traced_memory()
         print(f"{stage:<16} {current / 1e6:>8.1f} {peak / 1e6:>8.1f}", flush=True)
         tracemalloc.reset_peak()

@@ -865,7 +865,8 @@ class _Families:
 
     The blocks of one valence sequence share their list of labelings, and
     those of one planar shape their list of routings, so each list is
-    indexed once."""
+    indexed once.  mask_ints[b] holds block b's edge masks as integers
+    (bit j is edge j), one list per shared list of masks."""
 
     def __init__(self, blocks):
         self.blocks = blocks
@@ -874,9 +875,10 @@ class _Families:
         self.base: list[int] = []
         self.label_index: list[dict] = []
         self.routing_index: list[dict] = []
-        shared: dict[int, dict] = {}
+        self.mask_ints: list[list] = []
+        shared: dict[int, dict | list] = {}
         count = width = 0
-        for b, (tree, lams, choices, _) in enumerate(blocks):
+        for b, (tree, lams, choices, masks) in enumerate(blocks):
             self.notations.append(tree.notation())
             self.block_of[self.notations[-1]] = b
             self.base.append(count)
@@ -884,8 +886,11 @@ class _Families:
                 shared[id(choices)] = {labels: li for li, (labels, _) in enumerate(choices)}
             if id(lams) not in shared:
                 shared[id(lams)] = {lam: ri for ri, lam in enumerate(lams)}
+            if id(masks) not in shared:
+                shared[id(masks)] = [_mask_int(mask) for mask in masks]
             self.label_index.append(shared[id(choices)])
             self.routing_index.append(shared[id(lams)])
+            self.mask_ints.append(shared[id(masks)])
             count += len(choices) * len(lams)
             width = max(width, tree.edge_count)
         self.count = count
@@ -1151,13 +1156,13 @@ def _block_columns(P, signs, fams, b, index, columns, misses) -> None:
     every element of block b into columns[degree] at the element's
     position, through _keyed_column.  Templates live for this block
     only; the signs come from the build's _SignTable signs."""
-    tree, lams, choices, masks = fams.blocks[b]
+    tree, lams, choices, _ = fams.blocks[b]
     R = len(lams)
     base = fams.base[b]
     vals = tree.valences()
     skel = tuple(_parents(tree))
     words, cubes = signs.skeletons.setdefault(skel, ({}, {}))
-    ints = [_mask_int(mask) for mask in masks]
+    ints = fams.mask_ints[b]
     has_d = any(P.d(v, nm) for v in set(vals) for nm in P.names(v))
     templates: dict = {}
     faces: dict = {}
@@ -1275,15 +1280,10 @@ def _keyed_complex(arity: int, blocks: list, unit: bool, fill, left) -> ChainCom
     fams = _Families(blocks)
     width = fams.width
     keys: dict[int, list] = {}
-    ints: dict = {}
-    for _, _, _, masks in blocks:
-        if id(masks) not in ints:
-            ints[id(masks)] = [_mask_int(mask) for mask in masks]
     for b, li, mi, d in block_walk(blocks):
-        _, lams, _, masks = blocks[b]
-        R = len(lams)
+        R = len(blocks[b][1])
         # the keys of the routings: family ids fid, fid + 1, ... over one mask
-        key = (fams.base[b] + li * R) << width | ints[id(masks)][mi]
+        key = (fams.base[b] + li * R) << width | fams.mask_ints[b][mi]
         keys.setdefault(d, []).extend(range(key, key + (R << width), 1 << width))
     # each key maps to its element's position in its degree, after the
     # unit.  The positions, which the entries keep, are made in one run

@@ -55,11 +55,10 @@ from .segments import (
 from .set_operads import (
     GodementTower,
     WSetOperad,
+    check_godement_level,
     compare_free,
-    compare_godement_w,
     element_to_json,
     get_builtin_operad,
-    godement_simplicial_check,
     operad_from_json,
     w_diamond_compare,
 )
@@ -254,8 +253,7 @@ def _h_godement_build(a):
 
 def _h_godement_compare(a):
     tower = GodementTower(_load_set_operad(a.operad))
-    rep = compare_godement_w(tower, a.level, a.arity)
-    identities = godement_simplicial_check(tower, a.level, a.arity)
+    rep, identities = check_godement_level(tower, a.level, a.arity)
     ok = rep["status"] == "iso" and not identities
     if rep["witness"]:
         print(rep["witness"])

@@ -25,6 +25,7 @@ form canon_node, whose representatives the reports print.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import random
@@ -780,6 +781,10 @@ def w_diamond_compare(H: FiniteSegment, P, arity: int, vertex_cap: int) -> dict:
 # the cotriple tower ---------------------------------------------------------
 
 
+# a memo miss: a base element may be anything, so None will not do
+_MISSING = object()
+
+
 class GodementTower:
     """Iterated free pointed operad on the forgetful collection: level k
     holds trees nested k + 1 layers deep over the base operad."""
@@ -788,6 +793,34 @@ class GodementTower:
         self.P = P
         self._levels: dict[int, FreePointedOperad] = {}
         self._flat_levels: dict[int, WSetOperad] = {}
+        # the label memo of the running check, None between checks
+        self._memo: dict | None = None
+        self._memo_arity = 0
+
+    @contextlib.contextmanager
+    def _label_memo(self, max_arity: int):
+        """Scope one check up to max_arity: inside it, the face or
+        degeneracy of a label of lower arity is computed once.  The memo
+        holds only elements below max_arity, which the check enumerates
+        anyway, and is dropped on exit."""
+        self._memo, self._memo_arity = {}, max_arity
+        try:
+            yield
+        finally:
+            self._memo = None
+
+    def _on_label(self, name: str, k: int, i: int, lab: TreeElement):
+        """self.face(k, i, lab) or self.degeneracy(k, i, lab), by name,
+        through the memo of the running check.  Every miss goes through
+        the method, so a replaced method reaches every label."""
+        memo = self._memo
+        if memo is None or lab.arity >= self._memo_arity:
+            return getattr(self, name)(k, i, lab)
+        key = (name, k, i, lab)
+        y = memo.get(key, _MISSING)
+        if y is _MISSING:
+            y = memo[key] = getattr(self, name)(k, i, lab)
+        return y
 
     def level(self, k: int) -> FreePointedOperad:
         if k < 0:
@@ -810,7 +843,7 @@ class GodementTower:
             return w_eval(self.P, x)
         if i == k:
             return w_eval(self.level(k - 1), x)
-        return self._relabel(x, self.level(k - 1), lambda lab, val: self.face(k - 1, i, lab))
+        return self._relabel(x, self.level(k - 1), lambda lab, val: self._on_label("face", k - 1, i, lab))
 
     def degeneracy(self, k: int, i: int, x: TreeElement) -> TreeElement:
         """Degeneracy i at level k wraps the labels of one layer into
@@ -819,7 +852,7 @@ class GodementTower:
             raise ValueError("degeneracy index out of range")
         if i == k:
             return self._relabel(x, self.level(k + 1), lambda lab, val: self.wrap(k, lab, val))
-        return self._relabel(x, self.level(k + 1), lambda lab, val: self.degeneracy(k - 1, i, lab))
+        return self._relabel(x, self.level(k + 1), lambda lab, val: self._on_label("degeneracy", k - 1, i, lab))
 
     def wrap(self, k: int, lab, valence: int) -> TreeElement:
         """One-vertex level-k tree labeled by a level-(k-1) element (a
@@ -863,46 +896,97 @@ class GodementTower:
         return _eval_raw(self.flat_level(k), flat)
 
 
+def _level_maps(tower: GodementTower, k: int, max_arity: int):
+    """Each element x of tower level k up to max_arity, arity by arity, as
+    (n, x, dx, sx) with its faces dx and degeneracies sx, each worked out
+    once; nothing is held across elements.  Level 0's only face is the
+    augmentation, which neither the identities nor the comparison squares
+    read, so dx is empty there."""
+    for n in range(1, max_arity + 1):
+        for x in tower.elements(k, n):
+            dx = [tower.face(k, i, x) for i in range(k + 1)] if k else []
+            sx = [tower.degeneracy(k, j, x) for j in range(k + 1)]
+            yield n, x, dx, sx
+
+
+def _identity_failures(tower: GodementTower, k: int, n: int, x, dx: list, sx: list, bad: list) -> None:
+    """Append to bad each simplicial identity that fails on the level-k
+    element x of arity n, with faces dx and degeneracies sx."""
+    if k >= 2:
+        for j in range(k + 1):
+            for i in range(j):
+                lhs = tower.face(k - 1, i, dx[j])
+                rhs = tower.face(k - 1, j - 1, dx[i])
+                if lhs != rhs:
+                    bad.append(f"dd identity fails at level {k}, pair ({i},{j}), arity {n}")
+    for j in range(k + 1):
+        for i in range(j + 1):
+            lhs = tower.degeneracy(k + 1, i, sx[j])
+            rhs = tower.degeneracy(k + 1, j + 1, sx[i])
+            if lhs != rhs:
+                bad.append(f"ss identity fails at level {k}, pair ({i},{j}), arity {n}")
+    for j in range(k + 1):
+        for i in range(k + 2):
+            out = tower.face(k + 1, i, sx[j])
+            if i == j or i == j + 1:
+                expect = x
+            elif i < j:
+                expect = tower.degeneracy(k - 1, j - 1, dx[i])
+            else:
+                expect = tower.degeneracy(k - 1, j, dx[i - 1])
+            if out != expect:
+                bad.append(f"ds identity fails at level {k}, pair ({i},{j}), arity {n}")
+    if k == 1:
+        if w_eval(tower.P, dx[1]) != tower.face(0, 0, dx[0]):
+            bad.append(f"augmentation coequalizer fails at arity {n}")
+
+
+def _identities_below(tower: GodementTower, k: int, max_arity: int, bad: list) -> None:
+    """Append to bad the identities that fail on levels 0 to k - 1."""
+    for level in range(k):
+        for n, x, dx, sx in _level_maps(tower, level, max_arity):
+            _identity_failures(tower, level, n, x, dx, sx, bad)
+
+
 def godement_simplicial_check(tower: GodementTower, max_level: int, max_arity: int) -> list[str]:
     """Elementwise simplicial identities for the cotriple tower.  The
     faces and degeneracies of each element are worked out once and read
-    by every identity; nothing is held across elements."""
+    by every identity; across elements only the check's label memo is
+    held."""
     bad: list[str] = []
-    for k in range(max_level + 1):
-        for n in range(1, max_arity + 1):
-            for x in tower.elements(k, n):
-                # level 0's only face is the augmentation, which the
-                # identities below never read
-                dx = [tower.face(k, i, x) for i in range(k + 1)] if k else []
-                sx = [tower.degeneracy(k, j, x) for j in range(k + 1)]
-                if k >= 2:
-                    for j in range(k + 1):
-                        for i in range(j):
-                            lhs = tower.face(k - 1, i, dx[j])
-                            rhs = tower.face(k - 1, j - 1, dx[i])
-                            if lhs != rhs:
-                                bad.append(f"dd identity fails at level {k}, pair ({i},{j}), arity {n}")
-                for j in range(k + 1):
-                    for i in range(j + 1):
-                        lhs = tower.degeneracy(k + 1, i, sx[j])
-                        rhs = tower.degeneracy(k + 1, j + 1, sx[i])
-                        if lhs != rhs:
-                            bad.append(f"ss identity fails at level {k}, pair ({i},{j}), arity {n}")
-                for j in range(k + 1):
-                    for i in range(k + 2):
-                        out = tower.face(k + 1, i, sx[j])
-                        if i == j or i == j + 1:
-                            expect = x
-                        elif i < j:
-                            expect = tower.degeneracy(k - 1, j - 1, dx[i])
-                        else:
-                            expect = tower.degeneracy(k - 1, j, dx[i - 1])
-                        if out != expect:
-                            bad.append(f"ds identity fails at level {k}, pair ({i},{j}), arity {n}")
-                if k == 1:
-                    if w_eval(tower.P, dx[1]) != tower.face(0, 0, dx[0]):
-                        bad.append(f"augmentation coequalizer fails at arity {n}")
+    with tower._label_memo(max_arity):
+        _identities_below(tower, max_level + 1, max_arity, bad)
     return bad
+
+
+def _godement_squares(tower: GodementTower, k: int, max_arity: int, report: dict):
+    """The bijection and composition half of comparing tower level k with
+    W over delta1:k.  Returns the check of the remaining squares on one
+    element, square(n, x, dx, sx), which gives the first witness or None;
+    or None when the bijection fails, with report failed."""
+    P, W = tower.P, tower.flat_level(k)
+    flat: dict[TreeElement, TreeElement] = {}
+    witness = _iso_witness(report["sizes"], flat, tower.level(k), W, lambda x: tower.flatten(k, x),
+                           W.elements, max_arity)
+    if witness:
+        _fail(report, witness)
+        return None
+    faces = [delta1_face(k, k - i) for i in range(k + 1)] if k >= 1 else []
+    degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
+
+    def square(n: int, x, dx: list, sx: list) -> str | None:
+        fx = flat[x]
+        for i, face in enumerate(faces):
+            if tower.flatten(k - 1, dx[i]) != w_segment_apply(P, face, fx):
+                return f"face {i} mismatch at level {k}, arity {n}"
+        for i, degeneracy in enumerate(degeneracies):
+            if tower.flatten(k + 1, sx[i]) != w_segment_apply(P, degeneracy, fx):
+                return f"degeneracy {i} mismatch at level {k}, arity {n}"
+        if tower.augment(k, x) != w_eval(P, fx):
+            return f"augmentation mismatch at level {k}, arity {n}"
+        return None
+
+    return square
 
 
 def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
@@ -911,31 +995,35 @@ def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
     (tower face i matches segment face k - i: both merge the adjacent
     lengths i and i + 1), degeneracies with the same index reversal, and
     the augmentation."""
-    P, W = tower.P, tower.flat_level(k)
-    faces = [delta1_face(k, k - i) for i in range(k + 1)] if k >= 1 else []
-    degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
     report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    flat: dict[TreeElement, TreeElement] = {}
-    witness = _iso_witness(report["sizes"], flat, tower.level(k), W, lambda x: tower.flatten(k, x),
-                           W.elements, max_arity)
-    if witness:
-        return _fail(report, witness)
-    for n in range(1, max_arity + 1):
-        for x in tower.elements(k, n):
-            fx = flat[x]
-            for i, face in enumerate(faces):
-                lhs = tower.flatten(k - 1, tower.face(k, i, x))
-                rhs = w_segment_apply(P, face, fx)
-                if lhs != rhs:
-                    return _fail(report, f"face {i} mismatch at level {k}, arity {n}")
-            for i, degeneracy in enumerate(degeneracies):
-                lhs = tower.flatten(k + 1, tower.degeneracy(k, i, x))
-                rhs = w_segment_apply(P, degeneracy, fx)
-                if lhs != rhs:
-                    return _fail(report, f"degeneracy {i} mismatch at level {k}, arity {n}")
-            if tower.augment(k, x) != w_eval(P, fx):
-                return _fail(report, f"augmentation mismatch at level {k}, arity {n}")
+    with tower._label_memo(max_arity):
+        square = _godement_squares(tower, k, max_arity, report)
+        if square is not None:
+            for n, x, dx, sx in _level_maps(tower, k, max_arity):
+                witness = square(n, x, dx, sx)
+                if witness:
+                    return _fail(report, witness)
     return report
+
+
+def check_godement_level(tower: GodementTower, k: int, max_arity: int) -> tuple[dict, list[str]]:
+    """compare_godement_w(tower, k, max_arity) and
+    godement_simplicial_check(tower, k, max_arity) in one check, which
+    walks level k once: the comparison squares and the identities read the
+    same faces and degeneracies of each element."""
+    report: dict = {"status": "iso", "witness": None, "sizes": {}}
+    bad: list[str] = []
+    with tower._label_memo(max_arity):
+        _identities_below(tower, k, max_arity, bad)
+        square = _godement_squares(tower, k, max_arity, report)
+        for n, x, dx, sx in _level_maps(tower, k, max_arity):
+            if square is not None:
+                witness = square(n, x, dx, sx)
+                if witness:
+                    _fail(report, witness)
+                    square = None
+            _identity_failures(tower, k, n, x, dx, sx, bad)
+    return report, bad
 
 
 # randomized confluence experiments --------------------------------------------

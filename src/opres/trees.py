@@ -180,19 +180,19 @@ def _fill_children(slots_left: int, arity_left: int, budget: int, v: int, acc: l
         if arity_left == 0:
             results.append(tuple(acc))
         return
-    if arity_left < 0:
-        return
-    for a in range(arity_left + 1):
+    # with v >= 1 every child has arity at least 1, so a child may take
+    # only the leaves the slots after it do not need
+    low = 1 if v >= 1 else 0
+    for a in range(low, arity_left - low * (slots_left - 1) + 1):
         # a child of arity a; unit child only when a == 1
         if a == 1:
             acc.append(UNIT)
             _fill_children(slots_left - 1, arity_left - 1, budget, v, acc, results)
             acc.pop()
         if budget >= 1:
+            # _enum(a, budget - 1, v) keeps child.edge_count + 1 <= budget
             for child in _enum(a, budget - 1, v):
                 if child.is_unit:
-                    continue
-                if child.edge_count + 1 > budget:
                     continue
                 acc.append(child)
                 _fill_children(slots_left - 1, arity_left - a, budget - 1 - child.edge_count, v, acc, results)

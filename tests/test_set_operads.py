@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import opres.set_operads as so
 from opres import perms
 from opres.chain_operads import LinearizedOperad, validate_chain_operad
+from opres.cli import main
 from opres.segments import (
     FiniteSegment,
     SegmentMap,
@@ -29,6 +31,7 @@ from opres.set_operads import (
     W_UNIT,
     build_node,
     canon_node,
+    check_godement_level,
     compare_free,
     compare_godement_w,
     confluence_experiment,
@@ -1023,6 +1026,114 @@ def test_compare_godement_w_composite_outside(monkeypatch):
     rep = compare_godement_w(tower, 1, 3)
     assert rep["status"] == "fail"
     assert rep["witness"] == "composite outside the enumeration at arities (1,1) slot 0"
+
+
+def test_godement_compare_reads_each_degeneracy_of_its_walk(monkeypatch, capsys):
+    top = GodementTower(ASS).elements(1, 3)
+    right = GodementTower.degeneracy
+
+    def at_top(run):
+        """The calls degeneracy(1, i, x) that run() makes per (i, x) on
+        the level-1 elements of arity 3, counted by a class-level wrapper."""
+        calls: collections.Counter = collections.Counter()
+
+        def counted(self, k, i, x):
+            calls[(k, i, x)] += 1
+            return right(self, k, i, x)
+
+        monkeypatch.setattr(GodementTower, "degeneracy", counted)
+        run()
+        monkeypatch.undo()
+        return {(i, x): calls[(1, i, x)] for x in top for i in range(2)}
+
+    alone = at_top(lambda: compare_godement_w(GodementTower(ASS), 1, 3))
+    assert set(alone.values()) == {1}
+    identities = at_top(lambda: godement_simplicial_check(GodementTower(ASS), 1, 3))
+    both = at_top(lambda: main(["godement", "compare-w", "--operad", "ass", "--level", "1", "--arity", "3"]))
+    # the comparison squares read the degeneracies that the identities'
+    # walk of level 1 works out, instead of computing them once more;
+    # the identities themselves reach some again, through level 0's
+    # identities and through labels of the top arity, which no memo keeps
+    assert both == identities
+    assert "verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "P, k, fault",
+    [
+        (ASS, 0, None),
+        (ASS, 1, None),
+        (ASS, 2, None),
+        (COM, 2, None),
+        # face 0 swaps the two arity-2 elements: the comparison fails at
+        # arity 2, and the walk goes on with the identities of every element
+        (ASS, 1, lambda a, y, two=GodementTower(ASS).elements(0, 2):
+         two[1 - two.index(y)] if a[:2] == (1, 0) and a[2].arity == 2 else None),
+    ],
+)
+def test_check_godement_level_is_both_checks(monkeypatch, P, k, fault):
+    if fault:
+        monkeypatch.setattr(GodementTower, "face", _wrong_for(GodementTower, "face", fault))
+    both = check_godement_level(GodementTower(P), k, 3)
+    assert both == (compare_godement_w(GodementTower(P), k, 3), godement_simplicial_check(GodementTower(P), k, 3))
+    assert (both[0]["status"] == "iso") == (fault is None)
+    assert bool(both[1]) == (fault is not None)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tower: compare_godement_w(tower, 1, 3),
+        lambda tower: godement_simplicial_check(tower, 2, 3),
+        lambda tower: check_godement_level(tower, 1, 3),
+    ],
+    ids=["compare", "identities", "both"],
+)
+def test_label_memo_keeps_lower_arities_for_one_check(monkeypatch, check):
+    tower = GodementTower(ASS)
+    sizes = []
+    right = GodementTower.face
+
+    def watched(self, k, i, x):
+        if self._memo is not None:
+            sizes.append(len(self._memo))
+            for (_, _, _, lab), y in self._memo.items():
+                assert lab.arity < 3
+                assert not isinstance(y, TreeElement) or y.arity < 3
+        return right(self, k, i, x)
+
+    monkeypatch.setattr(GodementTower, "face", watched)
+    check(tower)
+    assert max(sizes) > 0
+    assert tower._memo is None
+
+
+def test_label_memo_keeps_a_wrong_label_map_wrong(monkeypatch):
+    # a wrong level-0 degeneracy on the arity-2 labels: the memo keeps the
+    # wrong value, and every identity that reads it through a label of an
+    # arity-3 tree fails as without the memo
+    right = GodementTower.degeneracy
+    other = GodementTower(ASS).elements(1, 2)
+
+    def wrong(self, k, i, x):
+        y = right(self, k, i, x)
+        if k != 0 or x.arity != 2:
+            return y
+        return next(z for z in other if z != y)
+
+    monkeypatch.setattr(GodementTower, "degeneracy", wrong)
+    tower = GodementTower(ASS)
+    bad = godement_simplicial_check(tower, 2, 3)
+    unmemoized: list = []
+    for k in range(3):
+        for n, x, dx, sx in so._level_maps(tower, k, 3):
+            so._identity_failures(tower, k, n, x, dx, sx, unmemoized)
+    assert bad == unmemoized
+    assert "ss identity fails at level 1, pair (0,0), arity 3" in bad
+    assert "ds identity fails at level 1, pair (0,0), arity 3" in bad
+    rep, identities = check_godement_level(tower, 1, 3)
+    assert rep["witness"] == "degeneracy 0 mismatch at level 1, arity 2"
+    assert identities == [m for m in bad if "level 2" not in m]
 
 
 # -- diamond comparison ----------------------------------------------------------

@@ -223,6 +223,47 @@ def test_enumerate_arity0_with_stumps():
     assert sorted(t.notation() for t in ts) == ["(())", "()"]
 
 
+def _unpruned_planar(n: int, k: int, v: int, memo: dict) -> list:
+    """Every planar tree of arity n with at most k edges and valences >= v,
+    in enumerate_planar's order: every root valence, every child arity
+    and every enumerated child, with out-of-budget children dropped only
+    after they are made."""
+    if (n, k, v) not in memo:
+        out = [UNIT] if n == 1 else []
+        for m in range(max(v, 0), n + k + 1):
+            if m == 0:
+                out += [PlanarTree(())] if n == 0 else []
+                continue
+            out += [PlanarTree(kids) for kids in _unpruned_children(m, n, k, v, memo)]
+        memo[(n, k, v)] = out
+    return memo[(n, k, v)]
+
+
+def _unpruned_children(slots: int, arity: int, budget: int, v: int, memo: dict):
+    if slots == 0:
+        if arity == 0:
+            yield ()
+        return
+    for a in range(arity + 1):
+        if a == 1:
+            for rest in _unpruned_children(slots - 1, arity - 1, budget, v, memo):
+                yield (UNIT,) + rest
+        if budget >= 1:
+            for child in _unpruned_planar(a, budget - 1, v, memo):
+                if child.is_unit or child.edge_count + 1 > budget:
+                    continue
+                for rest in _unpruned_children(slots - 1, arity - a, budget - 1 - child.edge_count, v, memo):
+                    yield (child,) + rest
+
+
+@pytest.mark.parametrize("v", [0, 1, 2])
+def test_enumeration_order_matches_unpruned_reference(v):
+    memo: dict = {}
+    for n in range(7):
+        for e in range(5):
+            assert enumerate_planar(n, e, v) == _unpruned_planar(n, e, v, memo), (n, e)
+
+
 # -- canonical forms and isomorphism ------------------------------------
 
 
