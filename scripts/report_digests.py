@@ -95,6 +95,10 @@ COMMANDS = (
     # across labelings of different parities
     "chainw build --operad scripts/data/endv3_ns.json --arity 3 --cap 2",
     "chainw build --operad scripts/data/endv3_sym.json --arity 3 --cap 2",
+    # a planar and a capped unary comparison, both with mixed signs in
+    # the rescaling
+    "barcobar compare-w --operad as_ns --arity 6",
+    "barcobar compare-w --operad scripts/data/unary_ns.json --arity 2 --cap 3",
 )
 
 
