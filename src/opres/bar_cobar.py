@@ -29,7 +29,9 @@ references the tests compare against.
 The composite resolves the operad; this module also matches it against
 the cylinder resolution of chain_operads by an explicit basis bijection
 and a diagonal sign rescaling, so the two sign disciplines never have to
-agree literally, only up to signs.
+agree literally, only up to signs.  The rescaling is one union-find with
+parity over cell numbers, joined as each entry of the cylinder's
+differential and augmentation is read; no constraint is kept.
 """
 
 import functools
@@ -538,7 +540,7 @@ def cobar(C, arity: int, cap: int | None = None) -> ChainComplex:
         raise ValueError("cooperad vertex cap is smaller than the requested cap")
 
     def left(x, y):
-        return f"the cobar differential of {x!r} leaves the basis of degree {x.degree - 1}"
+        return f"the cobar differential of {_cobar_key(x)} leaves the basis of degree {y.degree} at {_cobar_key(y)}"
 
     # labeled_trees, kept by block
     blocks = label_blocks(C, arity, cap, -1, lambda label: label.vertex_count(), (0,))
@@ -673,6 +675,34 @@ def _marked_components(P, flat, labels: dict) -> tuple:
     return (label, tuple(items))
 
 
+def _root(up: list, sign: list, a: int) -> tuple:
+    """The root of cell a in the parity union-find (up, sign), where
+    sign[c] is the sign of cell c relative to cell up[c], and the sign of
+    a relative to that root.  Iterative; every cell on the path is then
+    linked to the root directly."""
+    path = []
+    while up[a] != a:
+        path.append(a)
+        a = up[a]
+    s = 1
+    for c in reversed(path):
+        s *= sign[c]
+        up[c], sign[c] = a, s
+    return a, s
+
+
+def _join(up: list, sign: list, a: int, b: int, req: int) -> bool:
+    """Require sign(a) * sign(b) == req; False, with nothing changed, if
+    the union-find already forces the opposite.  The larger root goes
+    under the smaller, so the root of each class is its least cell."""
+    ra, sa = _root(up, sign, a)
+    rb, sb = _root(up, sign, b)
+    if ra == rb:
+        return sa * sb == req
+    up[max(ra, rb)], sign[max(ra, rb)] = min(ra, rb), sa * sb * req
+    return True
+
+
 def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     """Match the cylinder piece with the cobar-of-bar piece.
 
@@ -683,7 +713,11 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     "witness", and carries the degreewise basis "bijection" and a
     diagonal sign "rescaling" that equates the two differentials and is
     compatible with the two augmentations; a failed report carries
-    neither."""
+    neither.
+
+    Cell first[k] + j is element j of W's degree k and cell 0 is +1.  A
+    cell's sign is read relative to the least cell of its class: cell 0
+    where the class has an augmentation vote, else its first element."""
     W = w_pseudo(P, arity, edge_cap)
     vcap = None if edge_cap is None else edge_cap + 1
     C = bar(P, arity, vcap)
@@ -696,11 +730,14 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     for k in degs:
         if W.dim(k) != CB.dim(k):
             return fail(f"rank mismatch in degree {k}: {W.dim(k)} vs {CB.dim(k)}")
-    # each cylinder element -> the position of its image in its degree
-    phi = {}
+    # phi[k][j]: the position of the image of element j of degree k
+    phi: dict = {}
+    first: dict = {}
     bij = []
     components: dict = {}
     for k in degs:
+        first[k] = len(bij) + 1
+        images = phi[k] = []
         seen = set()
         here = CB.positions(k)
         for x in W.basis_of(k):
@@ -711,87 +748,46 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
             if i in seen:
                 return fail(f"two degree {k} elements share the image {_cobar_key(y)}")
             seen.add(i)
-            phi[x] = i
+            images.append(i)
             bij.append([_w_key(x), _cobar_key(y)])
 
-    cons = []
+    up = list(range(len(bij) + 1))
+    sign = [1] * len(up)
     for k in degs:
-        if W.dim(k) == 0 or W.dim(k - 1) == 0:
+        if k - 1 not in phi:
             continue
-        A = W.diff(k).data
         B = CB.diff(k).data
-        ys = W.basis_of(k - 1)
-        for j, x in enumerate(W.basis_of(k)):
-            cola = A[j]
-            colb = B[phi[x]]
-            ta = {phi[ys[r]]: v for r, v in cola.items()}
-            if set(ta) != set(colb):
-                return fail(f"differential support differs at {_w_key(x)}")
-            for r, v in ta.items():
-                if abs(v) != abs(colb[r]):
-                    return fail(f"differential magnitude differs at {_w_key(x)}")
+        xs, rows = W.basis_of(k), phi[k - 1]
+        for j, cola in enumerate(W.diff(k).data):
+            colb = B[phi[k][j]]
+            if len(cola) != len(colb) or any(rows[r] not in colb for r in cola):
+                return fail(f"differential support differs at {_w_key(xs[j])}")
             for r, v in cola.items():
-                req = 1 if (v > 0) == (colb[phi[ys[r]]] > 0) else -1
-                cons.append((x, ys[r], req))
+                w = colb[rows[r]]
+                if abs(v) != abs(w):
+                    return fail(f"differential magnitude differs at {_w_key(xs[j])}")
+                if not _join(up, sign, first[k] + j, first[k - 1] + r, 1 if (v > 0) == (w > 0) else -1):
+                    return fail(f"no diagonal rescaling: cycle conflict at {_w_key(xs[j])}")
 
     gamma = w_augmentation(P, W)
     counit = cobar_bar_counit(P, CB)
-    forced = {}
     for k in degs:
-        if W.dim(k) == 0:
-            continue
-        gm = gamma.mat(k).data
         cm = counit.mat(k).data
-        for j, x in enumerate(W.basis_of(k)):
-            colg = gm[j]
-            colc = cm[phi[x]]
-            if set(colg) != set(colc):
-                return fail(f"augmentation support differs at {_w_key(x)}")
+        xs = W.basis_of(k)
+        for j, colg in enumerate(gamma.mat(k).data):
+            colc = cm[phi[k][j]]
+            if colg.keys() != colc.keys():
+                return fail(f"augmentation support differs at {_w_key(xs[j])}")
             ratios = set()
             for r, v in colg.items():
                 if abs(v) != abs(colc[r]):
-                    return fail(f"augmentation magnitude differs at {_w_key(x)}")
+                    return fail(f"augmentation magnitude differs at {_w_key(xs[j])}")
                 ratios.add(1 if (v > 0) == (colc[r] > 0) else -1)
             if len(ratios) > 1:
-                return fail(f"augmentation rows conflict at {_w_key(x)}")
-            if ratios:
-                forced[x] = ratios.pop()
+                return fail(f"augmentation rows conflict at {_w_key(xs[j])}")
+            if ratios and not _join(up, sign, first[k] + j, 0, ratios.pop()):
+                return fail("augmentation constraints conflict inside one component")
 
-    adj: dict = {}
-    for x, y, req in cons:
-        adj.setdefault(x, []).append((y, req))
-        adj.setdefault(y, []).append((x, req))
-    nodes = [x for k in degs for x in W.basis_of(k)]
-    eps: dict = {}
-    for root in nodes:
-        if root in eps:
-            continue
-        eps[root] = 1
-        members = [root]
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b, req in adj.get(a, ()):
-                want = eps[a] * req
-                if b in eps:
-                    if eps[b] != want:
-                        return fail(f"no diagonal rescaling: cycle conflict at {_w_key(b)}")
-                else:
-                    eps[b] = want
-                    members.append(b)
-                    stack.append(b)
-        votes = {forced[a] * eps[a] for a in members if a in forced}
-        if len(votes) > 1:
-            return fail("augmentation constraints conflict inside one component")
-        if votes == {-1}:
-            for a in members:
-                eps[a] = -eps[a]
-    for x, y, req in cons:
-        if eps[x] * eps[y] != req:
-            return fail("rescaling verification failed")
-    for x, v in forced.items():
-        if eps[x] != v:
-            return fail("augmentation incompatible with the rescaling")
-    # bij lists the cylinder elements in the order of nodes
-    rescaling = {key: eps[x] for x, (key, _) in zip(nodes, bij)}
+    # bij lists the cylinder elements in the order of their cells
+    rescaling = {key: _root(up, sign, c)[1] for c, (key, _) in enumerate(bij, 1)}
     return {"bijection": bij, "rescaling": rescaling, "status": "iso", "witness": None}

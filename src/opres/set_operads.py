@@ -982,7 +982,8 @@ def _godement_squares(tower: GodementTower, k: int, max_arity: int, report: dict
         for i, degeneracy in enumerate(degeneracies):
             if tower.flatten(k + 1, sx[i]) != w_segment_apply(P, degeneracy, fx):
                 return f"degeneracy {i} mismatch at level {k}, arity {n}"
-        if tower.augment(k, x) != w_eval(P, fx):
+        # above level 0 the augmentation goes on from the zeroth face in dx
+        if (tower.augment(k - 1, dx[0]) if k else tower.augment(0, x)) != w_eval(P, fx):
             return f"augmentation mismatch at level {k}, arity {n}"
         return None
 

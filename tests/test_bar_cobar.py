@@ -19,6 +19,9 @@ from opres.bar_cobar import (
     cobar,
     cobar_bar_counit,
     compare_w_barcobar,
+    _cobar_key,
+    _join,
+    _root,
     _w_key,
     _w_to_cobar,
 )
@@ -421,14 +424,20 @@ def test_templated_bar_and_cobar_match_references(monkeypatch, P, n, cap, shared
 
 def test_cobar_rejects_a_boundary_outside_the_basis(monkeypatch):
     # a cooperad whose boundary leaves its own basis: every bar label of
-    # as_ns with an edge has a contraction, here moved up five degrees
+    # as_ns with an edge has a contraction, here moved up five degrees.
+    # The first degree-1 element in the fill order is the corolla on the
+    # label a2 o2 a2; its contraction, the corolla on a3, is the term named
     C = bar(AS_NS, 3)
     honest = C.d
     monkeypatch.setattr(
         C, "d", lambda k, x: {dataclasses.replace(y, degree=y.degree + 5): c for y, c in honest(k, x).items()}
     )
-    with pytest.raises(RuntimeError, match="^the cobar differential of .* leaves the basis of degree "):
+    with pytest.raises(RuntimeError) as err:
         cobar(C, 3)
+    assert str(err.value) == (
+        "the cobar differential of <(| (| |)) l[a2,a2] c[0,1,2] : 0 1 2> leaves the basis of degree 0"
+        " at <(| | |) l[a3] c[0,1,2] : 0 1 2>"
+    )
 
 
 def test_cobar_rejects_a_split_outside_the_basis(monkeypatch):
@@ -605,9 +614,9 @@ SPLIT = TableChainOperad(
 )
 
 
-def _components(W, forced):
-    """Each basis element (degree, index) of W -> whether its component of
-    the graph of W's differential holds an element of forced."""
+def _components(W):
+    """Each basis element (degree, index) of W -> a representative of its
+    component of the graph of W's differential."""
     root = {}
 
     def find(a):
@@ -619,8 +628,13 @@ def _components(W, forced):
         for j, col in enumerate(W.diff(k).data):
             for r in col:
                 root[find((k, j))] = find((k - 1, r))
-    voting = {find(a) for a in forced}
-    return {(k, j): find((k, j)) in voting for k in W.degrees() for j in range(W.dim(k))}
+    return {(k, j): find((k, j)) for k in W.degrees() for j in range(W.dim(k))}
+
+
+def _votes(P, W):
+    """The basis elements (degree, index) of W with a nonzero augmentation."""
+    gamma = w_augmentation(P, W)
+    return {(k, j) for k in W.degrees() for j, col in enumerate(gamma.mat(k).data) if col}
 
 
 @pytest.mark.parametrize("P,n", [(AS_NS, 4), (ASS, 3), (SPLIT, 3)], ids=["as_ns", "ass_sym", "split"])
@@ -642,14 +656,77 @@ def test_compare_negated_counit_flips_voting_components(monkeypatch, P, n):
     assert before["status"] == after["status"] == "iso"
     assert after["bijection"] == before["bijection"]
     W = w_pseudo(P, n)
-    gamma = w_augmentation(P, W)
-    voting = _components(W, {(k, j) for k in W.degrees() for j, col in enumerate(gamma.mat(k).data) if col})
+    component = _components(W)
+    votes = {component[a] for a in _votes(P, W)}
+    voting = {a: c in votes for a, c in component.items()}
     flips = {
         (k, j): after["rescaling"][_w_key(x)] == -before["rescaling"][_w_key(x)]
         for k in W.degrees() for j, x in enumerate(W.basis_of(k))
     }
     assert flips == voting
     assert any(voting.values()) and (P is not SPLIT or not all(voting.values()))
+
+
+@pytest.mark.parametrize(
+    "P,n,cap",
+    [(AS_NS, 4, None), (ASS, 3, None), (SPLIT, 3, None), (endv(3, False), 3, 1), (endv(3, True), 3, 1)],
+    ids=["as_ns", "ass_sym", "split", "endv_ns", "endv_sym"],
+)
+def test_compare_rescaling_is_a_certificate(P, n, cap):
+    """Read back from the report alone, the bijection and the rescaling
+    carry W's differential and augmentation onto the cobar side's, column
+    by column, and each component of W without an augmentation vote reads
+    +1 at its first element."""
+    rep = compare_w_barcobar(P, n, cap)
+    assert rep["status"] == "iso", rep["witness"]
+    W = w_pseudo(P, n, cap)
+    vcap = None if cap is None else cap + 1
+    CB = cobar(bar(P, n, vcap), n, vcap)
+    gamma, counit = w_augmentation(P, W), cobar_bar_counit(P, CB)
+    image = dict(rep["bijection"])
+    pos, eps = {}, {}
+    for k in W.degrees():
+        there = {_cobar_key(y): i for i, y in enumerate(CB.basis_of(k))}
+        pos[k] = [there[image[_w_key(x)]] for x in W.basis_of(k)]
+        assert sorted(pos[k]) == list(range(CB.dim(k)))
+        eps[k] = [rep["rescaling"][_w_key(x)] for x in W.basis_of(k)]
+    for k in W.degrees():
+        for j, col in enumerate(W.diff(k).data):
+            moved = {pos[k - 1][r]: eps[k][j] * eps[k - 1][r] * v for r, v in col.items()}
+            assert moved == CB.diff(k).data[pos[k][j]], _w_key(W.basis_of(k)[j])
+        for j, col in enumerate(gamma.mat(k).data):
+            assert {r: eps[k][j] * v for r, v in col.items()} == counit.mat(k).data[pos[k][j]]
+    component = _components(W)
+    votes = {component[a] for a in _votes(P, W)}
+    firsts: dict = {}
+    for a, c in component.items():
+        firsts.setdefault(c, a)
+    free = [(k, j) for c, (k, j) in firsts.items() if c not in votes]
+    assert all(eps[k][j] == 1 for k, j in free)
+    assert free or P is not SPLIT
+
+
+def test_root_walks_a_long_chain_without_recursion():
+    # cell i hangs below cell i - 1 with sign s_i: the chain is 200 000
+    # deep, past any recursion limit, and reading its last cell returns
+    # the product of the signs and links every cell to the root
+    n = 200_000
+    up = [max(i - 1, 0) for i in range(n)]
+    sign = [1] + [-1 if i % 3 == 0 else 1 for i in range(1, n)]
+    want = list(itertools.accumulate(sign, lambda a, b: a * b))
+    assert _root(up, sign, n - 1) == (0, want[-1])
+    assert set(up) == {0} and sign == want
+    assert [_root(up, sign, c) for c in (1, 2, 3, n - 2)] == [(0, 1), (0, 1), (0, -1), (0, want[-2])]
+
+
+def test_conflicting_join_returns_false_and_changes_nothing():
+    up, sign = list(range(4)), [1] * 4
+    assert _join(up, sign, 1, 2, -1) and _join(up, sign, 2, 3, -1)
+    assert _join(up, sign, 3, 1, 1)
+    before = (up[:], sign[:])
+    assert not _join(up, sign, 1, 3, -1)
+    assert (up, sign) == before
+    assert [_root(up, sign, c) for c in range(4)] == [(0, 1), (1, 1), (1, -1), (1, 1)]
 
 
 def _edited(monkeypatch, name, edit):
