@@ -99,6 +99,10 @@ COMMANDS = (
     # the rescaling
     "barcobar compare-w --operad as_ns --arity 6",
     "barcobar compare-w --operad scripts/data/unary_ns.json --arity 2 --cap 3",
+    # the free complex on graded labels, whose columns take the label
+    # boundary with no marked edge
+    "chainw verify --check all --operad scripts/data/endv3_sym.json --arity 3 --cap 1",
+    "chainw verify --check all --operad scripts/data/endv3_ns.json --arity 3 --cap 1",
 )
 
 
