@@ -22,8 +22,8 @@ routing and label parities, so each is computed once per family over
 formal labels, those of chain_operads._SymbolicOperad, and instantiated
 per labeling.  The cobar is assembled by the cylinder's keyed
 assembler, chain_operads._keyed_complex: its basis is integer family
-keys and decoded only when read, and this module supplies only the
-column filler.  The per-element _tree_d and _splits stay as the
+keys and decoded only when read, and this module supplies only a column
+filler over those keys.  The per-element _tree_d and _splits stay as the
 references the tests compare against.
 
 The composite resolves the operad; this module also matches it against
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .chain_core import ChainComplex, ChainMap, assemble_complex, evaluation_map, graded
-from .chain_operads import _instances, _keyed_column, _keyed_complex, _SymbolicOperad, w_augmentation, w_pseudo
+from .chain_operads import _instances, _keyed_complex, _SymbolicOperad, w_augmentation, w_pseudo
 from .set_operads import InfiniteEnumerationError
 from .tagged import (
     TreeElement,
@@ -564,14 +564,12 @@ def _cobar_columns(C):
     F = _SymbolicOperad(C.symmetric)
     bar_d, splits, act = (functools.lru_cache(maxsize=None)(f) for f in (C.d, C.splits, C.signed_act))
 
-    def fill(fams, b, index, columns, misses):
+    def fill(fams, b):
         tree, lams, choices, _ = fams.blocks[b]
         R = len(lams)
         notation = fams.notations[b]
         templates: dict = {}
         for li, (labels, d) in enumerate(choices):
-            here = index[d]
-            below = index.get(d - 1, {})
             pars = tuple(x.degree & 1 for x in labels)
             prefix = _prefix_signs([p + 1 for p in pars])
             for ri, lam in enumerate(lams):
@@ -590,7 +588,7 @@ def _cobar_columns(C):
                         s, names = _relabel(act, slots, labels + (up, low))
                         key = fams.fid(b2, text, names, lvs) << fams.width
                         col[key] = col.get(key, 0) + sign * sgn * s
-                columns[d][here[own]] = _keyed_column(col, below, misses, d, own)
+                yield d, own, col
 
     return fill
 
@@ -722,6 +720,8 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     vcap = None if edge_cap is None else edge_cap + 1
     C = bar(P, arity, vcap)
     CB = cobar(C, arity, vcap)
+    # past this point C only twists labels, which reads no family template
+    C._families.clear()
 
     def fail(msg):
         return {"bijection": [], "rescaling": {}, "status": "fail", "witness": msg}

@@ -22,9 +22,10 @@ keys that name its cells, without a TreeElement.  The elements are
 decoded from the blocks, every degree in one block_elements pass, only
 when something reads them; the build, the report and homology do not.
 One keyed assembler, _keyed_complex, builds this basis and the
-differentials for the cylinder and for the cobar of bar_cobar alike;
-each construction supplies a column filler per block and its own
-message for a boundary that leaves the basis.
+differentials for the cylinder and for the cobar of bar_cobar alike, and
+it alone reads a key as a position: each construction supplies a filler
+of one block's columns over keys and its own message for a boundary
+that leaves the basis.
 
 Signs are mechanical.  Every basis element linearizes to a word: for
 each component of the tree under marked edges, in discovery order, the
@@ -41,14 +42,14 @@ canonical sort orders children by bare shape and leaf tuple and never
 looks at a label or a flag.  So each tree, routing and parity pattern
 gets one contraction template per edge, built over formal labels.  The
 Koszul signs of a marking never look at the leaves, the routing or the
-labels beyond their parities, so each build keeps one sign table keyed
+labels beyond their parities, so each build keeps its sign caches keyed
 by vertex skeleton, the preorder parent array of a tree's vertices, and
 computes them on integer sign words once per vertex skeleton and
 parities, for every block of that skeleton.  Each labeling evaluates the
 templates' formal labels once, through P's compose and act; and every
-column is filled by looking up integer (family, marking) keys in the
-degree below.  w_boundary stays the per-element definition
-that the assembled columns are tested against.
+column is written as integer (family, marking) keys, which the
+assembler looks up in the degree below.  w_boundary stays the
+per-element definition that the assembled columns are tested against.
 """
 
 from __future__ import annotations
@@ -792,15 +793,15 @@ def w_boundary(P, x: TreeElement) -> dict:
 # -- cube assembly -----------------------------------------------------------
 #
 # A family is a tree with its labels and leaf routing; its basis elements
-# are the markings of its edges, the cells of the cube H^{(x)E(T)}.  The
-# assembler names an element by the integer key fid << width | mask, where
-# fid numbers its family and bit j of mask marks edge j, the edge above
-# vertex j + 1 in preorder.  It differentiates each cube once: the
-# contraction of an edge, sorted into canonical form over formal labels,
-# is one template per tree, routing and vertex parities; the Koszul signs
-# of a marking are computed on integer words once per vertex skeleton and
-# parities, in a sign table that every block of one build reads; and each
-# labeling evaluates the formal labels of a template once.
+# are the markings of its edges, the cells of the cube H^{(x)E(T)}.  An
+# element's key is fid << width | mask, where fid numbers its family and
+# bit j of mask marks edge j, the edge above vertex j + 1 in preorder.
+# The filler _block_columns yields columns over these keys and
+# differentiates each cube once: the contraction of an edge, sorted into
+# canonical form over formal labels, is one template per tree, routing and
+# vertex parities; the Koszul signs of a marking are computed on integer
+# words once per vertex skeleton and parities, in caches every block of
+# one build reads; and each labeling evaluates a template's labels once.
 
 
 class _SymbolicOperad:
@@ -1120,48 +1121,21 @@ def _label_boundaries(P, fams, b, labels, vals, lam) -> list:
     return out
 
 
-def _keyed_column(col: dict, below: dict, misses: dict, d: int, src: int) -> dict:
-    """The column col, a dict key -> entry of the element with key src in
-    degree d, as a dict row -> entry against the index below of degree
-    d - 1.  The first nonzero entry whose key is outside below goes to
-    misses[d] as (d, src, key)."""
-    out = {}
-    for key, c in col.items():
-        if c:
-            i = below.get(key)
-            if i is None:
-                misses.setdefault(d, (d, src, key))
-            else:
-                out[i] = c
-    return out
-
-
-class _SignTable:
-    """The Koszul signs of one build, which all its blocks read: a sign
+def _block_columns(P, skeletons, face_signs, fams, b):
+    """The column filler of the cylinder: yield (degree, key, column) for
+    every element of block b.  Templates live for this block only; the
+    Koszul signs are shared by all blocks of one build, since a sign
     reads the vertex skeleton, the parities and the marking, never the
     leaves, the routing or the labels.  skeletons maps a skeleton to its
-    caches of _signed_word and _cube per (parities, marking); faces maps
-    a template's (order, up, merged), the contracted tree's skeleton and
-    parities, to _face's cache per marking."""
-
-    __slots__ = ("skeletons", "faces")
-
-    def __init__(self):
-        self.skeletons: dict = {}
-        self.faces: dict = {}
-
-
-def _block_columns(P, signs, fams, b, index, columns, misses) -> None:
-    """The column filler of the cylinder: write the boundary column of
-    every element of block b into columns[degree] at the element's
-    position, through _keyed_column.  Templates live for this block
-    only; the signs come from the build's _SignTable signs."""
+    caches of _signed_word and _cube per (parities, marking); face_signs
+    maps a template's (order, up, merged), the contracted tree's skeleton
+    and parities, to _face's cache per marking."""
     tree, lams, choices, _ = fams.blocks[b]
     R = len(lams)
     base = fams.base[b]
     vals = tree.valences()
     skel = tuple(_parents(tree))
-    words, cubes = signs.skeletons.setdefault(skel, ({}, {}))
+    words, cubes = skeletons.setdefault(skel, ({}, {}))
     ints = fams.mask_ints[b]
     has_d = any(P.d(v, nm) for v in set(vals) for nm in P.names(v))
     templates: dict = {}
@@ -1173,9 +1147,6 @@ def _block_columns(P, signs, fams, b, index, columns, misses) -> None:
         boundaries: dict = {}
         for M in ints:
             d = deg + bin(M).count("1")
-            here = index[d]
-            below = index.get(d - 1, {})
-            data = columns[d]
             cube = cubes.get((pars, M))
             if cube is None:
                 cube = cubes[(pars, M)] = _cube(skel, pars, M, words)
@@ -1189,7 +1160,7 @@ def _block_columns(P, signs, fams, b, index, columns, misses) -> None:
                         # each template with its face signs, which every
                         # template with the same (order, up, merged) shares
                         ts = templates[(pars, ri)] = [
-                            (t, signs.faces.setdefault(t[4:], {}))
+                            (t, face_signs.setdefault(t[4:], {}))
                             for t in _contraction_templates(P, fams, tree, lams[ri], pars)
                         ]
                     face = [_face(*ts[e], e, u, M ^ (1 << e), contract) for e, u, contract in marked]
@@ -1213,7 +1184,7 @@ def _block_columns(P, signs, fams, b, index, columns, misses) -> None:
                     for c, tb in terms:
                         key = tb | target
                         col[key] = col.get(key, 0) + sign * c
-                data[here[own | M]] = _keyed_column(col, below, misses, d, own | M)
+                yield d, own | M, col
 
 
 class _Cells:
@@ -1238,12 +1209,12 @@ class _Cells:
 
 def _assemble_w(P, arity, edge_cap, blocks, unit, construction) -> ChainComplex:
     """The cylinder on an optional unit followed by the flattening of
-    blocks.  Its blocks share one sign table, dropped with the build."""
+    blocks.  Its blocks share the sign caches, dropped with the build."""
 
     def left(x, y):
         return f"boundary of {basis_to_json(x)} left the basis at {basis_to_json(y)}"
 
-    C = _keyed_complex(arity, blocks, unit, functools.partial(_block_columns, P, _SignTable()), left)
+    C = _keyed_complex(arity, blocks, unit, functools.partial(_block_columns, P, {}, {}), left)
     C.meta = {
         "arity": arity,
         "edge_cap": edge_cap,
@@ -1272,11 +1243,13 @@ def _keyed_basis(cells: _Cells, keys: dict) -> tuple[dict, dict]:
 
 def _keyed_complex(arity: int, blocks: list, unit: bool, fill, left) -> ChainComplex:
     """The complex on an optional unit, a cycle, followed by the
-    flattening of blocks, on a keyed basis.  For each block b,
-    fill(fams, b, index, columns, misses) writes the column of each of its
-    elements into columns[degree] at its position, through _keyed_column.
-    The first miss in the lowest degree raises RuntimeError(left(x, y))
-    for the element x and the term y outside the basis."""
+    flattening of blocks, on a keyed basis.  For each block b, the
+    generator fill(fams, b) yields (degree, key, column) for each of its
+    elements, the column a dict key -> coefficient.  Only here does a key
+    become a position, in its degree or, for a row, in the degree below;
+    a zero coefficient is skipped.  The first nonzero row outside the
+    degree below, in the lowest degree with one, raises
+    RuntimeError(left(x, y)) for the element x and the term y."""
     fams = _Families(blocks)
     width = fams.width
     keys: dict[int, list] = {}
@@ -1293,7 +1266,17 @@ def _keyed_complex(arity: int, blocks: list, unit: bool, fill, left) -> ChainCom
     columns: dict[int, list] = {k: [None] * len(v) for k, v in basis.items()}
     misses: dict = {}
     for b in range(len(blocks)):
-        fill(fams, b, index, columns, misses)
+        for d, src, col in fill(fams, b):
+            below = index.get(d - 1, {})
+            out = {}
+            for key, c in col.items():
+                if c:
+                    i = below.get(key)
+                    if i is None:
+                        misses.setdefault(d, (d, src, key))
+                    else:
+                        out[i] = c
+            columns[d][index[d][src]] = out
     if misses:
         d, src, key = misses[min(misses)]
         raise RuntimeError(left(TreeElement(arity, fams.node(src), d), TreeElement(arity, fams.node(key), d - 1)))

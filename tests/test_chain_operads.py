@@ -45,7 +45,7 @@ from opres.chain_operads import (
     w_reduced,
 )
 from opres.set_operads import AssOperad, InfiniteEnumerationError
-from opres.tagged import TreeElement, build_node, node_lengths, node_tree
+from opres.tagged import TreeElement, block_elements, block_walk, build_node, node_lengths, node_tree
 from opres.trees import build_tree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -929,6 +929,119 @@ def test_keyed_degree_with_equal_keys_fails_the_duplicate_check():
     _, basis = chain_operads._keyed_basis(cells, {0: [5, 7], 1: [6]})
     C = ChainComplex(ZZ, basis, {}, check=False)
     assert C.dim(0) == 2 and cells._decoded is None
+
+
+def _walk_cells(arity, blocks):
+    """The (block, degree, element) of every element of blocks, in the
+    order of block_walk, routings innermost."""
+    walk = [(b, d) for b, _, _, d in block_walk(blocks) for _ in blocks[b][1]]
+    return [(b, d, x) for (b, d), x in zip(walk, block_elements(arity, blocks))]
+
+
+def _element_key(fams, x):
+    """The integer key the keyed assembler gives the basis element x."""
+    text, flags, labels, lvs = chain_operads.node_view(x.node)
+    b = fams.block_of[text]
+    return fams.fid(b, text, tuple(labels), tuple(lvs)) << fams.width | chain_operads._mask_int(flags)
+
+
+def test_keyed_complex_turns_keys_into_positions():
+    # a hand-made filler over the blocks of the planar cylinder in arity 4,
+    # whose degrees are 0, 1 and 2: the assembler alone reads keys as
+    # positions, skips zero coefficients and reports the first miss of the
+    # lowest degree
+    blocks = chain_operads._w_blocks(AS_NS, 4, None)
+    cells = _walk_cells(4, blocks)
+    fams = chain_operads._Families(blocks)
+    key = {x: _element_key(fams, x) for _, _, x in cells}
+    by_deg: dict = {}
+    for _, d, x in cells:
+        by_deg.setdefault(d, []).append(x)
+
+    def run(column):
+        seen = []
+
+        def fill(fams, b):
+            for b2, d, x in cells:
+                if b2 == b:
+                    yield d, key[x], column(d, x)
+
+        def left(x, y):
+            seen.append((x, y))
+            return "left the basis"
+
+        try:
+            return chain_operads._keyed_complex(4, blocks, False, fill, left), seen
+        except RuntimeError as err:
+            assert str(err) == "left the basis"
+            return None, seen
+
+    # each column lands at its key's position, and a zero coefficient on a
+    # key outside the basis below (here a key of the same degree) is dropped
+    def landing(d, x):
+        if d != 1:
+            return {key[by_deg[d][0]]: 0}
+        j = by_deg[1].index(x)
+        return {key[by_deg[0][j % 3]]: j + 1, key[by_deg[0][-1]]: -1, key[by_deg[1][0]]: 0}
+
+    C, seen = run(landing)
+    assert C is not None and seen == []
+    for d, xs in by_deg.items():
+        assert tuple(C.basis_of(d)) == tuple(xs)
+    for j, x in enumerate(by_deg[1]):
+        rows = {by_deg[0][j % 3]: j + 1, by_deg[0][-1]: -1}
+        assert C.diff(1).column(j) == {by_deg[0].index(y): c for y, c in rows.items()}
+    assert all(C.diff(d).column(j) == {} for d in (0, 2) for j in range(C.dim(d)))
+
+    # misses in degrees 2 and 1, where the first degree 2 miss is filled
+    # before any degree 1 miss: the first miss of degree 1 raises, at the
+    # first nonzero key of its column outside the basis below
+    first2 = next(i for i, (_, d, _) in enumerate(cells) if d == 2)
+    late1 = [x for _, d, x in cells[first2:] if d == 1]
+    assert len(late1) >= 2
+
+    def missing(d, x):
+        if d == 2 or (d == 1 and x in late1):
+            return {key[by_deg[d - 1][0]]: 1, key[by_deg[d][0]]: 0, key[by_deg[d][-1]]: 2, key[by_deg[d][1]]: 3}
+        return {}
+
+    C, seen = run(missing)
+    assert C is None
+    assert seen == [(TreeElement(4, late1[0].node, 1), TreeElement(4, by_deg[1][-1].node, 0))]
+
+
+@pytest.mark.parametrize("which", ["as_ns/5", "ass_sym/4", "endv3_sym.json/3/2", "cobar/ass_sym/4"])
+def test_fillers_yield_each_key_of_their_block_in_walk_order(monkeypatch, which):
+    # every column filler is a generator fill(fams, b) that yields
+    # (degree, key, column) for each element of block b once, in the order
+    # of block_walk, and knows no position
+    from opres import bar_cobar
+
+    recorded = []
+
+    def spy(arity, blocks, unit, fill, left):
+        def recording(fams, b):
+            for d, key, col in fill(fams, b):
+                recorded.append((b, d, key))
+                yield d, key, col
+
+        out = real(arity, blocks, unit, recording, left)
+        fams = chain_operads._Families(blocks)
+        assert recorded == [(b, d, _element_key(fams, x)) for b, d, x in _walk_cells(arity, blocks)]
+        return out
+
+    real = chain_operads._keyed_complex
+    monkeypatch.setattr(chain_operads, "_keyed_complex", spy)
+    monkeypatch.setattr(bar_cobar, "_keyed_complex", spy)
+    parts = which.split("/")
+    if parts[0] == "cobar":
+        n = int(parts[2])
+        C = bar_cobar.cobar(bar_cobar.bar(builtin_chain_operad(parts[1]), n), n)
+    elif parts[0].endswith(".json"):
+        C = w_pseudo(_committed_table(parts[0]), int(parts[1]), int(parts[2]))
+    else:
+        C = w_pseudo(builtin_chain_operad(parts[0]), int(parts[1]))
+    assert len({key for _, _, key in recorded}) == len(recorded) == sum(C.dim(k) for k in C.degrees())
 
 
 @pytest.mark.parametrize("ring", [QQ, Ring("Fp", 2), Ring("Fp", 3)])
