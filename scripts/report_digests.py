@@ -72,6 +72,9 @@ COMMANDS = (
     "chainw homology --operad ass_sym --arity 5 --ring Q",
     # rational entries rendered in a build report
     "chainw build --operad com --arity 4 --ring Q",
+    # entries 2 and 1 over F3, the one build whose entry text over a
+    # finite field is not +-1
+    "chainw build --operad com --arity 5 --ring F3",
     # the tree census and one automorphism group
     "trees classes --arity 5 --min-valence 2",
     'trees aut --tree "((| |) (| |))"',
