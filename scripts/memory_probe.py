@@ -11,9 +11,12 @@ own peak, in MB.  The stages are
 - assemble: w_reduced, which derives the enumeration blocks once, keys
   the basis by integers without building an element, and assembles the
   differentials with the d^2 check;
-- complex_to_json: the report payload, with the basis labels rendered
-  from the blocks the complex was built from;
-- report: the report string, serialized as ``--json`` writes it.
+- complex_to_json: the report payload, whose basis labels, taken from
+  the blocks the complex was built from, and differentials are rendered
+  only when written; here the label counts are checked;
+- report: the report written to a temporary file through the writer of
+  ``--json`` (``opres.cli.write_report``), which renders one degree's
+  labels and one differential's rows at a time.
 
 Each stage keeps what the ones before it built, as the CLI does; no
 stage builds a basis element.  The held figure is read after
@@ -26,9 +29,9 @@ over.  Standard library only.
 
 import argparse
 import gc
-import json
 import os
 import sys
+import tempfile
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,6 +45,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from opres.chain_core import complex_to_json
     from opres.chain_operads import builtin_chain_operad, w_basis_labels, w_reduced
+    from opres.cli import write_report
 
     P = builtin_chain_operad(args.operad)
     print(f"{args.operad} arity {args.arity}, traced MB")
@@ -58,10 +62,13 @@ def main(argv: list[str]) -> int:
     report("assemble")
     data = complex_to_json(C, labels=w_basis_labels(C))
     report("complex_to_json")
-    text = json.dumps({"complex": data}, sort_keys=True, separators=(",", ":"))
+    with tempfile.TemporaryFile("w") as fh:
+        write_report({"complex": data}, fh)
+        fh.flush()
+        size = os.fstat(fh.fileno()).st_size
     report("report")
     tracemalloc.stop()
-    print(f"{sum(C.dim(k) for k in C.degrees())} basis elements, {len(text)} report bytes")
+    print(f"{sum(C.dim(k) for k in C.degrees())} basis elements, {size} report bytes written")
     return 0
 
 

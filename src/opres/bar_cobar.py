@@ -716,12 +716,13 @@ def compare_w_barcobar(P, arity: int, edge_cap: int | None = None) -> dict:
     Cell first[k] + j is element j of W's degree k and cell 0 is +1.  A
     cell's sign is read relative to the least cell of its class: cell 0
     where the class has an augmentation vote, else its first element."""
-    W = w_pseudo(P, arity, edge_cap)
     vcap = None if edge_cap is None else edge_cap + 1
     C = bar(P, arity, vcap)
     CB = cobar(C, arity, vcap)
     # past this point C only twists labels, which reads no family template
     C._families.clear()
+    # built last, so that the cobar's build does not hold it
+    W = w_pseudo(P, arity, edge_cap)
 
     def fail(msg):
         return {"bijection": [], "rescaling": {}, "status": "fail", "witness": msg}

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import functools
 import heapq
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 
 # -- rings ----------------------------------------------------------------
@@ -829,20 +831,63 @@ def table_key(key: str, op: str, arity) -> tuple:
     return x, tuple(int(e) - 1 for e in y.split(","))
 
 
+class JsonText(functools.partial):
+    """A JSON value rendered only when it is written: each iteration calls
+    the render function afresh for pieces of text whose concatenation is
+    the value as json.dumps(sort_keys=True, separators=(",", ":")) reads."""
+
+    def __iter__(self):
+        return self()
+
+
+def _strings_text(items, show=None):
+    """The JSON list of the strings in items, or of show(x) for each x in
+    items, escaped by json itself (ASCII only), a few thousand at a time."""
+    codes = map(json.encoder.encode_basestring_ascii, items if show is None else map(show, items))
+    head = "["
+    while text := ",".join(islice(codes, 4096)):
+        yield head + text
+        head = ","
+    yield "[]" if head == "[" else "]"
+
+
+def _entries_text(mat: SparseMat, ring: Ring):
+    """The JSON list of mat's [row, column, ring.show(entry)], row-major,
+    a row at a time from a transpose holding each entry's column text and
+    one suffix ',"<show(v)>"]' per distinct v (equal entries show equally)."""
+    rows = [[] for _ in range(mat.rows)]
+    suffix: dict = {}
+    for j, col in enumerate(mat.data):
+        cj = str(j)
+        for i, v in col.items():
+            s = suffix.get(v)
+            if s is None:
+                s = suffix[v] = "," + json.dumps(ring.show(v)) + "]"
+            rows[i] += cj, s
+    head = "["
+    for i, row in enumerate(rows):
+        if row:
+            lead = f"[{i},"
+            yield head + lead + ("," + lead).join(map(str.__add__, row[::2], row[1::2]))
+            head = ","
+            rows[i] = None  # a written row is released at once
+    yield "[]" if head == "[" else "]"
+
+
 def complex_to_json(C: ChainComplex, label_str=str, labels=None) -> dict:
-    """The JSON payload of a complex.  Each basis label is label_str of
-    the element, unless labels holds every degree's label texts in basis
-    order."""
-    if labels is None:
-        labels = {k: [label_str(lab) for lab in C.basis_of(k)] for k in C.degrees()}
+    """The JSON payload of a complex, each degree's basis and differential
+    a JsonText.  Each basis label is label_str of the element, unless
+    labels holds every degree's label texts in basis order, as a sized
+    iterable per degree; their counts are checked here."""
     basis = {}
     for k in C.degrees():
+        if labels is None:
+            basis[str(k)] = JsonText(_strings_text, C.basis_of(k), label_str)
+            continue
         if len(labels[k]) != C.dim(k):
             raise ValueError(f"{len(labels[k])} labels for {C.dim(k)} basis elements in degree {k}")
-        basis[str(k)] = labels[k]
-    d = {}
-    for k in sorted(C.d):
-        d[str(k)] = [(i, j, C.ring.show(v)) for i, j, v in C.d[k].entries()]
+        basis[str(k)] = JsonText(_strings_text, labels[k])
+    d = {str(k): JsonText(_entries_text, mat, C.ring) for k, mat in C.d.items()}
     return {"ring": C.ring.name(), "basis": basis, "d": d}
 
 

@@ -585,11 +585,30 @@ def basis_to_json(x: TreeElement) -> dict:
     }
 
 
-def w_basis_labels(C: ChainComplex) -> dict[int, list]:
+class _Labels:
+    """One degree's report labels: their count, known at once, and their
+    texts, rendered afresh by render(degree) on each iteration."""
+
+    __slots__ = ("count", "render", "degree")
+
+    def __init__(self, count: int, render, degree: int):
+        self.count = count
+        self.render = render
+        self.degree = degree
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return self.render(self.degree)
+
+
+def w_basis_labels(C: ChainComplex) -> dict[int, _Labels]:
     """The basis of a cylinder complex C, as w_reduced, w_pseudo or
-    free_operad_complex built it, as report labels: per degree, in basis
-    order, the JSON text of each element's basis_to_json with sorted
-    keys, as json.dumps writes it.
+    free_operad_complex built it, as report labels: per degree, a sized
+    iterable of the JSON text of each element's basis_to_json with sorted
+    keys, as json.dumps writes it, in basis order.  A degree's texts are
+    rendered only when it is iterated, so a reader holds one degree's.
 
     No element is built or walked.  Each fragment is encoded once from
     the blocks C was built from: the tree notation per block, the leaf coset
@@ -598,12 +617,10 @@ def w_basis_labels(C: ChainComplex) -> dict[int, list]:
     concatenation of its fragments around the sorted keys gamma_edges,
     labels, leaf_coset and tree."""
     enc = json.JSONEncoder(sort_keys=True)
-    out: dict[int, list] = {}
     if not C.basis:
-        return out
+        return {}
     cells = next(iter(C.basis.values())).source
-    if cells.unit:
-        out[0] = [enc.encode(_unit_json())]
+    unit = [enc.encode(_unit_json())] if cells.unit else []
     blocks = cells.blocks
     # per block: the text before the labels per flag tuple, the text from
     # the labels to the leaf coset per labeling, and the rest per routing
@@ -625,10 +642,18 @@ def w_basis_labels(C: ChainComplex) -> dict[int, list]:
         ])
         rest = ', "tree": ' + enc.encode(tree.notation()) + "}"
         tails.append([coset + rest for coset in cosets[id(lams)]])
-    for b, li, mi, d in block_walk(blocks):
-        head = heads[b][mi] + middles[b][li]
-        out.setdefault(d, []).extend([head + tail for tail in tails[b]])
-    return out
+    counts = {0: len(unit)} if unit else {}
+    for b, _, _, d in block_walk(blocks):
+        counts[d] = counts.get(d, 0) + len(tails[b])
+
+    def render(degree: int):
+        if degree == 0:
+            yield from unit
+        for b, li, mi, d in block_walk(blocks):
+            if d == degree:
+                yield from map((heads[b][mi] + middles[b][li]).__add__, tails[b])
+
+    return {d: _Labels(n, render, d) for d, n in counts.items()}
 
 
 def _word(nd) -> list:

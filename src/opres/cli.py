@@ -29,6 +29,7 @@ from .bar_cobar import (
     compare_w_barcobar,
 )
 from .chain_core import (
+    JsonText,
     SelfCheckError,
     VerificationError,
     change_ring,
@@ -484,25 +485,8 @@ def _truncated(args) -> bool:
     )
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _enforce_limits(parser, args)
-    if args.group == "segment" and args.action == "check":
-        if not (args.name or args.file):
-            parser.error("segment check needs --name or --file")
-    try:
-        status, payload = args.handler(args)
-    except (SelfCheckError, VerificationError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    report = {
+def _report(args, status: str, payload: dict) -> dict:
+    return {
         "status": status,
         "payload": payload,
         "truncated": _truncated(args),
@@ -520,10 +504,58 @@ def main(argv=None) -> int:
             },
         },
     }
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            # two writes: appending the newline would copy a multi-MB report
-            fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+
+
+def _holds_text(value) -> bool:
+    return isinstance(value, JsonText) or (
+        isinstance(value, dict) and any(map(_holds_text, value.values()))
+    )
+
+
+def write_report(value, fh) -> None:
+    """Write value to the text file fh as json.dumps(value, sort_keys=True,
+    separators=(",", ":")) and a newline would read, without building
+    that text.  A JsonText is written piece by piece, a dict holding one
+    (its keys strings) key by key, and any other value through
+    json.dumps."""
+    _write(value, fh)
+    fh.write("\n")
+
+
+def _write(value, fh) -> None:
+    if isinstance(value, JsonText):
+        fh.writelines(value)
+    elif _holds_text(value):
+        head = "{"
+        for k in sorted(value):
+            fh.write(head + json.dumps(k) + ":")
+            _write(value[k], fh)
+            head = ","
+        fh.write("}")
+    else:
+        fh.write(json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _enforce_limits(parser, args)
+    if args.group == "segment" and args.action == "check":
+        if not (args.name or args.file):
+            parser.error("segment check needs --name or --file")
+    try:
+        status, payload = args.handler(args)
+        if args.json_path:
+            with open(args.json_path, "w") as fh:
+                write_report(_report(args, status, payload), fh)
+    except (SelfCheckError, VerificationError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"status: {status}")
     return EXIT_OK if status == "verified" else EXIT_FAILED

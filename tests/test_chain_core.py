@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from opres.chain_core import (
     verify_chain_map,
     verify_d_squared,
 )
+from opres.cli import write_report
 from opres.tagged import koszul
 
 
@@ -655,12 +658,19 @@ def test_change_ring_maps_integer_entries():
 # -- serialization ----------------------------------------------------------------
 
 
+def written_payload(C, **kwargs):
+    """complex_to_json(C) as the report writer writes it, read back."""
+    out = io.StringIO()
+    write_report(complex_to_json(C, **kwargs), out)
+    return json.loads(out.getvalue())
+
+
 def test_complex_json_roundtrip():
     C = interval_complex()
-    data = complex_to_json(C)
+    data = written_payload(C)
     assert data["ring"] == "Z"
     assert data["basis"]["0"] == ["g0", "g1"]
-    assert data["d"]["1"] == [(0, 0, "-1"), (1, 0, "1")]
+    assert data["d"]["1"] == [[0, 0, "-1"], [1, 0, "1"]]
     back = complex_from_json(data)
     assert back.dim(0) == 2 and back.dim(1) == 1
     assert back.diff(1).data[0][0] == -1
@@ -671,5 +681,5 @@ def test_complex_json_roundtrip():
 def test_complex_json_rational():
     mat = SparseMat(1, 1, [{0: Fraction(1, 2)}])
     C = ChainComplex(QQ, {0: ("a",), 1: ("b",)}, {1: mat})
-    back = complex_from_json(complex_to_json(C))
+    back = complex_from_json(written_payload(C))
     assert back.diff(1).data[0][0] == Fraction(1, 2)

@@ -302,6 +302,133 @@ def test_truncation_flag(tmp_path):
     assert full["truncated"] is False
 
 
+# -- the report writer -------------------------------------------------------
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _written(value):
+    from opres.cli import write_report
+
+    out = io.StringIO()
+    write_report(value, out)
+    return out.getvalue()
+
+
+def _plain_payload(C, labels):
+    """The oracle: a complex's payload as plain labels and sorted
+    (row, column, show(entry)) triples."""
+    return {
+        "ring": C.ring.name(),
+        "basis": {str(k): list(labels[k]) for k in C.degrees()},
+        "d": {
+            str(k): sorted((i, j, C.ring.show(v)) for j, col in enumerate(m.data) for i, v in col.items())
+            for k, m in C.d.items()
+        },
+    }
+
+
+def _writer_case(name):
+    from fractions import Fraction
+
+    from opres.chain_core import QQ, ZZ, ChainComplex, Ring, SparseMat
+
+    F3 = Ring("Fp", 3)
+    if name == "Z":
+        # d(b) = a0 - a1 + 2 a2 - 3 a3, d(c) = 2 a0 + a2
+        mat = SparseMat(4, 2, [{0: 1, 1: -1, 2: 2, 3: -3}, {0: 2, 2: 1}])
+        return ChainComplex(ZZ, {0: ("a0", "a1", "a2", "a3"), 1: ("b", "c")}, {1: mat}, check=False)
+    if name == "Q":
+        mat = SparseMat(2, 1, [{0: Fraction(1, 2), 1: Fraction(-3, 4)}])
+        return ChainComplex(QQ, {0: ("a0", "a1"), 1: ("b",)}, {1: mat}, check=False)
+    if name == "F3":
+        mat = SparseMat(2, 2, [{0: 2, 1: 1}, {1: 2}])
+        return ChainComplex(F3, {3: ("a0", "a1"), 4: ("b0", "b1")}, {4: mat}, check=False)
+    if name == "empty-degree":
+        return ChainComplex(ZZ, {0: (), 1: ("b",), 2: ()}, {1: SparseMat(0, 1), 2: SparseMat(1, 0)})
+    if name == "empty":
+        return ChainComplex(ZZ, {}, {})
+    if name == "degrees":
+        # the keys -2, -1, 0, 2 and 10 sort as strings: "-1" < "-2" < "0" < "10" < "2"
+        basis = {k: (f"x{k}",) for k in (-2, -1, 0, 2, 10)}
+        d = {k: SparseMat(1, 1, [{0: 1}]) for k in (-1, 0)}
+        return ChainComplex(ZZ, basis, d, check=False)
+    assert name == "escaping"
+    return ChainComplex(ZZ, {0: ('q"uote', "back\\slash", "caf\u00e9 \u2202", "tab\t")}, {})
+
+
+@pytest.mark.parametrize("name", ["Z", "Q", "F3", "empty-degree", "empty", "degrees", "escaping"])
+def test_writer_matches_json_dumps(name):
+    """The streamed complex reads byte for byte as json.dumps of its plain
+    payload, through the labels path and the label_str path."""
+    from opres.chain_core import complex_to_json
+
+    C = _writer_case(name)
+    labels = {k: [f"<{x}>" for x in C.basis_of(k)] for k in C.degrees()}
+    report = {"status": "verified", "payload": {"complex": complex_to_json(C, labels=labels)}}
+    assert _written(report) == _dumps({"status": "verified", "payload": {"complex": _plain_payload(C, labels)}})
+    plain = {k: [str(x) for x in C.basis_of(k)] for k in C.degrees()}
+    assert _written(complex_to_json(C)) == _dumps(_plain_payload(C, plain))
+    keys = {k: [repr(x) for x in C.basis_of(k)] for k in C.degrees()}
+    assert _written(complex_to_json(C, label_str=repr)) == _dumps(_plain_payload(C, keys))
+
+
+def test_writer_renders_empty_lists():
+    # a ChainComplex drops empty degrees and zero differentials, so the
+    # empty renderings are reached only directly
+    from opres.chain_core import JsonText, SparseMat, ZZ, _entries_text, _strings_text
+
+    value = {"b": JsonText(_strings_text, []), "d": JsonText(_entries_text, SparseMat(3, 2), ZZ)}
+    assert _written(value) == _dumps({"b": [], "d": []})
+
+
+def test_writer_checks_label_counts_first(tmp_path, monkeypatch):
+    from opres import cli
+    from opres.chain_operads import w_basis_labels
+
+    def short(C):
+        labels = w_basis_labels(C)
+        labels[1] = [*labels[1], "one too many"]
+        return labels
+
+    monkeypatch.setattr(cli, "w_basis_labels", short)
+    path = tmp_path / "report.json"
+    rc, out, err = run(["chainw", "build", "--operad", "as_ns", "--arity", "3", "--json", str(path)])
+    assert (rc, err) == (2, "error: 3 labels for 2 basis elements in degree 1\n")
+    assert not path.exists()
+
+
+def test_unwritable_report_path_exits_2(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    rc, out, err = run(["segment", "make", "--name", "interval", "--json", str(path)])
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_chainw_build_report_matches_json_dumps(tmp_path, ring):
+    """cli.main writes the build report as json.dumps of its plain
+    payload, and the homology command reads the written complex back."""
+    from opres.chain_core import change_ring, ring_from_name
+    from opres.chain_operads import builtin_chain_operad, w_basis_labels, w_reduced
+
+    argv = ["chainw", "build", "--operad", "ass_sym", "--arity", "4", "--ring", ring]
+    rc, report, path = run_json(argv, tmp_path)
+    assert rc == 0
+    C = change_ring(w_reduced(builtin_chain_operad("ass_sym"), 4), ring_from_name(ring))
+    report["payload"]["complex"] = _plain_payload(C, w_basis_labels(C))
+    assert path.read_text() == _dumps(report)
+    cx = tmp_path / "complex.json"
+    cx.write_text(json.dumps(report["payload"]["complex"]))
+    rc, hom, _ = run_json(["homology", "--file", str(cx)], tmp_path, "h.json")
+    assert rc == 0
+    assert hom["payload"]["ring"] == ring
+    assert hom["payload"]["by_degree"]["0"]["free"] == 24
+    assert all(row["free"] == 0 for k, row in hom["payload"]["by_degree"].items() if k != "0")
+
+
 # -- exit code 1 on failed verification --------------------------------------
 
 
