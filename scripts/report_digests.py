@@ -106,6 +106,20 @@ COMMANDS = (
     # boundary with no marked edge
     "chainw verify --check all --operad scripts/data/endv3_sym.json --arity 3 --cap 1",
     "chainw verify --check all --operad scripts/data/endv3_ns.json --arity 3 --cap 1",
+    # a set-level table read from a file (com up to arity 3, with names of
+    # its own), built and compared as a tower level, and com's level 2
+    "setw build --operad scripts/data/com3_set.json --arity 3",
+    "godement compare-w --operad scripts/data/com3_set.json --level 1 --arity 3",
+    "godement compare-w --operad com --level 2 --arity 3",
+    # a segment serialized, and the same segment read back from a file
+    "segment make --name delta1:2",
+    "segment check --file scripts/data/delta1_2_segment.json",
+    # the planar tree census
+    "trees enum --arity 4 --min-valence 2",
+    # homology of a complex file (the cellular chains of the real
+    # projective plane), over Z and over the ring that overrides the file's
+    "homology --file scripts/data/rp2_complex.json",
+    "homology --file scripts/data/rp2_complex.json --ring F2",
 )
 
 

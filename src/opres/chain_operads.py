@@ -1384,8 +1384,9 @@ def w_compose_basis(P, x: TreeElement, i: int, y: TreeElement):
     ty = tag(map_leaves(y.node, range(i, i + m)), P.degree_of)
     w_xy = _word(tx) + _word(ty)
     nd = _plug(tx, i, m, ("edge", fresh_uid(), 0, ty))
-    k = koszul(w_xy, _word(nd))
-    c, node = signed_canon(P, untag(nd))
+    w = _word(nd)
+    k = koszul(w_xy, w)
+    c, node = signed_canon(P, nd, w)
     return k * c, TreeElement(n + m - 1, node, x.degree + y.degree)
 
 

@@ -941,90 +941,66 @@ def _identity_failures(tower: GodementTower, k: int, n: int, x, dx: list, sx: li
             bad.append(f"augmentation coequalizer fails at arity {n}")
 
 
-def _identities_below(tower: GodementTower, k: int, max_arity: int, bad: list) -> None:
-    """Append to bad the identities that fail on levels 0 to k - 1."""
-    for level in range(k):
-        for n, x, dx, sx in _level_maps(tower, level, max_arity):
-            _identity_failures(tower, level, n, x, dx, sx, bad)
-
-
-def godement_simplicial_check(tower: GodementTower, max_level: int, max_arity: int) -> list[str]:
-    """Elementwise simplicial identities for the cotriple tower.  The
-    faces and degeneracies of each element are worked out once and read
-    by every identity; across elements only the check's label memo is
-    held."""
+def check_godement_level(tower: GodementTower, k: int, max_arity: int) -> tuple[dict, list[str]]:
+    """The cotriple tower's one walk, over levels 0 to k.  It checks the
+    elementwise simplicial identities of every level, and compares level k
+    with the weighted construction over the segment of monotone maps
+    [k] -> [1]: bijection and composition, then per element the faces
+    (tower face i matches segment face k - i: both merge the adjacent
+    lengths i and i + 1), the degeneracies with the same index reversal,
+    and the augmentation.  Each element's faces and degeneracies are
+    worked out once and read by its identities and squares; across
+    elements only the check's label memo is held.  The first witness
+    fails the report, and the walk goes on with the identities.  Returns
+    (report, failed identities)."""
+    W = tower.flat_level(k)
+    report: dict = {"status": "iso", "witness": None, "sizes": {}}
     bad: list[str] = []
-    with tower._label_memo(max_arity):
-        _identities_below(tower, max_level + 1, max_arity, bad)
-    return bad
-
-
-def _godement_squares(tower: GodementTower, k: int, max_arity: int, report: dict):
-    """The bijection and composition half of comparing tower level k with
-    W over delta1:k.  Returns the check of the remaining squares on one
-    element, square(n, x, dx, sx), which gives the first witness or None;
-    or None when the bijection fails, with report failed."""
-    P, W = tower.P, tower.flat_level(k)
     flat: dict[TreeElement, TreeElement] = {}
-    witness = _iso_witness(report["sizes"], flat, tower.level(k), W, lambda x: tower.flatten(k, x),
-                           W.elements, max_arity)
+    faces = [delta1_face(k, k - i) for i in range(k + 1)] if k else []
+    degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
+    witness = None
+    with tower._label_memo(max_arity):
+        for level in range(k + 1):
+            if level == k:
+                witness = _iso_witness(report["sizes"], flat, tower.level(k), W,
+                                       lambda x: tower.flatten(k, x), W.elements, max_arity)
+            for n, x, dx, sx in _level_maps(tower, level, max_arity):
+                if level == k and not witness:
+                    witness = _square_witness(tower, k, n, x, flat[x], dx, sx, faces, degeneracies)
+                _identity_failures(tower, level, n, x, dx, sx, bad)
     if witness:
         _fail(report, witness)
-        return None
-    faces = [delta1_face(k, k - i) for i in range(k + 1)] if k >= 1 else []
-    degeneracies = [delta1_degeneracy(k, k - i) for i in range(k + 1)]
+    return report, bad
 
-    def square(n: int, x, dx: list, sx: list) -> str | None:
-        fx = flat[x]
-        for i, face in enumerate(faces):
-            if tower.flatten(k - 1, dx[i]) != w_segment_apply(P, face, fx):
-                return f"face {i} mismatch at level {k}, arity {n}"
-        for i, degeneracy in enumerate(degeneracies):
-            if tower.flatten(k + 1, sx[i]) != w_segment_apply(P, degeneracy, fx):
-                return f"degeneracy {i} mismatch at level {k}, arity {n}"
-        # above level 0 the augmentation goes on from the zeroth face in dx
-        if (tower.augment(k - 1, dx[0]) if k else tower.augment(0, x)) != w_eval(P, fx):
-            return f"augmentation mismatch at level {k}, arity {n}"
-        return None
 
-    return square
+def _square_witness(tower: GodementTower, k: int, n: int, x, fx, dx: list, sx: list,
+                    faces: list, degeneracies: list) -> str | None:
+    """The first face, degeneracy or augmentation square that fails on the
+    level-k element x of arity n, flattened to fx, or None."""
+    P = tower.P
+    for i, face in enumerate(faces):
+        if tower.flatten(k - 1, dx[i]) != w_segment_apply(P, face, fx):
+            return f"face {i} mismatch at level {k}, arity {n}"
+    for i, degeneracy in enumerate(degeneracies):
+        if tower.flatten(k + 1, sx[i]) != w_segment_apply(P, degeneracy, fx):
+            return f"degeneracy {i} mismatch at level {k}, arity {n}"
+    # above level 0 the augmentation goes on from the zeroth face in dx
+    if (tower.augment(k - 1, dx[0]) if k else tower.augment(0, x)) != w_eval(P, fx):
+        return f"augmentation mismatch at level {k}, arity {n}"
+    return None
 
 
 def compare_godement_w(tower: GodementTower, k: int, max_arity: int) -> dict:
-    """Compare tower level k with the weighted construction over the
-    segment of monotone maps [k] -> [1]: bijection, composition, faces
-    (tower face i matches segment face k - i: both merge the adjacent
-    lengths i and i + 1), degeneracies with the same index reversal, and
-    the augmentation."""
-    report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    with tower._label_memo(max_arity):
-        square = _godement_squares(tower, k, max_arity, report)
-        if square is not None:
-            for n, x, dx, sx in _level_maps(tower, k, max_arity):
-                witness = square(n, x, dx, sx)
-                if witness:
-                    return _fail(report, witness)
-    return report
+    """The report of check_godement_level(tower, k, max_arity), which
+    compares tower level k with the weighted construction over delta1:k."""
+    return check_godement_level(tower, k, max_arity)[0]
 
 
-def check_godement_level(tower: GodementTower, k: int, max_arity: int) -> tuple[dict, list[str]]:
-    """compare_godement_w(tower, k, max_arity) and
-    godement_simplicial_check(tower, k, max_arity) in one check, which
-    walks level k once: the comparison squares and the identities read the
-    same faces and degeneracies of each element."""
-    report: dict = {"status": "iso", "witness": None, "sizes": {}}
-    bad: list[str] = []
-    with tower._label_memo(max_arity):
-        _identities_below(tower, k, max_arity, bad)
-        square = _godement_squares(tower, k, max_arity, report)
-        for n, x, dx, sx in _level_maps(tower, k, max_arity):
-            if square is not None:
-                witness = square(n, x, dx, sx)
-                if witness:
-                    _fail(report, witness)
-                    square = None
-            _identity_failures(tower, k, n, x, dx, sx, bad)
-    return report, bad
+def godement_simplicial_check(tower: GodementTower, max_level: int, max_arity: int) -> list[str]:
+    """The simplicial identities that fail on levels 0 to max_level, as
+    check_godement_level(tower, max_level, max_arity) reports them."""
+    return check_godement_level(tower, max_level, max_arity)[1]
 
 
 # randomized confluence experiments --------------------------------------------

@@ -558,6 +558,32 @@ def test_godement_compare_builds_one_tower(monkeypatch):
     assert len(built) == 1
 
 
+def test_godement_compare_reports_a_wrong_face(monkeypatch, tmp_path):
+    # face 0 at level 1 sends each arity-2 element to the other arity-2
+    # element of level 0: the one walk reports the comparison's witness
+    # and the identities that read the face
+    from opres import set_operads
+
+    right = set_operads.GodementTower.face
+    two = set_operads.GodementTower(set_operads.get_builtin_operad("ass")).elements(0, 2)
+
+    def wrong(self, k, i, x):
+        y = right(self, k, i, x)
+        return two[1 - two.index(y)] if (k, i) == (1, 0) and x.arity == 2 else y
+
+    monkeypatch.setattr(set_operads.GodementTower, "face", wrong)
+    rc, report, _ = run_json(
+        ["godement", "compare-w", "--operad", "ass", "--level", "1", "--arity", "3"],
+        tmp_path,
+    )
+    assert rc == 1
+    assert report["status"] == "failed"
+    payload = report["payload"]
+    assert payload["comparison"]["status"] == "fail"
+    assert payload["comparison"]["witness"] == "face 0 mismatch at level 1, arity 2"
+    assert any(msg.startswith("ds identity fails at level 1") for msg in payload["simplicial_identities"])
+
+
 def test_godement_build(tmp_path):
     rc, report, _ = run_json(
         ["godement", "build", "--operad", "ass", "--level", "1", "--arity", "2"],
